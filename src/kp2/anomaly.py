@@ -44,6 +44,8 @@ class HAEReport:
             "rhs": self.rhs.to_json(),
             "residual": self.residual.to_json(),
             "pass": self.passed,
+            # both sides exactly zero: the identity holds but proves nothing
+            "vacuous": self.lhs.is_zero() and self.rhs.is_zero(),
         }
 
 

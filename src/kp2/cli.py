@@ -7,7 +7,7 @@ identical configurations produce byte-identical output regardless of
 thread count.
 
 Exit codes: 0 success, 1 a verification failed, 2 usage error,
-3 internal consistency failure.
+3 internal failure (a consistency check or any unexpected error).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .localization import (
 from .lring import RingElem, verify_drule
 from .mgn import hodge_psi_integral, psi_integral
 from .mirror import mirror_data, verify_pf
-from .rseries import extract_R_rows, verify_lemma_R
+from .rseries import check_rows, extract_R_rows, verify_lemma_R
 from .scalars import ConsistencyError
 
 EXIT_OK = 0
@@ -58,18 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: KP2_THREADS or 1)")
 
-    sizing = argparse.ArgumentParser(add_help=False)
-    sizing.add_argument("--qmax", type=int, default=None)
-    sizing.add_argument("--kmax", type=int, default=None)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fg = sub.add_parser("fg", parents=[common, sizing],
+    p_fg = sub.add_parser("fg", parents=[common],
                           help="unpointed total at a genus")
     p_fg.add_argument("--genus", type=int, required=True)
+    # Rows are sized per correlator, so --kmax has no effect; it is still
+    # accepted because perfbench/selfcheck.py passes it.
+    p_fg.add_argument("--kmax", type=int, help=argparse.SUPPRESS)
     p_fg.add_argument("--per-graph", action="store_true", dest="per_graph")
 
-    p_cor = sub.add_parser("correlator", parents=[common, sizing],
+    p_cor = sub.add_parser("correlator", parents=[common],
                            help="pointed localization total")
     p_cor.add_argument("--genus", type=int, required=True)
     p_cor.add_argument("--legs", type=str, default=None,
@@ -85,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gr.add_argument("--genus", type=int, required=True)
     p_gr.add_argument("--legs", type=int, default=0)
 
-    p_rs = sub.add_parser("rseries", parents=[common, sizing],
+    p_rs = sub.add_parser("rseries", parents=[common],
                           help="asymptotic row entries as ring elements")
     p_rs.add_argument("--row", type=int, choices=(0, 1, 2), required=True)
+    p_rs.add_argument("--kmax", type=int, default=3)
 
-    p_mi = sub.add_parser("mirror", parents=[common, sizing],
+    p_mi = sub.add_parser("mirror", parents=[common],
                           help="normalizations and mirror-map series")
+    p_mi.add_argument("--qmax", type=int, default=12)
 
     p_mg = sub.add_parser("mgn", parents=[common],
                           help="cotangent/Hodge intersection number")
@@ -108,23 +109,26 @@ def build_parser() -> argparse.ArgumentParser:
     v_pf.add_argument("--qmax", type=int, default=12)
     v_pf.add_argument("--zmax", type=int, default=8)
 
-    v_hae = what.add_parser("hae", parents=[common, sizing],
+    v_hae = what.add_parser("hae", parents=[common],
                             help="unpointed anomaly identity")
     v_hae.add_argument("--genus", type=int, default=2)
 
-    v_li = what.add_parser("lift", parents=[common, sizing],
+    v_li = what.add_parser("lift", parents=[common],
                            help="pointed lifts of the T-derivatives")
     v_li.add_argument("--genus", type=int, default=2)
 
-    v_ss = what.add_parser("ss56", parents=[common, sizing],
+    v_ss = what.add_parser("ss56", parents=[common],
                            help="pointed anomaly identity with descendent term")
     v_ss.add_argument("--genus", type=int, required=True)
     v_ss.add_argument("--a", type=int, default=0)
     v_ss.add_argument("--b", type=int, default=0)
     v_ss.add_argument("--c", type=int, default=0)
 
-    v_lr = what.add_parser("lemmaR", parents=[common, sizing],
-                           help="row recursions and the X derivation rule")
+    v_lr = what.add_parser("lemmaR", parents=[common],
+                           help="ring rows against their recursions and z-expansions")
+    v_lr.add_argument("--kmax", type=int, default=5)
+    v_lr.add_argument("--qmax", type=int, default=None,
+                      help="q-order of the expansions (default: max(12, 2*kmax + 2))")
     return parser
 
 
@@ -134,11 +138,6 @@ def _threads(args) -> int:
             raise ValueError("--threads must be positive")
         return args.threads
     return _default_threads()
-
-
-def _context(args, genus: int):
-    return build_context(genus, qmax=getattr(args, "qmax", None),
-                         kmax=getattr(args, "kmax", None))
 
 
 def _graph_json(contribution) -> dict:
@@ -158,7 +157,7 @@ def _cmd_fg(args):
     if args.genus < 2:
         raise ValueError("fg needs --genus at least 2")
     threads = _threads(args)
-    ctx = _context(args, args.genus)
+    ctx = build_context()
     contribs = per_graph_contributions(ctx, args.genus, (), threads=threads)
     total = RingElem.zero()
     for item in contribs:
@@ -166,7 +165,6 @@ def _cmd_fg(args):
     payload = {
         "command": "fg",
         "genus": args.genus,
-        "qmax": ctx.mirror.qmax,
         "kmax": ctx.kmax,
         "total": total.to_json(),
         "total_a2": total.to_a2_form().to_json(),
@@ -201,8 +199,7 @@ def _cmd_correlator(args):
     if 2 * args.genus - 2 + len(insertions) <= 0:
         raise ValueError("unstable (genus, insertions) pair")
     threads = _threads(args)
-    ctx = _context(args, args.genus)
-    total = correlator(ctx, args.genus, insertions, threads=threads)
+    total = correlator(build_context(), args.genus, insertions, threads=threads)
     payload = {
         "command": "correlator",
         "genus": args.genus,
@@ -236,28 +233,20 @@ def _cmd_graphs(args):
 
 
 def _cmd_rseries(args):
-    kmax = args.kmax if args.kmax is not None else 3
-    qmax = args.qmax if args.qmax is not None else max(12, 2 * kmax + 2)
-    mirror = mirror_data(qmax)
-    asym = extract_R_rows(mirror, kmax)
-    entries = [
-        {"k": k, "value": asym.rows[args.row][k].to_json()}
-        for k in range(kmax + 1)
-    ]
+    row = extract_R_rows(args.kmax)[args.row]
+    entries = [{"k": k, "value": entry.to_json()} for k, entry in enumerate(row)]
     payload = {
         "command": "rseries",
         "row": args.row,
-        "kmax": kmax,
-        "qmax": qmax,
+        "kmax": args.kmax,
         "entries": entries,
     }
-    lines = [f"R[{args.row},{k}] = {asym.rows[args.row][k]}" for k in range(kmax + 1)]
+    lines = [f"R[{args.row},{k}] = {entry}" for k, entry in enumerate(row)]
     return EXIT_OK, payload, "\n".join(lines)
 
 
 def _cmd_mirror(args):
-    qmax = args.qmax if args.qmax is not None else 12
-    data = mirror_data(qmax)
+    data = mirror_data(args.qmax)
     series = {
         "C0": data.C0,
         "C1": data.C1,
@@ -268,7 +257,7 @@ def _cmd_mirror(args):
         "X": data.X,
         "c": data.c,
     }
-    payload = {"command": "mirror", "qmax": qmax}
+    payload = {"command": "mirror", "qmax": args.qmax}
     payload.update({name: s.to_json() for name, s in series.items()})
     lines = [f"{name}: {', '.join(s.to_json())}" for name, s in series.items()]
     return EXIT_OK, payload, "\n".join(lines)
@@ -312,15 +301,14 @@ def _cmd_verify_pf(args):
 
 
 def _cmd_verify_hae(args):
-    ctx = _context(args, args.genus)
-    report = verify_ttt(ctx, args.genus)
+    report = verify_ttt(build_context(), args.genus)
     payload = {"command": "verify", "what": "hae", "report": report.to_json()}
     text = f"hae genus {args.genus}: " + ("pass" if report.passed else "FAIL")
     return (EXIT_OK if report.passed else EXIT_VERIFY), payload, text
 
 
 def _cmd_verify_lift(args):
-    ctx = _context(args, args.genus)
+    ctx = build_context()
     one = verify_lift(ctx, args.genus)
     two = verify_lift(ctx, args.genus, two_point=True)
     ok = one.passed and two.passed
@@ -336,9 +324,7 @@ def _cmd_verify_lift(args):
 
 
 def _cmd_verify_ss56(args):
-    genus = max(args.genus, 1)
-    ctx = _context(args, genus)
-    report = verify_ss56(ctx, args.genus, args.a, args.b, args.c)
+    report = verify_ss56(build_context(), args.genus, args.a, args.b, args.c)
     payload = {"command": "verify", "what": "ss56", "report": report.to_json()}
     marks = f"(a={args.a}, b={args.b}, c={args.c})"
     text = f"ss56 genus {args.genus} {marks}: " + ("pass" if report.passed else "FAIL")
@@ -346,22 +332,31 @@ def _cmd_verify_ss56(args):
 
 
 def _cmd_verify_lemma_r(args):
-    kmax = args.kmax if args.kmax is not None else 5
+    kmax = args.kmax
     qmax = args.qmax if args.qmax is not None else max(12, 2 * kmax + 2)
+    rows = extract_R_rows(kmax)
     mirror = mirror_data(qmax)
     verify_drule(mirror)
-    asym = extract_R_rows(mirror, kmax)
     relations = [
         {"name": name, "p": p, "zero": residual.is_zero()}
-        for name, p, residual in verify_lemma_R(asym)
+        for name, p, residual in verify_lemma_R(rows)
     ]
-    ok = all(item["zero"] for item in relations)
+    # The recursions hold by construction of the rows; the z-expansions at
+    # the three fixed points are the independent check that can fail.
+    series = [
+        {"i": i, "m": m, "k": k, "match": agrees}
+        for i in range(3)
+        for m, k, agrees in check_rows(mirror, rows, i)
+    ]
+    ok = all(item["zero"] for item in relations) and all(item["match"] for item in series)
     payload = {
         "command": "verify",
         "what": "lemmaR",
         "kmax": kmax,
+        "qmax": qmax,
         "drule": "ok",
         "relations": relations,
+        "series": series,
         "pass": ok,
     }
     text = "lemmaR: " + ("pass" if ok else "FAIL")
@@ -403,6 +398,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # exit 1 is reserved for a failed identity
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
     return code
 

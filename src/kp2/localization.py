@@ -23,8 +23,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
-from .mirror import MirrorData, mirror_data
-from .rseries import AsymptoticData, extract_R_rows
+from .rseries import extract_R_rows
 from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
 
 __all__ = [
@@ -165,9 +164,13 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     count; markings are labeled, so automorphisms fix each leg.
     """
     if isinstance(tags, int):
+        if tags < 0:
+            raise ValueError(f"leg count must be non-negative, got {tags}")
         tags = ("H0",) * tags
     tags = tuple(normalize_tag(t) for t in tags)
     n = len(tags)
+    if g < 0:
+        raise ValueError(f"genus must be non-negative, got {g}")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"unstable request (g={g}, n={n})")
     found: dict = {}
@@ -240,17 +243,21 @@ class Contribution:
 
 
 class Context:
-    """Shared exact inputs: mirror data, asymptotic rows, and memo tables."""
+    """Shared exact inputs: the asymptotic rows R_{m,k}, k <= kmax, and memo tables."""
 
-    def __init__(self, mirror: MirrorData, asym: AsymptoticData):
-        self.mirror = mirror
-        self.asym = asym
-        self.rows = asym.rows
-        self.kmax = asym.kmax
+    def __init__(self):
+        self.kmax = 0
+        self.rows = extract_R_rows(0)
         self._vertex_classes: dict = {}
         self._vertex_memo: dict = {}
         self._edge_memo: dict = {}
         self._leg_memo: dict = {}
+
+    def extend_rows(self, kmax: int) -> None:
+        """Make the rows reach R_{m,kmax}; rows already present do not change."""
+        if kmax > self.kmax:
+            self.rows = extract_R_rows(kmax)
+            self.kmax = kmax
 
     def vertex_class(self, i: int, h: int):
         key = (i, h)
@@ -261,17 +268,9 @@ class Context:
         return hit
 
 
-def build_context(genus: int, qmax: int | None = None, kmax: int | None = None) -> Context:
-    """Context sized for a target genus: kmax = 3g + 4, qmax >= 2 kmax + 2."""
-    if kmax is None:
-        kmax = 3 * genus + 4
-    if qmax is None:
-        qmax = max(12, 2 * kmax + 2)
-    else:
-        qmax = max(qmax, 2 * kmax + 2)
-    mirror = mirror_data(qmax)
-    asym = extract_R_rows(mirror, kmax)
-    return Context(mirror, asym)
+def build_context() -> Context:
+    """An empty context; each correlator extends its rows to the depth it needs."""
+    return Context()
 
 
 def _partitions(total: int):
@@ -477,8 +476,14 @@ def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) 
 def per_graph_contributions(
     ctx: Context, g: int, tags, threads: int = 1, budget_extra: int = 0
 ) -> list[Contribution]:
-    """Per undecorated graph: the sum over decoration orbits of its value."""
+    """Per undecorated graph: the sum over decoration orbits of its value.
+
+    Rows are extended first to 3g - 3 + n, the largest index any vertex, edge
+    or leg budget can request; each widening of the budgets by budget_extra
+    adds at most 2 * budget_extra (an edge spans two vertices).
+    """
     graphs = enumerate_graphs(g, tags)
+    ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
     jobs = []
     for gi, gr in enumerate(graphs):
         for labels, aut in decoration_orbits(gr):

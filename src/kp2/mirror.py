@@ -94,8 +94,12 @@ def verify_pf(i: int, qmax: int, zmax: int, include_correction: bool = True) -> 
 
     Applies M^3 - w^3 + 3q M (3M + z)(3M + 2z) to the z -> 0 expansion and
     returns the residual, which must vanish identically.  Passing
-    include_correction=False drops the 3q term (negative control).
+    include_correction=False drops the 3q term (negative control).  Needs
+    qmax >= 1 and zmax >= 0: below that the residual is empty or never meets
+    the 3q term.
     """
+    if qmax < 1 or zmax < 0:
+        raise ValueError(f"verify_pf needs qmax >= 1 and zmax >= 0, got {qmax} and {zmax}")
     w = weight(i)
     zcap = qmax + zmax
     f = build_ibar(i, qmax).expand_at_zero(zcap)

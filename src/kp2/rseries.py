@@ -1,34 +1,102 @@
-"""Asymptotic expansion of the normalized solutions at a fixed point.
+"""Asymptotic rows R_{m,k} of the normalized solutions at the fixed points.
 
 The z -> 0 expansion at fixed point i factors as
 
     Shat_i(H^m) = prefac_m(i) * exp(mu w_i / z) * sum_k R_{m,k} (z/w_i)^k
 
 where mu is a q-series shared by all rows, the prefactors are units, and the
-R_{m,k} are elements of the differential ring.  This module extracts mu and
-the R rows from exact expansions, fits each row to its Laurent window in L,
-verifies every fit against all available q-orders, and checks the recursive
-relations between consecutive rows.
+R_{m,k} are elements of the differential ring.  With B = DL/L^2 - X/L the rows
+obey
+
+    r1[p+1] = r0[p+1] + D r0[p] / L
+    r2[p+1] = r1[p+1] + D r1[p] / L + B r1[p]
+    r0[p+1] = r2[p+1] + D r2[p] / L - B r2[p]
+
+and these recursions determine the rows in the ring: extract_R_rows derives
+them, solving one linear equation D f = g on Q(zeta)[L, 1/L] per order.
+
+The exact z-expansion of the restricted series is kept as an independent
+check: expand_rows computes mu and the q-expansion of every row at a fixed
+point, and check_rows compares them with the ring rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lring import RingElem
 from .mirror import MirrorData, apply_m
-from .scalars import ONE, ZERO, ConsistencyError, CycScalar, weight, weight_pow
+from .scalars import ZERO, ConsistencyError, CycScalar, weight, weight_pow
 from .series import QSeries, QZSeries
 
 __all__ = [
-    "AsymptoticData",
+    "check_rows",
+    "expand_rows",
     "extract_mu",
     "extract_R_rows",
-    "verify_lemma_R",
-    "verify_unconstrained_fits",
     "solve_linear",
+    "verify_lemma_R",
 ]
+
+
+def _b_term() -> RingElem:
+    """B = DL/L^2 - X/L."""
+    L1 = RingElem.L(1)
+    return L1.derive() / RingElem.L(2) - RingElem.X() / L1
+
+
+def solve_linear(rhs: RingElem) -> RingElem:
+    """The solution f of the linear equation D f = rhs with f(L=1) = 0.
+
+    Both sides live in Q(zeta)[L, 1/L].  Since D L^e = (e/3)(L^{e+3} - L^e),
+    the lowest term of rhs fixes the lowest term of f and the solve is
+    triangular.  Raises ConsistencyError when rhs has an X or c term, needs
+    log L (an L^0 term left at the bottom), or is outside the image of D
+    (f would need an exponent outside [min rhs, max rhs - 3]).
+    """
+    if any(x or e for (_, x, e) in rhs.terms):
+        raise ConsistencyError(f"D f = g has an X or c term on the right: {rhs}")
+    top = rhs.l_range()[1]
+    rest = {l: c for (l, _, _), c in rhs.terms.items()}
+    sol = {}
+    while rest:
+        low = min(rest)
+        if low == 0:
+            raise ConsistencyError(f"D f = g needs log L: {rhs}")
+        if low > top - 3:
+            raise ConsistencyError(f"D f = g has no Laurent solution: {rhs}")
+        coeff = rest.pop(low) * Fraction(-3, low)
+        sol[(low, 0, 0)] = coeff
+        up = rest.get(low + 3, ZERO) - coeff * Fraction(low, 3)
+        if up.is_zero():
+            rest.pop(low + 3, None)
+        else:
+            rest[low + 3] = up
+    f = RingElem(sol)
+    return f - f.eval_at(1, 0)
+
+
+def extract_R_rows(kmax: int) -> dict[int, list[RingElem]]:
+    """The rows R_{m,k}, m = 0..2, k = 0..kmax, derived in the ring.
+
+    With a_p = D r0[p-1]/L and b_p = D r1[p-1]/L + B r1[p-1] the recursions
+    give r1[p] = r0[p] + a_p and r2[p] = r1[p] + b_p, and their sum gives
+    3 D r0[p] = L B b_p - D(2 a_p + b_p); r0[p] is normalized by r0[p](1) = 0
+    because the restriction is 1 at q = 0.
+    """
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
+    L1 = RingElem.L(1)
+    bterm = _b_term()
+    r0, r1, r2 = [RingElem.one()], [RingElem.one()], [RingElem.one()]
+    for p in range(1, kmax + 1):
+        a = r0[p - 1].derive() / L1
+        b = r1[p - 1].derive() / L1 + bterm * r1[p - 1]
+        rhs = L1 * bterm * b - (a * 2 + b).derive()
+        r0.append(solve_linear(rhs * Fraction(1, 3)))
+        r1.append(r0[p] + a)
+        r2.append(r1[p] + b)
+    return {0: r0, 1: r1, 2: r2}
 
 
 def extract_mu(ibar_z0: QZSeries, w: CycScalar) -> QSeries:
@@ -50,94 +118,17 @@ def extract_mu(ibar_z0: QZSeries, w: CycScalar) -> QSeries:
     return lg.z_coefficient(-1) / w
 
 
-@dataclass
-class AsymptoticData:
-    """Extracted asymptotics at one fixed point.
+def expand_rows(mirror: MirrorData, kmax: int, i: int = 0):
+    """(mu, rows_q): the exact z-expansion of the normalized rows at fixed point i.
 
-    rows[m][k] is R_{m,k} as a ring element; rows_q[(m, k)] the q-expansion it
-    was fitted to (already rescaled by w^k, so rational at every fixed point).
-    """
-
-    fixed_point: int
-    kmax: int
-    mu: QSeries
-    rows: dict[int, list[RingElem]]
-    rows_q: dict[tuple[int, int], QSeries] = field(repr=False, default_factory=dict)
-
-
-def solve_linear(matrix: list[list[CycScalar]], rhs: list[CycScalar]):
-    """Exact Gaussian elimination on a possibly rectangular system.
-
-    Returns the unique solution as a list, or None when underdetermined.
-    Raises ConsistencyError when the system is inconsistent.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    rows = [list(matrix[r]) + [rhs[r]] for r in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if not rows[rr][col].is_zero():
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for rr in range(nrows):
-            if rr == r:
-                continue
-            factor = rows[rr][col]
-            if factor.is_zero():
-                continue
-            rows[rr] = [a - factor * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    for rr in range(r, nrows):
-        if not rows[rr][ncols].is_zero():
-            raise ConsistencyError("inconsistent linear system in row fit")
-    if len(pivots) < ncols:
-        return None
-    sol = [ZERO] * ncols
-    for rr, col in pivots:
-        sol[col] = rows[rr][ncols]
-    return sol
-
-
-def _fit_row(target: QSeries, m: int, k: int, mirror: MirrorData, x_part: RingElem) -> RingElem:
-    """Fit target as x_part plus a Laurent polynomial in L on the window [-m, 2k].
-
-    The window size of equations pins the candidate; the candidate is then
-    re-evaluated against every available q-order.
-    """
-    residual = target - x_part.eval_q(mirror)
-    exps = list(range(-m, 2 * k + 1))
-    n = len(exps)
-    if target.qmax + 1 < n:
-        raise ValueError(f"need {n} q-orders to fit row ({m},{k}), have {target.qmax + 1}")
-    columns = [RingElem.L(e).eval_q(mirror) for e in exps]
-    matrix = [[columns[j][d] for j in range(n)] for d in range(n)]
-    rhs = [residual[d] for d in range(n)]
-    sol = solve_linear(matrix, rhs)
-    if sol is None:
-        raise ConsistencyError(f"singular fit window for row ({m},{k})")
-    fitted = RingElem({(e, 0, 0): c for e, c in zip(exps, sol)}) + x_part
-    if fitted.eval_q(mirror) != target:
-        raise ConsistencyError(f"row ({m},{k}) fit fails beyond its defining orders")
-    return fitted
-
-
-def extract_R_rows(mirror: MirrorData, kmax: int, i: int = 0) -> AsymptoticData:
-    """Compute mu and the rows R_{m,k}, m = 0..2, k = 0..kmax, at fixed point i.
-
-    Requires mirror.qmax >= 2*kmax + 2 so every fit window is determined.
+    rows_q[(m, k)] is the q-expansion of R_{m,k}, already rescaled by w^k so
+    it is the same at every fixed point.  Requires mirror.qmax >= 2*kmax + 2,
+    so that the q-orders pin every row in its L-window [-m, 2k] (plus the X
+    part of row 2) exactly.
     """
     qmax = mirror.qmax
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
     if qmax < 2 * kmax + 2:
         raise ValueError(f"qmax={qmax} too small for kmax={kmax}; need at least {2 * kmax + 2}")
     w = weight(i)
@@ -168,78 +159,37 @@ def extract_R_rows(mirror: MirrorData, kmax: int, i: int = 0) -> AsymptoticData:
         hat = hat.div_qseries(prefac[m])
         for k in range(kmax + 1):
             rows_q[(m, k)] = hat.z_coefficient(k) * weight_pow(i, k)
-
-    rows: dict[int, list[RingElem]] = {}
-    minus_x_over_l = -(RingElem.X() / RingElem.L(1))
-    for m in range(3):
-        fitted_row = []
-        for k in range(kmax + 1):
-            if m == 2 and k >= 1:
-                x_part = minus_x_over_l * rows[1][k - 1]
-            else:
-                x_part = RingElem.zero()
-            fitted_row.append(_fit_row(rows_q[(m, k)], m, k, mirror, x_part))
-        rows[m] = fitted_row
-    for m in range(3):
-        if rows[m][0] != RingElem.one():
-            raise ConsistencyError(f"R_{m},0 is not 1")
-    return AsymptoticData(fixed_point=i, kmax=kmax, mu=mu, rows=rows, rows_q=rows_q)
+    return mu, rows_q
 
 
-def verify_unconstrained_fits(mirror: MirrorData, asym: AsymptoticData, kcap: int | None = None):
-    """Refit rows on a widened window with a free X block and compare.
+def check_rows(mirror: MirrorData, rows: dict[int, list[RingElem]], i: int = 0):
+    """Compare every ring row with its z-expansion at fixed point i.
 
-    Only (m, k) pairs whose widened system stays uniquely solvable within the
-    available q-orders are checked; returns the list of pairs verified.
-    Disagreement with the constrained fit is fatal.
+    Returns (m, k, agrees) for m = 0..2 and k = 0..kmax, kmax = len(rows[0]) - 1.
     """
-    qmax = mirror.qmax
-    verified = []
-    for m in range(3):
-        for k in range(len(asym.rows[m])):
-            if kcap is not None and k > kcap:
-                continue
-            l_exps = list(range(-m - 2, 2 * k + 3))
-            x_exps = list(range(-m - 2, max(2 * k - 1, -m - 1)))
-            n = len(l_exps) + len(x_exps)
-            if n > qmax + 1:
-                continue
-            columns = [RingElem.L(e).eval_q(mirror) for e in l_exps]
-            columns += [(RingElem.X() * RingElem.L(e)).eval_q(mirror) for e in x_exps]
-            target = asym.rows_q[(m, k)]
-            matrix = [[col[d] for col in columns] for d in range(qmax + 1)]
-            rhs = [target[d] for d in range(qmax + 1)]
-            sol = solve_linear(matrix, rhs)
-            if sol is None:
-                continue
-            refit = RingElem({(e, 0, 0): c for e, c in zip(l_exps, sol[: len(l_exps)])})
-            refit = refit + RingElem(
-                {(e, 1, 0): c for e, c in zip(x_exps, sol[len(l_exps) :])}
-            )
-            if refit != asym.rows[m][k]:
-                raise ConsistencyError(f"unconstrained refit of row ({m},{k}) disagrees")
-            verified.append((m, k))
-    if not verified:
-        raise ConsistencyError("no row admitted an unconstrained refit")
-    return verified
+    kmax = len(rows[0]) - 1
+    _, rows_q = expand_rows(mirror, kmax, i)
+    return [
+        (m, k, rows[m][k].eval_q(mirror) == rows_q[(m, k)])
+        for m in range(3)
+        for k in range(kmax + 1)
+    ]
 
 
-def verify_lemma_R(asym: AsymptoticData) -> list[tuple[str, int, RingElem]]:
+def verify_lemma_R(rows: dict[int, list[RingElem]]) -> list[tuple[str, int, RingElem]]:
     """Residuals of the row recursions; all must be zero.
 
-    With r_m = rows[m] and B = DL/L^2 - X/L:
-        r1[p+1] = r0[p+1] + D r0[p] / L
-        r2[p+1] = r1[p+1] + D r1[p] / L + B r1[p]
-        r0[p+1] = r2[p+1] + D r2[p] / L - B r2[p]
-    plus the closed two-step form of r2 in terms of r0 alone.
+    The row1, row2 and row0 recursions of the module docstring, plus the
+    closed two-step form of r2 in terms of r0 alone.
     """
     L1 = RingElem.L(1)
     L2 = RingElem.L(2)
     dl = L1.derive()
-    bterm = dl / L2 - RingElem.X() / L1
-    r0, r1, r2 = asym.rows[0], asym.rows[1], asym.rows[2]
+    bterm = _b_term()
+    r0, r1, r2 = rows[0], rows[1], rows[2]
+    kmax = len(r0) - 1
     out = []
-    for p in range(asym.kmax):
+    for p in range(kmax):
         out.append(("row1", p, r1[p + 1] - r0[p + 1] - r0[p].derive() / L1))
         out.append(
             ("row2", p, r2[p + 1] - r1[p + 1] - r1[p].derive() / L1 - bterm * r1[p])
@@ -247,7 +197,7 @@ def verify_lemma_R(asym: AsymptoticData) -> list[tuple[str, int, RingElem]]:
         out.append(
             ("row0", p, r0[p + 1] - r2[p + 1] - r2[p].derive() / L1 + bterm * r2[p])
         )
-    for p in range(asym.kmax - 1):
+    for p in range(kmax - 1):
         closed = (
             r0[p + 2]
             + r0[p + 1].derive() * 2 / L1

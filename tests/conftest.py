@@ -11,10 +11,14 @@ def mirror12():
 
 @pytest.fixture(scope="session")
 def ctx1():
-    return build_context(genus=1)
+    """Context with rows to k = 7, for tests that call vertex, edge and leg
+    factors directly; correlators on it need no deeper rows."""
+    ctx = build_context()
+    ctx.extend_rows(7)
+    return ctx
 
 
 @pytest.fixture(scope="session")
 def ctx2():
-    """Production-size context: kmax 10, qmax 22."""
-    return build_context(genus=2)
+    """Context whose rows each correlator extends to 3g - 3 + n."""
+    return build_context()

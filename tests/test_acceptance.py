@@ -14,7 +14,7 @@ from kp2.localization import correlator, enumerate_graphs, per_graph_contributio
 from kp2.lring import RingElem, verify_drule
 from kp2.mgn import hodge_psi_integral, hodge_second_route, psi_integral
 from kp2.mirror import c1_closed_form, verify_pf
-from kp2.rseries import extract_R_rows, verify_lemma_R
+from kp2.rseries import check_rows, expand_rows, extract_R_rows, verify_lemma_R
 from kp2.scalars import CycScalar
 from kp2.series import QSeries
 
@@ -49,9 +49,15 @@ def test_criterion_02_normalizations(mirror12):
 
 def test_criterion_03_asymptotic_rows(mirror12):
     kmax = 5
-    asym = extract_R_rows(mirror12, kmax)
+    rows = extract_R_rows(kmax)
+    expansions = [expand_rows(mirror12, kmax, i) for i in range(3)]
     one = QSeries.one(12)
-    slope_ok = one + asym.mu.d_logq() == mirror12.L
+    slope_ok = all(one + mu.d_logq() == mirror12.L for mu, _ in expansions)
+    series_ok = all(
+        rows[m][k].eval_q(mirror12) == series
+        for _, rows_q in expansions
+        for (m, k), series in rows_q.items()
+    )
     r1 = (RingElem.one() - RingElem.L(2)).scale(F(1, 18))
     r2 = (
         RingElem.one()
@@ -59,7 +65,7 @@ def test_criterion_03_asymptotic_rows(mirror12):
         - RingElem.L(2).scale(2)
         + RingElem.L(4).scale(25)
     ).scale(F(1, 648))
-    relations = verify_lemma_R(asym)
+    relations = verify_lemma_R(rows)
     coverage = {}
     for name, p, _ in relations:
         coverage.setdefault(name, set()).add(p)
@@ -67,11 +73,16 @@ def test_criterion_03_asymptotic_rows(mirror12):
         set(range(kmax - 1)) <= coverage.get(name, set())
         for name in ("row1", "row2", "row0", "closed2")
     )
+    perturbed = {m: list(row) for m, row in rows.items()}
+    perturbed[0][2] = perturbed[0][2] + RingElem.L(2).scale(F(1, 7))
+    control = check_rows(mirror12, perturbed)
     verify_drule(mirror12)  # raises on failure, both as ring rule and on series
     checks = [
-        ("slope series reproduces L", slope_ok),
-        ("first-order entry", asym.rows[0][1] == r1),
-        ("second-order entry", asym.rows[0][2] == r2),
+        ("slope series reproduces L at every fixed point", slope_ok),
+        ("ring rows match the z-expansions at every fixed point", series_ok),
+        ("a perturbed row fails the series check", not all(ok for _, _, ok in control)),
+        ("first-order entry", rows[0][1] == r1),
+        ("second-order entry", rows[0][2] == r2),
         ("all recursion residuals zero", all(r.is_zero() for _, _, r in relations)),
         ("residual orders reach kmax-2", covered),
         ("derivation rule", True),

@@ -51,8 +51,9 @@ def test_unpointed_identity_genus_range(ctx2):
 def test_report_json_shape(ctx2):
     payload = verify_ttt(ctx2).to_json()
     assert payload["pass"] is True
-    assert set(payload) == {"genus", "lhs", "rhs", "residual", "pass"}
+    assert set(payload) == {"genus", "lhs", "rhs", "residual", "pass", "vacuous"}
     assert payload["residual"] == []
+    assert payload["vacuous"] is False
 
 
 def test_lift_one_point(ctx2, mirror12):

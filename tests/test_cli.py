@@ -7,6 +7,7 @@ import pytest
 
 from kp2 import cli
 from kp2.lring import RingElem
+from kp2.rseries import extract_R_rows
 from kp2.scalars import ConsistencyError
 
 F = Fraction
@@ -156,6 +157,23 @@ def test_verify_lemma_r_cli(capsys):
     assert payload["drule"] == "ok"
     assert payload["relations"]
     assert all(item["zero"] for item in payload["relations"])
+    assert len(payload["series"]) == 3 * 3 * 4  # fixed points x rows x orders
+    assert all(item["match"] for item in payload["series"])
+
+
+def test_verify_lemma_r_cli_catches_a_perturbed_row(capsys, monkeypatch):
+    def perturbed(kmax):
+        rows = extract_R_rows(kmax)
+        rows[0][2] = rows[0][2] + RingElem.L(2).scale(F(1, 7))
+        return rows
+
+    monkeypatch.setattr(cli, "extract_R_rows", perturbed)
+    code, payload = run_json(["verify", "lemmaR", "--kmax", "3"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert payload["pass"] is False
+    failed = {(item["i"], item["m"], item["k"])
+              for item in payload["series"] if not item["match"]}
+    assert failed == {(0, 0, 2), (1, 0, 2), (2, 0, 2)}
 
 
 def test_verify_ss56_cli(capsys):
@@ -165,6 +183,44 @@ def test_verify_ss56_cli(capsys):
     assert code == cli.EXIT_OK
     assert payload["report"]["pass"] is True
     assert payload["report"]["residual"] == []
+    assert payload["report"]["vacuous"] is True
+
+
+def test_verify_ss56_cli_non_vacuous(capsys):
+    code, payload = run_json(
+        ["verify", "ss56", "--genus", "1", "--c", "3"], capsys
+    )
+    assert code == cli.EXIT_OK
+    assert payload["report"]["pass"] is True
+    assert payload["report"]["vacuous"] is False
+    assert payload["report"]["lhs"] != []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rseries", "--row", "0", "--kmax", "-1"],
+        ["graphs", "--genus", "-1", "--legs", "5"],
+        ["verify", "pf", "--qmax", "-1"],
+        ["verify", "pf", "--qmax", "2", "--zmax", "-3"],
+    ],
+    ids=["rseries-kmax", "graphs-genus", "pf-qmax", "pf-zmax"],
+)
+def test_bad_sizes_are_usage_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unexpected_error_exit(capsys, monkeypatch):
+    def boom(genus, legs):
+        raise IndexError("fabricated")
+
+    monkeypatch.setattr(cli, "enumerate_graphs", boom)
+    code, out, err = run(["graphs", "--genus", "2"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert err == "internal error: IndexError: fabricated\n"
 
 
 def test_verify_failure_exit(capsys, monkeypatch):
