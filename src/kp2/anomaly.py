@@ -68,14 +68,14 @@ def genus_one_inputs() -> tuple[RingElem, RingElem]:
 
 
 def pointed_total(ctx: Context, g: int, a: int, b: int, c_count: int,
-                  delta: int = 0, threads: int = 1) -> RingElem:
+                  delta: int = 0) -> RingElem:
     """Localization total with a ones, b hyperplanes, c_count squares
     and delta pulled-back descendents of the hyperplane."""
     insertions = (("H0",) * a + ("H1",) * b + ("H2",) * c_count
                   + ("psiH",) * delta)
     if 2 * g - 2 + len(insertions) <= 0:
         raise ValueError("unstable pointed total requested")
-    return correlator(ctx, g, insertions, threads=threads)
+    return correlator(ctx, g, insertions)
 
 
 def _split_dT(ctx: Context, g: int, a: int, b: int, c_count: int) -> RingElem:
@@ -141,10 +141,12 @@ def verify_lift(ctx: Context, g: int, two_point: bool = False) -> HAEReport:
     The one-point form checks that a single hyperplane insertion agrees
     with d_dT of the unpointed total at genus g.  The two-point form
     checks two hyperplane insertions at genus g-1 against the second
-    T-derivative there.
+    T-derivative there, so it needs g >= 2.
     """
     d_f1, d2_f1 = genus_one_inputs()
     if two_point:
+        if g < 2:
+            raise ValueError(f"the two-point lift needs genus at least 2, got {g}")
         h = g - 1
         lhs = correlator(ctx, h, ("H1", "H1"))
         rhs = d2_f1 if h == 1 else correlator(ctx, h, ()).d_dT().d_dT()

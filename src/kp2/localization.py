@@ -11,15 +11,51 @@ decorated graphs of
 with every factor an element of the differential ring.  Undecorated graphs
 are enumerated up to isomorphism; decorations are summed via one orbit
 representative each, weighted by its decorated automorphism count.
+
+Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the insertions,
+counting H0 as -1, H1 as 0, H2 as 1 and psiH as 1.  Every factor is a
+Q-rational expression in the weights w_0, w_1, w_2 with coefficients in the
+ring over Q: the rows are shared by all fixed points and have rational
+coefficients, and the weights enter only through weight_pow, euler_at and
+the tangent weights of the vertex class.
+Counting weight degrees, a leg H_k with flag value a has degree k + 1 - a
+(psiH: 3 - a, as H2), a vertex with n flags of values a_f has degree
+sum(a_f - 1) - n (the Hodge coefficient of a lambda-monomial of
+degree d has degree 3h - 3 - d, each extra insertion j contributes 1 - j,
+and they fill the vertex dimension), and an edge with values (b1, b2) has
+degree 1 - b1 - b2 mod 3 (euler_at and w_i^2 w_j have degree 3).  Summing
+over a flag assignment, the flag values cancel and every term of the sum is
+homogeneous of weight degree delta mod 3.  With w_p = zeta^p this gives:
+
+- shift: relabeling p -> p + 1 multiplies each w_p by zeta, hence a
+  decorated-graph contribution by zeta^delta;
+- swap: relabeling p -> -p sends w_p to w_{-p}, its complex conjugate; as
+  conjugation fixes Q it conjugates the contribution.
+
+Relabeling does not change the decorated automorphism order.  Summed over
+all labelings the total is invariant under the shift, so T = zeta^delta T
+and the total vanishes exactly when delta is not 0 mod 3: correlator returns
+zero without assembly.  Otherwise per_graph_contributions evaluates one
+decoration orbit per class under Aut and the six relabelings p -> +-p + s,
+and derives every other orbit of the class by conjugation and a power of
+zeta.
+
+Contracted flag sum.  Each leg and loop meets only one vertex, so
+graph_contribution first sums, per vertex, over the flag compositions
+within the vertex's dimension bound: the vertex factor times its leg and
+loop factors, keyed by the values of its flags on the other edges.  It
+then walks the vertices depth-first, sharing prefix products, and
+multiplies an edge factor in once both of its ends are assigned.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
+from operator import mul
 
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
@@ -40,6 +76,7 @@ __all__ = [
     "per_graph_contributions",
     "correlator",
     "normalize_tag",
+    "weight_degree",
 ]
 
 TAGS = ("H0", "H1", "H2", "psiH")
@@ -157,6 +194,13 @@ def _connected(nv, edges) -> bool:
     return len({find(v) for v in range(nv)}) == 1
 
 
+def _check_request(g: int, n: int) -> None:
+    if g < 0:
+        raise ValueError(f"genus must be non-negative, got {g}")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError(f"unstable request (g={g}, n={n})")
+
+
 def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     """All undecorated stable graphs of total genus g with the given legs.
 
@@ -169,10 +213,7 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
         tags = ("H0",) * tags
     tags = tuple(normalize_tag(t) for t in tags)
     n = len(tags)
-    if g < 0:
-        raise ValueError(f"genus must be non-negative, got {g}")
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"unstable request (g={g}, n={n})")
+    _check_request(g, n)
     found: dict = {}
     max_v = 2 * g - 2 + n
     for nv in range(1, max_v + 1):
@@ -220,12 +261,7 @@ def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
     flag = _flag_factor(graph.edges)
     reps: dict = {}
     for p in product(range(3), repeat=nv):
-        images = []
-        for sigma in sigmas:
-            mapped = [0] * nv
-            for v in range(nv):
-                mapped[sigma[v]] = p[v]
-            images.append(tuple(mapped))
+        images = _aut_images(p, sigmas)
         key = min(images)
         if key not in reps:
             stab = sum(1 for im in images if im == key)
@@ -426,56 +462,170 @@ def leg_contribution(ctx: Context, i: int, tag: str, a: int) -> RingElem:
     return out
 
 
+def _compositions(n: int, budget: int):
+    """Tuples of n flag values >= 1 whose excesses a - 1 sum to at most budget."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(1, budget + 2):
+        for rest in _compositions(n - 1, budget - a + 1):
+            yield (a,) + rest
+
+
+def _located(exc: ConsistencyError, graph: StableGraph, flags) -> ConsistencyError:
+    """exc restated with the decorated graph and the flag values of its term."""
+    named = " ".join(f"{name}={a}" for name, a in flags)
+    return ConsistencyError(
+        f"{exc} [graph {graph.signature()}, labels {list(graph.decorations)}, flags {named}]"
+    )
+
+
+def _edge_term(ctx: Context, graph: StableGraph, e: int, b1: int, b2: int) -> RingElem:
+    u, v = graph.edges[e]
+    try:
+        return edge_contribution(ctx, graph.decorations[u], graph.decorations[v], b1, b2)
+    except ConsistencyError as exc:
+        raise _located(exc, graph, ((f"e{e}.0", b1), (f"e{e}.1", b2))) from exc
+
+
+def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
+    """Vertex v's factor with its leg and loop flags summed out.
+
+    Keyed by the values of v's flags on the other edges, in the order of ends
+    (pairs (edge, side)); every composition of v's flags within budget is
+    visited once.
+    """
+    h, i = graph.genera[v], graph.decorations[v]
+    legs = [m for m, w in enumerate(graph.legs) if w == v]
+    loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
+    names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
+             + [f"e{e}.{s}" for e in loops for s in (0, 1)])
+    nk, nl = len(ends), len(legs)
+    dressings: dict = {}  # leg and loop values -> their product (None for 1)
+    out: dict = {}
+    for values in _compositions(len(names), budget):
+        rest = values[nk:]
+        if rest in dressings:
+            dress = dressings[rest]
+        else:
+            factors = [leg_contribution(ctx, i, graph.tags[m], a) for m, a in zip(legs, rest)]
+            factors += [_edge_term(ctx, graph, e, rest[nl + 2 * t], rest[nl + 2 * t + 1])
+                        for t, e in enumerate(loops)]
+            dress = reduce(mul, factors) if factors else None
+            dressings[rest] = dress
+        if dress is not None and dress.is_zero():
+            continue
+        try:
+            term = vertex_contribution(ctx, h, i, values)
+        except ConsistencyError as exc:
+            raise _located(exc, graph, zip(names, values)) from exc
+        if term.is_zero():
+            continue
+        if dress is not None:
+            term = term * dress
+        key = values[:nk]
+        prev = out.get(key)
+        out[key] = term if prev is None else prev + term
+    return out
+
+
 def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) -> RingElem:
     """Sum over flag assignments of the vertex/edge/leg product, over |Aut|.
 
-    budget_extra widens every per-vertex dimension bound; the extra terms all
-    vanish, which the tests exercise.
+    Flags are assigned vertex by vertex, each vertex's flag values ranging
+    over the compositions within its dimension bound; budget_extra widens
+    every bound, and the extra terms all vanish, which the tests exercise.
+    A ConsistencyError from a factor names the graph, labels and flags.
     """
     if graph.decorations is None:
         raise ValueError("graph_contribution needs a decorated graph")
     nv = len(graph.genera)
-    p = graph.decorations
-    slots = []  # (vertex, kind, payload)
-    for eidx, (u, v) in enumerate(graph.edges):
-        slots.append((u, "e", (eidx, 0)))
-        slots.append((v, "e", (eidx, 1)))
-    for lidx, v in enumerate(graph.legs):
-        slots.append((v, "l", lidx))
     val = graph.valences()
-    budgets = [3 * graph.genera[v] - 3 + val[v] + budget_extra for v in range(nv)]
-    ranges = [range(1, budgets[vtx] + 2) for (vtx, _, _) in slots]
-    total = RingElem.zero()
-    for assignment in product(*ranges):
-        used = [0] * nv
-        for (vtx, _, _), a in zip(slots, assignment):
-            used[vtx] += a - 1
-        if any(used[v] > budgets[v] for v in range(nv)):
-            continue
-        term = RingElem.one()
-        by_vertex: list[list[int]] = [[] for _ in range(nv)]
-        edge_a: dict = {}
-        for (vtx, kind, payload), a in zip(slots, assignment):
-            by_vertex[vtx].append(a)
-            if kind == "e":
-                edge_a[payload] = a
-            else:
-                term = term * leg_contribution(ctx, p[vtx], graph.tags[payload], a)
-        if term.is_zero():
-            continue
-        for v in range(nv):
-            term = term * vertex_contribution(ctx, graph.genera[v], p[v], by_vertex[v])
-        for eidx, (u, v) in enumerate(graph.edges):
-            term = term * edge_contribution(
-                ctx, p[u], p[v], edge_a[(eidx, 0)], edge_a[(eidx, 1)]
-            )
-        total = total + term
-    return total / Fraction(graph.aut_order)
+    links = [(e, u, v) for e, (u, v) in enumerate(graph.edges) if u != v]
+    ends = [[(e, 0 if u == w else 1) for e, u, v in links if w in (u, v)] for w in range(nv)]
+    closing = [[e for e, _, v in links if v == w] for w in range(nv)]
+    dressed = [
+        _dressed_vertex(ctx, graph, w, 3 * graph.genera[w] - 3 + val[w] + budget_extra, ends[w])
+        for w in range(nv)
+    ]
+    flag: dict = {}  # (edge, side) -> value, on the vertices assigned so far
+
+    def closed(w: int, key, factor: RingElem) -> RingElem:
+        for end, a in zip(ends[w], key):
+            flag[end] = a
+        for e in closing[w]:
+            factor = factor * _edge_term(ctx, graph, e, flag[(e, 0)], flag[(e, 1)])
+        return factor
+
+    def walk(w: int, prefix: RingElem | None) -> RingElem:
+        # prefix is the product over vertices before w (None before vertex 0).
+        # The last vertex closes every remaining edge; its terms are summed
+        # before the shared prefix multiplies them once.
+        if w == nv - 1:
+            inner = RingElem.zero()
+            for key, factor in dressed[w].items():
+                inner = inner + closed(w, key, factor)
+            return inner if prefix is None else prefix * inner
+        total = RingElem.zero()
+        for key, factor in dressed[w].items():
+            term = closed(w, key, factor)
+            total = total + walk(w + 1, term if prefix is None else prefix * term)
+        return total
+
+    return walk(0, None) / Fraction(graph.aut_order)
 
 
-def per_graph_contributions(
-    ctx: Context, g: int, tags, threads: int = 1, budget_extra: int = 0
-) -> list[Contribution]:
+_TAG_DEGREE = {"H0": -1, "H1": 0, "H2": 1, "psiH": 1}
+
+
+def weight_degree(tags) -> int:
+    """delta = sum of (k_j - 1) mod 3, the weight degree of every term of the sum."""
+    return sum(_TAG_DEGREE[normalize_tag(t)] for t in tags) % 3
+
+
+def _aut_images(labels, sigmas) -> list[tuple]:
+    """The labelings that the vertex permutations sigmas carry labels to."""
+    images = []
+    for sigma in sigmas:
+        mapped = [0] * len(labels)
+        for v, p in enumerate(labels):
+            mapped[sigma[v]] = p
+        images.append(tuple(mapped))
+    return images
+
+
+# The six relabelings p -> eps * p + s of the fixed points, as (s, eps).
+_RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
+
+
+def _orbit_values(ctx: Context, graph: StableGraph, orbits, delta: int,
+                  budget_extra: int) -> dict:
+    """graph_contribution of every decoration orbit, one evaluation per class.
+
+    Relabeling p -> eps * p + s multiplies a value by zeta^(s * delta) and
+    conjugates it when eps = -1 (see the module docstring), and maps each
+    Aut-orbit onto an orbit with the same decorated automorphism order.
+    """
+    sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
+    values: dict = {}
+    for labels, aut in orbits:
+        if labels in values:
+            continue
+        decorated = dataclasses.replace(graph, decorations=labels, aut_order=aut)
+        value = graph_contribution(ctx, decorated, budget_extra)
+        swapped = value.conjugate()
+        for s, eps in _RELABELINGS:
+            image = min(_aut_images([(eps * p + s) % 3 for p in labels], sigmas))
+            if image in values:
+                continue
+            moved = swapped if eps < 0 else value
+            if s * delta % 3:
+                moved = moved * weight_pow(1, s * delta)
+            values[image] = moved
+    return values
+
+
+def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
     """Per undecorated graph: the sum over decoration orbits of its value.
 
     Rows are extended first to 3g - 3 + n, the largest index any vertex, edge
@@ -484,40 +634,31 @@ def per_graph_contributions(
     """
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
-    jobs = []
-    for gi, gr in enumerate(graphs):
-        for labels, aut in decoration_orbits(gr):
-            decorated = dataclasses.replace(gr, decorations=labels, aut_order=aut)
-            jobs.append((gi, decorated))
-
-    def run(job):
-        return graph_contribution(ctx, job[1], budget_extra)
-
-    if threads <= 1:
-        results = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+    delta = weight_degree(tags)
     out = []
-    for gi, gr in enumerate(graphs):
+    for gr in graphs:
+        orbits = decoration_orbits(gr)
+        values = _orbit_values(ctx, gr, orbits, delta, budget_extra)
+        detail = [(labels, aut, values[labels]) for labels, aut in orbits]
         value = RingElem.zero()
-        detail = []
-        for job, res in zip(jobs, results):
-            if job[0] == gi:
-                value = value + res
-                detail.append((job[1].decorations, job[1].aut_order, res))
+        for _, _, res in detail:
+            value = value + res
         out.append(Contribution(graph=gr, value=value, per_decoration=detail))
     return out
 
 
-def correlator(ctx: Context, g: int, insertions, threads: int = 1) -> RingElem:
+def correlator(ctx: Context, g: int, insertions) -> RingElem:
     """Total over all decorated stable graphs; rationality is asserted.
 
     With no insertions this is the genus-g series itself, which must also be
-    free of c.
+    free of c.  When delta is not 0 mod 3 the total is exactly zero and is
+    returned without assembly.
     """
     tags = tuple(normalize_tag(t) for t in insertions)
-    contributions = per_graph_contributions(ctx, g, tags, threads=threads)
+    _check_request(g, len(tags))
+    if weight_degree(tags):
+        return RingElem.zero()
+    contributions = per_graph_contributions(ctx, g, tags)
     total = RingElem.zero()
     for item in contributions:
         total = total + item.value

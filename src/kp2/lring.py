@@ -176,6 +176,10 @@ class RingElem:
     def scale(self, s) -> "RingElem":
         return self * s
 
+    def conjugate(self) -> "RingElem":
+        """zeta -> zeta^2 on every coefficient; L, X and c are fixed."""
+        return RingElem({key: c.conjugate() for key, c in self.terms.items()})
+
     def __pow__(self, n: int) -> "RingElem":
         if not isinstance(n, int):
             return NotImplemented

@@ -72,13 +72,17 @@ def test_lift_two_point(ctx2, mirror12):
 
 def test_lift_genus_one(ctx1):
     assert verify_lift(ctx1, 1).passed
+    with pytest.raises(ValueError, match="two-point"):
+        verify_lift(ctx1, 1, two_point=True)
 
 
 def test_pointed_identity_square_insertion(ctx1):
-    # every piece of this instance vanishes by weight symmetry, so the
-    # check is that the assembly agrees on that
-    report = verify_ss56(ctx1, 1, 0, 0, 1)
+    # three squares have delta = 3 = 0 mod 3, so the totals do not vanish
+    # and the identity is a real check (one square would be vacuous)
+    report = verify_ss56(ctx1, 1, 0, 0, 3)
     assert report.passed
+    assert not report.to_json()["vacuous"]
+    assert not report.lhs.is_zero()
 
 
 def test_pointed_identity_two_hyperplanes(ctx1):

@@ -1,4 +1,4 @@
-"""Command-line behavior: payload shapes, exit codes, thread handling."""
+"""Command-line behavior: payload shapes and exit codes."""
 
 import json
 from fractions import Fraction
@@ -124,25 +124,6 @@ def test_help_exits_cleanly(capsys):
     assert "verify" in out
 
 
-def test_threads_sources_agree(capsys, monkeypatch):
-    base_code, base_out, _ = run(["correlator", "--genus", "0", "--c", "3"], capsys)
-    flag_code, flag_out, _ = run(
-        ["correlator", "--genus", "0", "--c", "3", "--threads", "4"], capsys
-    )
-    monkeypatch.setenv("KP2_THREADS", "4")
-    env_code, env_out, _ = run(["correlator", "--genus", "0", "--c", "3"], capsys)
-    assert base_code == flag_code == env_code == cli.EXIT_OK
-    assert base_out == flag_out == env_out
-
-
-def test_threads_must_be_positive(capsys):
-    code, out, err = run(
-        ["correlator", "--genus", "0", "--c", "3", "--threads", "0"], capsys
-    )
-    assert code == cli.EXIT_USAGE
-    assert "positive" in err
-
-
 def test_verify_pf_cli(capsys):
     code, payload = run_json(["verify", "pf", "--qmax", "8", "--zmax", "5"], capsys)
     assert code == cli.EXIT_OK
@@ -176,7 +157,19 @@ def test_verify_lemma_r_cli_catches_a_perturbed_row(capsys, monkeypatch):
     assert failed == {(0, 0, 2), (1, 0, 2), (2, 0, 2)}
 
 
+def test_verify_lift_cli_genus_one(capsys):
+    # the two-point form would drop to genus 0 with two markings
+    code, payload = run_json(["verify", "lift", "--genus", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert payload["pass"] is True
+    assert payload["two_point"] is None
+    assert payload["one_point"]["pass"] is True
+    assert payload["one_point"]["vacuous"] is False
+
+
 def test_verify_ss56_cli(capsys):
+    # One square insertion has delta = 1, not 0 mod 3, so every total in
+    # the identity is exactly zero and the report must say it is vacuous.
     code, payload = run_json(
         ["verify", "ss56", "--genus", "1", "--c", "1"], capsys
     )

@@ -257,12 +257,6 @@ def test_budget_slack_changes_nothing(ctx1, ctx2):
     assert base1 == wide1
 
 
-def test_threads_agree(ctx1):
-    serial = [c.value for c in per_graph_contributions(ctx1, 1, ("H1",))]
-    parallel = [c.value for c in per_graph_contributions(ctx1, 1, ("H1",), threads=4)]
-    assert serial == parallel
-
-
 def test_three_point_values(ctx1):
     assert correlator(ctx1, 0, ("H0",) * 3) == RingElem.const(F(-1, 3))
     assert correlator(ctx1, 0, ("H1",) * 3) == RingElem.monomial(

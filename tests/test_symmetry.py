@@ -1,0 +1,233 @@
+"""Relabeling symmetry and the contracted flag sum, checked against direct routes.
+
+The reduced assembly evaluates one decoration orbit per class under the
+automorphisms and the six relabelings p -> +-p + s, skips totals with
+delta != 0 mod 3, and contracts the flag sum vertex by vertex.  Each of
+these is compared here with the unreduced computation it replaces.
+"""
+
+import dataclasses
+from fractions import Fraction
+from functools import cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kp2 import localization
+from kp2.localization import (
+    build_context,
+    correlator,
+    decoration_orbits,
+    edge_contribution,
+    enumerate_graphs,
+    graph_contribution,
+    leg_contribution,
+    per_graph_contributions,
+    vertex_contribution,
+    weight_degree,
+)
+from kp2.lring import RingElem
+from kp2.rseries import extract_R_rows
+from kp2.scalars import ConsistencyError, weight_pow
+
+# g <= 1 with up to three legs, and genus 2 unpointed
+SMALL_CASES = [
+    (0, ("H0", "H1", "H2")),
+    (0, ("psiH", "H2", "H0")),
+    (1, ("H0",)),
+    (1, ("H1",)),
+    (1, ("H2",)),
+    (1, ("psiH",)),
+    (1, ("H1", "H2")),
+    (1, ("H2", "H2")),
+    (1, ("H0", "H1", "H2")),
+    (1, ("H2", "psiH", "H1")),
+    (2, ()),
+]
+
+
+@cache
+def graphs_of(g, tags):
+    return enumerate_graphs(g, tags)
+
+
+def labeled(graph, labels, aut=1):
+    return dataclasses.replace(graph, decorations=tuple(labels), aut_order=aut)
+
+
+def orbit_values(ctx, g, tags):
+    """graph_contribution of every decoration orbit, evaluated one by one."""
+    for graph in graphs_of(g, tags):
+        for labels, aut in decoration_orbits(graph):
+            yield graph, labels, aut, graph_contribution(ctx, labeled(graph, labels, aut))
+
+
+def cartesian_contribution(ctx, graph):
+    """The flag sum by filtering the Cartesian product of all flag ranges."""
+    nv = len(graph.genera)
+    p = graph.decorations
+    slots = []  # (vertex, kind, payload)
+    for e, (u, v) in enumerate(graph.edges):
+        slots.append((u, "e", (e, 0)))
+        slots.append((v, "e", (e, 1)))
+    for m, v in enumerate(graph.legs):
+        slots.append((v, "l", m))
+    val = graph.valences()
+    budgets = [3 * graph.genera[v] - 3 + val[v] for v in range(nv)]
+    total = RingElem.zero()
+    for assignment in product(*[range(1, budgets[v] + 2) for v, _, _ in slots]):
+        used = [0] * nv
+        for (v, _, _), a in zip(slots, assignment):
+            used[v] += a - 1
+        if any(used[v] > budgets[v] for v in range(nv)):
+            continue
+        term = RingElem.one()
+        by_vertex = [[] for _ in range(nv)]
+        edge_a = {}
+        for (v, kind, payload), a in zip(slots, assignment):
+            by_vertex[v].append(a)
+            if kind == "e":
+                edge_a[payload] = a
+            else:
+                term = term * leg_contribution(ctx, p[v], graph.tags[payload], a)
+        for v in range(nv):
+            term = term * vertex_contribution(ctx, graph.genera[v], p[v], by_vertex[v])
+        for e, (u, v) in enumerate(graph.edges):
+            term = term * edge_contribution(ctx, p[u], p[v], edge_a[(e, 0)], edge_a[(e, 1)])
+        total = total + term
+    return total / Fraction(graph.aut_order)
+
+
+def test_weight_degree_rule():
+    assert weight_degree(("H0",)) == 2
+    assert weight_degree(("H1", "H1")) == 0
+    assert weight_degree(("H2",)) == 1
+    assert weight_degree(("psiH", "H2", "H2")) == 0
+    assert weight_degree(()) == 0
+    assert weight_degree((0, 1, 2)) == 0  # integer tags count as H0, H1, H2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shift_and_swap_relations(ctx1, data):
+    g, tags = data.draw(st.sampled_from(SMALL_CASES))
+    graph = data.draw(st.sampled_from(graphs_of(g, tags)))
+    labels = data.draw(st.tuples(*[st.integers(0, 2)] * len(graph.genera)))
+    # relabeling keeps the decorated automorphism order, so one order serves all
+    value = graph_contribution(ctx1, labeled(graph, labels))
+    shifted = graph_contribution(ctx1, labeled(graph, [(p + 1) % 3 for p in labels]))
+    swapped = graph_contribution(ctx1, labeled(graph, [-p % 3 for p in labels]))
+    assert shifted == value * weight_pow(1, weight_degree(tags))
+    assert swapped == value.conjugate()
+
+
+def test_relations_are_not_vacuous(ctx1):
+    # the single genus-1 vertex with one square: a value that the shift
+    # really moves and the swap really conjugates
+    graph = next(gr for gr in graphs_of(1, ("H2",)) if gr.genera == (1,))
+    value = graph_contribution(ctx1, labeled(graph, (1,)))
+    assert not value.is_zero()
+    assert value.conjugate() != value
+    assert graph_contribution(ctx1, labeled(graph, (2,))) == value * weight_pow(1, 1)
+
+
+@pytest.mark.parametrize(
+    "g, tags", [(1, ("H0",)), (1, ("H2",)), (1, ("H1", "H2")), (2, ("H2",))]
+)
+def test_nonzero_delta_totals_vanish_the_slow_way(ctx2, g, tags):
+    assert weight_degree(tags) != 0
+    ctx2.extend_rows(3 * g - 3 + len(tags))
+    total = RingElem.zero()
+    nonzero = 0
+    for _, _, _, value in orbit_values(ctx2, g, tags):
+        nonzero += not value.is_zero()
+        total = total + value
+    assert nonzero > 0  # the zero is a cancellation, not a sum of zeros
+    assert total.is_zero()
+    assert correlator(ctx2, g, tags).is_zero()
+
+
+def test_zero_shortcut_skips_assembly(ctx2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no assembly expected")
+
+    monkeypatch.setattr(localization, "per_graph_contributions", refuse)
+    assert correlator(ctx2, 2, ("H2", "H2")).is_zero()
+    assert correlator(ctx2, 3, ("H0",)).is_zero()
+
+
+def test_zero_shortcut_keeps_input_errors(ctx2):
+    with pytest.raises(ValueError, match="unstable"):
+        correlator(ctx2, 0, ("H2", "H2"))
+    with pytest.raises(ValueError, match="non-negative"):
+        correlator(ctx2, -1, ("H2",) * 4)
+    with pytest.raises(ValueError, match="unknown"):
+        correlator(ctx2, 1, ("H2", 3))
+
+
+@pytest.mark.parametrize(
+    "g, tags", [(2, ()), (1, ("H2", "H2", "H2")), (1, ("H1", "H2")), (1, ("H2",))]
+)
+def test_reduced_matches_per_orbit(ctx2, g, tags):
+    # the last two cases have delta != 0: derived values carry a power of zeta
+    reduced = per_graph_contributions(ctx2, g, tags)
+    direct = list(orbit_values(ctx2, g, tags))
+    got = [(item.graph, labels, aut, value)
+           for item in reduced for labels, aut, value in item.per_decoration]
+    assert got == direct
+    for item in reduced:
+        total = RingElem.zero()
+        for _, _, value in item.per_decoration:
+            total = total + value
+        assert item.value == total
+
+
+@pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())])
+def test_contracted_matches_cartesian(ctx2, g, tags):
+    ctx2.extend_rows(3 * g - 3 + len(tags))
+    count = 0
+    for graph, labels, aut, value in orbit_values(ctx2, g, tags):
+        assert value == cartesian_contribution(ctx2, labeled(graph, labels, aut)), (
+            graph.signature(), labels)
+        count += 1
+    assert count == {1: 6, 2: 36}[g]
+
+
+def test_rows_have_rational_coefficients():
+    # the swap relation rests on this: conjugation fixes every row
+    rows = extract_R_rows(10)
+    for m in range(3):
+        for k, entry in enumerate(rows[m]):
+            assert all(c.is_rational() for c in entry.terms.values()), (m, k)
+
+
+def _genus_one_graph(genera):
+    return next(gr for gr in enumerate_graphs(1, ("H1",)) if gr.genera == genera)
+
+
+def test_vertex_consistency_error_names_its_term():
+    ctx = build_context()
+    ctx.extend_rows(1)
+    ctx.rows[0][1] = ctx.rows[0][1] + RingElem.X()  # the genus-1 vertex reads R_{0,1}
+    graph = labeled(_genus_one_graph((1,)), (2,))
+    with pytest.raises(ConsistencyError) as info:
+        graph_contribution(ctx, graph)
+    message = str(info.value)
+    assert "X-dependence" in message
+    assert graph.signature() in message
+    assert "labels [2]" in message
+    assert "flags l0=1" in message
+
+
+def test_edge_consistency_error_names_its_term():
+    ctx = build_context()
+    ctx.extend_rows(1)
+    ctx.rows[1][1] = ctx.rows[1][1] + RingElem.c(1)  # the loop kernel reads R_{1,1}
+    graph = labeled(_genus_one_graph((0,)), (1,))
+    with pytest.raises(ConsistencyError) as info:
+        graph_contribution(ctx, graph)
+    message = str(info.value)
+    assert "c-degree" in message
+    assert graph.signature() in message
+    assert "flags e0.0=1 e0.1=1" in message
