@@ -12,6 +12,22 @@ with every factor an element of the differential ring.  Undecorated graphs
 are enumerated up to isomorphism; decorations are summed via one orbit
 representative each, weighted by its decorated automorphism count.
 
+Enumeration.  A stable graph is listed by its canonical form: the
+relabeling of its vertices with the smallest key (genera, edges, legs),
+where edges is the sorted tuple of pairs u <= v and legs the vertex of each
+marking.  Sorting the vertices by genus gives the smallest genera, so the
+canonical genera are nondecreasing and only those are generated.  The edges
+are generated as sorted multisets, and a walk over them is cut as soon as
+its vertices must lack more flags for stability (2h - 2 + valence > 0)
+than the legs can supply: every cut candidate is unstable, so no graph is
+lost.  With both in place, only the relabelings within blocks of equal
+genus keep the genera, and a candidate is canonical exactly when none of
+them gives a smaller (edges, legs); the test stops at the first smaller
+key.  A relabeling that gives an equal key fixes the genera, the edge
+multiset and every leg, so it is a vertex automorphism: the number of
+equal keys times the flag factor (parallel-edge permutations and loop
+flips) is the automorphism order.
+
 Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the insertions,
 counting H0 as -1, H1 as 0, H2 as 1 and psiH as 1.  Every factor is a
 Q-rational expression in the weights w_0, w_1, w_2 with coefficients in the
@@ -127,25 +143,26 @@ class StableGraph:
         return f"h=[{h}] p=[{dec}] e=[{e}] legs=[{l}]"
 
 
-def _valid_perms(genera, edges, legs, decorations=None):
-    """Vertex permutations preserving genera, edge multiset, legs, decorations."""
+def _valid_perms(genera, edges, legs):
+    """Vertex permutations preserving genera, the edge multiset and every leg."""
     nv = len(genera)
     edge_key = tuple(sorted(edges))
     out = []
     for sigma in permutations(range(nv)):
         if any(genera[v] != genera[sigma[v]] for v in range(nv)):
             continue
-        if decorations is not None and any(
-            decorations[v] != decorations[sigma[v]] for v in range(nv)
-        ):
-            continue
         if any(sigma[v] != v for v in legs):
             continue
-        mapped = tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for (u, v) in edges))
-        if mapped != edge_key:
+        if _mapped_edges(sigma, edges) != edge_key:
             continue
         out.append(sigma)
     return out
+
+
+def _mapped_edges(sigma, edges) -> tuple:
+    """The sorted edge multiset that the vertex permutation sigma carries edges to."""
+    return tuple(sorted((a, b) if a <= b else (b, a)
+                        for a, b in ((sigma[u], sigma[v]) for (u, v) in edges)))
 
 
 def _flag_factor(edges) -> int:
@@ -163,19 +180,6 @@ def _flag_factor(edges) -> int:
             f *= t
         out *= f
     return out
-
-
-def _canonical_key(genera, edges, legs):
-    nv = len(genera)
-    best = None
-    for sigma in permutations(range(nv)):
-        h = tuple(genera[sigma.index(v)] for v in range(nv))
-        e = tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for (u, v) in edges))
-        l = tuple(sigma[v] for v in legs)
-        key = (h, e, l)
-        if best is None or key < best:
-            best = key
-    return best
 
 
 def _connected(nv, edges) -> bool:
@@ -201,11 +205,78 @@ def _check_request(g: int, n: int) -> None:
         raise ValueError(f"unstable request (g={g}, n={n})")
 
 
+def _edge_multisets(genera, ne: int, n: int):
+    """Sorted multisets of ne edges (u <= v) on the vertices of genera.
+
+    Edges are placed pair by pair in lexicographic order, so vertex u's edge
+    valence is final once the pairs (u, .) are passed.  A vertex of genus h
+    lacks max(0, 3 - 2h - valence) flags for stability.  Only the n legs
+    can supply the flags a final vertex lacks, and the left edges bring at
+    most 2 * left flags to the later vertices: a walk that must leave more
+    than n flags lacking is cut when a vertex becomes final.
+    """
+    nv = len(genera)
+    need = [3 - 2 * h for h in genera]
+    val = [0] * nv
+    chosen: list = []
+    out: list = []
+
+    def place(u, v, left, lacking):
+        if v == nv:  # every pair (u, .) is placed: u is final
+            lacking += max(0, need[u] - val[u])
+            later = sum(max(0, need[w] - val[w]) for w in range(u + 1, nv))
+            if lacking + max(0, later - 2 * left) > n:
+                return
+            if u + 1 < nv:
+                place(u + 1, u + 1, left, lacking)
+            elif left == 0:
+                out.append(tuple(chosen))
+            return
+        place(u, v + 1, left, lacking)
+        for count in range(1, left + 1):
+            chosen.append((u, v))
+            val[u] += 1
+            val[v] += 1
+            place(u, v + 1, left - count, lacking)
+        del chosen[len(chosen) - left:]
+        val[u] -= left
+        val[v] -= left
+
+    place(0, 0, ne, 0)
+    return out
+
+
+def _block_perms(genera) -> list[tuple]:
+    """Vertex permutations that preserve the nondecreasing genera."""
+    blocks = []
+    start = 0
+    for v in range(1, len(genera) + 1):
+        if v == len(genera) or genera[v] != genera[start]:
+            blocks.append(range(start, v))
+            start = v
+    return [sum(parts, ()) for parts in product(*(permutations(b) for b in blocks))]
+
+
+def _edge_stabilizer(edges, perms):
+    """The perms that fix the sorted edges, or None if one makes them smaller."""
+    out = []
+    for sigma in perms:
+        mapped = _mapped_edges(sigma, edges)
+        if mapped < edges:
+            return None
+        if mapped == edges:
+            out.append(sigma)
+    return out
+
+
 def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     """All undecorated stable graphs of total genus g with the given legs.
 
     tags is a sequence of insertion tags (one per marking) or an integer
     count; markings are labeled, so automorphisms fix each leg.
+
+    Each graph appears once, in canonical form (see the module docstring),
+    and the list is sorted by the canonical key.
     """
     if isinstance(tags, int):
         if tags < 0:
@@ -214,50 +285,60 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     tags = tuple(normalize_tag(t) for t in tags)
     n = len(tags)
     _check_request(g, n)
-    found: dict = {}
+    out = []
     max_v = 2 * g - 2 + n
     for nv in range(1, max_v + 1):
-        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
-        for genera in product(range(g + 1), repeat=nv):
+        for genera in combinations_with_replacement(range(g + 1), nv):
             ne = g - sum(genera) + nv - 1
             if ne < 0:
                 continue
-            for edges in combinations_with_replacement(pairs, ne):
+            perms = _block_perms(genera)
+            for edges in _edge_multisets(genera, ne, n):
                 if not _connected(nv, edges):
                     continue
+                stabilizer = _edge_stabilizer(edges, perms)
+                if stabilizer is None:
+                    continue
+                flag = _flag_factor(edges)
+                base = [2 * h - 2 for h in genera]
+                for (u, v) in edges:
+                    base[u] += 1
+                    base[v] += 1
                 for legs in product(range(nv), repeat=n):
-                    val = [0] * nv
-                    for (u, v) in edges:
-                        val[u] += 1
-                        val[v] += 1
+                    val = base[:]
                     for v in legs:
                         val[v] += 1
-                    if any(2 * h - 2 + s <= 0 for h, s in zip(genera, val)):
+                    if min(val) <= 0:
                         continue
-                    key = _canonical_key(genera, edges, legs)
-                    if key in found:
-                        continue
-                    ch, ce, cl = key
-                    aut = len(_valid_perms(ch, ce, cl)) * _flag_factor(ce)
-                    found[key] = StableGraph(
-                        genera=ch,
-                        decorations=None,
-                        edges=ce,
-                        legs=cl,
-                        tags=tags,
-                        aut_order=aut,
-                    )
-    return [found[k] for k in sorted(found)]
+                    fixing = 0
+                    for sigma in stabilizer:
+                        mapped = tuple(sigma[v] for v in legs)
+                        if mapped < legs:
+                            break
+                        fixing += mapped == legs
+                    else:
+                        out.append(StableGraph(
+                            genera=genera,
+                            decorations=None,
+                            edges=edges,
+                            legs=legs,
+                            tags=tags,
+                            aut_order=fixing * flag,
+                        ))
+    out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
+    return out
 
 
-def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
+def decoration_orbits(graph: StableGraph, sigmas=None) -> list[tuple[tuple, int]]:
     """Orbit representatives of fixed-point labelings, with decorated aut order.
 
     Summing representatives weighted by 1/aut_dec equals summing all 3^V
-    labelings weighted by 1/aut_undecorated.
+    labelings weighted by 1/aut_undecorated.  sigmas are the graph's vertex
+    automorphisms, computed here when not given.
     """
     nv = len(graph.genera)
-    sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
+    if sigmas is None:
+        sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
     flag = _flag_factor(graph.edges)
     reps: dict = {}
     for p in product(range(3), repeat=nv):
@@ -598,15 +679,15 @@ def _aut_images(labels, sigmas) -> list[tuple]:
 _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
-def _orbit_values(ctx: Context, graph: StableGraph, orbits, delta: int,
+def _orbit_values(ctx: Context, graph: StableGraph, orbits, sigmas, delta: int,
                   budget_extra: int) -> dict:
     """graph_contribution of every decoration orbit, one evaluation per class.
 
     Relabeling p -> eps * p + s multiplies a value by zeta^(s * delta) and
     conjugates it when eps = -1 (see the module docstring), and maps each
-    Aut-orbit onto an orbit with the same decorated automorphism order.
+    Aut-orbit, under the vertex automorphisms sigmas, onto an orbit with the
+    same decorated automorphism order.
     """
-    sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
     values: dict = {}
     for labels, aut in orbits:
         if labels in values:
@@ -630,15 +711,21 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
 
     Rows are extended first to 3g - 3 + n, the largest index any vertex, edge
     or leg budget can request; each widening of the budgets by budget_extra
-    adds at most 2 * budget_extra (an edge spans two vertices).
+    adds at most 2 * budget_extra (an edge spans two vertices).  Every
+    census holds the one-vertex graph of genus g, whose Hodge integrals
+    exist only for g <= 2: a larger g is refused before enumeration.
     """
+    if g > 2:
+        raise ValueError(f"genus {g} is beyond the Hodge integrals, which are "
+                         "implemented for genus <= 2 only")
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
     delta = weight_degree(tags)
     out = []
     for gr in graphs:
-        orbits = decoration_orbits(gr)
-        values = _orbit_values(ctx, gr, orbits, delta, budget_extra)
+        sigmas = _valid_perms(gr.genera, gr.edges, gr.legs)
+        orbits = decoration_orbits(gr, sigmas)
+        values = _orbit_values(ctx, gr, orbits, sigmas, delta, budget_extra)
         detail = [(labels, aut, values[labels]) for labels, aut in orbits]
         value = RingElem.zero()
         for _, _, res in detail:
@@ -652,7 +739,8 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
 
     With no insertions this is the genus-g series itself, which must also be
     free of c.  When delta is not 0 mod 3 the total is exactly zero and is
-    returned without assembly.
+    returned without assembly, at any genus; otherwise a genus above 2
+    raises ValueError before any graph is enumerated.
     """
     tags = tuple(normalize_tag(t) for t in insertions)
     _check_request(g, len(tags))

@@ -66,40 +66,40 @@ class CycScalar:
 
     def conjugate(self) -> "CycScalar":
         # zeta -> zeta^2 = -1 - zeta
-        return CycScalar(self.a - self.b, -self.b)
+        return _exact(self.a - self.b, -self.b)
 
     def __add__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return CycScalar(self.a + other.a, self.b + other.b)
+        return _exact(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(-self.a, -self.b)
+        return _exact(-self.a, -self.b)
 
     def __sub__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return CycScalar(self.a - other.a, self.b - other.b)
+        return _exact(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return CycScalar(other.a - self.a, other.b - self.b)
+        return _exact(other.a - self.a, other.b - self.b)
 
     def __mul__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
         if not self.b and not other.b:
-            return CycScalar(self.a * other.a)
+            return _exact(self.a * other.a, _QZERO)
         # (a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z
         bb = self.b * other.b
-        return CycScalar(self.a * other.a - bb, self.a * other.b + self.b * other.a - bb)
+        return _exact(self.a * other.a - bb, self.a * other.b + self.b * other.a - bb)
 
     __rmul__ = __mul__
 
@@ -164,6 +164,21 @@ class CycScalar:
 
     def to_json(self) -> dict:
         return {"a": rat_str(self.a), "b": rat_str(self.b)}
+
+
+_QZERO = Fraction(0)
+
+
+def _exact(a: Fraction, b: Fraction) -> CycScalar:
+    """a + b*zeta from parts that are already Fractions, without coercion.
+
+    Sums, differences, negations and products of Fractions are Fractions,
+    so the arithmetic results skip the checks of the public constructor.
+    """
+    out = object.__new__(CycScalar)
+    out.a = a
+    out.b = b
+    return out
 
 
 def _lift(x):

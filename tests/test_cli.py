@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kp2 import cli
+from kp2 import cli, localization
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ConsistencyError
@@ -107,6 +107,21 @@ def test_fg_genus_guard(capsys):
     code, out, err = run(["fg", "--genus", "1"], capsys)
     assert code == cli.EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["correlator", "--genus", "3", "--legs", "H1"], ["fg", "--genus", "3"]],
+    ids=["correlator", "fg"],
+)
+def test_genus_above_two_is_a_usage_error(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no enumeration expected")
+
+    monkeypatch.setattr(localization, "enumerate_graphs", refuse)
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "genus <= 2" in err
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -1,12 +1,16 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
+from kp2 import localization
 from kp2.localization import (
+    _connected,
+    _flag_factor,
     _p_coefficient,
+    _valid_perms,
     correlator,
     decoration_orbits,
     edge_contribution,
@@ -110,6 +114,80 @@ def test_tag_normalization():
     assert graphs[0].tags == ("H0", "H1", "H2")
     with pytest.raises(ValueError):
         enumerate_graphs(0, ("H3", "H0", "H0"))
+
+
+def reference_key(genera, edges, legs):
+    """The smallest (genera, edges, legs) over every vertex permutation."""
+    nv = len(genera)
+    best = None
+    for sigma in permutations(range(nv)):
+        h = tuple(genera[sigma.index(v)] for v in range(nv))
+        e = tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for (u, v) in edges))
+        l = tuple(sigma[v] for v in legs)
+        key = (h, e, l)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def brute_census(g, n):
+    """(signature, aut_order) of every graph, from all labeled candidates."""
+    found = {}
+    for nv in range(1, 2 * g - 1 + n):
+        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+        for genera in product(range(g + 1), repeat=nv):
+            ne = g - sum(genera) + nv - 1
+            if ne < 0:
+                continue
+            for edges in combinations_with_replacement(pairs, ne):
+                if not _connected(nv, edges):
+                    continue
+                for legs in product(range(nv), repeat=n):
+                    val = [2 * h - 2 for h in genera]
+                    for (u, v) in edges:
+                        val[u] += 1
+                        val[v] += 1
+                    for v in legs:
+                        val[v] += 1
+                    if min(val) <= 0:
+                        continue
+                    key = reference_key(genera, edges, legs)
+                    if key not in found:
+                        aut = len(_valid_perms(*key)) * _flag_factor(key[1])
+                        found[key] = aut
+    return [(localization.StableGraph(h, None, e, l, ("H0",) * n, aut).signature(), aut)
+            for (h, e, l), aut in sorted(found.items())]
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (3, 0), (1, 3), (0, 5)])
+def test_census_matches_brute_force(g, n):
+    got = [(gr.signature(), gr.aut_order) for gr in enumerate_graphs(g, n)]
+    assert got == brute_census(g, n)
+
+
+def test_genus_three_censuses():
+    assert len(enumerate_graphs(3, 0)) == 42
+    graphs = enumerate_graphs(3, 1)
+    assert len(graphs) == 181
+    assert len({gr.signature() for gr in graphs}) == 181
+    for gr in graphs:
+        key = (gr.genera, gr.edges, gr.legs)
+        assert key == reference_key(*key), gr.signature()
+        assert gr.aut_order == len(_valid_perms(*key)) * _flag_factor(gr.edges)
+    assert [(gr.genera, gr.edges, gr.legs) for gr in graphs] == sorted(
+        (gr.genera, gr.edges, gr.legs) for gr in graphs)
+
+
+def test_genus_above_two_fails_before_enumeration(ctx2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no enumeration expected")
+
+    monkeypatch.setattr(localization, "enumerate_graphs", refuse)
+    with pytest.raises(ValueError, match="genus <= 2"):
+        correlator(ctx2, 3, ("H1",))
+    with pytest.raises(ValueError, match="genus <= 2"):
+        per_graph_contributions(ctx2, 3, ())
+    assert correlator(ctx2, 3, ("H0",)).is_zero()  # delta != 0: exact zero
 
 
 def test_aut_orders_by_brute_force():

@@ -87,3 +87,19 @@ def test_hash_consistency():
     assert hash(CycScalar(2)) == hash(CycScalar(Fraction(2)))
     d = {CycScalar(1, 1): "a"}
     assert d[CycScalar(1, 1)] == "a"
+
+
+@given(scalars, scalars, st.integers(-50, 50))
+def test_arithmetic_keeps_fraction_parts(x, y, k):
+    results = [x + y, x - y, -x, x * y, x.conjugate(), x * k, k - x, k + x,
+               CycScalar(x.a) * CycScalar(y.a)]
+    for r in results:
+        assert type(r.a) is Fraction and type(r.b) is Fraction
+        assert r == CycScalar(r.a, r.b)
+
+
+def test_constructor_rejects_non_rationals():
+    with pytest.raises(TypeError):
+        CycScalar(0.5)
+    with pytest.raises(TypeError):
+        CycScalar(1, "zeta")
