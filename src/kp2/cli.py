@@ -171,7 +171,7 @@ def _parse_insertions(args) -> tuple[str, ...]:
         for part in args.legs.split(","):
             part = part.strip()
             if not part:
-                continue
+                raise ValueError(f"empty item in --legs {args.legs!r}")
             tags.append(normalize_tag(int(part) if part.isdigit() else part))
         return tuple(tags)
     a, b, c, delta = [v or 0 for v in counts]

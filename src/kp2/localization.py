@@ -583,7 +583,7 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
              + [f"e{e}.{s}" for e in loops for s in (0, 1)])
     nk, nl = len(ends), len(legs)
     dressings: dict = {}  # leg and loop values -> their product (None for 1)
-    out: dict = {}
+    out: dict = {}  # values on the other edges -> terms, summed once at the end
     for values in _compositions(len(names), budget):
         rest = values[nk:]
         if rest in dressings:
@@ -604,10 +604,8 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
             continue
         if dress is not None:
             term = term * dress
-        key = values[:nk]
-        prev = out.get(key)
-        out[key] = term if prev is None else prev + term
-    return out
+        out.setdefault(values[:nk], []).append(term)
+    return {key: RingElem.sum(terms) for key, terms in out.items()}
 
 
 def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) -> RingElem:
@@ -643,15 +641,13 @@ def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) 
         # The last vertex closes every remaining edge; its terms are summed
         # before the shared prefix multiplies them once.
         if w == nv - 1:
-            inner = RingElem.zero()
-            for key, factor in dressed[w].items():
-                inner = inner + closed(w, key, factor)
+            inner = RingElem.sum([closed(w, key, factor) for key, factor in dressed[w].items()])
             return inner if prefix is None else prefix * inner
-        total = RingElem.zero()
+        terms = []
         for key, factor in dressed[w].items():
             term = closed(w, key, factor)
-            total = total + walk(w + 1, term if prefix is None else prefix * term)
-        return total
+            terms.append(walk(w + 1, term if prefix is None else prefix * term))
+        return RingElem.sum(terms)
 
     return walk(0, None) / Fraction(graph.aut_order)
 
@@ -727,9 +723,7 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
         orbits = decoration_orbits(gr, sigmas)
         values = _orbit_values(ctx, gr, orbits, sigmas, delta, budget_extra)
         detail = [(labels, aut, values[labels]) for labels, aut in orbits]
-        value = RingElem.zero()
-        for _, _, res in detail:
-            value = value + res
+        value = RingElem.sum(res for _, _, res in detail)
         out.append(Contribution(graph=gr, value=value, per_decoration=detail))
     return out
 
@@ -747,9 +741,7 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
     if weight_degree(tags):
         return RingElem.zero()
     contributions = per_graph_contributions(ctx, g, tags)
-    total = RingElem.zero()
-    for item in contributions:
-        total = total + item.value
+    total = RingElem.sum(item.value for item in contributions)
     for coeff in total.terms.values():
         if not coeff.is_rational():
             raise ConsistencyError("correlator total is not rational")

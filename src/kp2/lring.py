@@ -15,9 +15,9 @@ separate polynomial form for degree bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .scalars import ONE, ZERO, ConsistencyError, CycScalar
+from .scalars import ONE, ZERO, ConsistencyError, CycScalar, _make
 from .series import QSeries
 
 __all__ = ["RingElem", "A2Form", "verify_drule"]
@@ -30,7 +30,12 @@ def _cyc(x) -> CycScalar:
 
 
 class RingElem:
-    """A Laurent polynomial in L and c, polynomial in X, over Q(zeta)."""
+    """A Laurent polynomial in L and c, polynomial in X, over Q(zeta).
+
+    terms maps each exponent triple to a nonzero CycScalar.  Products and
+    sums lift the coefficients to integer numerators over one common
+    denominator, accumulate on integers, and reduce each output term once.
+    """
 
     __slots__ = ("terms",)
 
@@ -75,6 +80,23 @@ class RingElem:
     @classmethod
     def monomial(cls, coeff, l: int = 0, x: int = 0, e: int = 0) -> "RingElem":
         return cls({(l, x, e): _cyc(coeff)})
+
+    @staticmethod
+    def sum(items) -> "RingElem":
+        """The sum of the ring elements in items, accumulated over one denominator."""
+        items = list(items)
+        den = lcm(*(c.d for item in items for c in item.terms.values()))
+        acc: dict = {}
+        for item in items:
+            for key, c in item.terms.items():
+                m = den // c.d
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = [c.n0 * m, c.n1 * m]
+                else:
+                    prev[0] += c.n0 * m
+                    prev[1] += c.n1 * m
+        return _ring({key: _make(n0, n1, den) for key, (n0, n1) in acc.items() if n0 or n1})
 
     # -- structure ---------------------------------------------------------
 
@@ -123,8 +145,15 @@ class RingElem:
         out = dict(self.terms)
         for key, c in other.terms.items():
             prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        return RingElem(out)
+            if prev is None:
+                out[key] = c
+            else:
+                c = prev + c
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return _ring(out)
 
     __radd__ = __add__
 
@@ -139,22 +168,34 @@ class RingElem:
         return (-self) + other
 
     def __neg__(self):
-        return RingElem({key: -c for key, c in self.terms.items()})
+        return _ring({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
             s = _cyc(other)
-            return RingElem({key: c * s for key, c in self.terms.items()})
+            if not s:
+                return RingElem()
+            return _ring({key: c * s for key, c in self.terms.items()})
         if not isinstance(other, RingElem):
             return NotImplemented
-        out: dict = {}
-        for (l1, x1, e1), c1 in self.terms.items():
-            for (l2, x2, e2), c2 in other.terms.items():
+        if not self.terms or not other.terms:
+            return RingElem()
+        d1, lifted1 = _lifted(self.terms)
+        d2, lifted2 = _lifted(other.terms)
+        acc: dict = {}
+        for (l1, x1, e1), a0, a1 in lifted1:
+            for (l2, x2, e2), b0, b1 in lifted2:
+                # (a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z
                 key = (l1 + l2, x1 + x2, e1 + e2)
-                prod = c1 * c2
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-        return RingElem(out)
+                bb = a1 * b1
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = [a0 * b0 - bb, a0 * b1 + a1 * b0 - bb]
+                else:
+                    prev[0] += a0 * b0 - bb
+                    prev[1] += a0 * b1 + a1 * b0 - bb
+        den = d1 * d2
+        return _ring({key: _make(n0, n1, den) for key, (n0, n1) in acc.items() if n0 or n1})
 
     __rmul__ = __mul__
 
@@ -178,7 +219,7 @@ class RingElem:
 
     def conjugate(self) -> "RingElem":
         """zeta -> zeta^2 on every coefficient; L, X and c are fixed."""
-        return RingElem({key: c.conjugate() for key, c in self.terms.items()})
+        return _ring({key: c.conjugate() for key, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "RingElem":
         if not isinstance(n, int):
@@ -317,6 +358,19 @@ class RingElem:
             )
             terms[(item["L"], item["X"], item["c"])] = coeff
         return cls(terms)
+
+
+def _ring(terms: dict) -> RingElem:
+    """A RingElem from terms already keyed by valid exponents with nonzero CycScalars."""
+    out = object.__new__(RingElem)
+    out.terms = terms
+    return out
+
+
+def _lifted(terms: dict) -> tuple[int, list]:
+    """The lcm D of the coefficient denominators, and (key, n0, n1) over D per term."""
+    den = lcm(*(c.d for c in terms.values()))
+    return den, [(key, c.n0 * (den // c.d), c.n1 * (den // c.d)) for key, c in terms.items()]
 
 
 class A2Form:

@@ -3,11 +3,17 @@
 After the torus weights are specialized to the cube roots of unity every
 quantity in the engine lives in Q(zeta) = Q[z]/(z^2+z+1), and the totals of
 interest collapse to plain rationals.  No floating point appears anywhere.
+
+An element is stored as (n0 + n1*zeta)/d with Python integers n0, n1, d in
+lowest terms: d > 0 and gcd(n0, n1, d) == 1, so zero is (0, 0, 1).  The form
+is canonical, so equality compares the three integers, and every arithmetic
+result is reduced by one three-argument gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "CycScalar",
@@ -37,7 +43,9 @@ def _coerce(x) -> Fraction:
 class CycScalar:
     """An element a + b*zeta of Q(zeta) with zeta^2 = -1 - zeta.
 
-    Immutable by convention.  The rational fast path (b == 0) matters: the
+    Stored as integers (n0 + n1*zeta)/d in lowest terms (d > 0 and
+    gcd(n0, n1, d) == 1); a = n0/d and b = n1/d are read as Fractions.
+    Immutable by convention.  The rational fast path (n1 == 0) matters: the
     whole fixed-point-0 pipeline is rational and runs through here.
 
     >>> z = CycScalar(0, 1)
@@ -47,70 +55,91 @@ class CycScalar:
     True
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("n0", "n1", "d")
 
     def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
-        self.a = _coerce(a)
-        self.b = _coerce(b)
+        a, b = _coerce(a), _coerce(b)
+        # The lcm of two reduced denominators leaves gcd(n0, n1, d) == 1.
+        da, db = a.denominator, b.denominator
+        d = da * db // gcd(da, db)
+        self.n0 = a.numerator * (d // da)
+        self.n1 = b.numerator * (d // db)
+        self.d = d
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.n0, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of zeta."""
+        return Fraction(self.n1, self.d)
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.n0 and not self.n1
 
     def is_rational(self) -> bool:
-        return not self.b
+        return not self.n1
 
     def as_rational(self) -> Fraction:
-        if self.b:
+        if self.n1:
             raise ConsistencyError(f"value {self!r} is not rational")
-        return self.a
+        return Fraction(self.n0, self.d)
 
     def conjugate(self) -> "CycScalar":
         # zeta -> zeta^2 = -1 - zeta
-        return _exact(self.a - self.b, -self.b)
+        return _make(self.n0 - self.n1, -self.n1, self.d)
 
     def __add__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return _exact(self.a + other.a, self.b + other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.n0 + other.n0, self.n1 + other.n1, d)
+        return _make(self.n0 * e + other.n0 * d, self.n1 * e + other.n1 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return _exact(-self.a, -self.b)
+        return _make(-self.n0, -self.n1, self.d)
 
     def __sub__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return _exact(self.a - other.a, self.b - other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.n0 - other.n0, self.n1 - other.n1, d)
+        return _make(self.n0 * e - other.n0 * d, self.n1 * e - other.n1 * d, d * e)
 
     def __rsub__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return _exact(other.a - self.a, other.b - self.b)
+        return other - self
 
     def __mul__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        if not self.b and not other.b:
-            return _exact(self.a * other.a, _QZERO)
-        # (a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z
-        bb = self.b * other.b
-        return _exact(self.a * other.a - bb, self.a * other.b + self.b * other.a - bb)
+        a0, a1, b0, b1 = self.n0, self.n1, other.n0, other.n1
+        if not a1 and not b1:
+            return _make(a0 * b0, 0, self.d * other.d)
+        # (a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z
+        bb = a1 * b1
+        return _make(a0 * b0 - bb, a0 * b1 + a1 * b0 - bb, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
-        if self.is_zero():
+        n0, n1, d = self.n0, self.n1, self.d
+        if not n0 and not n1:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        if not self.b:
-            return CycScalar(1 / self.a)
-        # conjugate over norm; norm(a + b z) = a^2 - a b + b^2
-        n = self.a * self.a - self.a * self.b + self.b * self.b
-        return CycScalar((self.a - self.b) / n, -self.b / n)
+        # conjugate over norm; norm(n0 + n1 z) = n0^2 - n0 n1 + n1^2 > 0
+        norm = n0 * n0 - n0 * n1 + n1 * n1
+        return _make((n0 - n1) * d, -n1 * d, norm)
 
     def __truediv__(self, other):
         other = _lift(other)
@@ -142,23 +171,26 @@ class CycScalar:
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.n0 == other.n0 and self.n1 == other.n1 and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # A rational value hashes like the equal int or Fraction.
+        if not self.n1:
+            return hash(Fraction(self.n0, self.d))
+        return hash((self.n0, self.n1, self.d))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __str__(self):
-        if not self.b:
+        if not self.n1:
             return str(self.a)
-        if not self.a:
+        if not self.n0:
             return f"{self.b}*zeta"
         return f"{self.a} + {self.b}*zeta"
 
     def __repr__(self):
-        if not self.b:
+        if not self.n1:
             return f"CycScalar({self.a})"
         return f"CycScalar({self.a}, {self.b})"
 
@@ -166,26 +198,27 @@ class CycScalar:
         return {"a": rat_str(self.a), "b": rat_str(self.b)}
 
 
-_QZERO = Fraction(0)
-
-
-def _exact(a: Fraction, b: Fraction) -> CycScalar:
-    """a + b*zeta from parts that are already Fractions, without coercion.
-
-    Sums, differences, negations and products of Fractions are Fractions,
-    so the arithmetic results skip the checks of the public constructor.
-    """
+def _make(n0: int, n1: int, d: int) -> CycScalar:
+    """(n0 + n1*zeta)/d for integers with d > 0, reduced by one gcd."""
+    g = gcd(n0, n1, d)
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        d //= g
     out = object.__new__(CycScalar)
-    out.a = a
-    out.b = b
+    out.n0 = n0
+    out.n1 = n1
+    out.d = d
     return out
 
 
 def _lift(x):
     if isinstance(x, CycScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CycScalar(x)
+    if isinstance(x, int):
+        return _make(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     return None
 
 
@@ -219,5 +252,5 @@ def euler_at(i: int) -> CycScalar:
 
 
 def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "num/den" in lowest terms (Fraction keeps it reduced)."""
+    """Serialize a rational as "num/den"; a Fraction is always in lowest terms."""
     return f"{x.numerator}/{x.denominator}"

@@ -90,6 +90,16 @@ def test_correlator_legs_equal_count_flags(capsys):
     assert payload["insertions"] == ["H2", "H2", "H2"]
 
 
+@pytest.mark.parametrize(
+    "legs", ["H1,,H1", "H1,", ""], ids=["doubled-comma", "trailing-comma", "empty"]
+)
+def test_correlator_empty_leg_item_is_a_usage_error(legs, capsys):
+    code, out, err = run(["correlator", "--genus", "2", "--legs", legs], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: empty item in --legs {legs!r}\n"
+
+
 def test_correlator_flag_exclusivity(capsys):
     code, out, err = run(
         ["correlator", "--genus", "0", "--legs", "H1", "--b", "1"], capsys

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kp2.lring import A2Form, RingElem, verify_drule
-from kp2.scalars import ConsistencyError, CycScalar
+from kp2.scalars import ZERO, ConsistencyError, CycScalar
 
 coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 term_key = st.tuples(
@@ -113,3 +115,58 @@ def test_degree_helpers():
     assert f.c_degrees() == {0, 3}
     assert f.x_coefficient(1) == RingElem.monomial(1, l=-2, e=3)
     assert RingElem.zero().x_degree() == -1
+
+
+# Coefficients in Q(zeta) on few exponent triples, so that products collide
+# and sums cancel.
+cyc_coeff = st.builds(
+    lambda n0, n1, d: CycScalar(Fraction(n0, d), Fraction(n1, d)),
+    st.integers(-12, 12), st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]),
+)
+small_key = st.tuples(st.integers(-1, 1), st.integers(0, 1), st.integers(0, 1))
+cyc_elems = st.dictionaries(small_key, cyc_coeff, max_size=5).map(RingElem)
+
+
+def reference_product(f, g):
+    """f * g term by term with CycScalar products and sums, zero terms dropped."""
+    acc = {}
+    for (l1, x1, e1), c1 in f.terms.items():
+        for (l2, x2, e2), c2 in g.terms.items():
+            key = (l1 + l2, x1 + x2, e1 + e2)
+            acc[key] = acc.get(key, ZERO) + c1 * c2
+    return {key: c for key, c in acc.items() if c}
+
+
+@given(cyc_elems, cyc_elems)
+def test_product_matches_term_by_term_reference(f, g):
+    assert (f * g).terms == reference_product(f, g)
+    assert (f * (-f)).terms == reference_product(f, -f)
+
+
+def test_product_drops_cancelled_terms():
+    f = RingElem.one() + RingElem.L(1) * CycScalar(0, Fraction(1, 2))
+    g = RingElem.one() - RingElem.L(1) * CycScalar(0, Fraction(1, 2))
+    # (1 + z L/2)(1 - z L/2) = 1 - z^2 L^2 / 4, the L terms cancel
+    quarter = Fraction(1, 4)
+    assert (f * g).terms == {(0, 0, 0): CycScalar(1), (2, 0, 0): CycScalar(quarter, quarter)}
+
+
+@given(st.lists(cyc_elems, max_size=6), st.lists(st.integers(0, 5), max_size=3))
+def test_sum_matches_left_fold(items, negated):
+    items = items + [-items[k] for k in negated if k < len(items)]
+    folded = reduce(add, items, RingElem.zero())
+    total = RingElem.sum(items)
+    assert total.terms == folded.terms
+    assert RingElem.sum(iter(items)).terms == folded.terms
+    assert all(c for c in total.terms.values())
+
+
+@given(cyc_elems, cyc_elems)
+def test_sum_and_add_drop_cancelled_terms(f, g):
+    assert (f + (-f)).terms == {}
+    assert RingElem.sum([f, g, -f]).terms == g.terms
+    assert (f + g - f).terms == g.terms
+
+
+def test_sum_of_nothing_is_zero():
+    assert RingElem.sum([]).is_zero()

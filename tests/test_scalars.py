@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,3 +104,95 @@ def test_constructor_rejects_non_rationals():
         CycScalar(0.5)
     with pytest.raises(TypeError):
         CycScalar(1, "zeta")
+
+
+# Reference arithmetic: Q(zeta) as pairs (a, b) of Fractions for a + b*zeta,
+# computed with zeta^2 = -1 - zeta, independently of CycScalar's integer form.
+
+def ref_mul(x, y):
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+
+
+def ref_inverse(x):
+    a, b = x
+    norm = a * a - a * b + b * b
+    return ((a - b) / norm, -b / norm)
+
+
+def ref_pow(x, n):
+    if n < 0:
+        return ref_pow(ref_inverse(x), -n)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def pair(x):
+    return (x.a, x.b)
+
+
+pairs = st.tuples(rationals, rationals)
+
+
+@given(pairs, pairs, st.integers(-5, 5))
+def test_arithmetic_matches_fraction_reference(p, q, n):
+    x, y = CycScalar(*p), CycScalar(*q)
+    (a1, b1), (a2, b2) = p, q
+    assert pair(x) == p
+    assert pair(x + y) == (a1 + a2, b1 + b2)
+    assert pair(x - y) == (a1 - a2, b1 - b2)
+    assert pair(-x) == (-a1, -b1)
+    assert pair(x * y) == ref_mul(p, q)
+    assert pair(x.conjugate()) == (a1 - b1, -b1)
+    assert (x == y) is (p == q)
+    if x:
+        assert pair(x.inverse()) == ref_inverse(p)
+        assert pair(x ** n) == ref_pow(p, n)
+    elif n >= 0:
+        assert pair(x ** n) == ref_pow(p, n)
+
+
+@given(scalars, scalars, st.integers(-30, 30), rationals)
+def test_canonical_form(x, y, k, r):
+    results = [x, y, x + y, x - y, x - x, -x, x * y, x * 0, x.conjugate(), x * k,
+               k - x, x + r, r * x, CycScalar(r), x ** 2]
+    if x:
+        results += [x.inverse(), y / x]
+    for v in results:
+        assert type(v.n0) is int and type(v.n1) is int and type(v.d) is int
+        assert v.d > 0
+        assert gcd(v.n0, v.n1, v.d) == 1
+        if v.is_zero():
+            assert (v.n0, v.n1, v.d) == (0, 0, 1)
+
+
+small_values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.builds(CycScalar, st.fractions(min_value=-2, max_value=2, max_denominator=3),
+              st.sampled_from([0, 0, 1, Fraction(1, 2)])),
+)
+
+
+@given(small_values, small_values)
+def test_equal_values_hash_equal(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(rationals)
+def test_rational_hash_matches_int_and_fraction(r):
+    x = CycScalar(r) + ZETA - ZETA
+    assert x == r and hash(x) == hash(r)
+    if r.denominator == 1:
+        assert x == int(r) and hash(x) == hash(int(r))
+    assert {CycScalar(r): 1}.get(r) == 1
+    assert {r: 1}.get(x) == 1
+
+
+def test_hash_lookup_across_types():
+    assert {CycScalar(3): 1}.get(3) == 1
+    assert {Fraction(1, 2): 1}.get(CycScalar(Fraction(1, 2))) == 1
+    assert {CycScalar(1, 1): 1}.get(CycScalar(Fraction(2, 2), 1)) == 1
