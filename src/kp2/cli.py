@@ -180,8 +180,6 @@ def _parse_insertions(args) -> tuple[str, ...]:
 
 def _cmd_correlator(args):
     insertions = _parse_insertions(args)
-    if 2 * args.genus - 2 + len(insertions) <= 0:
-        raise ValueError("unstable (genus, insertions) pair")
     total = correlator(build_context(), args.genus, insertions)
     payload = {
         "command": "correlator",

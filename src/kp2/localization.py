@@ -414,8 +414,6 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values, gamma_override=N
     vertex dimension, each weighted by t_j = (-1)^j R_{0,j-1} w_i^{1-j}, and
     over the lambda-monomials of the vertex class.
     """
-    if h > 2:
-        raise ValueError("vertex genus out of the supported range")
     a_values = tuple(sorted(a_values))
     key = (h, i, a_values)
     if gamma_override is None:
@@ -707,13 +705,8 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
 
     Rows are extended first to 3g - 3 + n, the largest index any vertex, edge
     or leg budget can request; each widening of the budgets by budget_extra
-    adds at most 2 * budget_extra (an edge spans two vertices).  Every
-    census holds the one-vertex graph of genus g, whose Hodge integrals
-    exist only for g <= 2: a larger g is refused before enumeration.
+    adds at most 2 * budget_extra (an edge spans two vertices).
     """
-    if g > 2:
-        raise ValueError(f"genus {g} is beyond the Hodge integrals, which are "
-                         "implemented for genus <= 2 only")
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
     delta = weight_degree(tags)
@@ -733,8 +726,8 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
 
     With no insertions this is the genus-g series itself, which must also be
     free of c.  When delta is not 0 mod 3 the total is exactly zero and is
-    returned without assembly, at any genus; otherwise a genus above 2
-    raises ValueError before any graph is enumerated.
+    returned without assembly.  An unstable or negative-genus request raises
+    ValueError before the context is touched.
     """
     tags = tuple(normalize_tag(t) for t in insertions)
     _check_request(g, len(tags))

@@ -302,7 +302,7 @@ class RingElem:
         lv, xv, cv = _cyc(l_value), _cyc(x_value), _cyc(c_value)
         total = ZERO
         for (l, x, e), coeff in self.terms.items():
-            term = coeff * _scalar_power(lv, l) * _scalar_power(xv, x) * _scalar_power(cv, e)
+            term = coeff * lv**l * xv**x * cv**e
             total = total + term
         return total
 
@@ -447,14 +447,6 @@ def _gen_power(mirror, name: str, k: int) -> QSeries:
         value = base.inverse() ** (-k)
     cache[key] = value
     return value
-
-
-def _scalar_power(v: CycScalar, k: int) -> CycScalar:
-    if k == 0:
-        return ONE
-    if k < 0:
-        return v.inverse() ** (-k)
-    return v**k
 
 
 def verify_drule(mirror) -> None:

@@ -1,12 +1,23 @@
 """Exact intersection numbers on moduli of stable curves.
 
 Pure cotangent-class integrals in any genus come from the Virasoro-type
-recursion on the largest exponent.  Mixed Hodge integrals are reduced for
-genus <= 2: the second Chern character vanishes, which rewrites lambda_2 as
-lambda_1^2/2, and each remaining lambda_1 is removed through the boundary
-formula for the first Chern character of the Hodge bundle.  A one-step
-removal through the third Chern character is kept as an independent route
-for cross-checking, never called by the reduction itself.
+recursion on the largest exponent.  Mixed Hodge integrals follow Faber's
+algorithm ("Algorithms for computing intersection numbers on moduli spaces
+of curves"), in every genus.  Newton's identities write a lambda-monomial
+as a polynomial in ch_1, ch_3, ch_5, ... of the Hodge bundle E, since
+ch_{2l}(E) = 0 for l >= 1.  Mumford's formula
+
+    ch_{2l-1}(E) = B_{2l}/(2l)! [kappa_{2l-1} - sum_i psi_i^{2l-1}
+                   + 1/2 iota_*(sum_{a+b=2l-2} (-1)^a psi^a psi'^b)]
+
+removes one ch factor at a time: the kappa term becomes an extra marking
+with psi^{2l}, and on a boundary divisor the other ch factors restrict to
+genus g - 1 or split over the two sides.  Two vanishings end the
+recursion early: ch_k(E) = 0 for k > 2g - 1, and a ch-monomial of degree
+above 3g - 3 (1 in genus 1) is zero, because E is pulled back from a space
+of that dimension.  A one-step removal through the third Chern character
+is kept as an independent route for cross-checking, never called by the
+reduction itself.
 """
 
 from __future__ import annotations
@@ -26,7 +37,10 @@ __all__ = [
 ]
 
 _psi_memo: dict = {}
-_hodge_memo: dict = {}
+_ch_memo: dict = {}
+_newton_memo: dict = {}
+_split_memo: dict = {}
+_bernoulli = [Fraction(1)]  # B_0, B_1, ... with B_1 = -1/2
 
 
 def _dfact(n: int) -> int:
@@ -38,10 +52,25 @@ def _dfact(n: int) -> int:
     return out
 
 
-def _subsets(indices: tuple[int, ...]):
-    n = len(indices)
-    for mask in range(1 << n):
-        yield tuple(indices[i] for i in range(n) if mask & (1 << i))
+def _splits(items: tuple[int, ...]) -> list:
+    """(left, right, weight) over the distinct sub-multisets of items.
+
+    Both sides come out sorted; weight counts the index subsets of items
+    that give the same pair of multisets.
+    """
+    hit = _split_memo.get(items)
+    if hit is not None:
+        return hit
+    groups: list = [((), (), 1)]
+    for value in sorted(set(items)):
+        m = items.count(value)
+        groups = [
+            (left + (value,) * t, right + (value,) * (m - t), w * comb(m, t))
+            for left, right, w in groups
+            for t in range(m + 1)
+        ]
+    _split_memo[items] = groups
+    return groups
 
 
 def _psi(g: int, exps: tuple[int, ...]) -> Fraction:
@@ -82,13 +111,9 @@ def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
         b = k - 1 - a
         w = _dfact(2 * a + 1) * _dfact(2 * b + 1)
         boundary += w * _psi(g - 1, rest + (a, b))
-        idx = tuple(range(len(rest)))
         for g1 in range(g + 1):
-            for left in _subsets(idx):
-                right = tuple(i for i in idx if i not in left)
-                side1 = tuple(rest[i] for i in left) + (a,)
-                side2 = tuple(rest[i] for i in right) + (b,)
-                boundary += w * _psi(g1, side1) * _psi(g - g1, side2)
+            for left, right, m in _splits(rest):
+                boundary += m * w * _psi(g1, left + (a,)) * _psi(g - g1, right + (b,))
     total += boundary / 2
     return total / _dfact(2 * k + 3)
 
@@ -106,90 +131,106 @@ def psi_integral(g: int, exps) -> Fraction:
     return _psi(g, exps)
 
 
-def _canonical_lambda(g: int, lam: tuple[int, ...]):
-    """Reduce a lambda-monomial to (power of lambda_1, rational factor).
+def _mumford_coeff(k: int) -> Fraction:
+    """B_{k+1}/(k+1)!, the coefficient of ch_k in Mumford's formula."""
+    while len(_bernoulli) <= k + 1:
+        m = len(_bernoulli)
+        _bernoulli.append(-sum(comb(m + 1, j) * _bernoulli[j] for j in range(m)) / (m + 1))
+    return _bernoulli[k + 1] / factorial(k + 1)
 
-    Uses the vanishing of the second Chern character in genus 2 to rewrite
-    lambda_2, and the rank bounds to kill everything else.  Returns None when
-    the monomial is the zero class.
+
+def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
+    """Total integral of a cotangent monomial times ch_{k_1}...ch_{k_r}(E).
+
+    ks is sorted and holds odd indices.  The largest ch_k is removed by
+    Mumford's formula; the other factors restrict to each boundary divisor.
     """
-    if any(m > g for m in lam):
-        return None
-    alpha = lam.count(1)
-    b = lam.count(2)
-    factor = Fraction(1)
-    if b:
-        if g < 2:
-            return None
-        alpha += 2 * b
-        factor = Fraction(1, 2**b)
-    if g == 1 and alpha >= 2:
-        return None
-    if g == 2 and alpha >= 4:
-        return None
-    return alpha, factor
-
-
-def _hodge(g: int, exps: tuple[int, ...], alpha: int) -> Fraction:
-    """Total integral of lambda_1^alpha times a cotangent monomial, g <= 2."""
     n = len(exps)
     if g < 0 or 2 * g - 2 + n <= 0:
         return Fraction(0)
-    if sum(exps) + alpha != 3 * g - 3 + n:
+    if sum(exps) + sum(ks) != 3 * g - 3 + n:
         return Fraction(0)
-    if alpha == 0:
+    if not ks:
         return _psi(g, exps)
-    if (g == 1 and alpha >= 2) or (g == 2 and alpha >= 4) or g == 0:
+    # ch_k vanishes above 2g - 1, and the ch classes are pulled back from a
+    # space of dimension 3g - 3 (M_{1,1} in genus 1)
+    if ks[-1] > 2 * g - 1 or sum(ks) > max(3 * g - 3, 1):
         return Fraction(0)
-    key = (g, tuple(sorted(exps)), alpha)
-    hit = _hodge_memo.get(key)
+    key = (g, tuple(sorted(exps)), ks)
+    hit = _ch_memo.get(key)
     if hit is not None:
         return hit
     exps = key[1]
-    # One Chern-character removal: kappa term, cotangent terms, boundary.
-    total = _hodge(g, exps + (2,), alpha - 1)
+    k, rest = ks[-1], ks[:-1]
+    # kappa_k term, then the cotangent terms
+    total = _ch(g, exps + (k + 1,), rest)
     for j, a in enumerate(exps):
-        total -= _hodge(g, exps[:j] + exps[j + 1 :] + (a + 1,), alpha - 1)
-    boundary = _hodge(g - 1, exps + (0, 0), alpha - 1)
-    idx = tuple(range(len(exps)))
-    for h in range(g + 1):
-        for left in _subsets(idx):
-            right = tuple(i for i in idx if i not in left)
-            side1 = tuple(exps[i] for i in left) + (0,)
-            side2 = tuple(exps[i] for i in right) + (0,)
-            if 2 * h - 2 + len(side1) <= 0 or 2 * (g - h) - 2 + len(side2) <= 0:
-                continue
-            for t in range(alpha):
-                boundary += (
-                    comb(alpha - 1, t)
-                    * _hodge(h, side1, t)
-                    * _hodge(g - h, side2, alpha - 1 - t)
-                )
+        total -= _ch(g, exps[:j] + exps[j + 1 :] + (a + k,), rest)
+    # boundary: psi^a psi'^b with a + b = k - 1 at the two branches of the
+    # node; the sum over the separating splits is ordered
+    marking_splits, ch_splits = _splits(exps), _splits(rest)
+    boundary = Fraction(0)
+    for a in range(k):
+        b = k - 1 - a
+        part = _ch(g - 1, exps + (a, b), rest)
+        for h in range(g + 1):
+            for left, right, w1 in marking_splits:
+                side1, side2 = left + (a,), right + (b,)
+                if 2 * h - 2 + len(side1) <= 0 or 2 * (g - h) - 2 + len(side2) <= 0:
+                    continue
+                for ks1, ks2, w2 in ch_splits:
+                    value = _ch(h, side1, ks1)
+                    if value:
+                        part += w1 * w2 * value * _ch(g - h, side2, ks2)
+        boundary += -part if a % 2 else part
     total += boundary / 2
-    value = total / 12
-    _hodge_memo[key] = value
+    value = _mumford_coeff(k) * total
+    _ch_memo[key] = value
     return value
 
 
+def _lambda_in_ch(lam: tuple[int, ...]) -> dict:
+    """A lambda-monomial as a polynomial in ch_1, ch_3, ...: sorted ks -> coefficient.
+
+    Newton's identity m lambda_m = sum over odd i <= m of i! ch_i lambda_{m-i},
+    with ch_{2l}(E) = 0 for l >= 1.
+    """
+    hit = _newton_memo.get(lam)
+    if hit is not None:
+        return hit
+    if not lam:
+        return {(): Fraction(1)}
+    if len(lam) > 1:
+        products = [(_lambda_in_ch(lam[:1]), _lambda_in_ch(lam[1:]))]
+    else:
+        m = lam[0]
+        products = [({(i,): Fraction(factorial(i), m)}, _lambda_in_ch((m - i,) if i < m else ()))
+                    for i in range(1, m + 1, 2)]
+    poly: dict = {}
+    for p1, p2 in products:
+        for ks1, c1 in p1.items():
+            for ks2, c2 in p2.items():
+                key = tuple(sorted(ks1 + ks2))
+                poly[key] = poly.get(key, 0) + c1 * c2
+    _newton_memo[lam] = poly
+    return poly
+
+
 def hodge_psi_integral(g: int, exps, lam) -> Fraction:
-    """Integral of a cotangent monomial against a lambda-monomial, g <= 2.
+    """Integral of a cotangent monomial against a lambda-monomial.
 
     lam is the multiset of Hodge indices, e.g. (1, 1, 2) for the product of
     lambda_1 squared with lambda_2.
     """
-    if g > 2:
-        raise ValueError("Hodge reduction is implemented for genus <= 2 only")
     exps = tuple(int(a) for a in exps)
     lam = tuple(sorted(int(m) for m in lam))
     if any(a < 0 for a in exps) or any(m < 1 for m in lam):
         raise ValueError("malformed monomial")
     if g < 0 or 2 * g - 2 + len(exps) <= 0:
         raise ValueError(f"unstable pair (g={g}, n={len(exps)})")
-    reduced = _canonical_lambda(g, lam)
-    if reduced is None:
-        return Fraction(0)
-    alpha, factor = reduced
-    return factor * _hodge(g, exps, alpha)
+    if any(m > g for m in lam):
+        return Fraction(0)  # lambda_m vanishes above the rank g
+    return sum(c * _ch(g, exps, ks) for ks, c in _lambda_in_ch(lam).items())
 
 
 def hodge_second_route(g: int, exps, lam) -> Fraction:
@@ -210,17 +251,13 @@ def hodge_second_route(g: int, exps, lam) -> Fraction:
         for j, a in enumerate(exps):
             total -= _psi(2, exps[:j] + exps[j + 1 :] + (a + 3,))
         boundary = Fraction(0)
-        idx = tuple(range(len(exps)))
         for a in range(3):
             b = 2 - a
             sign = -1 if a % 2 else 1
             boundary += sign * _psi(1, exps + (a, b))
             for h in range(3):
-                for left in _subsets(idx):
-                    right = tuple(i for i in idx if i not in left)
-                    side1 = tuple(exps[i] for i in left) + (a,)
-                    side2 = tuple(exps[i] for i in right) + (b,)
-                    boundary += sign * _psi(h, side1) * _psi(2 - h, side2)
+                for left, right, m in _splits(exps):
+                    boundary += sign * m * _psi(h, left + (a,)) * _psi(2 - h, right + (b,))
         total += boundary / 2
         return factor * total / 60
     raise ValueError("second route covers only its cross-check cases")
@@ -240,38 +277,35 @@ class HodgeVertexClass:
 
 
 def expand_vertex_class(i: int, h: int) -> HodgeVertexClass:
-    """Product of the three truncated dual Chern polynomials over e_i, h <= 2.
+    """Product of the three truncated dual Chern polynomials over e_i.
 
-    The three arguments are the tangent weights w_i - w_j at the other fixed
-    points and -3 w_i; their product is exactly e_i, so the constant term is
-    e_i^{h-1}.  Total lambda-degree is capped at 3, the genus-2 dimension.
+    Each factor is sum_k (-1)^k lambda_k u^{h-k} for a tangent weight u: the
+    weights w_i - w_j at the other fixed points and -3 w_i, whose product is
+    exactly e_i, so the constant term is e_i^{h-1}.  From genus 2 on, the
+    total lambda-degree is capped at 3h - 3, the dimension of the space the
+    lambda classes are pulled back from; in genus <= 1 the product is kept
+    whole.
     """
-    if h > 2:
-        raise ValueError("vertex classes are expanded for genus <= 2 only")
     w = weight(i)
     others = [j for j in range(3) if j != i]
     us = [w - weight(others[0]), w - weight(others[1]), CycScalar(-3) * w]
-    inv_e = euler_at(i).inverse()
-    if h == 0:
-        return HodgeVertexClass(i, 0, {(): inv_e})
-    # polynomial in (lambda_1, lambda_2) keyed by exponent pairs
-    poly = {(0, 0): CycScalar(1)}
+    cap = 3 * h - 3 if h >= 2 else 3 * h
+    # polynomial in lambda_1..lambda_h keyed by sorted index tuples
+    poly = {(): CycScalar(1)}
     for u in us:
-        if h == 1:
-            factor = {(0, 0): u, (1, 0): CycScalar(-1)}
-        else:
-            factor = {(0, 0): u * u, (1, 0): -u, (0, 1): CycScalar(1)}
+        factor = {(): u**h}
+        for k in range(1, h + 1):
+            factor[(k,)] = CycScalar(-1) ** k * u ** (h - k)
         new: dict = {}
-        for (a1, b1), c1 in poly.items():
-            for (a2, b2), c2 in factor.items():
-                key = (a1 + a2, b1 + b2)
+        for lam1, c1 in poly.items():
+            for lam2, c2 in factor.items():
+                if sum(lam1) + sum(lam2) > cap:
+                    continue
+                key = tuple(sorted(lam1 + lam2))
                 prod = c1 * c2
                 prev = new.get(key)
                 new[key] = prod if prev is None else prev + prod
         poly = new
-    expansion = {}
-    for (a, b), c in poly.items():
-        if a + 2 * b > 3 or c.is_zero():
-            continue
-        expansion[(1,) * a + (2,) * b] = c * inv_e
+    inv_e = euler_at(i).inverse()
+    expansion = {lam: c * inv_e for lam, c in poly.items() if not c.is_zero()}
     return HodgeVertexClass(i, h, expansion)

@@ -187,7 +187,6 @@ class MirrorData:
     C0: QSeries
     C1: QSeries
     C2: QSeries
-    I1: QSeries  # coefficients of I1 - log q
     T_minus_logq: QSeries
     Qofq: QSeries
     L: QSeries
@@ -214,7 +213,6 @@ def mirror_data(qmax: int) -> MirrorData:
         C0=c0,
         C1=c1,
         C2=c2,
-        I1=t_minus_logq,
         T_minus_logq=t_minus_logq,
         Qofq=qofq,
         L=lser,

@@ -17,7 +17,7 @@ Three layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, ConsistencyError, CycScalar
 
@@ -59,10 +59,6 @@ class QSeries:
     @classmethod
     def one(cls, qmax: int) -> "QSeries":
         return cls.constant(1, qmax)
-
-    @classmethod
-    def from_function(cls, f: Callable[[int], object], qmax: int) -> "QSeries":
-        return cls([_cyc(f(d)) for d in range(qmax + 1)], qmax)
 
     def __getitem__(self, d: int) -> CycScalar:
         if d < 0:
@@ -181,9 +177,6 @@ class QSeries:
         return QSeries(
             [ZERO] + [self.coeffs[d] / d for d in range(1, self.qmax + 1)], self.qmax
         )
-
-    def rational_coeffs(self) -> list[Fraction]:
-        return [c.as_rational() for c in self.coeffs]
 
     def to_json(self) -> list[str]:
         from .scalars import rat_str
@@ -323,16 +316,9 @@ class QZSeries:
                 prev = out.get(key)
                 prod = c1 * c2
                 out[key] = prod if prev is None else prev + prod
-        result = QZSeries(out, qmax, zcap)
-        result._assert_pole_bound()
-        return result
+        return QZSeries(out, qmax, zcap)
 
     __rmul__ = __mul__
-
-    def _assert_pole_bound(self):
-        for (d, m) in self.entries:
-            if m < -d:
-                raise ConsistencyError(f"pole bound violated at q^{d} z^{m}")
 
     def mul_qseries(self, s: QSeries) -> "QZSeries":
         qmax = min(self.qmax, s.qmax)

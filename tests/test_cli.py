@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kp2 import cli, localization
+from kp2 import cli
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ConsistencyError
@@ -57,8 +57,13 @@ def test_mgn_usage_errors(capsys):
     code, out, err = run(["mgn", "--g", "1"], capsys)
     assert code == cli.EXIT_USAGE
     assert "error:" in err
-    code, out, err = run(["mgn", "--g", "3", "--psi", "0", "--lambda", "1"], capsys)
+    code, out, err = run(["mgn", "--g", "3", "--psi", "0", "--lambda", "0"], capsys)
     assert code == cli.EXIT_USAGE
+    assert "malformed" in err
+    # genus 3 is not a usage error
+    code, payload = run_json(["mgn", "--g", "3", "--lambda", "2,2,2"], capsys)
+    assert code == cli.EXIT_OK
+    assert payload["value"] == "1/725760"
 
 
 def test_mirror_payload(capsys):
@@ -120,18 +125,16 @@ def test_fg_genus_guard(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["correlator", "--genus", "3", "--legs", "H1"], ["fg", "--genus", "3"]],
+    "argv, value",
+    [(["correlator", "--genus", "3", "--legs", "H0"], F(0)),
+     (["fg", "--genus", "3"], F(-1, 483840))],
     ids=["correlator", "fg"],
 )
-def test_genus_above_two_is_a_usage_error(argv, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("no enumeration expected")
-
-    monkeypatch.setattr(localization, "enumerate_graphs", refuse)
-    code, out, err = run(argv, capsys)
-    assert code == cli.EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error:") and "genus <= 2" in err
+def test_genus_three_commands(argv, value, capsys):
+    code, payload = run_json(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert payload["genus"] == 3
+    assert RingElem.from_json(payload["total"]).eval_at(1, 0) == value
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -21,6 +21,7 @@ from kp2.localization import (
     vertex_contribution,
 )
 from kp2.lring import RingElem
+from kp2.mirror import mirror_data
 from kp2.scalars import CycScalar, euler_at, weight_pow
 
 from golden import GOLDEN_NAMES, genus2_graph_values, genus2_total
@@ -178,16 +179,76 @@ def test_genus_three_censuses():
         (gr.genera, gr.edges, gr.legs) for gr in graphs)
 
 
-def test_genus_above_two_fails_before_enumeration(ctx2, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("no enumeration expected")
-
-    monkeypatch.setattr(localization, "enumerate_graphs", refuse)
-    with pytest.raises(ValueError, match="genus <= 2"):
-        correlator(ctx2, 3, ("H1",))
-    with pytest.raises(ValueError, match="genus <= 2"):
-        per_graph_contributions(ctx2, 3, ())
+def test_genus_three_series(ctx2):
+    total = correlator(ctx2, 3, ())
+    assert all(c.is_rational() for c in total.terms.values())
+    assert total.c_degrees() == {0}
+    # the constant-map term (-1)^g chi |B_2g B_2g-2| / (4g (2g-2) (2g-2)!), chi = 3
+    assert total.eval_at(1, 0) == F(-1, 483840)
+    contributions = per_graph_contributions(ctx2, 3, ())
+    assert len(contributions) == 42
+    assert RingElem.sum(item.value for item in contributions) == total
     assert correlator(ctx2, 3, ("H0",)).is_zero()  # delta != 0: exact zero
+
+
+def _gv_numbers(ctx, dmax, f3_scale=1):
+    """Gopakumar-Vafa numbers n^h_d, h = 0, 2, 3, from the exact totals.
+
+    Q = q Qofq(q) is inverted to q(Q) and each series is composed with it.
+    With x = k lambda, sum_g lambda^(2g-2) F_g is the sum over h, d, k of
+    n^h_d (1/k) (2 sin(x/2))^(2h-2) Q^(kd), so
+    Y = -1/3 + sum n^0_d d^3 Q^(kd),
+    F_2 = sum (n^0_d/240 + n^2_d) k Q^(kd) and
+    F_3 = sum (n^0_d/6048 - n^2_d/12 + n^3_d) k^3 Q^(kd).
+    """
+    mirror = mirror_data(dmax)
+
+    def mul(a, b):
+        return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(dmax + 1)]
+
+    def compose(series, inner):
+        out, power = [F(0)] * (dmax + 1), [F(1)] + [F(0)] * dmax
+        for coeff in series:
+            out = [o + coeff * p for o, p in zip(out, power)]
+            power = mul(power, inner)
+        return out
+
+    big_q = [F(0)] + [c.as_rational() for c in mirror.Qofq.coeffs[:dmax]]
+    small_q = [F(0), F(1)] + [F(0)] * (dmax - 1)
+    for _ in range(dmax):  # each step fixes one more order of Q(q(Q)) = Q
+        residual = compose(big_q, small_q)
+        residual[1] -= 1
+        small_q = [s - r for s, r in zip(small_q, residual)]
+
+    def in_big_q(elem):
+        return compose([c.as_rational() for c in elem.eval_q(mirror).coeffs], small_q)
+
+    def strip_covers(series, power):
+        # series[m] = sum over d | m of a_d (m/d)^power; returns the a_d
+        out = {}
+        for m in range(1, dmax + 1):
+            out[m] = series[m] - sum(out[d] * (m // d) ** power
+                                     for d in range(1, m) if m % d == 0)
+        return out
+
+    yukawa = strip_covers(in_big_q(correlator(ctx, 0, ("H1", "H1", "H1"))), 0)
+    n0 = {d: yukawa[d] / d**3 for d in yukawa}
+    f2 = strip_covers(in_big_q(correlator(ctx, 2, ())), 1)
+    n2 = {d: f2[d] - n0[d] / 240 for d in f2}
+    f3 = strip_covers(in_big_q(correlator(ctx, 3, ()).scale(f3_scale)), 3)
+    n3 = {d: f3[d] - n0[d] / 6048 + n2[d] / 12 for d in f3}
+    return n0, n2, n3
+
+
+def test_genus_three_gopakumar_vafa_integrality(ctx2):
+    n0, n2, n3 = _gv_numbers(ctx2, 5)
+    assert [n0[d] for d in range(1, 6)] == [3, -6, 27, -192, 1695]
+    assert [n2[d] for d in range(1, 6)] == [0, 0, 0, -102, 5430]
+    assert [n3[d] for d in range(1, 6)] == [0, 0, 0, 15, -3672]
+    # control: a doubled F_3 is not a BPS expansion
+    _, _, doubled = _gv_numbers(ctx2, 5, f3_scale=2)
+    assert doubled[1] == F(1, 2016)
+    assert any(v.denominator != 1 for v in doubled.values())
 
 
 def test_aut_orders_by_brute_force():
@@ -303,9 +364,12 @@ def test_vertex_genus_one_closed_form(ctx1):
         )
 
 
-def test_vertex_genus_cap(ctx1):
-    with pytest.raises(ValueError):
-        vertex_contribution(ctx1, 3, 0, (1,))
+def test_vertex_genus_three(ctx1):
+    # one flag at a genus-3 vertex fills its 7 dimensions with rows up to k = 7
+    for i in range(3):
+        value = vertex_contribution(ctx1, 3, i, (1,))
+        assert not value.is_zero()
+        assert value.x_degree() == 0 and value.c_degrees() == {0}
 
 
 def test_graph_contribution_needs_decorations(ctx1):

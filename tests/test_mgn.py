@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import factorial
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from kp2.mgn import (
     hodge_second_route,
     psi_integral,
 )
-from kp2.scalars import CycScalar, euler_at, weight_pow
+from kp2.scalars import CycScalar, euler_at, weight, weight_pow
 
 F = Fraction
 
@@ -81,9 +82,114 @@ def test_unstable_raises():
 
 
 def test_genus_scope():
-    with pytest.raises(ValueError):
-        hodge_psi_integral(3, (0,), (1,))
+    # int over M_{g,1} of psi^(2g-2) lambda_g = (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!)
+    bernoulli = {1: F(1, 6), 2: F(1, 30), 3: F(1, 42)}
+    for g, b in bernoulli.items():
+        expected = (2 ** (2 * g - 1) - 1) * b / (2 ** (2 * g - 1) * factorial(2 * g))
+        assert hodge_psi_integral(g, (2 * g - 2,), (g,)) == expected, g
+    assert hodge_psi_integral(2, (2,), (2,)) == F(7, 5760)
+    assert hodge_psi_integral(3, (4,), (3,)) == F(31, 967680)
     assert psi_integral(3, (7,)) != 0  # pure cotangent powers have no cap
+
+
+def test_genus_three_hodge_oracles():
+    # Faber-Pandharipande, "Hodge integrals and Gromov-Witten theory"
+    assert hodge_psi_integral(3, (), (2, 2, 2)) == F(1, 725760)
+    assert hodge_psi_integral(3, (), (1, 2, 3)) == F(1, 1451520)
+    assert hodge_psi_integral(3, (), (1,) * 6) == F(1, 90720)
+    # lambda_g lambda_{g-1} lambda_{g-2} = |B_{2g-2} B_2g| / (2 (2g-2)! (2g-2) 2g), at g = 4
+    assert hodge_psi_integral(4, (), (2, 3, 4)) == F(1, 42 * 30) / (2 * factorial(6) * 6 * 8)
+    # lambda_3 squared vanishes, and lambda_4 is above the rank
+    assert hodge_psi_integral(3, (), (3, 3)) == 0
+    assert hodge_psi_integral(3, (1,), (4, 3)) == 0
+
+
+# The genus <= 2 reduction that the general route replaced, kept as the
+# reference: lambda_2 = lambda_1^2 / 2 in genus 2, then repeated removal of
+# ch_1 = lambda_1 through its boundary formula.
+_ref_memo: dict = {}
+
+
+def ref_canonical_lambda(g, lam):
+    if any(m > g for m in lam):
+        return None
+    alpha = lam.count(1)
+    b = lam.count(2)
+    factor = F(1)
+    if b:
+        if g < 2:
+            return None
+        alpha += 2 * b
+        factor = F(1, 2**b)
+    if g == 1 and alpha >= 2:
+        return None
+    if g == 2 and alpha >= 4:
+        return None
+    return alpha, factor
+
+
+def ref_hodge(g, exps, alpha):
+    n = len(exps)
+    if g < 0 or 2 * g - 2 + n <= 0:
+        return F(0)
+    if sum(exps) + alpha != 3 * g - 3 + n:
+        return F(0)
+    if alpha == 0:
+        return psi_integral(g, exps)
+    if (g == 1 and alpha >= 2) or (g == 2 and alpha >= 4) or g == 0:
+        return F(0)
+    key = (g, tuple(sorted(exps)), alpha)
+    if key in _ref_memo:
+        return _ref_memo[key]
+    exps = key[1]
+    total = ref_hodge(g, exps + (2,), alpha - 1)
+    for j, a in enumerate(exps):
+        total -= ref_hodge(g, exps[:j] + exps[j + 1:] + (a + 1,), alpha - 1)
+    boundary = ref_hodge(g - 1, exps + (0, 0), alpha - 1)
+    idx = range(len(exps))
+    for h in range(g + 1):
+        for size in range(len(exps) + 1):
+            for left in combinations(idx, size):
+                side1 = tuple(exps[i] for i in left) + (0,)
+                side2 = tuple(exps[i] for i in idx if i not in left) + (0,)
+                if 2 * h - 2 + len(side1) <= 0 or 2 * (g - h) - 2 + len(side2) <= 0:
+                    continue
+                for t in range(alpha):
+                    boundary += (comb(alpha - 1, t) * ref_hodge(h, side1, t)
+                                 * ref_hodge(g - h, side2, alpha - 1 - t))
+    total += boundary / 2
+    _ref_memo[key] = total / 12
+    return total / 12
+
+
+def ref_hodge_psi_integral(g, exps, lam):
+    reduced = ref_canonical_lambda(g, tuple(sorted(lam)))
+    if reduced is None:
+        return F(0)
+    alpha, factor = reduced
+    return factor * ref_hodge(g, tuple(exps), alpha)
+
+
+def test_matches_genus_two_reference():
+    cases = nonzero = 0
+    for g in range(3):
+        for n in range(5):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0:
+                continue
+            for size in range(1, dim + 1):
+                for lam in combinations_with_replacement((1, 2, 3), size):
+                    rem = dim - sum(lam)
+                    if rem < 0:
+                        continue
+                    for exps in product(range(rem + 1), repeat=n):
+                        if sum(exps) != rem:
+                            continue
+                        value = hodge_psi_integral(g, exps, lam)
+                        assert value == ref_hodge_psi_integral(g, exps, lam), (g, exps, lam)
+                        cases += 1
+                        nonzero += value != 0
+    assert (cases, nonzero) == (719, 392)
 
 
 def test_empty_lambda_reduces_to_psi():
@@ -187,3 +293,15 @@ def test_vertex_class_genus_two():
     assert cls.expansion[()] == euler_at(0)
     assert (1, 1) not in cls.expansion  # the -3w factor kills e_1(u)
     assert all(sum(key) <= 3 for key in cls.expansion)
+
+
+def test_vertex_class_genus_three():
+    for i in range(3):
+        cls = expand_vertex_class(i, 3)
+        assert cls.expansion[()] == euler_at(i) ** 2
+        assert max(sum(key) for key in cls.expansion) == 6
+        assert all(max(key, default=0) <= 3 for key in cls.expansion)
+        # lambda_3 comes from one factor, u'^3 u''^3 from the other two
+        us = [weight(i) - weight(j) for j in range(3) if j != i] + [CycScalar(-3) * weight(i)]
+        expected = -sum((us[(t + 1) % 3] * us[(t + 2) % 3]) ** 3 for t in range(3))
+        assert cls.expansion[(3,)] == expected * euler_at(i).inverse()
