@@ -70,7 +70,13 @@ def genus_one_inputs() -> tuple[RingElem, RingElem]:
 def pointed_total(ctx: Context, g: int, a: int, b: int, c_count: int,
                   delta: int = 0) -> RingElem:
     """Localization total with a ones, b hyperplanes, c_count squares
-    and delta pulled-back descendents of the hyperplane."""
+    and delta pulled-back descendents of the hyperplane.
+
+    A negative count raises ValueError naming it.
+    """
+    for name, count in (("a", a), ("b", b), ("c", c_count), ("delta", delta)):
+        if count < 0:
+            raise ValueError(f"insertion count {name} must be non-negative, got {count}")
     insertions = (("H0",) * a + ("H1",) * b + ("H2",) * c_count
                   + ("psiH",) * delta)
     return correlator(ctx, g, insertions)
@@ -160,6 +166,8 @@ def verify_ss56(ctx: Context, g: int, a: int, b: int,
     distribution counts of the markings, adds half the second
     T-derivative one genus down, and subtracts a third of c_count times
     the total with one square insertion traded for a descendent.
+    A negative count raises ValueError, from pointed_total, before any
+    assembly.
     """
     n = a + b + c_count
     total = pointed_total(ctx, g, a, b, c_count)

@@ -143,9 +143,7 @@ def _cmd_fg(args):
         raise ValueError("fg needs --genus at least 2")
     ctx = build_context()
     contribs = per_graph_contributions(ctx, args.genus, ())
-    total = RingElem.zero()
-    for item in contribs:
-        total = total + item.value
+    total = RingElem.sum(item.value for item in contribs)
     payload = {
         "command": "fg",
         "genus": args.genus,
@@ -174,6 +172,9 @@ def _parse_insertions(args) -> tuple[str, ...]:
                 raise ValueError(f"empty item in --legs {args.legs!r}")
             tags.append(normalize_tag(int(part) if part.isdigit() else part))
         return tuple(tags)
+    for flag, v in zip(("--a", "--b", "--c", "--delta"), counts):
+        if v is not None and v < 0:
+            raise ValueError(f"{flag} must be non-negative, got {v}")
     a, b, c, delta = [v or 0 for v in counts]
     return ("H0",) * a + ("H1",) * b + ("H2",) * c + ("psiH",) * delta
 

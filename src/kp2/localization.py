@@ -360,7 +360,19 @@ class Contribution:
 
 
 class Context:
-    """Shared exact inputs: the asymptotic rows R_{m,k}, k <= kmax, and memo tables."""
+    """Shared exact inputs: the asymptotic rows R_{m,k}, k <= kmax, and memo tables.
+
+    Besides the vertex classes by (i, h), four memo tables hold factors that
+    depend on no other part of a graph:
+
+    - _vertex_memo: vertex_contribution by (h, i, sorted flag values);
+    - _edge_memo: edge_contribution by (i, j, b1, b2);
+    - _leg_memo: leg_contribution by (i, tag, a);
+    - _dressed_memo: a vertex with its legs and loops summed out, by (h, i,
+      leg tags, loop count, number of other-edge ends, budget).
+
+    Rows only ever grow, so no memoized value goes stale.
+    """
 
     def __init__(self):
         self.kmax = 0
@@ -369,6 +381,7 @@ class Context:
         self._vertex_memo: dict = {}
         self._edge_memo: dict = {}
         self._leg_memo: dict = {}
+        self._dressed_memo: dict = {}
 
     def extend_rows(self, kmax: int) -> None:
         """Make the rows reach R_{m,kmax}; rows already present do not change."""
@@ -424,7 +437,7 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values, gamma_override=N
     exps = tuple(a - 1 for a in a_values)
     budget = 3 * h - 3 + n - sum(exps)
     expansion = gamma_override if gamma_override is not None else ctx.vertex_class(i, h)
-    total = RingElem.zero()
+    terms = []
     rows0 = ctx.rows[0]
     for lam, coeff in expansion.items():
         rem = budget - sum(lam)
@@ -450,7 +463,8 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values, gamma_override=N
                 factor = factor * rows0[j - 1] * RingElem.const(
                     CycScalar(sign) * weight_pow(i, 1 - j)
                 )
-            total = total + factor
+            terms.append(factor)
+    total = RingElem.sum(terms)
     if total.x_degree() > 0:
         raise ConsistencyError("vertex contribution acquired an X-dependence")
     if not total.c_degrees() <= {0}:
@@ -490,12 +504,11 @@ def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingEle
     hit = ctx._edge_memo.get(key)
     if hit is not None:
         return hit
-    total = RingElem.zero()
+    terms = []
     for s in range(b2):
         term = _p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s)
-        total = total + (term if s % 2 == 0 else -term)
-    if (b1 + b2) % 2:
-        total = -total
+        terms.append(term if (b1 + b2 + s) % 2 == 0 else -term)
+    total = RingElem.sum(terms)
     if not total.c_degrees() <= {0}:
         raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has nonzero c-degree")
     if total.x_degree() > 1:
@@ -572,11 +585,17 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
 
     Keyed by the values of v's flags on the other edges, in the order of ends
     (pairs (edge, side)); every composition of v's flags within budget is
-    visited once.
+    visited once.  The result depends only on the genus, label, leg tags,
+    loop count, number of ends and budget of v, and is memoized on those;
+    callers must not modify it.
     """
     h, i = graph.genera[v], graph.decorations[v]
     legs = [m for m, w in enumerate(graph.legs) if w == v]
     loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
+    key = (h, i, tuple(graph.tags[m] for m in legs), len(loops), len(ends), budget)
+    hit = ctx._dressed_memo.get(key)
+    if hit is not None:
+        return hit
     names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
              + [f"e{e}.{s}" for e in loops for s in (0, 1)])
     nk, nl = len(ends), len(legs)
@@ -603,7 +622,9 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
         if dress is not None:
             term = term * dress
         out.setdefault(values[:nk], []).append(term)
-    return {key: RingElem.sum(terms) for key, terms in out.items()}
+    dressed = {k: RingElem.sum(terms) for k, terms in out.items()}
+    ctx._dressed_memo[key] = dressed
+    return dressed
 
 
 def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) -> RingElem:

@@ -10,12 +10,16 @@ with x >= 0.  The derivation D acts by
 and evaluation sends L, X, c to their q-expansions, under which D becomes
 q d/dq.  The alternate coordinate A2 = (3X + 1 - L^3/2)/L^3 is supported as a
 separate polynomial form for degree bookkeeping.
+
+A RingElem keeps integer pairs over one denominator for all its terms (see
+its docstring); terms is a read-only view that yields CycScalars.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .scalars import ONE, ZERO, ConsistencyError, CycScalar, _make
 from .series import QSeries
@@ -32,15 +36,20 @@ def _cyc(x) -> CycScalar:
 class RingElem:
     """A Laurent polynomial in L and c, polynomial in X, over Q(zeta).
 
-    terms maps each exponent triple to a nonzero CycScalar.  Products and
-    sums lift the coefficients to integer numerators over one common
-    denominator, accumulate on integers, and reduce each output term once.
+    Stored over one denominator: den is a positive integer and nums maps each
+    exponent triple to a nonzero integer pair (n0, n1), the coefficient
+    (n0 + n1*zeta)/den.  The form is canonical, gcd(den, every n0, every n1)
+    == 1 and zero is den == 1 with no terms, so equality compares den and
+    nums.  Products multiply the pairs over the product of the denominators,
+    sums lift them over the lcm, and each result is reduced once, by one gcd
+    over the whole element.  terms is a read-only view of the coefficients as
+    CycScalars.  Immutable by convention.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
+        lifted = {}
         if terms:
             for (l, x, e), coeff in terms.items():
                 coeff = _cyc(coeff)
@@ -48,8 +57,18 @@ class RingElem:
                     continue
                 if x < 0:
                     raise ValueError("negative powers of X are not part of the ring")
-                clean[(l, x, e)] = coeff
-        self.terms = clean
+                lifted[(l, x, e)] = coeff
+        # Over the lcm of reduced denominators no prime divides den and every
+        # numerator, so the form is already canonical.
+        den = lcm(*(c.d for c in lifted.values()))
+        self.den = den
+        self.nums = {key: (c.n0 * (den // c.d), c.n1 * (den // c.d))
+                     for key, c in lifted.items()}
+
+    @property
+    def terms(self) -> "Terms":
+        """The coefficients, as a read-only mapping from (l, x, e) to CycScalar."""
+        return Terms(self.nums, self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -84,55 +103,57 @@ class RingElem:
     @staticmethod
     def sum(items) -> "RingElem":
         """The sum of the ring elements in items, accumulated over one denominator."""
-        items = list(items)
-        den = lcm(*(c.d for item in items for c in item.terms.values()))
+        items = [item for item in items if item.nums]
+        if len(items) == 1:
+            return items[0]
+        den = lcm(*(item.den for item in items))
         acc: dict = {}
         for item in items:
-            for key, c in item.terms.items():
-                m = den // c.d
+            m = den // item.den
+            for key, (n0, n1) in item.nums.items():
                 prev = acc.get(key)
                 if prev is None:
-                    acc[key] = [c.n0 * m, c.n1 * m]
+                    acc[key] = [n0 * m, n1 * m]
                 else:
-                    prev[0] += c.n0 * m
-                    prev[1] += c.n1 * m
-        return _ring({key: _make(n0, n1, den) for key, (n0, n1) in acc.items() if n0 or n1})
+                    prev[0] += n0 * m
+                    prev[1] += n1 * m
+        return _reduced(acc, den)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
             other = RingElem.const(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def x_degree(self) -> int:
         """Largest X-exponent present (-1 for the zero element)."""
-        return max((x for (_, x, _) in self.terms), default=-1)
+        return max((x for (_, x, _) in self.nums), default=-1)
 
     def c_degrees(self) -> set[int]:
-        return {e for (_, _, e) in self.terms}
+        return {e for (_, _, e) in self.nums}
 
     def l_range(self) -> tuple[int, int]:
         """(min, max) L-exponent present; (0, 0) for the zero element."""
-        ls = [l for (l, _, _) in self.terms]
+        ls = [l for (l, _, _) in self.nums]
         if not ls:
             return (0, 0)
         return (min(ls), max(ls))
 
     def x_coefficient(self, x: int) -> "RingElem":
         """The coefficient of X^x, as an element with the X-power stripped."""
-        return RingElem(
-            {(l, 0, e): c for (l, xx, e), c in self.terms.items() if xx == x}
+        return _reduced(
+            {(l, 0, e): pair for (l, xx, e), pair in self.nums.items() if xx == x}, self.den
         )
 
     # -- arithmetic ---------------------------------------------------------
@@ -142,18 +163,7 @@ class RingElem:
             other = RingElem.const(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                c = prev + c
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return _ring(out)
+        return RingElem.sum((self, other))
 
     __radd__ = __add__
 
@@ -168,23 +178,17 @@ class RingElem:
         return (-self) + other
 
     def __neg__(self):
-        return _ring({key: -c for key, c in self.terms.items()})
+        return _ring({key: (-n0, -n1) for key, (n0, n1) in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            s = _cyc(other)
-            if not s:
-                return RingElem()
-            return _ring({key: c * s for key, c in self.terms.items()})
+            return _scaled(self.nums, self.den, _cyc(other))
         if not isinstance(other, RingElem):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return RingElem()
-        d1, lifted1 = _lifted(self.terms)
-        d2, lifted2 = _lifted(other.terms)
+        right = other.nums.items()
         acc: dict = {}
-        for (l1, x1, e1), a0, a1 in lifted1:
-            for (l2, x2, e2), b0, b1 in lifted2:
+        for (l1, x1, e1), (a0, a1) in self.nums.items():
+            for (l2, x2, e2), (b0, b1) in right:
                 # (a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z
                 key = (l1 + l2, x1 + x2, e1 + e2)
                 bb = a1 * b1
@@ -194,8 +198,7 @@ class RingElem:
                 else:
                     prev[0] += a0 * b0 - bb
                     prev[1] += a0 * b1 + a1 * b0 - bb
-        den = d1 * d2
-        return _ring({key: _make(n0, n1, den) for key, (n0, n1) in acc.items() if n0 or n1})
+        return _reduced(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -203,15 +206,13 @@ class RingElem:
         if isinstance(other, (int, Fraction, CycScalar)):
             return self * _cyc(other).inverse()
         if isinstance(other, RingElem):
-            if len(other.terms) != 1:
+            if len(other.nums) != 1:
                 raise ValueError("ring division only by monomials")
             ((l, x, e), c), = other.terms.items()
             if x != 0:
                 raise ValueError("X is not invertible in the ring")
-            inv = c.inverse()
-            return RingElem(
-                {(l1 - l, x1, e1 - e): c1 * inv for (l1, x1, e1), c1 in self.terms.items()}
-            )
+            shifted = {(l1 - l, x1, e1 - e): pair for (l1, x1, e1), pair in self.nums.items()}
+            return _scaled(shifted, self.den, c.inverse())
         return NotImplemented
 
     def scale(self, s) -> "RingElem":
@@ -219,13 +220,14 @@ class RingElem:
 
     def conjugate(self) -> "RingElem":
         """zeta -> zeta^2 on every coefficient; L, X and c are fixed."""
-        return _ring({key: c.conjugate() for key, c in self.terms.items()})
+        # (n0 + n1 z) -> (n0 - n1) - n1 z keeps the gcd of the numerators.
+        return _ring({key: (n0 - n1, -n1) for key, (n0, n1) in self.nums.items()}, self.den)
 
     def __pow__(self, n: int) -> "RingElem":
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if len(self.terms) != 1:
+            if len(self.nums) != 1:
                 raise ValueError("negative powers only of monomials")
             return (RingElem.one() / self) ** (-n)
         out = RingElem.one()
@@ -240,32 +242,25 @@ class RingElem:
     # -- calculus -----------------------------------------------------------
 
     def derive(self) -> "RingElem":
-        """The derivation D, term by term via the Leibniz rule."""
-        out: dict = {}
-
-        def put(key, coeff):
-            if coeff.is_zero():
-                return
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-
-        two_ninths = Fraction(2, 9)
-        for (l, x, e), c in self.terms.items():
+        """The derivation D, term by term via the Leibniz rule, over 9 * den."""
+        acc: dict = {}
+        for (l, x, e), (n0, n1) in self.nums.items():
+            moves = []
             if l:
-                s = c * Fraction(l, 3)
-                put((l + 3, x, e), s)
-                put((l, x, e), -s)
+                moves += [((l + 3, x, e), 3 * l), ((l, x, e), -3 * l)]
             if x:
-                s = c * x
-                put((l, x + 1, e), -s)
-                put((l + 3, x, e), s)
-                put((l, x, e), -s)
-                t = c * (x * two_ninths)
-                put((l + 3, x - 1, e), t)
-                put((l, x - 1, e), -t)
+                moves += [((l, x + 1, e), -9 * x), ((l + 3, x, e), 9 * x), ((l, x, e), -9 * x),
+                          ((l + 3, x - 1, e), 2 * x), ((l, x - 1, e), -2 * x)]
             if e:
-                put((l, x + 1, e), -c * e)
-        return RingElem(out)
+                moves.append(((l, x + 1, e), -9 * e))
+            for key, k in moves:
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = [k * n0, k * n1]
+                else:
+                    prev[0] += k * n0
+                    prev[1] += k * n1
+        return _reduced(acc, 9 * self.den)
 
     def d_dT(self) -> "RingElem":
         """c * D, the derivative with respect to the flat coordinate."""
@@ -273,15 +268,8 @@ class RingElem:
 
     def d_da2(self) -> "RingElem":
         """(L^3/3) d/dX, the partial derivative along A2 at fixed L."""
-        out: dict = {}
-        for (l, x, e), c in self.terms.items():
-            if x == 0:
-                continue
-            key = (l + 3, x - 1, e)
-            add = c * Fraction(x, 3)
-            prev = out.get(key)
-            out[key] = add if prev is None else prev + add
-        return RingElem(out)
+        return _reduced({(l + 3, x - 1, e): (x * n0, x * n1)
+                         for (l, x, e), (n0, n1) in self.nums.items() if x}, 3 * self.den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -326,12 +314,12 @@ class RingElem:
         return A2Form(out)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
+        terms = self.terms
         parts = []
-        for (l, x, e) in sorted(self.terms):
-            c = self.terms[(l, x, e)]
-            factors = [f"({c})"]
+        for (l, x, e) in sorted(self.nums):
+            factors = [f"({terms[(l, x, e)]})"]
             if l:
                 factors.append(f"L^{l}" if l != 1 else "L")
             if x:
@@ -344,10 +332,9 @@ class RingElem:
     __repr__ = __str__
 
     def to_json(self) -> list[dict]:
-        out = []
-        for (l, x, e) in sorted(self.terms):
-            out.append({"L": l, "X": x, "c": e, "coeff": self.terms[(l, x, e)].to_json()})
-        return out
+        terms = self.terms
+        return [{"L": l, "X": x, "c": e, "coeff": terms[(l, x, e)].to_json()}
+                for (l, x, e) in sorted(self.nums)]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "RingElem":
@@ -360,17 +347,62 @@ class RingElem:
         return cls(terms)
 
 
-def _ring(terms: dict) -> RingElem:
-    """A RingElem from terms already keyed by valid exponents with nonzero CycScalars."""
+class Terms(Mapping):
+    """Read-only view of a RingElem's coefficients: (l, x, e) -> CycScalar.
+
+    Each read reduces one coefficient; len and iteration only touch the
+    keys.  Compares equal to any mapping with equal items.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key) -> CycScalar:
+        n0, n1 = self._nums[key]
+        return _make(n0, n1, self._den)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+
+def _ring(nums: dict, den: int) -> RingElem:
+    """A RingElem from nonzero integer pairs over den, already in canonical form."""
     out = object.__new__(RingElem)
-    out.terms = terms
+    out.den = den
+    out.nums = nums
     return out
 
 
-def _lifted(terms: dict) -> tuple[int, list]:
-    """The lcm D of the coefficient denominators, and (key, n0, n1) over D per term."""
-    den = lcm(*(c.d for c in terms.values()))
-    return den, [(key, c.n0 * (den // c.d), c.n1 * (den // c.d)) for key, c in terms.items()]
+def _scaled(nums: dict, den: int, s: CycScalar) -> RingElem:
+    """The element with pairs nums over den, times the scalar s."""
+    b0, b1 = s.n0, s.n1
+    return _reduced({key: (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 - a1 * b1)
+                     for key, (a0, a1) in nums.items()}, den * s.d)
+
+
+def _reduced(acc: dict, den: int) -> RingElem:
+    """The element with pairs acc over den, zero pairs dropped, in canonical form.
+
+    One running gcd over den and every numerator, no longer updated once it
+    reaches 1, divides the whole element once.
+    """
+    nums = {}
+    g = den
+    for key, (n0, n1) in acc.items():
+        if n0 or n1:
+            nums[key] = (n0, n1)
+            if g != 1:
+                g = gcd(g, n0, n1)
+    if g != 1:  # also when nums is empty: zero has den == 1
+        nums = {key: (n0 // g, n1 // g) for key, (n0, n1) in nums.items()}
+        den //= g
+    return _ring(nums, den)
 
 
 class A2Form:

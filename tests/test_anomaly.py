@@ -110,6 +110,19 @@ def test_pointed_total_stability():
         verify_ss56(None, 0, 0, 0, 2)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((-1, 1, 0, 0), "a"), ((0, -1, 3, 0), "b"), ((0, 1, -1, 0), "c"), ((0, 0, 3, -1), "delta"),
+])
+def test_negative_counts_raise_before_assembly(counts, name):
+    # the context is None: the check must come before any correlator work
+    a, b, c_count, delta = counts
+    with pytest.raises(ValueError, match=f"insertion count {name} must be non-negative"):
+        pointed_total(None, 1, a, b, c_count, delta=delta)
+    if not delta:
+        with pytest.raises(ValueError, match=f"insertion count {name} must be non-negative"):
+            verify_ss56(None, 1, a, b, c_count)
+
+
 def test_insertion_grading(ctx1):
     # one unit of grading per hyperplane and per descendent, minus one
     # per square; each T-derivative raises the grading by one

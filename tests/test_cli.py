@@ -113,6 +113,32 @@ def test_correlator_flag_exclusivity(capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--delta"])
+def test_correlator_negative_count_is_a_usage_error(flag, capsys):
+    # ("H0",) * -1 is empty: without the check --a -1 --b 1 would print <H1>_1
+    code, out, err = run(["correlator", "--genus", "1", "--b", "1", flag, "-1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {flag} must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--a", "-5", "--c", "3"], "a"),
+        (["--b", "-1", "--c", "3"], "b"),
+        (["--a", "1", "--c", "-2"], "c"),
+    ],
+    ids=["a", "b", "c"],
+)
+def test_verify_ss56_negative_count_is_a_usage_error(argv, name, capsys):
+    # a bad input must not read as a failed identity (exit 1)
+    code, out, err = run(["verify", "ss56", "--genus", "1", *argv], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: insertion count {name} must be non-negative")
+
+
 def test_correlator_stability_guard(capsys):
     code, out, err = run(["correlator", "--genus", "0", "--b", "2"], capsys)
     assert code == cli.EXIT_USAGE

@@ -1,5 +1,6 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -11,6 +12,7 @@ from kp2.localization import (
     _flag_factor,
     _p_coefficient,
     _valid_perms,
+    build_context,
     correlator,
     decoration_orbits,
     edge_contribution,
@@ -22,7 +24,7 @@ from kp2.localization import (
 )
 from kp2.lring import RingElem
 from kp2.mirror import mirror_data
-from kp2.scalars import CycScalar, euler_at, weight_pow
+from kp2.scalars import ConsistencyError, CycScalar, euler_at, weight_pow
 
 from golden import GOLDEN_NAMES, genus2_graph_values, genus2_total
 
@@ -416,3 +418,75 @@ def test_genus_one_one_point_closed_form(ctx1):
 
     one_point = correlator(ctx1, 1, ("H1",))
     assert one_point == genus_one_inputs()[0]
+
+
+class _NoMemo(dict):
+    """A memo table that never stores, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _class_representatives(graph):
+    """One decoration orbit per relabeling class, as per_graph_contributions evaluates."""
+    sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
+    seen = set()
+    for labels, aut in decoration_orbits(graph, sigmas):
+        if labels not in seen:
+            seen.update(min(localization._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
+                        for s, eps in localization._RELABELINGS)
+            yield labels, aut
+
+
+@pytest.mark.parametrize(
+    "g, tags", [(1, ("H0", "psiH", "H1")), (2, ("H1", "H2")), (2, ())],
+    ids=["1-3-mixed", "2-2", "2-0"],
+)
+def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
+    # A dressed vertex is shared across graphs, labels, vertices and budgets
+    # by its key alone.  The reference is a fresh context per graph with that
+    # memo off.  budget_extra widens every budget on the same contexts; at
+    # (2,2) a vertex with a loop at 0 and one without at 2 differ only in
+    # the loop count of the key.  Every decoration orbit is checked, except
+    # at (2,2): there one per relabeling class, as the graph sums do.
+    kmax = 3 * g - 3 + len(tags) + 4
+    shared = build_context()
+    shared.extend_rows(kmax)
+    for graph in enumerate_graphs(g, tags):
+        fresh = build_context()
+        fresh.extend_rows(kmax)
+        fresh._dressed_memo = _NoMemo()
+        orbits = _class_representatives(graph) if tags == ("H1", "H2") else decoration_orbits(graph)
+        for labels, aut in orbits:
+            decorated = dataclasses.replace(graph, decorations=labels, aut_order=aut)
+            for extra in (0, 1, 2):
+                assert (graph_contribution(shared, decorated, extra)
+                        == graph_contribution(fresh, decorated, extra)), (graph, labels, extra)
+    assert shared._dressed_memo
+
+
+def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
+    real = localization.vertex_contribution
+
+    def broken(ctx, h, i, a_values, gamma_override=None):
+        if h == 1 and i == 2:
+            raise ConsistencyError("injected vertex failure")
+        return real(ctx, h, i, a_values, gamma_override)
+
+    monkeypatch.setattr(localization, "vertex_contribution", broken)
+    ctx = build_context()
+    ctx.extend_rows(3)
+    graphs = enumerate_graphs(2, ())
+    # The genus-1 vertex with one edge end has the same memo key in both.
+    first = next(gr for gr in graphs if gr.genera == (1, 1))
+    second = next(gr for gr in graphs if gr.genera == (0, 1))
+    for graph, labels, flags in ((first, (2, 2), "e0.0=1"), (second, (0, 2), "e1.1=1")):
+        decorated = dataclasses.replace(graph, decorations=labels)
+        with pytest.raises(ConsistencyError) as info:
+            graph_contribution(ctx, decorated)
+        message = str(info.value)
+        assert "injected vertex failure" in message
+        assert decorated.signature() in message
+        assert f"labels {list(labels)}" in message
+        assert f"flags {flags}" in message
+    assert not any(key[:2] == (1, 2) for key in ctx._dressed_memo)

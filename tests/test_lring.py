@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import comb, gcd
 from operator import add
 
 import pytest
@@ -170,3 +171,173 @@ def test_sum_and_add_drop_cancelled_terms(f, g):
 
 def test_sum_of_nothing_is_zero():
     assert RingElem.sum([]).is_zero()
+
+
+# -- the one-denominator representation against the per-term one ----------
+
+
+class PerTermElem:
+    """The per-term representation RingElem used to have: every coefficient a
+    reduced CycScalar, every operation done term by term in CycScalar
+    arithmetic.  Kept as the reference for the one-denominator form."""
+
+    def __init__(self, terms):
+        self.terms = {key: CycScalar(c) if not isinstance(c, CycScalar) else c
+                      for key, c in terms.items() if c}
+
+    @staticmethod
+    def sum(items):
+        return reduce(add, items, PerTermElem({}))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ZERO) + c
+        return PerTermElem(out)
+
+    def __neg__(self):
+        return PerTermElem({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, PerTermElem):
+            return PerTermElem(reference_product(self, other))
+        return PerTermElem({key: c * other for key, c in self.terms.items()})
+
+    def conjugate(self):
+        return PerTermElem({key: c.conjugate() for key, c in self.terms.items()})
+
+    def derive(self):
+        out = {}
+
+        def put(key, coeff):
+            out[key] = out.get(key, ZERO) + coeff
+
+        for (l, x, e), c in self.terms.items():
+            if l:
+                s = c * Fraction(l, 3)
+                put((l + 3, x, e), s)
+                put((l, x, e), -s)
+            if x:
+                s = c * x
+                put((l, x + 1, e), -s)
+                put((l + 3, x, e), s)
+                put((l, x, e), -s)
+                t = c * (x * Fraction(2, 9))
+                put((l + 3, x - 1, e), t)
+                put((l, x - 1, e), -t)
+            if e:
+                put((l, x + 1, e), -c * e)
+        return PerTermElem(out)
+
+    def to_a2_form(self):
+        out = {}
+        for (l, x, e), c in self.terms.items():
+            for t in range(x + 1):
+                for s in range(x - t + 1):
+                    coeff = (c * Fraction(1, 3) ** x * (comb(x, t) * comb(x - t, s))
+                             * Fraction(1, 2) ** s)
+                    if (x - t - s) % 2:
+                        coeff = -coeff
+                    key = (l + 3 * t + 3 * s, t, e)
+                    out[key] = out.get(key, ZERO) + coeff
+        return {key: c for key, c in out.items() if c}
+
+    def eval_at(self, lv, xv, cv):
+        total = ZERO
+        for (l, x, e), c in self.terms.items():
+            total = total + c * lv**l * xv**x * cv**e
+        return total
+
+
+def assert_canonical(f):
+    """den > 0, no zero pair, gcd(den, all numerators) == 1; zero is den 1."""
+    assert isinstance(f.den, int) and f.den > 0
+    assert all(n0 or n1 for n0, n1 in f.nums.values())
+    assert gcd(f.den, *(n for pair in f.nums.values() for n in pair)) == 1
+    if not f.nums:
+        assert f.den == 1
+
+
+cyc_terms = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1)),
+    cyc_coeff, max_size=5,
+)
+eval_points = st.sampled_from([CycScalar(2), CycScalar(0, 1), CycScalar(Fraction(-1, 3), 2)])
+
+
+@given(cyc_terms, cyc_terms, cyc_coeff, st.lists(cyc_terms, max_size=4))
+def test_matches_per_term_reference(a, b, s, more):
+    f, g, rf, rg = RingElem(a), RingElem(b), PerTermElem(a), PerTermElem(b)
+    items = [RingElem(t) for t in more] + [f, -g, g]
+    ref_items = [PerTermElem(t) for t in more] + [rf, -rg, rg]
+    cases = [
+        (f, rf),
+        (f * g, rf * rg),
+        (f * f.conjugate(), rf * rf.conjugate()),
+        (f + g, rf + rg),
+        (f - g, rf - rg),
+        (f - f, rf - rf),
+        (-f, -rf),
+        (f * s, rf * s),
+        (f * Fraction(3, 4), rf * CycScalar(Fraction(3, 4))),
+        (f.conjugate(), rf.conjugate()),
+        (f.derive(), rf.derive()),
+        (RingElem.sum(items), PerTermElem.sum(ref_items)),
+    ]
+    for new, ref in cases:
+        assert_canonical(new)
+        assert new.terms == ref.terms
+    assert f.to_a2_form().terms == rf.to_a2_form()
+
+
+@given(cyc_terms, eval_points, eval_points, eval_points)
+def test_eval_at_matches_per_term_reference(a, lv, xv, cv):
+    assert RingElem(a).eval_at(lv, xv, cv) == PerTermElem(a).eval_at(lv, xv, cv)
+
+
+@given(cyc_terms)
+def test_other_results_are_canonical(a):
+    f = RingElem(a)
+    for result in (f.d_da2(), f.x_coefficient(1), f / RingElem.monomial(CycScalar(2, 1), l=1),
+                   f / CycScalar(0, 3), RingElem.from_json(f.to_json()), f**2):
+        assert_canonical(result)
+
+
+def test_routes_with_different_denominators_compare_equal():
+    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 0, 0): CycScalar(0, Fraction(1, 4))})
+    g = RingElem({(0, 1, 0): Fraction(3, 10), (1, 0, 0): 5})
+    h = RingElem({(0, 0, 1): CycScalar(Fraction(2, 9), Fraction(1, 9)), (-1, 0, 0): 7})
+    left, right = f * g, g * h
+    assert left.den != right.den
+    assert (f * g) * h == f * (g * h)
+    assert_canonical((f * g) * h)
+    # sums reduced over different lcms
+    assert RingElem.sum([f, g, h]) == (h + g) + f == f + (g + h)
+    # the same value built from scaled numerators
+    half = RingElem({(2, 0, 0): CycScalar(Fraction(1, 2), Fraction(1, 2))})
+    twice = RingElem({(2, 0, 0): CycScalar(Fraction(3, 2), Fraction(3, 2))}) * Fraction(1, 3)
+    assert half == twice and (half.den, half.nums) == (2, {(2, 0, 0): (1, 1)})
+    assert f - f == RingElem.zero() and (f - f).den == 1
+
+
+def test_terms_is_a_read_only_view():
+    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 2, -1): CycScalar(Fraction(-1, 4), 1)})
+    terms = f.terms
+    plain = {(0, 0, 0): CycScalar(Fraction(1, 6)), (1, 2, -1): CycScalar(Fraction(-1, 4), 1)}
+    assert len(terms) == 2
+    assert terms == plain and plain == terms
+    assert terms != {(0, 0, 0): CycScalar(Fraction(1, 6))}
+    assert terms[(1, 2, -1)] == CycScalar(Fraction(-1, 4), 1)
+    assert (1, 2, -1) in terms and (0, 0, 1) not in terms
+    assert set(terms) == set(plain)
+    assert dict(terms.items()) == plain
+    assert sorted(terms.values(), key=repr) == sorted(plain.values(), key=repr)
+    with pytest.raises(TypeError):
+        terms[(0, 0, 0)] = CycScalar(1)
+    with pytest.raises(TypeError):
+        del terms[(0, 0, 0)]
+    assert RingElem(terms) == f
+    assert RingElem.zero().terms == {}
