@@ -6,12 +6,18 @@ assembled exactly and the difference must vanish as a ring element,
 never just as a truncated q-series.  The left side is weighted by c^2
 so that it becomes the derivative with respect to the propagator-like
 generator taken at fixed normalization.
+
+The three identities share one right side: verify_ttt is verify_ss56
+with no markings, and verify_lift checks its T-derivative terms against
+hyperplane insertions.  _split_dT and _second_dT hold the genus-0/1
+conventions of those terms.  Each identity assembles a total once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .lring import RingElem
@@ -82,96 +88,51 @@ def pointed_total(ctx: Context, g: int, a: int, b: int, c_count: int,
     return correlator(ctx, g, insertions)
 
 
-def _split_dT(ctx: Context, g: int, a: int, b: int, c_count: int) -> RingElem:
+def _totals(ctx: Context):
+    """pointed_total for one identity: each distinct total is assembled once,
+    however many terms use it, and is dropped with the identity."""
+    return cache(lambda g, a, b, c_count, delta=0: pointed_total(ctx, g, a, b, c_count, delta))
+
+
+def _split_dT(total, g: int, a: int, b: int, c_count: int) -> RingElem:
     """T-derivative of one splitting factor, with the unstable cases
     replaced by their fixed conventions: genus 0 with two markings
     becomes a three-point total with an extra hyperplane, genus 1 with
     no markings uses the closed form."""
     n = a + b + c_count
     if g == 0 and n == 2:
-        return pointed_total(ctx, 0, a, b + 1, c_count)
+        return total(0, a, b + 1, c_count)
     if g == 1 and n == 0:
         return genus_one_inputs()[0]
-    return pointed_total(ctx, g, a, b, c_count).d_dT()
+    return total(g, a, b, c_count).d_dT()
 
 
-def _second_dT(ctx: Context, g: int, a: int, b: int, c_count: int) -> RingElem:
+def _second_dT(total, g: int, a: int, b: int, c_count: int) -> RingElem:
     """Second T-derivative of the genus-(g) pointed total, with the
     unstable replacements: two extra hyperplane insertions in genus 0,
     the closed form in unpointed genus 1."""
     n = a + b + c_count
     if g == 0 and n in (1, 2):
-        return pointed_total(ctx, 0, a, b + 2, c_count)
+        return total(0, a, b + 2, c_count)
     if g == 1 and n == 0:
         return genus_one_inputs()[1]
     if g == 0 and n == 0:
         raise ValueError("no convention for an unpointed genus-0 total")
-    first = pointed_total(ctx, g, a, b, c_count).d_dT()
-    return first.d_dT()
+    return total(g, a, b, c_count).d_dT().d_dT()
 
 
-def verify_ttt(ctx: Context, g: int = 2,
-               negative_control: bool = False) -> HAEReport:
-    """Unpointed anomaly identity at genus g.
-
-    With negative_control the halving factor on the right side is
-    replaced by 1, which must break the identity.
-    """
-    if g < 2:
-        raise ValueError("the unpointed identity starts at genus 2")
-    d_f1, d2_f1 = genus_one_inputs()
-    total = correlator(ctx, g, ())
-    lhs = RingElem.c(2) * total.d_da2()
-
-    def d_t(i: int) -> RingElem:
-        if i == 1:
-            return d_f1
-        return correlator(ctx, i, ()).d_dT()
-
-    split = RingElem.zero()
-    for i in range(1, g):
-        split = split + d_t(g - i) * d_t(i)
-    second = d2_f1 if g - 1 == 1 else correlator(ctx, g - 1, ()).d_dT().d_dT()
-    half = Fraction(1) if negative_control else Fraction(1, 2)
-    rhs = split.scale(half) + second.scale(half)
-    return _report(g, lhs, rhs)
-
-
-def verify_lift(ctx: Context, g: int, two_point: bool = False) -> HAEReport:
-    """Pointed lift of the T-derivatives.
-
-    The one-point form checks that a single hyperplane insertion agrees
-    with d_dT of the unpointed total at genus g.  The two-point form
-    checks two hyperplane insertions at genus g-1 against the second
-    T-derivative there, so it needs g >= 2.
-    """
-    d_f1, d2_f1 = genus_one_inputs()
-    if two_point:
-        if g < 2:
-            raise ValueError(f"the two-point lift needs genus at least 2, got {g}")
-        h = g - 1
-        lhs = correlator(ctx, h, ("H1", "H1"))
-        rhs = d2_f1 if h == 1 else correlator(ctx, h, ()).d_dT().d_dT()
-        return _report(h, lhs, rhs)
-    lhs = correlator(ctx, g, ("H1",))
-    rhs = d_f1 if g == 1 else correlator(ctx, g, ()).d_dT()
-    return _report(g, lhs, rhs)
-
-
-def verify_ss56(ctx: Context, g: int, a: int, b: int,
-                c_count: int) -> HAEReport:
-    """Pointed anomaly identity with the descendent correction.
+def _pointed_identity(ctx: Context, g: int, a: int, b: int, c_count: int,
+                      half: Fraction) -> HAEReport:
+    """The pointed anomaly identity.
 
     The right side sums ordered genus splittings weighted by binomial
-    distribution counts of the markings, adds half the second
-    T-derivative one genus down, and subtracts a third of c_count times
+    distribution counts of the markings, adds the second T-derivative one
+    genus down, both times half, and subtracts a third of c_count times
     the total with one square insertion traded for a descendent.
-    A negative count raises ValueError, from pointed_total, before any
-    assembly.
     """
+    total = _totals(ctx)
     n = a + b + c_count
-    total = pointed_total(ctx, g, a, b, c_count)
-    lhs = RingElem.c(2) * total.d_da2()
+    lhs = RingElem.c(2) * total(g, a, b, c_count).d_da2()
 
     split = RingElem.zero()
     for g1 in range(0, g + 1):
@@ -184,13 +145,54 @@ def verify_ss56(ctx: Context, g: int, a: int, b: int,
                     if 2 * g1 - 2 + n1 < 0 or 2 * g2 - 2 + n2 < 0:
                         continue
                     weight = comb(a, a1) * comb(b, b1) * comb(c_count, c1)
-                    term = (_split_dT(ctx, g1, a1, b1, c1)
-                            * _split_dT(ctx, g2, a - a1, b - b1, c_count - c1))
+                    term = (_split_dT(total, g1, a1, b1, c1)
+                            * _split_dT(total, g2, a - a1, b - b1, c_count - c1))
                     split = split + term.scale(weight)
-    rhs = split.scale(Fraction(1, 2))
+    rhs = split.scale(half)
     if g >= 1:
-        rhs = rhs + _second_dT(ctx, g - 1, a, b, c_count).scale(Fraction(1, 2))
+        rhs = rhs + _second_dT(total, g - 1, a, b, c_count).scale(half)
     if c_count >= 1:
-        desc = pointed_total(ctx, g, a, b, c_count - 1, delta=1)
+        desc = total(g, a, b, c_count - 1, delta=1)
         rhs = rhs - desc.scale(Fraction(c_count, 3))
     return _report(g, lhs, rhs)
+
+
+def verify_ttt(ctx: Context, g: int = 2,
+               negative_control: bool = False) -> HAEReport:
+    """Unpointed anomaly identity at genus g: the pointed identity with no
+    markings.
+
+    With negative_control the halving factor on the right side is
+    replaced by 1, which must break the identity.
+    """
+    if g < 2:
+        raise ValueError("the unpointed identity starts at genus 2")
+    half = Fraction(1) if negative_control else Fraction(1, 2)
+    return _pointed_identity(ctx, g, 0, 0, 0, half)
+
+
+def verify_lift(ctx: Context, g: int, two_point: bool = False) -> HAEReport:
+    """Pointed lift of the T-derivatives.
+
+    The one-point form checks that a single hyperplane insertion agrees
+    with d_dT of the unpointed total at genus g.  The two-point form
+    checks two hyperplane insertions at genus g-1 against the second
+    T-derivative there, so it needs g >= 2.
+    """
+    total = _totals(ctx)
+    if two_point:
+        if g < 2:
+            raise ValueError(f"the two-point lift needs genus at least 2, got {g}")
+        h = g - 1
+        return _report(h, total(h, 0, 2, 0), _second_dT(total, h, 0, 0, 0))
+    return _report(g, total(g, 0, 1, 0), _split_dT(total, g, 0, 0, 0))
+
+
+def verify_ss56(ctx: Context, g: int, a: int, b: int,
+                c_count: int) -> HAEReport:
+    """Pointed anomaly identity with the descendent correction.
+
+    A negative count raises ValueError, from pointed_total, before any
+    assembly.
+    """
+    return _pointed_identity(ctx, g, a, b, c_count, Fraction(1, 2))

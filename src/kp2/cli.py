@@ -25,7 +25,7 @@ from .localization import (
     per_graph_contributions,
 )
 from .lring import RingElem, verify_drule
-from .mgn import hodge_psi_integral, psi_integral
+from .mgn import hodge_psi_integral
 from .mirror import mirror_data, verify_pf
 from .rseries import check_rows, extract_R_rows, verify_lemma_R
 from .scalars import ConsistencyError
@@ -36,11 +36,18 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    """The comma-separated integers of option's value text (empty text: none)."""
+    if not text.strip():
         return ()
-    return tuple(int(part) for part in text.split(","))
+    items = []
+    for part in text.split(","):
+        try:
+            items.append(int(part))
+        except ValueError:
+            kind = "non-integer" if part.strip() else "empty"
+            raise ValueError(f"{kind} item in {option} {text!r}") from None
+    return tuple(items)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,12 +253,9 @@ def _cmd_mirror(args):
 
 
 def _cmd_mgn(args):
-    exps = _int_list(args.psi)
-    lam = _int_list(args.lam)
-    if lam:
-        value = hodge_psi_integral(args.g, exps, lam)
-    else:
-        value = psi_integral(args.g, exps)
+    exps = _int_list(args.psi, "--psi")
+    lam = _int_list(args.lam, "--lambda")
+    value = hodge_psi_integral(args.g, exps, lam)
     payload = {
         "command": "mgn",
         "g": args.g,

@@ -24,9 +24,11 @@ lost.  With both in place, only the relabelings within blocks of equal
 genus keep the genera, and a candidate is canonical exactly when none of
 them gives a smaller (edges, legs); the test stops at the first smaller
 key.  A relabeling that gives an equal key fixes the genera, the edge
-multiset and every leg, so it is a vertex automorphism: the number of
-equal keys times the flag factor (parallel-edge permutations and loop
-flips) is the automorphism order.
+multiset and every leg, so it is a vertex automorphism.  These
+permutations are kept on the graph as its automorphism group; their
+number times the flag factor (parallel-edge permutations and loop flips)
+is the automorphism order, and the decoration orbits and relabeling
+classes below are orbits under that group.
 
 Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the insertions,
 counting H0 as -1, H1 as 0, H2 as 1 and psiH as 1.  Every factor is a
@@ -114,6 +116,8 @@ class StableGraph:
     while undecorated), edges a sorted tuple of vertex pairs (u <= v, loops
     allowed), legs the marking-to-vertex map, tags the insertion per marking.
     aut_order counts decoration-preserving automorphisms at flag level.
+    automorphisms holds the vertex permutations fixing the genera, edges
+    and legs, as enumerate_graphs finds them (undecorated, also on a copy).
     """
 
     genera: tuple
@@ -122,6 +126,7 @@ class StableGraph:
     legs: tuple
     tags: tuple
     aut_order: int
+    automorphisms: tuple
 
     def genus(self) -> int:
         return sum(self.genera) + len(self.edges) - len(self.genera) + 1
@@ -141,22 +146,6 @@ class StableGraph:
         l = ";".join(f"{v}:{t}" for v, t in zip(self.legs, self.tags))
         h = ",".join(map(str, self.genera))
         return f"h=[{h}] p=[{dec}] e=[{e}] legs=[{l}]"
-
-
-def _valid_perms(genera, edges, legs):
-    """Vertex permutations preserving genera, the edge multiset and every leg."""
-    nv = len(genera)
-    edge_key = tuple(sorted(edges))
-    out = []
-    for sigma in permutations(range(nv)):
-        if any(genera[v] != genera[sigma[v]] for v in range(nv)):
-            continue
-        if any(sigma[v] != v for v in legs):
-            continue
-        if _mapped_edges(sigma, edges) != edge_key:
-            continue
-        out.append(sigma)
-    return out
 
 
 def _mapped_edges(sigma, edges) -> tuple:
@@ -310,12 +299,13 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
                         val[v] += 1
                     if min(val) <= 0:
                         continue
-                    fixing = 0
+                    group = []
                     for sigma in stabilizer:
                         mapped = tuple(sigma[v] for v in legs)
                         if mapped < legs:
                             break
-                        fixing += mapped == legs
+                        if mapped == legs:
+                            group.append(sigma)
                     else:
                         out.append(StableGraph(
                             genera=genera,
@@ -323,26 +313,25 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
                             edges=edges,
                             legs=legs,
                             tags=tags,
-                            aut_order=fixing * flag,
+                            aut_order=len(group) * flag,
+                            automorphisms=tuple(group),
                         ))
     out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
     return out
 
 
-def decoration_orbits(graph: StableGraph, sigmas=None) -> list[tuple[tuple, int]]:
+def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
     """Orbit representatives of fixed-point labelings, with decorated aut order.
 
-    Summing representatives weighted by 1/aut_dec equals summing all 3^V
-    labelings weighted by 1/aut_undecorated.  sigmas are the graph's vertex
-    automorphisms, computed here when not given.
+    The orbits are those of the graph's automorphism group; summing
+    representatives weighted by 1/aut_dec equals summing all 3^V labelings
+    weighted by 1/aut_undecorated.
     """
     nv = len(graph.genera)
-    if sigmas is None:
-        sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
     flag = _flag_factor(graph.edges)
     reps: dict = {}
     for p in product(range(3), repeat=nv):
-        images = _aut_images(p, sigmas)
+        images = _aut_images(p, graph.automorphisms)
         key = min(images)
         if key not in reps:
             stab = sum(1 for im in images if im == key)
@@ -420,7 +409,7 @@ def _partitions(total: int):
     yield from rec(total, total)
 
 
-def vertex_contribution(ctx: Context, h: int, i: int, a_values, gamma_override=None) -> RingElem:
+def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
     """The localized vertex series coefficient for flag values a_values.
 
     Finite sum over extra insertions j >= 2 whose shifted exponents fill the
@@ -429,17 +418,15 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values, gamma_override=N
     """
     a_values = tuple(sorted(a_values))
     key = (h, i, a_values)
-    if gamma_override is None:
-        hit = ctx._vertex_memo.get(key)
-        if hit is not None:
-            return hit
+    hit = ctx._vertex_memo.get(key)
+    if hit is not None:
+        return hit
     n = len(a_values)
     exps = tuple(a - 1 for a in a_values)
     budget = 3 * h - 3 + n - sum(exps)
-    expansion = gamma_override if gamma_override is not None else ctx.vertex_class(i, h)
     terms = []
     rows0 = ctx.rows[0]
-    for lam, coeff in expansion.items():
+    for lam, coeff in ctx.vertex_class(i, h).items():
         rem = budget - sum(lam)
         if rem < 0:
             continue
@@ -469,8 +456,7 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values, gamma_override=N
         raise ConsistencyError("vertex contribution acquired an X-dependence")
     if not total.c_degrees() <= {0}:
         raise ConsistencyError("vertex contribution acquired a c-dependence")
-    if gamma_override is None:
-        ctx._vertex_memo[key] = total
+    ctx._vertex_memo[key] = total
     return total
 
 
@@ -694,14 +680,14 @@ def _aut_images(labels, sigmas) -> list[tuple]:
 _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
-def _orbit_values(ctx: Context, graph: StableGraph, orbits, sigmas, delta: int,
+def _orbit_values(ctx: Context, graph: StableGraph, orbits, delta: int,
                   budget_extra: int) -> dict:
     """graph_contribution of every decoration orbit, one evaluation per class.
 
     Relabeling p -> eps * p + s multiplies a value by zeta^(s * delta) and
     conjugates it when eps = -1 (see the module docstring), and maps each
-    Aut-orbit, under the vertex automorphisms sigmas, onto an orbit with the
-    same decorated automorphism order.
+    orbit under the graph's automorphisms onto an orbit with the same
+    decorated automorphism order.
     """
     values: dict = {}
     for labels, aut in orbits:
@@ -711,7 +697,7 @@ def _orbit_values(ctx: Context, graph: StableGraph, orbits, sigmas, delta: int,
         value = graph_contribution(ctx, decorated, budget_extra)
         swapped = value.conjugate()
         for s, eps in _RELABELINGS:
-            image = min(_aut_images([(eps * p + s) % 3 for p in labels], sigmas))
+            image = min(_aut_images([(eps * p + s) % 3 for p in labels], graph.automorphisms))
             if image in values:
                 continue
             moved = swapped if eps < 0 else value
@@ -733,9 +719,8 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
     delta = weight_degree(tags)
     out = []
     for gr in graphs:
-        sigmas = _valid_perms(gr.genera, gr.edges, gr.legs)
-        orbits = decoration_orbits(gr, sigmas)
-        values = _orbit_values(ctx, gr, orbits, sigmas, delta, budget_extra)
+        orbits = decoration_orbits(gr)
+        values = _orbit_values(ctx, gr, orbits, delta, budget_extra)
         detail = [(labels, aut, values[labels]) for labels, aut in orbits]
         value = RingElem.sum(res for _, _, res in detail)
         out.append(Contribution(graph=gr, value=value, per_decoration=detail))

@@ -119,16 +119,12 @@ def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
 
 
 def psi_integral(g: int, exps) -> Fraction:
-    """Integral of psi_1^{a_1}...psi_n^{a_n} over the genus-g stable space.
+    """Integral of psi_1^{a_1}...psi_n^{a_n} over the genus-g stable space,
+    the Hodge integral with no lambda class.
 
     Zero on dimension mismatch; unstable (g, n) is an error.
     """
-    exps = tuple(int(a) for a in exps)
-    if any(a < 0 for a in exps):
-        raise ValueError("negative cotangent exponent")
-    if g < 0 or 2 * g - 2 + len(exps) <= 0:
-        raise ValueError(f"unstable pair (g={g}, n={len(exps)})")
-    return _psi(g, exps)
+    return hodge_psi_integral(g, exps, ())
 
 
 def _mumford_coeff(k: int) -> Fraction:
@@ -224,7 +220,9 @@ def hodge_psi_integral(g: int, exps, lam) -> Fraction:
     """
     exps = tuple(int(a) for a in exps)
     lam = tuple(sorted(int(m) for m in lam))
-    if any(a < 0 for a in exps) or any(m < 1 for m in lam):
+    if any(a < 0 for a in exps):
+        raise ValueError("negative cotangent exponent")
+    if any(m < 1 for m in lam):
         raise ValueError("malformed monomial")
     if g < 0 or 2 * g - 2 + len(exps) <= 0:
         raise ValueError(f"unstable pair (g={g}, n={len(exps)})")

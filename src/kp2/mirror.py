@@ -197,6 +197,8 @@ class MirrorData:
 
 def mirror_data(qmax: int) -> MirrorData:
     """Build and cross-check the full mirror package at truncation qmax."""
+    if qmax < 0:
+        raise ValueError(f"qmax must be non-negative, got {qmax}")
     c0, c1, c2 = birkhoff_normalizations(qmax)
     t_minus_logq, qofq = mirror_map(qmax)
     if t_minus_logq.d_logq() + QSeries.one(qmax) != c1:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kp2 import anomaly
 from kp2.anomaly import (
     genus_one_inputs,
     pointed_total,
@@ -144,3 +145,23 @@ def test_insertion_grading(ctx1):
             shifted = total.d_dT()
             if not shifted.is_zero():
                 assert shifted.c_degrees() == {expected + 1}
+
+
+@pytest.mark.parametrize("identity, calls", [
+    (lambda ctx: verify_ss56(ctx, 1, 0, 0, 3), 5),
+    (lambda ctx: verify_ttt(ctx, 3), 2),
+    (lambda ctx: verify_lift(ctx, 2), 2),
+], ids=["ss56-g1-c3", "ttt-g3", "lift-g2"])
+def test_one_evaluation_per_total(identity, calls, ctx2, monkeypatch):
+    # the ordered split sum and the second T-derivative share totals; each
+    # distinct (genus, insertions) must be assembled once per identity
+    seen = []
+    real = anomaly.correlator
+
+    def counting(ctx, g, insertions):
+        seen.append((g, tuple(insertions)))
+        return real(ctx, g, insertions)
+
+    monkeypatch.setattr(anomaly, "correlator", counting)
+    assert identity(ctx2).passed
+    assert len(seen) == len(set(seen)) == calls

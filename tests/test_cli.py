@@ -46,6 +46,10 @@ def test_mgn_command(capsys):
     code, payload = run_json(["mgn", "--g", "1", "--psi", "1"], capsys)
     assert code == cli.EXIT_OK
     assert payload["value"] == "1/24"
+    # with no --lambda the Hodge integral is the psi integral <tau_1 tau_4>_2
+    code, payload = run_json(["mgn", "--g", "2", "--psi", "1,4"], capsys)
+    assert code == cli.EXIT_OK
+    assert payload["value"] == "1/384"
     code, payload = run_json(
         ["mgn", "--g", "2", "--psi", "1", "--lambda", "1,1,1"], capsys
     )
@@ -64,6 +68,26 @@ def test_mgn_usage_errors(capsys):
     code, payload = run_json(["mgn", "--g", "3", "--lambda", "2,2,2"], capsys)
     assert code == cli.EXIT_OK
     assert payload["value"] == "1/725760"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--psi", ",1"], "empty item in --psi ',1'"),
+        (["--psi", "1,"], "empty item in --psi '1,'"),
+        (["--psi", "x"], "non-integer item in --psi 'x'"),
+        (["--psi", "1", "--lambda", "1,,1"], "empty item in --lambda '1,,1'"),
+        (["--psi", "1", "--lambda", "1.5"], "non-integer item in --lambda '1.5'"),
+        (["--psi", "2,-1"], "negative cotangent exponent"),
+    ],
+    ids=["psi-leading-comma", "psi-trailing-comma", "psi-word", "lambda-doubled-comma",
+         "lambda-fraction", "psi-negative"],
+)
+def test_mgn_bad_items_are_usage_errors(argv, message, capsys):
+    code, out, err = run(["mgn", "--g", "2", *argv], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_mirror_payload(capsys):
@@ -250,14 +274,20 @@ def test_verify_ss56_cli_non_vacuous(capsys):
         ["graphs", "--genus", "-1", "--legs", "5"],
         ["verify", "pf", "--qmax", "-1"],
         ["verify", "pf", "--qmax", "2", "--zmax", "-3"],
+        ["mirror", "--qmax", "-1"],
+        ["mirror", "--qmax", "-3"],
+        ["verify", "lemmaR", "--qmax", "-1"],
     ],
-    ids=["rseries-kmax", "graphs-genus", "pf-qmax", "pf-zmax"],
+    ids=["rseries-kmax", "graphs-genus", "pf-qmax", "pf-zmax",
+         "mirror-qmax", "mirror-qmax-3", "lemmaR-qmax"],
 )
 def test_bad_sizes_are_usage_errors(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if argv[0] == "mirror" or "lemmaR" in argv:
+        assert err == f"error: qmax must be non-negative, got {argv[-1]}\n"
 
 
 def test_unexpected_error_exit(capsys, monkeypatch):

@@ -10,8 +10,8 @@ from kp2 import localization
 from kp2.localization import (
     _connected,
     _flag_factor,
+    _mapped_edges,
     _p_coefficient,
-    _valid_perms,
     build_context,
     correlator,
     decoration_orbits,
@@ -119,6 +119,31 @@ def test_tag_normalization():
         enumerate_graphs(0, ("H3", "H0", "H0"))
 
 
+def _valid_perms(genera, edges, legs):
+    """Vertex permutations preserving genera, the edge multiset and every leg,
+    found by a pass over all nv! permutations."""
+    nv = len(genera)
+    edge_key = tuple(sorted(edges))
+    out = []
+    for sigma in permutations(range(nv)):
+        if any(genera[v] != genera[sigma[v]] for v in range(nv)):
+            continue
+        if any(sigma[v] != v for v in legs):
+            continue
+        if _mapped_edges(sigma, edges) != edge_key:
+            continue
+        out.append(sigma)
+    return out
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (3, 0), (1, 3), (0, 5), (3, 1), (2, 3)])
+def test_automorphism_groups_match_brute_force(g, n):
+    for gr in enumerate_graphs(g, n):
+        group = _valid_perms(gr.genera, gr.edges, gr.legs)
+        assert sorted(gr.automorphisms) == group, gr.signature()
+        assert gr.aut_order == len(group) * _flag_factor(gr.edges)
+
+
 def reference_key(genera, edges, legs):
     """The smallest (genera, edges, legs) over every vertex permutation."""
     nv = len(genera)
@@ -156,9 +181,8 @@ def brute_census(g, n):
                         continue
                     key = reference_key(genera, edges, legs)
                     if key not in found:
-                        aut = len(_valid_perms(*key)) * _flag_factor(key[1])
-                        found[key] = aut
-    return [(localization.StableGraph(h, None, e, l, ("H0",) * n, aut).signature(), aut)
+                        found[key] = len(_valid_perms(*key)) * _flag_factor(key[1])
+    return [(localization.StableGraph(h, None, e, l, ("H0",) * n, aut, ()).signature(), aut)
             for (h, e, l), aut in sorted(found.items())]
 
 
@@ -353,17 +377,13 @@ def test_vertex_rank_zero(ctx1):
 
 
 def test_vertex_genus_one_closed_form(ctx1):
-    # the two lambda-monomials that survive the dimension bound
+    # the two lambda-monomials that survive the dimension bound: the empty
+    # one with one extra insertion, and lambda_1
     for i in range(3):
-        hook = vertex_contribution(ctx1, 1, i, (1,), gamma_override={(): CycScalar(1)})
-        expected_hook = ctx1.rows[0][1] * RingElem.const(
-            CycScalar(F(1, 24)) * weight_pow(i, -1)
-        )
-        assert hook == expected_hook
         full = vertex_contribution(ctx1, 1, i, (1,))
-        assert full == expected_hook + RingElem.const(
-            CycScalar(F(-1, 36)) * weight_pow(i, 2)
-        )
+        assert full == ctx1.rows[0][1] * RingElem.const(
+            CycScalar(F(1, 24)) * weight_pow(i, -1)
+        ) + RingElem.const(CycScalar(F(-1, 36)) * weight_pow(i, 2))
 
 
 def test_vertex_genus_three(ctx1):
@@ -429,9 +449,9 @@ class _NoMemo(dict):
 
 def _class_representatives(graph):
     """One decoration orbit per relabeling class, as per_graph_contributions evaluates."""
-    sigmas = _valid_perms(graph.genera, graph.edges, graph.legs)
+    sigmas = graph.automorphisms
     seen = set()
-    for labels, aut in decoration_orbits(graph, sigmas):
+    for labels, aut in decoration_orbits(graph):
         if labels not in seen:
             seen.update(min(localization._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
                         for s, eps in localization._RELABELINGS)
@@ -468,10 +488,10 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
 def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
     real = localization.vertex_contribution
 
-    def broken(ctx, h, i, a_values, gamma_override=None):
+    def broken(ctx, h, i, a_values):
         if h == 1 and i == 2:
             raise ConsistencyError("injected vertex failure")
-        return real(ctx, h, i, a_values, gamma_override)
+        return real(ctx, h, i, a_values)
 
     monkeypatch.setattr(localization, "vertex_contribution", broken)
     ctx = build_context()

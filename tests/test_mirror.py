@@ -106,5 +106,5 @@ def test_leading_pole_coefficient():
 
 
 def test_mirror_data_requires_positive_truncation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qmax must be non-negative, got -1"):
         mirror_data(-1)
