@@ -19,15 +19,15 @@ import sys
 from .anomaly import verify_lift, verify_ss56, verify_ttt
 from .localization import (
     build_context,
+    checked_total,
     correlator,
     enumerate_graphs,
     normalize_tag,
     per_graph_contributions,
 )
-from .lring import RingElem, verify_drule
 from .mgn import hodge_psi_integral
-from .mirror import mirror_data, verify_pf
-from .rseries import check_rows, extract_R_rows, verify_lemma_R
+from .mirror import check_rows, mirror_data, verify_pf
+from .rseries import extract_R_rows, verify_lemma_R
 from .scalars import ConsistencyError
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def _cmd_fg(args):
         raise ValueError("fg needs --genus at least 2")
     ctx = build_context()
     contribs = per_graph_contributions(ctx, args.genus, ())
-    total = RingElem.sum(item.value for item in contribs)
+    total = checked_total(contribs, ())
     payload = {
         "command": "fg",
         "genus": args.genus,
@@ -323,7 +323,7 @@ def _cmd_verify_lemma_r(args):
     qmax = args.qmax if args.qmax is not None else max(12, 2 * kmax + 2)
     rows = extract_R_rows(kmax)
     mirror = mirror_data(qmax)
-    verify_drule(mirror)
+    mirror.verify_drule()
     relations = [
         {"name": name, "p": p, "zero": residual.is_zero()}
         for name, p, residual in verify_lemma_R(rows)

@@ -93,6 +93,7 @@ __all__ = [
     "graph_contribution",
     "per_graph_contributions",
     "correlator",
+    "checked_total",
     "normalize_tag",
     "weight_degree",
 ]
@@ -739,7 +740,12 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
     _check_request(g, len(tags))
     if weight_degree(tags):
         return RingElem.zero()
-    contributions = per_graph_contributions(ctx, g, tags)
+    return checked_total(per_graph_contributions(ctx, g, tags), tags)
+
+
+def checked_total(contributions, tags) -> RingElem:
+    """The sum of the per-graph values; it must be rational, and free of c
+    when there are no insertions."""
     total = RingElem.sum(item.value for item in contributions)
     for coeff in total.terms.values():
         if not coeff.is_rational():

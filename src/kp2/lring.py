@@ -7,9 +7,10 @@ with x >= 0.  The derivation D acts by
     D(X) = -X^2 + (L^3 - 1) X + (2/9)(L^3 - 1)
     D(c) = -c X
 
-and evaluation sends L, X, c to their q-expansions, under which D becomes
-q d/dq.  The alternate coordinate A2 = (3X + 1 - L^3/2)/L^3 is supported as a
-separate polynomial form for degree bookkeeping.
+and MirrorData.eval_q (kp2.mirror) sends L, X, c to their q-expansions,
+under which D becomes q d/dq.  The alternate coordinate
+A2 = (3X + 1 - L^3/2)/L^3 is supported as a separate polynomial form for
+degree bookkeeping.
 
 A RingElem keeps integer pairs over one denominator for all its terms (see
 its docstring); terms is a read-only view that yields CycScalars.
@@ -21,10 +22,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .scalars import ONE, ZERO, ConsistencyError, CycScalar, _make
-from .series import QSeries
+from .scalars import ONE, ZERO, CycScalar, _make
 
-__all__ = ["RingElem", "A2Form", "verify_drule"]
+__all__ = ["RingElem", "A2Form"]
 
 
 def _cyc(x) -> CycScalar:
@@ -273,18 +273,6 @@ class RingElem:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_q(self, mirror) -> QSeries:
-        """Substitute the q-expansions of L, X and c; D turns into q d/dq."""
-        out = QSeries.zero(mirror.qmax)
-        for (l, x, e), coeff in self.terms.items():
-            term = _gen_power(mirror, "L", l)
-            if x:
-                term = term * _gen_power(mirror, "X", x)
-            if e:
-                term = term * _gen_power(mirror, "c", e)
-            out = out + term * coeff
-        return out
-
     def eval_at(self, l_value, x_value, c_value=1) -> CycScalar:
         """Numeric evaluation at given values of L, X and c."""
         lv, xv, cv = _cyc(l_value), _cyc(x_value), _cyc(c_value)
@@ -462,36 +450,3 @@ class A2Form:
         for (l, a, e) in sorted(self.terms):
             out.append({"L": l, "A2": a, "c": e, "coeff": self.terms[(l, a, e)].to_json()})
         return out
-
-
-def _gen_power(mirror, name: str, k: int) -> QSeries:
-    cache = mirror._pow_cache
-    key = (name, k)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    base = {"L": mirror.L, "X": mirror.X, "c": mirror.c}[name]
-    if k >= 0:
-        value = base**k
-    else:
-        if name == "X":
-            raise ZeroDivisionError("X has no inverse as a q-series")
-        value = base.inverse() ** (-k)
-    cache[key] = value
-    return value
-
-
-def verify_drule(mirror) -> None:
-    """Check the X derivation rule both as a ring identity and on q-expansions."""
-    x = RingElem.X()
-    rule = (
-        -(x * x)
-        + (RingElem.L(3) - RingElem.one()) * x
-        + (RingElem.L(3) - RingElem.one()) * Fraction(2, 9)
-    )
-    if x.derive() != rule:
-        raise ConsistencyError("ring derivation of X disagrees with its defining rule")
-    lhs = mirror.X.d_logq()
-    rhs = rule.eval_q(mirror)
-    if lhs != rhs:
-        raise ConsistencyError("q-expansion of X does not satisfy the derivation rule")

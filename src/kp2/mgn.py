@@ -15,9 +15,7 @@ with psi^{2l}, and on a boundary divisor the other ch factors restrict to
 genus g - 1 or split over the two sides.  Two vanishings end the
 recursion early: ch_k(E) = 0 for k > 2g - 1, and a ch-monomial of degree
 above 3g - 3 (1 in genus 1) is zero, because E is pulled back from a space
-of that dimension.  A one-step removal through the third Chern character
-is kept as an independent route for cross-checking, never called by the
-reduction itself.
+of that dimension.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .scalars import CycScalar, euler_at, weight
 __all__ = [
     "psi_integral",
     "hodge_psi_integral",
-    "hodge_second_route",
     "HodgeVertexClass",
     "expand_vertex_class",
 ]
@@ -229,36 +226,6 @@ def hodge_psi_integral(g: int, exps, lam) -> Fraction:
     if any(m > g for m in lam):
         return Fraction(0)  # lambda_m vanishes above the rank g
     return sum(c * _ch(g, exps, ks) for ks, c in _lambda_in_ch(lam).items())
-
-
-def hodge_second_route(g: int, exps, lam) -> Fraction:
-    """Independent evaluation path for cross-checks; not used by the engine.
-
-    Genus 1 with a single lambda_1 at one marking uses the canonical
-    identification of the cotangent line with the Hodge line there.  Genus 2
-    monomials of total degree 3 go through the third-Chern-character boundary
-    formula in a single step, landing directly on cotangent integrals.
-    """
-    exps = tuple(int(a) for a in exps)
-    lam = tuple(sorted(int(m) for m in lam))
-    if g == 1 and lam == (1,) and len(exps) == 1:
-        return _psi(1, (exps[0] + 1,))
-    if g == 2 and lam in ((1, 1, 1), (1, 2)):
-        factor = Fraction(1) if lam == (1, 1, 1) else Fraction(1, 2)
-        total = _psi(2, exps + (4,))
-        for j, a in enumerate(exps):
-            total -= _psi(2, exps[:j] + exps[j + 1 :] + (a + 3,))
-        boundary = Fraction(0)
-        for a in range(3):
-            b = 2 - a
-            sign = -1 if a % 2 else 1
-            boundary += sign * _psi(1, exps + (a, b))
-            for h in range(3):
-                for left, right, m in _splits(exps):
-                    boundary += sign * m * _psi(h, left + (a,)) * _psi(2 - h, right + (b,))
-        total += boundary / 2
-        return factor * total / 60
-    raise ValueError("second route covers only its cross-check cases")
 
 
 @dataclass

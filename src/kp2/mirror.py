@@ -1,11 +1,24 @@
-"""Fixed-point restrictions of the hypergeometric solution, their differential
-equation check, the Birkhoff normalization chain and the mirror map.
+"""Every q-expansion in kp2: the fixed-point restrictions of the hypergeometric
+solution, the checks made on them, and the q-series of L, X and c.
 
 Everything here is derived from one exact object per fixed point: the
-per-q-degree rational function of z built by build_ibar.  The z -> 0 frame
-feeds the asymptotics module; the z -> infinity (u = 1/z) frame produces the
-normalization constants by repeated application of M = w_i + z D and division
-by the constant row.
+per-q-degree rational function of z built by build_ibar.
+
+* verify_pf applies the degree-3 differential operator to the z -> 0 frame.
+* birkhoff_normalizations runs the z -> infinity (u = 1/z) frame through
+  M = w_i + z D and division by the constant row, reads C1, C2 and C0, and
+  checks C0 = C1 and C0 C1 C2 (1 + 27q) = 1.
+* mirror_data adds the mirror map and L, X, c, and makes the one
+  closed-form check of C1: C1 = 1 + D(T - log q).
+* MirrorData.eval_q sends ring elements to q-series; verify_drule checks
+  the derivation of X on them.
+* expand_rows expands the normalized rows at z -> 0.  The exponent mu comes
+  from 1 + D mu = L, and the check that can fail is that exp(-mu w_i / z)
+  clears every pole; check_rows compares the rows with the ring rows of
+  kp2.rseries.
+
+The ring and graph-sum modules never import this one; it serves the
+mirror, verify pf and verify lemmaR commands.
 """
 
 from __future__ import annotations
@@ -13,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, ConsistencyError, CycScalar, weight
+from .lring import RingElem
+from .scalars import ONE, ConsistencyError, CycScalar, weight, weight_pow
 from .series import QSeries, QZSeries, RatFunZ, qs_exp, qs_log
 
 __all__ = [
@@ -25,7 +39,8 @@ __all__ = [
     "birkhoff_normalizations",
     "mirror_map",
     "mirror_data",
-    "c1_closed_form",
+    "expand_rows",
+    "check_rows",
 ]
 
 
@@ -108,23 +123,12 @@ def verify_pf(i: int, qmax: int, zmax: int, include_correction: bool = True) -> 
     m3f = apply_m(m2f, w)
     residual = m3f - f.scale(w**3)
     if include_correction:
-        h1 = mf.scale(3) + f.mul_z_power(1).scale(2)
-        h2 = apply_m(h1, w).scale(3) + h1.mul_z_power(1)
+        z = QZSeries.lift(QSeries.one(qmax), zcap, 1)
+        h1 = mf.scale(3) + (f * z).scale(2)
+        h2 = apply_m(h1, w).scale(3) + h1 * z
         h3 = apply_m(h2, w)
-        residual = residual + h3.shift_q(1, CycScalar(3))
+        residual = residual + h3 * QZSeries.lift(QSeries([0, 3], qmax), zcap)
     return residual
-
-
-def c1_closed_form(qmax: int) -> QSeries:
-    """1 + 3 sum_d d (-1)^d (3d-1)!/(d!)^3 q^d."""
-    import math
-
-    coeffs = [Fraction(1)]
-    for d in range(1, qmax + 1):
-        coeffs.append(
-            Fraction(3 * d * (-1) ** d * math.factorial(3 * d - 1), math.factorial(d) ** 3)
-        )
-    return QSeries(coeffs, qmax)
 
 
 def birkhoff_normalizations(qmax: int, i: int = 0) -> tuple[QSeries, QSeries, QSeries]:
@@ -132,30 +136,19 @@ def birkhoff_normalizations(qmax: int, i: int = 0) -> tuple[QSeries, QSeries, QS
 
     C1 is the u^0 row of M applied to the restriction, C2 the u^0 row after
     normalizing and applying M again, C0 after one more round.  The function
-    asserts the limit-based C1, the closed form, C0 = C1 and the product
-    relation C0 C1 C2 (1 + 27q) = 1; any failure is fatal.
+    asserts C0 = C1 and the product relation C0 C1 C2 (1 + 27q) = 1; any
+    failure is fatal.  A wrong u-entry that the chain reads breaks C0 = C1.
     """
     w = weight(i)
-    ratfun = build_ibar(i, qmax)
-    ucap = qmax + 3
-    ibar_u = ratfun.expand_at_infinity(ucap)
+    ibar_u = build_ibar(i, qmax).expand_at_infinity(qmax + 3)
 
     m1 = apply_m_u(ibar_u, w)
     c1 = m1.z_coefficient(0).truncate(qmax)
-    sbar_h = m1.div_qseries(c1)
-    m2 = apply_m_u(sbar_h, w)
+    m2 = apply_m_u(m1 * QZSeries.lift(c1.inverse(), m1.zcap), w)
     c2 = m2.z_coefficient(0).truncate(qmax)
-    sbar_h2 = m2.div_qseries(c2)
-    m3 = apply_m_u(sbar_h2, w)
+    m3 = apply_m_u(m2 * QZSeries.lift(c2.inverse(), m2.zcap), w)
     c0 = m3.z_coefficient(0).truncate(qmax)
 
-    limit_c1 = ratfun.with_extra_numerator_factor(
-        lambda d: (w, CycScalar(d))
-    ).limit_at_infinity()
-    if limit_c1 != c1:
-        raise ConsistencyError("limit-based C1 disagrees with the chain value")
-    if i == 0 and c1 != c1_closed_form(qmax):
-        raise ConsistencyError("C1 disagrees with its closed form")
     if c0 != c1:
         raise ConsistencyError("C0 = C1 failed")
     one_plus = QSeries([ONE, CycScalar(27)], qmax)
@@ -192,11 +185,46 @@ class MirrorData:
     L: QSeries
     X: QSeries
     c: QSeries  # 1/C1
-    _pow_cache: dict = field(default_factory=dict, repr=False)
+    _pow_cache: dict = field(default_factory=dict, repr=False, init=False)
+
+    def eval_q(self, elem: RingElem) -> QSeries:
+        """Substitute the q-expansions of L, X and c into elem; D turns into q d/dq."""
+        out = QSeries.zero(self.qmax)
+        for (l, x, e), coeff in elem.terms.items():
+            term = self._power("L", l)
+            if x:
+                term = term * self._power("X", x)
+            if e:
+                term = term * self._power("c", e)
+            out = out + term * coeff
+        return out
+
+    def _power(self, name: str, k: int) -> QSeries:
+        """The k-th power of the series of generator name, memoized."""
+        key = (name, k)
+        hit = self._pow_cache.get(key)
+        if hit is None:
+            hit = {"L": self.L, "X": self.X, "c": self.c}[name] ** k
+            self._pow_cache[key] = hit
+        return hit
+
+    def verify_drule(self) -> None:
+        """Check the X derivation rule both as a ring identity and on q-expansions."""
+        x = RingElem.X()
+        l3_minus_1 = RingElem.L(3) - RingElem.one()
+        rule = -(x * x) + l3_minus_1 * x + l3_minus_1 * Fraction(2, 9)
+        if x.derive() != rule:
+            raise ConsistencyError("ring derivation of X disagrees with its defining rule")
+        if self.X.d_logq() != self.eval_q(rule):
+            raise ConsistencyError("q-expansion of X does not satisfy the derivation rule")
 
 
 def mirror_data(qmax: int) -> MirrorData:
-    """Build and cross-check the full mirror package at truncation qmax."""
+    """Build and cross-check the full mirror package at truncation qmax.
+
+    C1 = 1 + D(T - log q) ties the normalization chain to the mirror map, and
+    C1^2 C2 = L^3 ties it to L.
+    """
     if qmax < 0:
         raise ValueError(f"qmax must be non-negative, got {qmax}")
     c0, c1, c2 = birkhoff_normalizations(qmax)
@@ -221,3 +249,59 @@ def mirror_data(qmax: int) -> MirrorData:
         X=xser,
         c=cser,
     )
+
+
+def expand_rows(mirror: MirrorData, kmax: int, i: int = 0):
+    """(mu, rows_q): the exact z-expansion of the normalized rows at fixed point i.
+
+    rows_q[(m, k)] is the q-expansion of R_{m,k}, already rescaled by w^k so
+    it is the same at every fixed point.  mu solves 1 + D mu = L; the check
+    here that can fail is that exp(-mu w_i / z) clears every z-pole of every
+    normalized row.  Requires mirror.qmax >= 2*kmax + 2, so that the q-orders
+    pin every row in its L-window [-m, 2k] (plus the X part of row 2) exactly.
+    """
+    qmax = mirror.qmax
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
+    if qmax < 2 * kmax + 2:
+        raise ValueError(f"qmax={qmax} too small for kmax={kmax}; need at least {2 * kmax + 2}")
+    w = weight(i)
+    zcap = kmax + qmax
+    mu = (mirror.L - 1).integrate_logq()
+
+    sbar = [mirror.ibar[i].expand_at_zero(zcap)]
+    sbar.append(apply_m(sbar[0], w) * QZSeries.lift(mirror.C1.inverse(), zcap))
+    sbar.append(apply_m(sbar[1], w) * QZSeries.lift(mirror.C2.inverse(), zcap))
+    expfac = QZSeries.exp_pole(-(mu * w), qmax, zcap)
+    prefac = [
+        QSeries.one(qmax),
+        mirror.L * mirror.c * w,
+        (mirror.C1 / mirror.L) * w**2,
+    ]
+
+    rows_q: dict[tuple[int, int], QSeries] = {}
+    for m in range(3):
+        hat = expfac * sbar[m]
+        for depth, row in hat.pole_rows():
+            if not row.is_zero():
+                raise ConsistencyError(
+                    f"normalized row {m} keeps a z^{depth} pole at fixed point {i}"
+                )
+        hat = hat * QZSeries.lift(prefac[m].inverse(), zcap)
+        for k in range(kmax + 1):
+            rows_q[(m, k)] = hat.z_coefficient(k) * weight_pow(i, k)
+    return mu, rows_q
+
+
+def check_rows(mirror: MirrorData, rows: dict[int, list[RingElem]], i: int = 0):
+    """Compare every ring row with its z-expansion at fixed point i.
+
+    Returns (m, k, agrees) for m = 0..2 and k = 0..kmax, kmax = len(rows[0]) - 1.
+    """
+    kmax = len(rows[0]) - 1
+    _, rows_q = expand_rows(mirror, kmax, i)
+    return [
+        (m, k, mirror.eval_q(rows[m][k]) == rows_q[(m, k)])
+        for m in range(3)
+        for k in range(kmax + 1)
+    ]

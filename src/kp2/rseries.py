@@ -15,9 +15,10 @@ obey
 and these recursions determine the rows in the ring: extract_R_rows derives
 them, solving one linear equation D f = g on Q(zeta)[L, 1/L] per order.
 
-The exact z-expansion of the restricted series is kept as an independent
-check: expand_rows computes mu and the q-expansion of every row at a fixed
-point, and check_rows compares them with the ring rows.
+The exact z-expansion of the restricted series at each fixed point is the
+independent check of these rows.  It lives in kp2.mirror (expand_rows and
+check_rows), with every other q-expansion, so this module knows nothing of
+q-series.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lring import RingElem
-from .mirror import MirrorData, apply_m
-from .scalars import ZERO, ConsistencyError, CycScalar, weight, weight_pow
-from .series import QSeries, QZSeries
+from .scalars import ZERO, ConsistencyError
 
 __all__ = [
-    "check_rows",
-    "expand_rows",
-    "extract_mu",
     "extract_R_rows",
     "solve_linear",
     "verify_lemma_R",
@@ -97,83 +93,6 @@ def extract_R_rows(kmax: int) -> dict[int, list[RingElem]]:
         r1.append(r0[p] + a)
         r2.append(r1[p] + b)
     return {0: r0, 1: r1, 2: r2}
-
-
-def extract_mu(ibar_z0: QZSeries, w: CycScalar) -> QSeries:
-    """The exponent series: the z^{-1} row of log of the restriction, over w.
-
-    Raises if the logarithm has any pole deeper than z^{-1}; that the pole
-    structure collapses to a single exponential is what makes the asymptotic
-    form possible at all.
-    """
-    qmax = ibar_z0.qmax
-    # The log is only needed on its pole rows, so a slimmer anti-diagonal cap
-    # keeps the convolution cheap while leaving the z^{-1} row fully valid.
-    zc = min(ibar_z0.zcap, max(qmax - 1, 0))
-    restricted = QZSeries(ibar_z0.entries, qmax, zc)
-    lg = restricted.log()
-    for m, row in lg.pole_rows():
-        if m <= -2 and not row.is_zero():
-            raise ConsistencyError(f"log of restriction has a z^{m} pole")
-    return lg.z_coefficient(-1) / w
-
-
-def expand_rows(mirror: MirrorData, kmax: int, i: int = 0):
-    """(mu, rows_q): the exact z-expansion of the normalized rows at fixed point i.
-
-    rows_q[(m, k)] is the q-expansion of R_{m,k}, already rescaled by w^k so
-    it is the same at every fixed point.  Requires mirror.qmax >= 2*kmax + 2,
-    so that the q-orders pin every row in its L-window [-m, 2k] (plus the X
-    part of row 2) exactly.
-    """
-    qmax = mirror.qmax
-    if kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
-    if qmax < 2 * kmax + 2:
-        raise ValueError(f"qmax={qmax} too small for kmax={kmax}; need at least {2 * kmax + 2}")
-    w = weight(i)
-    zcap = kmax + qmax
-    ibar_z0 = mirror.ibar[i].expand_at_zero(zcap)
-    mu = extract_mu(ibar_z0, w)
-    if QSeries.one(qmax) + mu.d_logq() != mirror.L:
-        raise ConsistencyError("1 + D mu = L failed")
-
-    sbar = [ibar_z0]
-    sbar.append(apply_m(sbar[0], w).div_qseries(mirror.C1))
-    sbar.append(apply_m(sbar[1], w).div_qseries(mirror.C2))
-    expfac = QZSeries.exp_pole(-(mu * w), qmax, zcap)
-    prefac = [
-        QSeries.one(qmax),
-        mirror.L * mirror.c * w,
-        (mirror.C1 / mirror.L) * w**2,
-    ]
-
-    rows_q: dict[tuple[int, int], QSeries] = {}
-    for m in range(3):
-        hat = expfac * sbar[m]
-        for depth, row in hat.pole_rows():
-            if not row.is_zero():
-                raise ConsistencyError(
-                    f"normalized row {m} keeps a z^{depth} pole at fixed point {i}"
-                )
-        hat = hat.div_qseries(prefac[m])
-        for k in range(kmax + 1):
-            rows_q[(m, k)] = hat.z_coefficient(k) * weight_pow(i, k)
-    return mu, rows_q
-
-
-def check_rows(mirror: MirrorData, rows: dict[int, list[RingElem]], i: int = 0):
-    """Compare every ring row with its z-expansion at fixed point i.
-
-    Returns (m, k, agrees) for m = 0..2 and k = 0..kmax, kmax = len(rows[0]) - 1.
-    """
-    kmax = len(rows[0]) - 1
-    _, rows_q = expand_rows(mirror, kmax, i)
-    return [
-        (m, k, rows[m][k].eval_q(mirror) == rows_q[(m, k)])
-        for m in range(3)
-        for k in range(kmax + 1)
-    ]
 
 
 def verify_lemma_R(rows: dict[int, list[RingElem]]) -> list[tuple[str, int, RingElem]]:

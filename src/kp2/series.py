@@ -1,8 +1,10 @@
 """Truncated power series in q, and per-q-order Laurent data in a second variable.
 
-Three layers:
+Three layers, each with one product:
 
-* QSeries: plain truncated series in q with CycScalar coefficients.
+* QSeries: plain truncated series in q with CycScalar coefficients.  Its
+  product and inverse are the one truncated power-series algorithm here;
+  RatFunZ uses them for polynomials in z and in u = 1/z as well.
 * RatFunZ: the exact per-q-degree rational function of z, stored as factor
   lists of degree-at-most-1 polynomials.  Both expansion frames (around z = 0
   and around z = infinity) are derived from this single exact object.
@@ -10,8 +12,13 @@ Three layers:
   The q-degree-d entry may have a pole in z of order at most d.  Validity is
   tracked on the anti-diagonal: an entry (d, m) is trusted iff m + d <= zcap.
   That convention makes multiplication lossless: if both factors respect the
-  pole bound and are valid to zcap, so is their product.  The same container
-  doubles as the 1/z Taylor frame (entries with m >= 0 only).
+  pole bound and are valid to zcap, so is their product.  A series in q
+  alone, or a monomial such as z or 3q, enters a product through
+  QZSeries.lift.  The same container doubles as the 1/z Taylor frame
+  (entries with m >= 0 only).
+
+Only this module and kp2.mirror know the zcap arithmetic; the ring and the
+graph sums never see a q-series.
 """
 
 from __future__ import annotations
@@ -84,8 +91,9 @@ class QSeries:
         n = min(self.qmax, other.qmax)
         return all(self.coeffs[d] == other.coeffs[d] for d in range(n + 1))
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    # equality ignores the coefficients beyond the shorter truncation, which
+    # no hash can respect
+    __hash__ = None
 
     def _binop(self, other, f):
         if isinstance(other, (int, Fraction, CycScalar)):
@@ -119,13 +127,14 @@ class QSeries:
             return NotImplemented
         n = min(self.qmax, other.qmax)
         out = [ZERO] * (n + 1)
-        for d1, c1 in enumerate(self.coeffs):
-            if d1 > n or c1.is_zero():
+        right = [(d2, c2) for d2, c2 in enumerate(other.coeffs[: n + 1]) if not c2.is_zero()]
+        for d1, c1 in enumerate(self.coeffs[: n + 1]):
+            if c1.is_zero():
                 continue
-            for d2 in range(0, n - d1 + 1):
-                c2 = other.coeffs[d2]
-                if not c2.is_zero():
-                    out[d1 + d2] = out[d1 + d2] + c1 * c2
+            for d2, c2 in right:
+                if d1 + d2 > n:
+                    break
+                out[d1 + d2] = out[d1 + d2] + c1 * c2
         return QSeries(out, n)
 
     __rmul__ = __mul__
@@ -246,6 +255,11 @@ class QZSeries:
     def one(cls, qmax: int, zcap: int) -> "QZSeries":
         return cls({(0, 0): ONE}, qmax, zcap)
 
+    @classmethod
+    def lift(cls, s: QSeries, zcap: int, m: int = 0) -> "QZSeries":
+        """s * z^m as a two-variable series, so that it multiplies like one."""
+        return cls({(d, m): c for d, c in enumerate(s.coeffs)}, s.qmax, zcap)
+
     def get(self, d: int, m: int) -> CycScalar:
         return self.entries.get((d, m), ZERO)
 
@@ -265,8 +279,7 @@ class QZSeries:
                 return False
         return True
 
-    def __hash__(self):
-        raise TypeError("QZSeries is unhashable")
+    __hash__ = None
 
     def _binop(self, other, f):
         qmax = min(self.qmax, other.qmax)
@@ -320,35 +333,6 @@ class QZSeries:
 
     __rmul__ = __mul__
 
-    def mul_qseries(self, s: QSeries) -> "QZSeries":
-        qmax = min(self.qmax, s.qmax)
-        out: dict = {}
-        for (d1, m), c1 in self.entries.items():
-            for d2 in range(0, qmax - d1 + 1):
-                c2 = s.coeffs[d2]
-                if c2.is_zero():
-                    continue
-                key = (d1 + d2, m)
-                prev = out.get(key)
-                prod = c1 * c2
-                out[key] = prod if prev is None else prev + prod
-        return QZSeries(out, qmax, self.zcap)
-
-    def div_qseries(self, s: QSeries) -> "QZSeries":
-        """Divide by a q-series with invertible constant term (z-structure untouched)."""
-        return self.mul_qseries(s.inverse())
-
-    def mul_z_power(self, k: int) -> "QZSeries":
-        """Multiply by z^k (k may be negative if no pole bound is broken)."""
-        out = {(d, m + k): c for (d, m), c in self.entries.items()}
-        return QZSeries(out, self.qmax, self.zcap)
-
-    def shift_q(self, k: int, scalar=1) -> "QZSeries":
-        """Multiply by scalar * q^k."""
-        s = _cyc(scalar)
-        out = {(d + k, m): c * s for (d, m), c in self.entries.items() if d + k <= self.qmax}
-        return QZSeries(out, self.qmax, self.zcap)
-
     def z_coefficient(self, m: int) -> QSeries:
         """The z^m row as a QSeries, valid to min(qmax, zcap - m)."""
         qmax = min(self.qmax, self.zcap - m)
@@ -360,44 +344,6 @@ class QZSeries:
         depths = sorted({m for (_, m) in self.entries if m < 0})
         for m in depths:
             yield m, self.z_coefficient(m)
-
-    def log(self) -> "QZSeries":
-        """log of a series equal to 1 + (q-positive part).
-
-        Solved degree by degree from (1 + g) Dh = Dg with D = q d/dq, which
-        costs one z-convolution per q-degree pair instead of repeated powers.
-        Entry validity follows the same anti-diagonal argument as products.
-        """
-        if self.get(0, 0) != ONE or any(d == 0 and m != 0 for (d, m) in self.entries):
-            raise ValueError("QZSeries.log requires the q^0 row to be exactly 1")
-        grows: list[dict] = [{} for _ in range(self.qmax + 1)]
-        for (d, m), c in self.entries.items():
-            if d >= 1:
-                grows[d][m] = c
-        hrows: list[dict] = [{} for _ in range(self.qmax + 1)]
-        for d in range(1, self.qmax + 1):
-            acc = {m: CycScalar(d) * c for m, c in grows[d].items()}
-            for dp in range(1, d):
-                gpart = grows[d - dp]
-                hpart = hrows[dp]
-                if not gpart or not hpart:
-                    continue
-                weight = CycScalar(dp)
-                for m1, c1 in gpart.items():
-                    left = weight * c1
-                    for m2, c2 in hpart.items():
-                        m = m1 + m2
-                        if m + d > self.zcap:
-                            continue
-                        prev = acc.get(m)
-                        sub = left * c2
-                        acc[m] = -sub if prev is None else prev - sub
-            inv_d = Fraction(1, d)
-            hrows[d] = {m: c * inv_d for m, c in acc.items() if not c.is_zero()}
-        out = {
-            (d, m): c for d in range(1, self.qmax + 1) for m, c in hrows[d].items()
-        }
-        return QZSeries(out, self.qmax, self.zcap)
 
     @classmethod
     def exp_pole(cls, exponent_over_z: QSeries, qmax: int, zcap: int) -> "QZSeries":
@@ -427,30 +373,11 @@ class QZSeries:
         return f"QZSeries({len(self.entries)} entries, qmax={self.qmax}, zcap={self.zcap})"
 
 
-def _poly_mul(p: list[CycScalar], q: list[CycScalar], nmax: int) -> list[CycScalar]:
-    out = [ZERO] * (min(len(p) + len(q) - 1, nmax + 1))
-    for i, a in enumerate(p):
-        if a.is_zero() or i > nmax:
-            continue
-        for j, b in enumerate(q):
-            if i + j > nmax:
-                break
-            if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _poly_inv(p: list[CycScalar], nmax: int) -> list[CycScalar]:
-    c0 = p[0]
-    if c0.is_zero():
-        raise ZeroDivisionError("polynomial inverse requires nonzero constant term")
-    inv0 = c0.inverse()
-    out = [inv0]
-    for n in range(1, nmax + 1):
-        acc = ZERO
-        for k in range(1, min(n, len(p) - 1) + 1):
-            acc = acc + p[k] * out[n - k]
-        out.append(-inv0 * acc)
+def _product(factors, order: int) -> QSeries:
+    """The product of the linear factors a + b*t, truncated at t^order."""
+    out = QSeries.one(order)
+    for (a, b) in factors:
+        out = out * QSeries([a, b], order)
     return out
 
 
@@ -469,17 +396,6 @@ class RatFunZ:
         self.qmax = qmax
         if len(self.numerators) != qmax + 1 or len(self.denominators) != qmax + 1:
             raise ValueError("factor lists must cover q-degrees 0..qmax")
-
-    def with_extra_numerator_factor(self, factor_at) -> "RatFunZ":
-        """A copy with one extra numerator factor per degree (None to skip a degree)."""
-        nums = []
-        for d, fl in enumerate(self.numerators):
-            extra = factor_at(d)
-            if extra is None:
-                nums.append(list(fl))
-            else:
-                nums.append(list(fl) + [(_cyc(extra[0]), _cyc(extra[1]))])
-        return RatFunZ(nums, self.denominators, self.qmax)
 
     def _split_z_factors(self, d: int):
         """Separate exact z factors from z-regular factors of the degree-d denominator."""
@@ -504,35 +420,25 @@ class RatFunZ:
             order = zcap - d + zpow
             if order < 0:
                 continue
-            num = [ONE]
-            for (a, b) in self.numerators[d]:
-                num = _poly_mul(num, [a, b], order)
-            den = [ONE]
-            for (a, b) in den_rest:
-                den = _poly_mul(den, [a, b], order)
-            series = _poly_mul(num, _poly_inv(den, order), order)
-            for k, c in enumerate(series):
+            num = _product(self.numerators[d], order)
+            series = num * _product(den_rest, order).inverse()
+            for k, c in enumerate(series.coeffs):
                 m = k - zpow
                 if not c.is_zero() and m + d <= zcap:
                     entries[(d, m)] = c
         return QZSeries(entries, self.qmax, zcap)
 
-    def _reversed_polys(self, d: int):
+    def _reversed_polys(self, d: int, order: int):
         """Reversed numerator and denominator in u = 1/z, plus the u-power shift.
 
-        Returns (shift, num_rev, den_rev) with f_d(u) = u^shift * num_rev/den_rev
-        and den_rev(0) != 0.
+        Returns (shift, num_rev, den_rev) with f_d(u) = u^shift * num_rev/den_rev,
+        both truncated at u^order, and den_rev(0) != 0.
         """
         def rev(factors):
-            poly = [ONE]
-            degree = 0
-            for (a, b) in factors:
-                if b.is_zero():
-                    poly = [c * a for c in poly]
-                else:
-                    poly = _poly_mul(poly, [b, a], len(poly) + 1)
-                    degree += 1
-            return poly, degree
+            # a + b z = (b + a u) / u; a constant factor stays as it is
+            flipped = [(b, a) if not b.is_zero() else (a, b) for (a, b) in factors]
+            degree = sum(not b.is_zero() for (_, b) in factors)
+            return _product(flipped, order), degree
 
         num_rev, ndeg = rev(self.numerators[d])
         den_rev, ddeg = rev(self.denominators[d])
@@ -547,21 +453,11 @@ class RatFunZ:
             order = ucap - d
             if order < 0:
                 continue
-            shift, num_rev, den_rev = self._reversed_polys(d)
+            shift, num_rev, den_rev = self._reversed_polys(d, order)
             if shift < 0:
                 raise ValueError(f"q^{d} term diverges at z=infinity")
-            series = _poly_mul(num_rev, _poly_inv(den_rev, order), order)
-            for k, c in enumerate(series):
+            series = num_rev * den_rev.inverse()
+            for k, c in enumerate(series.coeffs):
                 if not c.is_zero() and k + shift + d <= ucap:
                     entries[(d, k + shift)] = c
         return QZSeries(entries, self.qmax, ucap)
-
-    def limit_at_infinity(self) -> QSeries:
-        """Per q-degree, lim_{z->inf}; zero when the numerator degree drops."""
-        out = []
-        for d in range(self.qmax + 1):
-            shift, num_rev, den_rev = self._reversed_polys(d)
-            if shift < 0:
-                raise ValueError(f"q^{d} term diverges at z=infinity")
-            out.append(num_rev[0] / den_rev[0] if shift == 0 else ZERO)
-        return QSeries(out, self.qmax)

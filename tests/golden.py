@@ -1,13 +1,18 @@
-"""Frozen genus-2 polynomials: the seven per-graph values and their sum.
+"""References the tests compare the engine against.
 
+Frozen genus-2 polynomials: the seven per-graph values and their sum.
 Each block is (X-degree, denominator, L-shift, {L-power: numerator}).
 These are data, not derived in-process; the tests compare engine output
 against them term by term.
+
+hodge_second_route: a one-step removal through the third Chern character,
+for the few Hodge integrals it covers.
 """
 
 from fractions import Fraction
 
 from kp2.lring import RingElem
+from kp2.mgn import _psi, _splits
 
 GRAPH_VALUES = {
     "G1": [
@@ -83,3 +88,33 @@ def genus2_total() -> RingElem:
     x2 = RingElem.const(Fraction(-1, 2)) + RingElem.monomial(Fraction(5, 8), l=-3)
     x3 = RingElem.monomial(Fraction(5, 8), l=-3)
     return out + x1 * x + x2 * x * x + x3 * x * x * x
+
+
+def hodge_second_route(g: int, exps, lam) -> Fraction:
+    """A second route to a few Hodge integrals, not through the ch-recursion of kp2.mgn.
+
+    Genus 1 with a single lambda_1 at one marking uses the canonical
+    identification of the cotangent line with the Hodge line there.  Genus 2
+    monomials of total degree 3 go through the third-Chern-character boundary
+    formula in a single step, landing directly on cotangent integrals.
+    """
+    exps = tuple(int(a) for a in exps)
+    lam = tuple(sorted(int(m) for m in lam))
+    if g == 1 and lam == (1,) and len(exps) == 1:
+        return _psi(1, (exps[0] + 1,))
+    if g == 2 and lam in ((1, 1, 1), (1, 2)):
+        factor = Fraction(1) if lam == (1, 1, 1) else Fraction(1, 2)
+        total = _psi(2, exps + (4,))
+        for j, a in enumerate(exps):
+            total -= _psi(2, exps[:j] + exps[j + 1 :] + (a + 3,))
+        boundary = Fraction(0)
+        for a in range(3):
+            b = 2 - a
+            sign = -1 if a % 2 else 1
+            boundary += sign * _psi(1, exps + (a, b))
+            for h in range(3):
+                for left, right, m in _splits(exps):
+                    boundary += sign * m * _psi(h, left + (a,)) * _psi(2 - h, right + (b,))
+        total += boundary / 2
+        return factor * total / 60
+    raise ValueError("second route covers only its cross-check cases")

@@ -4,6 +4,7 @@ Every comparison here is exact.  Run with -s to see the per-criterion
 lines; without -s they still appear for any failing criterion.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,14 +12,14 @@ from fractions import Fraction
 from kp2 import cli
 from kp2.anomaly import pointed_total, verify_ss56, verify_ttt
 from kp2.localization import correlator, enumerate_graphs, per_graph_contributions
-from kp2.lring import RingElem, verify_drule
-from kp2.mgn import hodge_psi_integral, hodge_second_route, psi_integral
-from kp2.mirror import c1_closed_form, verify_pf
-from kp2.rseries import check_rows, expand_rows, extract_R_rows, verify_lemma_R
-from kp2.scalars import CycScalar
+from kp2.lring import RingElem
+from kp2.mgn import hodge_psi_integral, psi_integral
+from kp2.mirror import check_rows, expand_rows, mirror_map, verify_pf
+from kp2.rseries import extract_R_rows, verify_lemma_R
+from kp2.scalars import ConsistencyError, CycScalar
 from kp2.series import QSeries
 
-from golden import GOLDEN_NAMES, genus2_graph_values, genus2_total
+from golden import GOLDEN_NAMES, genus2_graph_values, genus2_total, hodge_second_route
 
 F = Fraction
 
@@ -42,7 +43,9 @@ def test_criterion_02_normalizations(mirror12):
     checks = [
         ("first equals zeroth", mirror12.C0 == mirror12.C1),
         ("triple product is one", product == QSeries.one(12)),
-        ("limit equals closed form", mirror12.C1 == c1_closed_form(12)),
+        ("C1 = 1 + D(T - log q)", mirror12.C1 == mirror_map(12)[0].d_logq() + 1),
+        ("C1 starts 1, -6, 90, -1680, 34650",
+         [mirror12.C1[d] for d in range(5)] == [1, -6, 90, -1680, 34650]),
     ]
     report(2, "normalization series", checks)
 
@@ -51,10 +54,14 @@ def test_criterion_03_asymptotic_rows(mirror12):
     kmax = 5
     rows = extract_R_rows(kmax)
     expansions = [expand_rows(mirror12, kmax, i) for i in range(3)]
-    one = QSeries.one(12)
-    slope_ok = all(one + mu.d_logq() == mirror12.L for mu, _ in expansions)
+    bumped = dataclasses.replace(mirror12, L=mirror12.L + QSeries([0, 1], 12))
+    try:
+        expand_rows(bumped, kmax, 0)
+        pole_kept = False
+    except ConsistencyError:
+        pole_kept = True
     series_ok = all(
-        rows[m][k].eval_q(mirror12) == series
+        mirror12.eval_q(rows[m][k]) == series
         for _, rows_q in expansions
         for (m, k), series in rows_q.items()
     )
@@ -76,9 +83,9 @@ def test_criterion_03_asymptotic_rows(mirror12):
     perturbed = {m: list(row) for m, row in rows.items()}
     perturbed[0][2] = perturbed[0][2] + RingElem.L(2).scale(F(1, 7))
     control = check_rows(mirror12, perturbed)
-    verify_drule(mirror12)  # raises on failure, both as ring rule and on series
+    mirror12.verify_drule()  # raises on failure, both as ring rule and on series
     checks = [
-        ("slope series reproduces L at every fixed point", slope_ok),
+        ("a slope off 1 + D mu = L leaves a pole", pole_kept),
         ("ring rows match the z-expansions at every fixed point", series_ok),
         ("a perturbed row fails the series check", not all(ok for _, _, ok in control)),
         ("first-order entry", rows[0][1] == r1),

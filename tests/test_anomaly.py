@@ -63,14 +63,14 @@ def test_lift_one_point(ctx2, mirror12):
     report = verify_lift(ctx2, 2)
     assert report.passed
     # same check through the q-expansion route
-    assert report.lhs.eval_q(mirror12) == report.rhs.eval_q(mirror12)
+    assert mirror12.eval_q(report.lhs) == mirror12.eval_q(report.rhs)
 
 
 def test_lift_two_point(ctx2, mirror12):
     report = verify_lift(ctx2, 2, two_point=True)
     assert report.passed
     assert report.genus == 1
-    assert report.lhs.eval_q(mirror12) == report.rhs.eval_q(mirror12)
+    assert mirror12.eval_q(report.lhs) == mirror12.eval_q(report.rhs)
 
 
 def test_lift_genus_one(ctx1):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kp2 import cli
+from kp2 import cli, localization
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ConsistencyError
@@ -337,3 +337,14 @@ def test_fg_per_graph_payload(capsys):
             assert all(lab in (0, 1, 2) for lab in dec["labels"])
     assert addends == total
     assert total.eval_at(1, 0, 1).as_rational() == F(1, 1920)
+
+
+def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
+    # a graph value with a c term must fail the c-degree check on the fg path
+    monkeypatch.setattr(localization, "graph_contribution",
+                        lambda ctx, graph, budget_extra=0: RingElem.c(1))
+    code, out, err = run(["fg", "--genus", "2"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == ("internal consistency failure: "
+                   "series without insertions must have c-degree 0\n")

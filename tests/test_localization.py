@@ -247,7 +247,7 @@ def _gv_numbers(ctx, dmax, f3_scale=1):
         small_q = [s - r for s, r in zip(small_q, residual)]
 
     def in_big_q(elem):
-        return compose([c.as_rational() for c in elem.eval_q(mirror).coeffs], small_q)
+        return compose([c.as_rational() for c in mirror.eval_q(elem).coeffs], small_q)
 
     def strip_covers(series, power):
         # series[m] = sum over d | m of a_d (m/d)^power; returns the a_d

@@ -5,13 +5,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kp2.mgn import (
-    expand_vertex_class,
-    hodge_psi_integral,
-    hodge_second_route,
-    psi_integral,
-)
+from kp2.mgn import expand_vertex_class, hodge_psi_integral, psi_integral
 from kp2.scalars import CycScalar, euler_at, weight, weight_pow
+
+from golden import hodge_second_route
 
 F = Fraction
 

@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from kp2 import series
 from kp2.mirror import (
     birkhoff_normalizations,
     build_ibar,
-    c1_closed_form,
     mirror_data,
     mirror_map,
     verify_pf,
 )
-from kp2.scalars import CycScalar, weight
-from kp2.series import QSeries
+from kp2.scalars import ConsistencyError, CycScalar, weight
+from kp2.series import QSeries, QZSeries
 
 
 def test_pf_residual_vanishes_small():
@@ -45,8 +45,9 @@ def test_normalizations(mirror12):
     assert mirror12.C1 * mirror12.C1 * mirror12.C2 == mirror12.L ** 3
 
 
-def test_limit_c1_matches_closed_form(mirror12):
-    assert mirror12.C1 == c1_closed_form(12)
+def test_c1_matches_closed_form(mirror12):
+    t_minus_logq, _ = mirror_map(12)
+    assert mirror12.C1 == t_minus_logq.d_logq() + QSeries.one(12)
     expected = [1, -6, 90, -1680, 34650]
     for d, value in enumerate(expected):
         assert mirror12.C1[d] == CycScalar(value)
@@ -63,6 +64,24 @@ def test_normalizations_across_fixed_points():
             assert theirs == ours * QSeries.constant(w, 6)
         kink = QSeries([1, 27], 6)
         assert alt[0] * alt[1] * alt[2] * kink == QSeries.one(6)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_doubled_u_entry_breaks_normalizations(i, monkeypatch):
+    # the chain reads C1 from the q^1 u^1 entry; C0 = C1 is the check that
+    # sees a wrong entry there
+    expand = series.RatFunZ.expand_at_infinity
+
+    def doubled(self, ucap):
+        f = expand(self, ucap)
+        entries = dict(f.entries)
+        entries[(1, 1)] = entries[(1, 1)] * 2
+        return QZSeries(entries, f.qmax, f.zcap)
+
+    birkhoff_normalizations(6, i=i)
+    monkeypatch.setattr(series.RatFunZ, "expand_at_infinity", doubled)
+    with pytest.raises(ConsistencyError, match="C0 = C1 failed"):
+        birkhoff_normalizations(6, i=i)
 
 
 def test_mirror_map(mirror12):

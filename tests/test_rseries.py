@@ -1,18 +1,14 @@
+import dataclasses
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kp2.lring import RingElem, verify_drule
-from kp2.mirror import mirror_data
-from kp2.rseries import (
-    check_rows,
-    expand_rows,
-    extract_R_rows,
-    solve_linear,
-    verify_lemma_R,
-)
-from kp2.scalars import ConsistencyError, CycScalar
+from kp2.lring import RingElem
+from kp2.mirror import check_rows, expand_rows, mirror_data
+from kp2.rseries import extract_R_rows, solve_linear, verify_lemma_R
+from kp2.scalars import ConsistencyError, CycScalar, weight
 from kp2.series import QSeries
 
 KMAX = 10
@@ -43,8 +39,25 @@ def r2_closed_form() -> RingElem:
 
 
 def test_mu_slope(mirror22, expansions):
-    for mu, _ in expansions.values():
+    # exp(mu w / z) alone gives the deepest pole of the restriction at each
+    # q-order: its q^d z^-d coefficient is (w mu_1)^d / d!
+    for i, (mu, _) in expansions.items():
         assert mu.d_logq() + QSeries.one(mirror22.qmax) == mirror22.L
+        w = weight(i)
+        ibar = mirror22.ibar[i].expand_at_zero(0)  # just the entries m + d <= 0
+        for d in range(mirror22.qmax + 1):
+            assert ibar.get(d, -d) == (w * mu[1]) ** d / factorial(d), (i, d)
+
+
+@pytest.mark.parametrize("order", [1, 12])
+def test_perturbed_mu_keeps_a_pole(mirror12, order):
+    # mu + q^order solves 1 + D mu = L + order q^order; the rows then keep a
+    # z-pole at every fixed point
+    bump = QSeries([0] * order + [order], 12)
+    perturbed = dataclasses.replace(mirror12, L=mirror12.L + bump)
+    for i in range(3):
+        with pytest.raises(ConsistencyError, match=r"keeps a z\^-\d+ pole"):
+            expand_rows(perturbed, 0, i)
 
 
 def test_row_zero_entries(rows):
@@ -85,7 +98,7 @@ def test_rows_agree_across_fixed_points(rows, mirror22, expansions):
     for i, (_, rows_q) in expansions.items():
         assert len(rows_q) == 3 * (KMAX + 1)
         for (m, k), series in rows_q.items():
-            assert rows[m][k].eval_q(mirror22) == series, (i, m, k)
+            assert mirror22.eval_q(rows[m][k]) == series, (i, m, k)
 
 
 def test_series_check_catches_a_perturbed_row(mirror12):
@@ -97,7 +110,7 @@ def test_series_check_catches_a_perturbed_row(mirror12):
 
 
 def test_drule(mirror22):
-    verify_drule(mirror22)
+    mirror22.verify_drule()
 
 
 def test_truncation_guard(mirror12):

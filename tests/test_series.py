@@ -85,12 +85,6 @@ def test_qz_product_tracks_pole_and_cap():
     assert ab.zcap == 4
 
 
-def test_qz_log_is_additive():
-    a = _qz({(0, 0): 1, (1, -1): 2, (1, 0): 3})
-    b = _qz({(0, 0): 1, (1, 1): 4, (2, -2): 1})
-    assert (a * b).log() == a.log() + b.log()
-
-
 def test_qz_exp_pole_inverse():
     s = QSeries([0, 2, -3, 1], 4)
     e = QZSeries.exp_pole(s, 4, 4)
@@ -98,22 +92,31 @@ def test_qz_exp_pole_inverse():
     assert e * ei == QZSeries.one(4, 4)
 
 
-def test_qz_log_exp_roundtrip():
-    s = QSeries([0, 1, 1, 0, 2], 4)
-    e = QZSeries.exp_pole(s, 4, 4)
-    lg = e.log()
-    for d in range(5):
-        assert lg.get(d, -1) == s[d]
-        for m in range(-d, 5):
-            if m != -1:
-                assert lg.get(d, m).is_zero()
-
-
 def test_qz_shift_and_coefficient_helpers():
+    # products with a lifted q-series, z and 3q give what a direct q-shift,
+    # z-shift and q-series product give, down to the entries the
+    # anti-diagonal m + d <= zcap drops
     a = _qz({(0, 0): 1, (1, 2): 7})
-    assert a.shift_q(1, 3).get(2, 2) == CycScalar(21)
+    z = QZSeries.lift(QSeries.one(4), 4, 1)
+    three_q = QZSeries.lift(QSeries([0, 3], 4), 4)
+    assert (a * three_q).entries == {(1, 0): CycScalar(3), (2, 2): CycScalar(21)}
+    assert (a * z).entries == {(0, 1): CycScalar(1), (1, 3): CycScalar(7)}
+    assert (a * z * z).entries == {(0, 2): CycScalar(1)}  # (1, 4) is past zcap
+    s = QSeries([1, 2, 0, 0, 5], 4)
+    assert (a * QZSeries.lift(s, 4)).entries == {
+        (0, 0): CycScalar(1), (1, 0): CycScalar(2), (4, 0): CycScalar(5),
+        (1, 2): CycScalar(7), (2, 2): CycScalar(14),
+    }
     assert a.z_coefficient(2)[1] == CycScalar(7)
-    assert a.mul_z_power(1).get(1, 3) == CycScalar(7)
+
+
+def test_series_are_unhashable():
+    # equality stops at the shorter truncation, so no hash can agree with it
+    assert QSeries([1, 2, 3], 2) == QSeries([1, 2], 1)
+    with pytest.raises(TypeError):
+        hash(QSeries([1, 2], 1))
+    with pytest.raises(TypeError):
+        hash(QZSeries.one(2, 2))
 
 
 def test_qz_pole_bound_enforced():
