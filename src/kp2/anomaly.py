@@ -15,7 +15,7 @@ conventions of those terms.  Each identity assembles a total once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -33,15 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HAEReport:
+class HAEReport(namedtuple("HAEReport", ("genus", "lhs", "rhs", "residual", "passed"))):
     """Outcome of one anomaly identity: both sides and their difference."""
 
-    genus: int
-    lhs: RingElem
-    rhs: RingElem
-    residual: RingElem
-    passed: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

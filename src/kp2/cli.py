@@ -6,6 +6,9 @@ suites.  Output is JSON by default (sorted keys, fully rational) and
 is assembled in a fixed order, so identical configurations produce
 byte-identical output.
 
+Each command imports the layers it runs when it runs, so a command loads
+only what it computes with (and --help loads none of them).
+
 Exit codes: 0 success, 1 a verification failed, 2 usage error,
 3 internal failure (a consistency check or any unexpected error).
 """
@@ -16,18 +19,6 @@ import argparse
 import json
 import sys
 
-from .anomaly import verify_lift, verify_ss56, verify_ttt
-from .localization import (
-    build_context,
-    checked_total,
-    correlator,
-    enumerate_graphs,
-    normalize_tag,
-    per_graph_contributions,
-)
-from .mgn import hodge_psi_integral
-from .mirror import check_rows, mirror_data, verify_pf
-from .rseries import extract_R_rows, verify_lemma_R
 from .scalars import ConsistencyError
 
 EXIT_OK = 0
@@ -146,6 +137,8 @@ def _graph_json(contribution) -> dict:
 
 
 def _cmd_fg(args):
+    from .localization import build_context, checked_total, per_graph_contributions
+
     if args.genus < 2:
         raise ValueError("fg needs --genus at least 2")
     ctx = build_context()
@@ -168,6 +161,8 @@ def _cmd_fg(args):
 
 
 def _parse_insertions(args) -> tuple[str, ...]:
+    from .localization import normalize_tag
+
     counts = [args.a, args.b, args.c, args.delta]
     if args.legs is not None and any(v is not None for v in counts):
         raise ValueError("give either --legs or the count flags, not both")
@@ -187,6 +182,8 @@ def _parse_insertions(args) -> tuple[str, ...]:
 
 
 def _cmd_correlator(args):
+    from .localization import build_context, correlator
+
     insertions = _parse_insertions(args)
     total = correlator(build_context(), args.genus, insertions)
     payload = {
@@ -200,6 +197,8 @@ def _cmd_correlator(args):
 
 
 def _cmd_graphs(args):
+    from .localization import enumerate_graphs
+
     graphs = enumerate_graphs(args.genus, args.legs)
     payload = {
         "command": "graphs",
@@ -222,6 +221,8 @@ def _cmd_graphs(args):
 
 
 def _cmd_rseries(args):
+    from .rseries import extract_R_rows
+
     row = extract_R_rows(args.kmax)[args.row]
     entries = [{"k": k, "value": entry.to_json()} for k, entry in enumerate(row)]
     payload = {
@@ -235,6 +236,8 @@ def _cmd_rseries(args):
 
 
 def _cmd_mirror(args):
+    from .mirror import mirror_data
+
     data = mirror_data(args.qmax)
     series = {
         "C0": data.C0,
@@ -253,6 +256,8 @@ def _cmd_mirror(args):
 
 
 def _cmd_mgn(args):
+    from .mgn import hodge_psi_integral
+
     exps = _int_list(args.psi, "--psi")
     lam = _int_list(args.lam, "--lambda")
     value = hodge_psi_integral(args.g, exps, lam)
@@ -267,6 +272,8 @@ def _cmd_mgn(args):
 
 
 def _cmd_verify_pf(args):
+    from .mirror import verify_pf
+
     residuals = {}
     ok = True
     for i in range(3):
@@ -287,6 +294,9 @@ def _cmd_verify_pf(args):
 
 
 def _cmd_verify_hae(args):
+    from .anomaly import verify_ttt
+    from .localization import build_context
+
     report = verify_ttt(build_context(), args.genus)
     payload = {"command": "verify", "what": "hae", "report": report.to_json()}
     text = f"hae genus {args.genus}: " + ("pass" if report.passed else "FAIL")
@@ -294,6 +304,9 @@ def _cmd_verify_hae(args):
 
 
 def _cmd_verify_lift(args):
+    from .anomaly import verify_lift
+    from .localization import build_context
+
     ctx = build_context()
     one = verify_lift(ctx, args.genus)
     # the two-point form lives one genus down, so it starts at genus 2
@@ -311,6 +324,9 @@ def _cmd_verify_lift(args):
 
 
 def _cmd_verify_ss56(args):
+    from .anomaly import verify_ss56
+    from .localization import build_context
+
     report = verify_ss56(build_context(), args.genus, args.a, args.b, args.c)
     payload = {"command": "verify", "what": "ss56", "report": report.to_json()}
     marks = f"(a={args.a}, b={args.b}, c={args.c})"
@@ -319,6 +335,9 @@ def _cmd_verify_ss56(args):
 
 
 def _cmd_verify_lemma_r(args):
+    from .mirror import check_rows, mirror_data
+    from .rseries import extract_R_rows, verify_lemma_R
+
     kmax = args.kmax
     qmax = args.qmax if args.qmax is not None else max(12, 2 * kmax + 2)
     rows = extract_R_rows(kmax)

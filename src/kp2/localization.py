@@ -56,7 +56,7 @@ and the total vanishes exactly when delta is not 0 mod 3: correlator returns
 zero without assembly.  Otherwise per_graph_contributions evaluates one
 decoration orbit per class under Aut and the six relabelings p -> +-p + s,
 and derives every other orbit of the class by conjugation and a power of
-zeta.
+zeta; the graph value adds each class once, as a v + b conj(v).
 
 Contracted flag sum.  Each leg and loop meets only one vertex, so
 graph_contribution first sums, per vertex, over the flag compositions
@@ -68,8 +68,7 @@ multiplies an edge factor in once both of its ends are assigned.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
@@ -78,7 +77,7 @@ from operator import mul
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
-from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
+from .scalars import ZERO, ConsistencyError, CycScalar, euler_at, weight_pow
 
 __all__ = [
     "StableGraph",
@@ -109,8 +108,8 @@ def normalize_tag(tag) -> str:
     return tag
 
 
-@dataclass(frozen=True)
-class StableGraph:
+class StableGraph(namedtuple("StableGraph", ("genera", "decorations", "edges", "legs",
+                                               "tags", "aut_order", "automorphisms"))):
     """A stable graph, optionally decorated with fixed-point labels.
 
     genera[v] is the vertex genus, decorations[v] the fixed-point label (None
@@ -119,15 +118,11 @@ class StableGraph:
     aut_order counts decoration-preserving automorphisms at flag level.
     automorphisms holds the vertex permutations fixing the genera, edges
     and legs, as enumerate_graphs finds them (undecorated, also on a copy).
+    Immutable, hashable and equal by fields; _replace gives a copy with
+    some fields changed, e.g. a decorated graph.
     """
 
-    genera: tuple
-    decorations: tuple | None
-    edges: tuple
-    legs: tuple
-    tags: tuple
-    aut_order: int
-    automorphisms: tuple
+    __slots__ = ()
 
     def genus(self) -> int:
         return sum(self.genera) + len(self.edges) - len(self.genera) + 1
@@ -340,13 +335,11 @@ def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
     return sorted(reps.items())
 
 
-@dataclass
-class Contribution:
-    """Assembled value of one undecorated graph, with its decoration detail."""
+class Contribution(namedtuple("Contribution", ("graph", "value", "per_decoration"))):
+    """Assembled value of one undecorated graph, with its decoration detail:
+    per_decoration lists (labels, aut_order, RingElem) per decoration orbit."""
 
-    graph: StableGraph
-    value: RingElem
-    per_decoration: list  # (labels, aut_order, RingElem)
+    __slots__ = ()
 
 
 class Context:
@@ -383,7 +376,7 @@ class Context:
         key = (i, h)
         hit = self._vertex_classes.get(key)
         if hit is None:
-            hit = expand_vertex_class(i, h).expansion
+            hit = expand_vertex_class(i, h)
             self._vertex_classes[key] = hit
         return hit
 
@@ -682,30 +675,38 @@ _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
 def _orbit_values(ctx: Context, graph: StableGraph, orbits, delta: int,
-                  budget_extra: int) -> dict:
-    """graph_contribution of every decoration orbit, one evaluation per class.
+                  budget_extra: int) -> tuple[dict, RingElem]:
+    """graph_contribution of every decoration orbit, one evaluation per class,
+    and the sum of all of them.
 
     Relabeling p -> eps * p + s multiplies a value by zeta^(s * delta) and
     conjugates it when eps = -1 (see the module docstring), and maps each
     orbit under the graph's automorphisms onto an orbit with the same
-    decorated automorphism order.
+    decorated automorphism order.  So a class with evaluated value v sums
+    to a * v + b * conj(v), a and b the sums of the powers of zeta over its
+    orbits, and the graph value adds one term per class, not one per orbit.
     """
     values: dict = {}
+    addends = []
     for labels, aut in orbits:
         if labels in values:
             continue
-        decorated = dataclasses.replace(graph, decorations=labels, aut_order=aut)
+        decorated = graph._replace(decorations=labels, aut_order=aut)
         value = graph_contribution(ctx, decorated, budget_extra)
         swapped = value.conjugate()
+        weights = [ZERO, ZERO]  # a and b
         for s, eps in _RELABELINGS:
             image = min(_aut_images([(eps * p + s) % 3 for p in labels], graph.automorphisms))
             if image in values:
                 continue
             moved = swapped if eps < 0 else value
+            twist = weight_pow(1, s * delta)
             if s * delta % 3:
-                moved = moved * weight_pow(1, s * delta)
+                moved = moved * twist
             values[image] = moved
-    return values
+            weights[eps < 0] += twist
+        addends.append((value, weights[0], weights[1]))
+    return values, RingElem.sum_with_conjugates(addends)
 
 
 def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
@@ -721,9 +722,8 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
     out = []
     for gr in graphs:
         orbits = decoration_orbits(gr)
-        values = _orbit_values(ctx, gr, orbits, delta, budget_extra)
+        values, value = _orbit_values(ctx, gr, orbits, delta, budget_extra)
         detail = [(labels, aut, values[labels]) for labels, aut in orbits]
-        value = RingElem.sum(res for _, _, res in detail)
         out.append(Contribution(graph=gr, value=value, per_decoration=detail))
     return out
 

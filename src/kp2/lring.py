@@ -119,6 +119,34 @@ class RingElem:
                     prev[1] += n1 * m
         return _reduced(acc, den)
 
+    @staticmethod
+    def sum_with_conjugates(items) -> "RingElem":
+        """The sum of a * x + b * conj(x) over the triples (x, a, b) in items,
+        with CycScalars a and b, accumulated over one denominator as in sum."""
+        parts = []
+        for x, a, b in items:
+            if not x.nums:
+                continue
+            e = lcm(a.d, b.d)
+            a0, a1 = a.n0 * (e // a.d), a.n1 * (e // a.d)
+            b0, b1 = b.n0 * (e // b.d), b.n1 * (e // b.d)
+            # a (n0 + n1 z) + b ((n0 - n1) - n1 z) with z^2 = -1 - z is
+            # (p0 n0 + p1 n1) + (q0 n0 + q1 n1) z
+            parts.append((x.nums, x.den * e, a0 + b0, b1 - b0 - a1, a1 + b1, a0 - a1 - b0))
+        den = lcm(*(part[1] for part in parts))
+        acc: dict = {}
+        for nums, d, p0, p1, q0, q1 in parts:
+            m = den // d
+            p0, p1, q0, q1 = p0 * m, p1 * m, q0 * m, q1 * m
+            for key, (n0, n1) in nums.items():
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = [p0 * n0 + p1 * n1, q0 * n0 + q1 * n1]
+                else:
+                    prev[0] += p0 * n0 + p1 * n1
+                    prev[1] += q0 * n0 + q1 * n1
+        return _reduced(acc, den)
+
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -20,7 +20,6 @@ of that dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -29,7 +28,6 @@ from .scalars import CycScalar, euler_at, weight
 __all__ = [
     "psi_integral",
     "hodge_psi_integral",
-    "HodgeVertexClass",
     "expand_vertex_class",
 ]
 
@@ -228,20 +226,7 @@ def hodge_psi_integral(g: int, exps, lam) -> Fraction:
     return sum(c * _ch(g, exps, ks) for ks, c in _lambda_in_ch(lam).items())
 
 
-@dataclass
-class HodgeVertexClass:
-    """Expansion of the localized vertex class at one fixed point.
-
-    expansion maps a sorted lambda-index tuple to its CycScalar coefficient;
-    the empty tuple keys the constant term.
-    """
-
-    fixed_point: int
-    genus: int
-    expansion: dict
-
-
-def expand_vertex_class(i: int, h: int) -> HodgeVertexClass:
+def expand_vertex_class(i: int, h: int) -> dict:
     """Product of the three truncated dual Chern polynomials over e_i.
 
     Each factor is sum_k (-1)^k lambda_k u^{h-k} for a tangent weight u: the
@@ -249,7 +234,8 @@ def expand_vertex_class(i: int, h: int) -> HodgeVertexClass:
     exactly e_i, so the constant term is e_i^{h-1}.  From genus 2 on, the
     total lambda-degree is capped at 3h - 3, the dimension of the space the
     lambda classes are pulled back from; in genus <= 1 the product is kept
-    whole.
+    whole.  The expansion maps a sorted lambda-index tuple to its CycScalar
+    coefficient; the empty tuple keys the constant term.
     """
     w = weight(i)
     others = [j for j in range(3) if j != i]
@@ -272,5 +258,4 @@ def expand_vertex_class(i: int, h: int) -> HodgeVertexClass:
                 new[key] = prod if prev is None else prev + prod
         poly = new
     inv_e = euler_at(i).inverse()
-    expansion = {lam: c * inv_e for lam, c in poly.items() if not c.is_zero()}
-    return HodgeVertexClass(i, h, expansion)
+    return {lam: c * inv_e for lam, c in poly.items() if not c.is_zero()}

@@ -81,27 +81,19 @@ def apply_m(f: QZSeries, w: CycScalar) -> QZSeries:
     return QZSeries(out, f.qmax, f.zcap)
 
 
-def apply_m_u(f: QZSeries, w: CycScalar) -> QZSeries:
-    """M in the u = 1/z frame: (Mf)[d, k] = w f[d, k] + d f[d, k+1].
+def apply_m_u(rows: list[QSeries], w: CycScalar) -> list[QSeries]:
+    """M in the u = 1/z frame, on the q-series rows of u^0, u^1, ...:
+    (Mf)_k = w f_k + (q d/dq) f_{k+1}.
 
-    Consumes one order of u-validity.  Requires the u^0 coefficient to vanish
-    in every positive q-degree, otherwise 1/u would create a pole.
+    Consumes the last row.  Requires the u^0 row to vanish in every positive
+    q-degree, otherwise 1/u would create a pole.
     """
-    out = {}
-    for (d, k), c in f.entries.items():
-        if k == 0 and d >= 1:
+    for d in range(1, rows[0].qmax + 1):
+        if not rows[0][d].is_zero():
             raise ConsistencyError(
                 f"u-frame M applied to a series with nonzero u^0 row at q^{d}"
             )
-        out[(d, k)] = w * c
-    for (d, k), c in f.entries.items():
-        if d == 0 or k == 0:
-            continue
-        key = (d, k - 1)
-        add = CycScalar(d) * c
-        prev = out.get(key)
-        out[key] = add if prev is None else prev + add
-    return QZSeries(out, f.qmax, f.zcap - 1)
+    return [rows[k] * w + rows[k + 1].d_logq() for k in range(len(rows) - 1)]
 
 
 def verify_pf(i: int, qmax: int, zmax: int, include_correction: bool = True) -> QZSeries:
@@ -138,16 +130,20 @@ def birkhoff_normalizations(qmax: int, i: int = 0) -> tuple[QSeries, QSeries, QS
     normalizing and applying M again, C0 after one more round.  The function
     asserts C0 = C1 and the product relation C0 C1 C2 (1 + 27q) = 1; any
     failure is fatal.  A wrong u-entry that the chain reads breaks C0 = C1.
+    Each application of M reads one more u-row, so the chain expands the
+    restriction only through u^3.
     """
     w = weight(i)
-    ibar_u = build_ibar(i, qmax).expand_at_infinity(qmax + 3)
+    rows = build_ibar(i, qmax).expand_at_infinity(3)
 
-    m1 = apply_m_u(ibar_u, w)
-    c1 = m1.z_coefficient(0).truncate(qmax)
-    m2 = apply_m_u(m1 * QZSeries.lift(c1.inverse(), m1.zcap), w)
-    c2 = m2.z_coefficient(0).truncate(qmax)
-    m3 = apply_m_u(m2 * QZSeries.lift(c2.inverse(), m2.zcap), w)
-    c0 = m3.z_coefficient(0).truncate(qmax)
+    m1 = apply_m_u(rows, w)
+    c1 = m1[0]
+    inv = c1.inverse()
+    m2 = apply_m_u([row * inv for row in m1], w)
+    c2 = m2[0]
+    inv = c2.inverse()
+    m3 = apply_m_u([row * inv for row in m2], w)
+    c0 = m3[0]
 
     if c0 != c1:
         raise ConsistencyError("C0 = C1 failed")

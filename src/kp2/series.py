@@ -14,8 +14,9 @@ Three layers, each with one product:
   That convention makes multiplication lossless: if both factors respect the
   pole bound and are valid to zcap, so is their product.  A series in q
   alone, or a monomial such as z or 3q, enters a product through
-  QZSeries.lift.  The same container doubles as the 1/z Taylor frame
-  (entries with m >= 0 only).
+  QZSeries.lift.  The 1/z Taylor frame needs no such container: each q-degree
+  is a polynomial in u = 1/z, so expand_at_infinity returns the q-series of
+  its first u-coefficients, each exact to qmax.
 
 Only this module and kp2.mirror know the zcap arithmetic; the ring and the
 graph sums never see a q-series.
@@ -446,18 +447,15 @@ class RatFunZ:
             raise ZeroDivisionError("denominator has a factor vanishing at z=infinity")
         return ddeg - ndeg, num_rev, den_rev
 
-    def expand_at_infinity(self, ucap: int) -> QZSeries:
-        """Taylor expansion in u = 1/z; entries (d, k) with k >= 0, valid for k + d <= ucap."""
-        entries: dict = {}
+    def expand_at_infinity(self, kmax: int) -> list[QSeries]:
+        """Taylor expansion in u = 1/z through u^kmax: the q-series of the u^k
+        coefficient for k = 0..kmax, each exact to qmax."""
+        rows = [[ZERO] * (self.qmax + 1) for _ in range(kmax + 1)]
         for d in range(self.qmax + 1):
-            order = ucap - d
-            if order < 0:
-                continue
-            shift, num_rev, den_rev = self._reversed_polys(d, order)
+            shift, num_rev, den_rev = self._reversed_polys(d, kmax)
             if shift < 0:
                 raise ValueError(f"q^{d} term diverges at z=infinity")
             series = num_rev * den_rev.inverse()
-            for k, c in enumerate(series.coeffs):
-                if not c.is_zero() and k + shift + d <= ucap:
-                    entries[(d, k + shift)] = c
-        return QZSeries(entries, self.qmax, ucap)
+            for k in range(kmax + 1 - shift):
+                rows[k + shift][d] = series[k]
+        return [QSeries(row, self.qmax) for row in rows]

@@ -1,11 +1,15 @@
 """Command-line behavior: payload shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kp2 import cli, localization
+from kp2 import cli, localization, mirror, rseries
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ConsistencyError
@@ -226,7 +230,7 @@ def test_verify_lemma_r_cli_catches_a_perturbed_row(capsys, monkeypatch):
         rows[0][2] = rows[0][2] + RingElem.L(2).scale(F(1, 7))
         return rows
 
-    monkeypatch.setattr(cli, "extract_R_rows", perturbed)
+    monkeypatch.setattr(rseries, "extract_R_rows", perturbed)
     code, payload = run_json(["verify", "lemmaR", "--kmax", "3"], capsys)
     assert code == cli.EXIT_VERIFY
     assert payload["pass"] is False
@@ -294,7 +298,7 @@ def test_unexpected_error_exit(capsys, monkeypatch):
     def boom(genus, legs):
         raise IndexError("fabricated")
 
-    monkeypatch.setattr(cli, "enumerate_graphs", boom)
+    monkeypatch.setattr(localization, "enumerate_graphs", boom)
     code, out, err = run(["graphs", "--genus", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert err == "internal error: IndexError: fabricated\n"
@@ -305,7 +309,7 @@ def test_verify_failure_exit(capsys, monkeypatch):
         def is_zero(self):
             return False
 
-    monkeypatch.setattr(cli, "verify_pf", lambda i, qmax, zmax: FakeResidual())
+    monkeypatch.setattr(mirror, "verify_pf", lambda i, qmax, zmax: FakeResidual())
     code, payload = run_json(["verify", "pf"], capsys)
     assert code == cli.EXIT_VERIFY
     assert payload["pass"] is False
@@ -315,7 +319,7 @@ def test_internal_failure_exit(capsys, monkeypatch):
     def boom(i, qmax, zmax):
         raise ConsistencyError("fabricated breakage")
 
-    monkeypatch.setattr(cli, "verify_pf", boom)
+    monkeypatch.setattr(mirror, "verify_pf", boom)
     code, out, err = run(["verify", "pf"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert "internal consistency failure" in err
@@ -348,3 +352,44 @@ def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
     assert out == ""
     assert err == ("internal consistency failure: "
                    "series without insertions must have c-degree 0\n")
+
+
+# Runs main in a fresh interpreter, then lists on stderr the kp2 modules and
+# the standard modules that only the q-series commands may load.
+_IMPORT_PROBE = (
+    "import sys\n"
+    "from kp2 import cli\n"
+    "cli.main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m.split('.')[0] in ('kp2', 'dataclasses', 'inspect'))),\n"
+    "      file=sys.stderr)\n"
+)
+
+
+def loaded_modules(argv) -> set:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stderr.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["fg", "--genus", "2"],
+    ["correlator", "--genus", "1", "--legs", "H1,H1"],
+    ["graphs", "--genus", "2", "--legs", "1"],
+    ["verify", "ss56", "--genus", "1", "--c", "3"],
+], ids=["fg", "correlator", "graphs", "ss56"])
+def test_commands_load_only_their_layers(argv):
+    # Each handler imports what it runs: the graph-sum commands never load
+    # the q-series layers or dataclasses, and only the anomaly command loads
+    # kp2.anomaly.
+    modules = loaded_modules(argv)
+    assert "kp2.localization" in modules
+    assert not modules & {"kp2.mirror", "kp2.series", "dataclasses", "inspect"}
+    assert ("kp2.anomaly" in modules) == (argv[0] == "verify")
+
+
+def test_help_loads_no_layer():
+    assert loaded_modules(["--help"]) == {"kp2", "kp2.scalars", "kp2.cli"}

@@ -1,6 +1,5 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
-import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -478,7 +477,7 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
         fresh._dressed_memo = _NoMemo()
         orbits = _class_representatives(graph) if tags == ("H1", "H2") else decoration_orbits(graph)
         for labels, aut in orbits:
-            decorated = dataclasses.replace(graph, decorations=labels, aut_order=aut)
+            decorated = graph._replace(decorations=labels, aut_order=aut)
             for extra in (0, 1, 2):
                 assert (graph_contribution(shared, decorated, extra)
                         == graph_contribution(fresh, decorated, extra)), (graph, labels, extra)
@@ -501,7 +500,7 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
     first = next(gr for gr in graphs if gr.genera == (1, 1))
     second = next(gr for gr in graphs if gr.genera == (0, 1))
     for graph, labels, flags in ((first, (2, 2), "e0.0=1"), (second, (0, 2), "e1.1=1")):
-        decorated = dataclasses.replace(graph, decorations=labels)
+        decorated = graph._replace(decorations=labels)
         with pytest.raises(ConsistencyError) as info:
             graph_contribution(ctx, decorated)
         message = str(info.value)

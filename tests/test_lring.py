@@ -171,6 +171,16 @@ def test_sum_and_add_drop_cancelled_terms(f, g):
 
 def test_sum_of_nothing_is_zero():
     assert RingElem.sum([]).is_zero()
+    assert RingElem.sum_with_conjugates([]).is_zero()
+
+
+@given(st.lists(st.tuples(cyc_elems, cyc_coeff, cyc_coeff), max_size=5))
+def test_sum_with_conjugates_matches_the_scaled_sum(triples):
+    triples += [(x, -a, -b) for x, a, b in triples[:1]]  # a cancelling pair
+    expected = RingElem.sum([x * a + x.conjugate() * b for x, a, b in triples])
+    total = RingElem.sum_with_conjugates(triples)
+    assert total.terms == expected.terms
+    assert_canonical(total)
 
 
 # -- the one-denominator representation against the per-term one ----------

@@ -271,34 +271,34 @@ def test_dilaton_equation(case):
 
 
 def test_vertex_class_rank_zero():
-    cls = expand_vertex_class(0, 0)
-    assert cls.expansion == {(): euler_at(0).inverse()}
+    expansion = expand_vertex_class(0, 0)
+    assert expansion == {(): euler_at(0).inverse()}
     assert euler_at(0) == CycScalar(-9)
 
 
 def test_vertex_class_genus_one():
     for i in range(3):
-        cls = expand_vertex_class(i, 1)
-        assert cls.expansion[()] == CycScalar(1)
+        expansion = expand_vertex_class(i, 1)
+        assert expansion[()] == CycScalar(1)
         expected = CycScalar(F(-2, 3)) * weight_pow(i, 2)
-        assert cls.expansion[(1,)] == expected
-        assert cls.expansion[(1, 1, 1)] == CycScalar(F(1, 9))
+        assert expansion[(1,)] == expected
+        assert expansion[(1, 1, 1)] == CycScalar(F(1, 9))
 
 
 def test_vertex_class_genus_two():
-    cls = expand_vertex_class(0, 2)
-    assert cls.expansion[()] == euler_at(0)
-    assert (1, 1) not in cls.expansion  # the -3w factor kills e_1(u)
-    assert all(sum(key) <= 3 for key in cls.expansion)
+    expansion = expand_vertex_class(0, 2)
+    assert expansion[()] == euler_at(0)
+    assert (1, 1) not in expansion  # the -3w factor kills e_1(u)
+    assert all(sum(key) <= 3 for key in expansion)
 
 
 def test_vertex_class_genus_three():
     for i in range(3):
-        cls = expand_vertex_class(i, 3)
-        assert cls.expansion[()] == euler_at(i) ** 2
-        assert max(sum(key) for key in cls.expansion) == 6
-        assert all(max(key, default=0) <= 3 for key in cls.expansion)
+        expansion = expand_vertex_class(i, 3)
+        assert expansion[()] == euler_at(i) ** 2
+        assert max(sum(key) for key in expansion) == 6
+        assert all(max(key, default=0) <= 3 for key in expansion)
         # lambda_3 comes from one factor, u'^3 u''^3 from the other two
         us = [weight(i) - weight(j) for j in range(3) if j != i] + [CycScalar(-3) * weight(i)]
         expected = -sum((us[(t + 1) % 3] * us[(t + 2) % 3]) ** 3 for t in range(3))
-        assert cls.expansion[(3,)] == expected * euler_at(i).inverse()
+        assert expansion[(3,)] == expected * euler_at(i).inverse()

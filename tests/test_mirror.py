@@ -11,7 +11,7 @@ from kp2.mirror import (
     verify_pf,
 )
 from kp2.scalars import ConsistencyError, CycScalar, weight
-from kp2.series import QSeries, QZSeries
+from kp2.series import QSeries
 
 
 def test_pf_residual_vanishes_small():
@@ -66,22 +66,45 @@ def test_normalizations_across_fixed_points():
         assert alt[0] * alt[1] * alt[2] * kink == QSeries.one(6)
 
 
+def _double_u_entry(monkeypatch, k, d):
+    """Make expand_at_infinity return its q^d u^k entry doubled."""
+    expand = series.RatFunZ.expand_at_infinity
+
+    def doubled(self, kmax):
+        rows = expand(self, kmax)
+        coeffs = list(rows[k].coeffs)
+        coeffs[d] = coeffs[d] * 2
+        rows[k] = QSeries(coeffs, rows[k].qmax)
+        return rows
+
+    monkeypatch.setattr(series.RatFunZ, "expand_at_infinity", doubled)
+
+
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_doubled_u_entry_breaks_normalizations(i, monkeypatch):
     # the chain reads C1 from the q^1 u^1 entry; C0 = C1 is the check that
     # sees a wrong entry there
-    expand = series.RatFunZ.expand_at_infinity
-
-    def doubled(self, ucap):
-        f = expand(self, ucap)
-        entries = dict(f.entries)
-        entries[(1, 1)] = entries[(1, 1)] * 2
-        return QZSeries(entries, f.qmax, f.zcap)
-
     birkhoff_normalizations(6, i=i)
-    monkeypatch.setattr(series.RatFunZ, "expand_at_infinity", doubled)
+    _double_u_entry(monkeypatch, 1, 1)
     with pytest.raises(ConsistencyError, match="C0 = C1 failed"):
         birkhoff_normalizations(6, i=i)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_every_u_entry_the_chain_reads_is_checked(i, monkeypatch):
+    # The chain expands only through u^3, the rows its three M steps read.
+    # Doubling any nonzero one of them must raise: C0 = C1 catches all but
+    # the top q-degree of u^1, which the product relation catches.
+    qmax = 4
+    rows = build_ibar(i, qmax).expand_at_infinity(3)
+    nonzero = [(k, d) for k in range(4) for d in range(qmax + 1) if not rows[k][d].is_zero()]
+    assert len(nonzero) == 1 + 3 * qmax  # u^0 only at q^0, u^0 vanishes above
+    for k, d in nonzero:
+        with monkeypatch.context() as patch:
+            _double_u_entry(patch, k, d)
+            message = "C0 C1 C2" if (k, d) == (1, qmax) else "C0 = C1"
+            with pytest.raises(ConsistencyError, match=message):
+                birkhoff_normalizations(qmax, i=i)
 
 
 def test_mirror_map(mirror12):

@@ -6,7 +6,6 @@ delta != 0 mod 3, and contracts the flag sum vertex by vertex.  Each of
 these is compared here with the unreduced computation it replaces.
 """
 
-import dataclasses
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -53,7 +52,7 @@ def graphs_of(g, tags):
 
 
 def labeled(graph, labels, aut=1):
-    return dataclasses.replace(graph, decorations=tuple(labels), aut_order=aut)
+    return graph._replace(decorations=tuple(labels), aut_order=aut)
 
 
 def orbit_values(ctx, g, tags):
@@ -146,6 +145,25 @@ def test_nonzero_delta_totals_vanish_the_slow_way(ctx2, g, tags):
     assert nonzero > 0  # the zero is a cancellation, not a sum of zeros
     assert total.is_zero()
     assert correlator(ctx2, g, tags).is_zero()
+
+
+@pytest.mark.parametrize(
+    "g, tags", [(2, ()), (2, ("H1", "H1")), (1, ("H0", "psiH", "H1")), (1, ("H1", "H2"))],
+    ids=["2-0", "2-2", "1-3-mixed", "1-2-delta"],
+)
+def test_graph_values_sum_their_decorations(g, tags):
+    # A graph value adds a * v + b * conj(v) once per relabeling class; it
+    # must equal the plain sum of the per-decoration values.  With delta != 0
+    # both are zero per graph (the shift maps a graph's decorations onto
+    # themselves), a cancellation of nonzero decoration values.
+    contributions = per_graph_contributions(build_context(), g, tags)
+    for item in contributions:
+        assert item.value == RingElem.sum(v for _, _, v in item.per_decoration)
+    assert any(not v.is_zero() for item in contributions for _, _, v in item.per_decoration)
+    if weight_degree(tags):
+        assert all(item.value.is_zero() for item in contributions)
+    else:
+        assert any(not item.value.is_zero() for item in contributions)
 
 
 def test_zero_shortcut_skips_assembly(ctx2, monkeypatch):
