@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _graph_json(contribution) -> dict:
+def _graph_json(contribution, ctx) -> dict:
     graph = contribution.graph
     return {
         "signature": graph.signature(),
@@ -131,7 +131,7 @@ def _graph_json(contribution) -> dict:
         "value": contribution.value.to_json(),
         "decorations": [
             {"labels": list(labels), "aut_order": aut, "value": val.to_json()}
-            for labels, aut, val in contribution.per_decoration
+            for labels, aut, val in contribution.per_decoration(ctx)
         ],
     }
 
@@ -152,7 +152,7 @@ def _cmd_fg(args):
         "total_a2": total.to_a2_form().to_json(),
     }
     if args.per_graph:
-        payload["graphs"] = [_graph_json(item) for item in contribs]
+        payload["graphs"] = [_graph_json(item, ctx) for item in contribs]
     lines = [f"F_{args.genus} = {total}"]
     if args.per_graph:
         for item in contribs:

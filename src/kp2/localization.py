@@ -16,19 +16,17 @@ Enumeration.  A stable graph is listed by its canonical form: the
 relabeling of its vertices with the smallest key (genera, edges, legs),
 where edges is the sorted tuple of pairs u <= v and legs the vertex of each
 marking.  Sorting the vertices by genus gives the smallest genera, so the
-canonical genera are nondecreasing and only those are generated.  The edges
-are generated as sorted multisets, and a walk over them is cut as soon as
-its vertices must lack more flags for stability (2h - 2 + valence > 0)
-than the legs can supply: every cut candidate is unstable, so no graph is
-lost.  With both in place, only the relabelings within blocks of equal
-genus keep the genera, and a candidate is canonical exactly when none of
-them gives a smaller (edges, legs); the test stops at the first smaller
-key.  A relabeling that gives an equal key fixes the genera, the edge
-multiset and every leg, so it is a vertex automorphism.  These
-permutations are kept on the graph as its automorphism group; their
-number times the flag factor (parallel-edge permutations and loop flips)
-is the automorphism order, and the decoration orbits and relabeling
-classes below are orbits under that group.
+canonical genera are nondecreasing and only those are generated; then only
+the relabelings within blocks of equal genus keep them.  The edges are
+generated as sorted multisets, and the walk is cut wherever no completion
+can be stable, connected and canonical (see _edge_multisets).  A survivor
+is canonical exactly when no block relabeling gives a smaller (edges,
+legs); the test stops at the first smaller key.  A relabeling that gives
+an equal key fixes the genera, the edge multiset and every leg, so it is a
+vertex automorphism.  These permutations are kept on the graph as its
+automorphism group; their number times the flag factor (parallel-edge
+permutations and loop flips) is the automorphism order, and the decoration
+orbits and relabeling classes below are orbits under that group.
 
 Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the insertions,
 counting H0 as -1, H1 as 0, H2 as 1 and psiH as 1.  Every factor is a
@@ -55,8 +53,8 @@ all labelings the total is invariant under the shift, so T = zeta^delta T
 and the total vanishes exactly when delta is not 0 mod 3: correlator returns
 zero without assembly.  Otherwise per_graph_contributions evaluates one
 decoration orbit per class under Aut and the six relabelings p -> +-p + s,
-and derives every other orbit of the class by conjugation and a power of
-zeta; the graph value adds each class once, as a v + b conj(v).
+and adds each class once, as a v + b conj(v); the value of every other
+orbit of the class is v or conj(v) times a power of zeta.
 
 Contracted flag sum.  Each leg and loop meets only one vertex, so
 graph_contribution first sums, per vertex, over the flag compositions
@@ -72,6 +70,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 from operator import mul
 
 from .lring import RingElem
@@ -80,20 +79,10 @@ from .rseries import extract_R_rows
 from .scalars import ZERO, ConsistencyError, CycScalar, euler_at, weight_pow
 
 __all__ = [
-    "StableGraph",
-    "Contribution",
-    "Context",
-    "build_context",
-    "enumerate_graphs",
-    "decoration_orbits",
-    "vertex_contribution",
-    "edge_contribution",
-    "leg_contribution",
-    "graph_contribution",
-    "per_graph_contributions",
-    "correlator",
-    "checked_total",
-    "normalize_tag",
+    "StableGraph", "Contribution", "Context", "build_context",
+    "enumerate_graphs", "decoration_orbits", "vertex_contribution",
+    "edge_contribution", "leg_contribution", "graph_contribution",
+    "per_graph_contributions", "correlator", "checked_total", "normalize_tag",
     "weight_degree",
 ]
 
@@ -152,35 +141,10 @@ def _mapped_edges(sigma, edges) -> tuple:
 
 def _flag_factor(edges) -> int:
     """Parallel-edge permutations times half-edge swaps of loops."""
-    mult: dict = {}
-    loops = 0
-    for e in edges:
-        mult[e] = mult.get(e, 0) + 1
-        if e[0] == e[1]:
-            loops += 1
-    out = 2**loops
-    for m in mult.values():
-        f = 1
-        for t in range(2, m + 1):
-            f *= t
-        out *= f
+    out = 2 ** sum(u == v for u, v in edges)
+    for e in set(edges):
+        out *= factorial(edges.count(e))
     return out
-
-
-def _connected(nv, edges) -> bool:
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in range(nv)}) == 1
 
 
 def _check_request(g: int, n: int) -> None:
@@ -193,41 +157,60 @@ def _check_request(g: int, n: int) -> None:
 def _edge_multisets(genera, ne: int, n: int):
     """Sorted multisets of ne edges (u <= v) on the vertices of genera.
 
-    Edges are placed pair by pair in lexicographic order, so vertex u's edge
-    valence is final once the pairs (u, .) are passed.  A vertex of genus h
-    lacks max(0, 3 - 2h - valence) flags for stability.  Only the n legs
-    can supply the flags a final vertex lacks, and the left edges bring at
-    most 2 * left flags to the later vertices: a walk that must leave more
-    than n flags lacking is cut when a vertex becomes final.
+    Pairs are placed in lexicographic order, so row u (the pairs (u, .))
+    and u's valence are final once passed.  Each cut drops only candidates
+    that enumerate_graphs rejects, so no canonical stable graph is lost:
+
+    - stability: a vertex of genus h lacks max(0, 3 - 2h - valence) flags,
+      which only the n legs can supply.  The walk is cut when a vertex
+      becomes final and more than n flags must stay lacking, counting 2 per
+      left edge for the later vertices.
+    - connectivity: later edges join vertices > u, so a final row u whose
+      component holds no vertex > u leaves the graph disconnected.  Smaller
+      vertices' components were checked at their own rows, so every
+      multiset yielded is connected.
+    - column order: col[v][a] counts the pair (a, v).  If genera[v - 1] ==
+      genera[v] and v - 1 > u, swapping v - 1 and v keeps the rows before
+      the first row a where the two columns differ, and trades their counts
+      in row a.  If column v - 1 is the smaller there, the swap makes the
+      edges smaller; more copies of (u, v) keep it so, and the row stops.
     """
     nv = len(genera)
     need = [3 - 2 * h for h in genera]
     val = [0] * nv
-    chosen: list = []
+    col = [[0] * nv for _ in genera]  # col[v][u]: copies of the pair (u, v)
+    tie = [v > 0 and genera[v - 1] == genera[v] for v in range(nv)]
     out: list = []
 
-    def place(u, v, left, lacking):
+    def place(u, v, left, lacking, comp):
         if v == nv:  # every pair (u, .) is placed: u is final
             lacking += max(0, need[u] - val[u])
             later = sum(max(0, need[w] - val[w]) for w in range(u + 1, nv))
             if lacking + max(0, later - 2 * left) > n:
                 return
             if u + 1 < nv:
-                place(u + 1, u + 1, left, lacking)
+                joined = {comp[w] for w in range(u, nv) if col[w][u]} | {comp[u]}
+                comp = [u if c in joined else c for c in comp]
+                if u in comp[u + 1:]:
+                    place(u + 1, u + 1, left, lacking, comp)
             elif left == 0:
-                out.append(tuple(chosen))
+                out.append(tuple((a, b) for a in range(nv) for b in range(a, nv)
+                                 for _ in range(col[b][a])))
             return
-        place(u, v + 1, left, lacking)
+        place(u, v + 1, left, lacking, comp)
         for count in range(1, left + 1):
-            chosen.append((u, v))
             val[u] += 1
             val[v] += 1
-            place(u, v + 1, left - count, lacking)
-        del chosen[len(chosen) - left:]
-        val[u] -= left
-        val[v] -= left
+            col[v][u] += 1
+            if v > u + 1 and tie[v] and col[v - 1] < col[v]:
+                break
+            place(u, v + 1, left - count, lacking, comp)
+        count = col[v][u]
+        val[u] -= count
+        val[v] -= count
+        col[v][u] = 0
 
-    place(0, 0, ne, 0)
+    place(0, 0, ne, 0, list(range(nv)))
     return out
 
 
@@ -271,16 +254,13 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     n = len(tags)
     _check_request(g, n)
     out = []
-    max_v = 2 * g - 2 + n
-    for nv in range(1, max_v + 1):
+    for nv in range(1, 2 * g - 1 + n):
         for genera in combinations_with_replacement(range(g + 1), nv):
             ne = g - sum(genera) + nv - 1
             if ne < 0:
                 continue
             perms = _block_perms(genera)
             for edges in _edge_multisets(genera, ne, n):
-                if not _connected(nv, edges):
-                    continue
                 stabilizer = _edge_stabilizer(edges, perms)
                 if stabilizer is None:
                     continue
@@ -303,15 +283,8 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
                         if mapped == legs:
                             group.append(sigma)
                     else:
-                        out.append(StableGraph(
-                            genera=genera,
-                            decorations=None,
-                            edges=edges,
-                            legs=legs,
-                            tags=tags,
-                            aut_order=len(group) * flag,
-                            automorphisms=tuple(group),
-                        ))
+                        out.append(StableGraph(genera, None, edges, legs, tags,
+                                               len(group) * flag, tuple(group)))
     out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
     return out
 
@@ -330,16 +303,30 @@ def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
         images = _aut_images(p, graph.automorphisms)
         key = min(images)
         if key not in reps:
-            stab = sum(1 for im in images if im == key)
-            reps[key] = stab * flag
+            reps[key] = images.count(key) * flag
     return sorted(reps.items())
 
 
-class Contribution(namedtuple("Contribution", ("graph", "value", "per_decoration"))):
-    """Assembled value of one undecorated graph, with its decoration detail:
-    per_decoration lists (labels, aut_order, RingElem) per decoration orbit."""
+class Contribution(namedtuple("Contribution", ("graph", "value", "orbits"))):
+    """Assembled value of one undecorated graph; orbits lists (labels,
+    aut_order, rep, s, eps) per decoration orbit, whose value is rep's
+    relabeled by p -> eps * p + s."""
 
     __slots__ = ()
+
+    def per_decoration(self, ctx: Context) -> list:
+        """(labels, aut_order, RingElem) per decoration orbit; each rep is
+        evaluated again."""
+        delta = weight_degree(self.graph.tags)
+        reps: dict = {}
+        out = []
+        for labels, aut, rep, s, eps in self.orbits:
+            if rep not in reps:
+                reps[rep] = graph_contribution(ctx, self.graph._replace(decorations=rep,
+                                                                        aut_order=aut))
+            value = reps[rep].conjugate() if eps < 0 else reps[rep]
+            out.append((labels, aut, value * weight_pow(1, s * delta) if s * delta % 3 else value))
+        return out
 
 
 class Context:
@@ -373,12 +360,9 @@ class Context:
             self.kmax = kmax
 
     def vertex_class(self, i: int, h: int):
-        key = (i, h)
-        hit = self._vertex_classes.get(key)
-        if hit is None:
-            hit = expand_vertex_class(i, h)
-            self._vertex_classes[key] = hit
-        return hit
+        if (i, h) not in self._vertex_classes:
+            self._vertex_classes[i, h] = expand_vertex_class(i, h)
+        return self._vertex_classes[i, h]
 
 
 def build_context() -> Context:
@@ -386,21 +370,13 @@ def build_context() -> Context:
     return Context()
 
 
-def _partitions(total: int):
-    """Nonincreasing partitions of total into parts >= 1 (empty for total 0)."""
+def _partitions(total: int, cap: int):
+    """Nonincreasing partitions of total into parts in 1..cap (empty for total 0)."""
     if total == 0:
         yield ()
-        return
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            for tail in rec(remaining - part, part):
-                yield (part,) + tail
-
-    yield from rec(total, total)
+    for part in range(min(total, cap), 0, -1):
+        for tail in _partitions(total - part, part):
+            yield (part,) + tail
 
 
 def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
@@ -424,26 +400,18 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
         rem = budget - sum(lam)
         if rem < 0:
             continue
-        for parts in _partitions(rem):
+        for parts in _partitions(rem, rem):
             # parts are the j-1 values; each j >= 2
             integral = hodge_psi_integral(h, exps + tuple(p + 1 for p in parts), lam)
             if integral == 0:
                 continue
-            mult = 1
-            run = 1
-            for t in range(1, len(parts)):
-                run = run + 1 if parts[t] == parts[t - 1] else 1
-                if run > 1:
-                    mult *= run
+            mult = prod(factorial(parts.count(p)) for p in set(parts))
             factor = RingElem.const(coeff * integral / mult)
             for p in parts:
-                j = p + 1
-                if j - 1 > ctx.kmax:
-                    raise ValueError(f"row index {j - 1} beyond kmax={ctx.kmax}")
-                sign = 1 if j % 2 == 0 else -1
-                factor = factor * rows0[j - 1] * RingElem.const(
-                    CycScalar(sign) * weight_pow(i, 1 - j)
-                )
+                if p > ctx.kmax:
+                    raise ValueError(f"row index {p} beyond kmax={ctx.kmax}")
+                factor = factor * rows0[p] * RingElem.const(
+                    CycScalar(1 if p % 2 else -1) * weight_pow(i, -p))
             terms.append(factor)
     total = RingElem.sum(terms)
     if total.x_degree() > 0:
@@ -515,12 +483,7 @@ def leg_contribution(ctx: Context, i: int, tag: str, a: int) -> RingElem:
     hit = ctx._leg_memo.get(key)
     if hit is not None:
         return hit
-    if tag == "psiH":
-        shift = a - 2
-        row = 1
-    else:
-        shift = a - 1
-        row = int(tag[1])
+    shift, row = (a - 2, 1) if tag == "psiH" else (a - 1, int(tag[1]))
     if shift < 0:
         out = RingElem.zero()
     else:
@@ -674,39 +637,31 @@ def _aut_images(labels, sigmas) -> list[tuple]:
 _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
-def _orbit_values(ctx: Context, graph: StableGraph, orbits, delta: int,
-                  budget_extra: int) -> tuple[dict, RingElem]:
-    """graph_contribution of every decoration orbit, one evaluation per class,
-    and the sum of all of them.
+def _contribution(ctx: Context, graph: StableGraph, delta: int,
+                  budget_extra: int) -> Contribution:
+    """The graph's value, from one graph_contribution per relabeling class.
 
-    Relabeling p -> eps * p + s multiplies a value by zeta^(s * delta) and
-    conjugates it when eps = -1 (see the module docstring), and maps each
-    orbit under the graph's automorphisms onto an orbit with the same
-    decorated automorphism order.  So a class with evaluated value v sums
-    to a * v + b * conj(v), a and b the sums of the powers of zeta over its
-    orbits, and the graph value adds one term per class, not one per orbit.
+    A class with evaluated value v sums to a * v + b * conj(v): a and b sum
+    zeta^(s * delta) over the orbits that p -> eps * p + s reaches from the
+    evaluated one, with eps = 1 and -1 (see the module docstring).  Each
+    orbit keeps only its (rep, s, eps), not a value.
     """
-    values: dict = {}
+    orbits = decoration_orbits(graph)
+    found: dict = {}  # orbit labels -> (rep, s, eps)
     addends = []
     for labels, aut in orbits:
-        if labels in values:
+        if labels in found:
             continue
-        decorated = graph._replace(decorations=labels, aut_order=aut)
-        value = graph_contribution(ctx, decorated, budget_extra)
-        swapped = value.conjugate()
         weights = [ZERO, ZERO]  # a and b
         for s, eps in _RELABELINGS:
             image = min(_aut_images([(eps * p + s) % 3 for p in labels], graph.automorphisms))
-            if image in values:
-                continue
-            moved = swapped if eps < 0 else value
-            twist = weight_pow(1, s * delta)
-            if s * delta % 3:
-                moved = moved * twist
-            values[image] = moved
-            weights[eps < 0] += twist
-        addends.append((value, weights[0], weights[1]))
-    return values, RingElem.sum_with_conjugates(addends)
+            if image not in found:
+                found[image] = (labels, s, eps)
+                weights[eps < 0] += weight_pow(1, s * delta)
+        decorated = graph._replace(decorations=labels, aut_order=aut)
+        addends.append((graph_contribution(ctx, decorated, budget_extra), *weights))
+    return Contribution(graph, RingElem.sum_with_conjugates(addends),
+                        [(labels, aut) + found[labels] for labels, aut in orbits])
 
 
 def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
@@ -719,13 +674,7 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
     delta = weight_degree(tags)
-    out = []
-    for gr in graphs:
-        orbits = decoration_orbits(gr)
-        values, value = _orbit_values(ctx, gr, orbits, delta, budget_extra)
-        detail = [(labels, aut, values[labels]) for labels, aut in orbits]
-        out.append(Contribution(graph=gr, value=value, per_decoration=detail))
-    return out
+    return [_contribution(ctx, gr, delta, budget_extra) for gr in graphs]
 
 
 def correlator(ctx: Context, g: int, insertions) -> RingElem:

@@ -1,5 +1,6 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -7,7 +8,6 @@ import pytest
 
 from kp2 import localization
 from kp2.localization import (
-    _connected,
     _flag_factor,
     _mapped_edges,
     _p_coefficient,
@@ -143,6 +143,22 @@ def test_automorphism_groups_match_brute_force(g, n):
         assert gr.aut_order == len(group) * _flag_factor(gr.edges)
 
 
+def _connected(nv, edges) -> bool:
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (u, v) in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(v) for v in range(nv)}) == 1
+
+
 def reference_key(genera, edges, legs):
     """The smallest (genera, edges, legs) over every vertex permutation."""
     nv = len(genera)
@@ -202,6 +218,60 @@ def test_genus_three_censuses():
         assert gr.aut_order == len(_valid_perms(*key)) * _flag_factor(gr.edges)
     assert [(gr.genera, gr.edges, gr.legs) for gr in graphs] == sorted(
         (gr.genera, gr.edges, gr.legs) for gr in graphs)
+
+
+def _lacking(genera, edges):
+    """Flags the vertices lack for stability, which only legs can supply."""
+    val = [0] * len(genera)
+    for (u, v) in edges:
+        val[u] += 1
+        val[v] += 1
+    return sum(max(0, 3 - 2 * h - x) for h, x in zip(genera, val))
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (3, 0), (1, 3), (3, 1)])
+def test_edge_walk_keeps_every_canonical_candidate(g, n):
+    # The walk may drop only what enumerate_graphs rejects: a disconnected
+    # multiset, one that needs more than n legs, or one that a relabeling
+    # within the genus blocks makes smaller.  Every genus vector with up to
+    # five vertices is checked against all multisets of its pairs.  What it
+    # yields is connected, and no two adjacent vertices s, s + 1 of one genus
+    # have columns out of order in the rows a < s (swapping them would make
+    # the edges smaller).
+    for nv in range(1, min(5, 2 * g - 2 + n) + 1):
+        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+        for genera in combinations_with_replacement(range(g + 1), nv):
+            ne = g - sum(genera) + nv - 1
+            if ne < 0:
+                continue
+            walked = localization._edge_multisets(genera, ne, n)
+            assert len(set(walked)) == len(walked)
+            for edges in walked:
+                assert _connected(nv, edges), (genera, edges)
+                assert _lacking(genera, edges) <= n, (genera, edges)
+                count = Counter(edges)
+                for t in range(nv - 1):
+                    if genera[t] == genera[t + 1]:
+                        assert ([count[a, t] for a in range(t)]
+                                >= [count[a, t + 1] for a in range(t)]), (genera, edges)
+            perms = [sigma for sigma in permutations(range(nv))
+                     if all(genera[sigma[v]] == genera[v] for v in range(nv))]
+            walked = set(walked)
+            for edges in combinations_with_replacement(pairs, ne):
+                if _lacking(genera, edges) > n or not _connected(nv, edges):
+                    continue
+                if all(tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for (u, v) in edges))
+                       >= edges for sigma in perms):
+                    assert edges in walked, (genera, edges)
+
+
+@pytest.mark.parametrize("g, n, count", [
+    (2, 3, 555), (2, 4, 5608), (3, 2, 1355), (4, 0, 379), (1, 4, 163), (0, 6, 236)])
+def test_frozen_census_counts(g, n, count):
+    # (4, 0) is the genus-4 count of Maggiolo-Pagani, arXiv:1012.4777
+    graphs = enumerate_graphs(g, n)
+    assert len(graphs) == count
+    assert len({(gr.genera, gr.edges, gr.legs) for gr in graphs}) == count
 
 
 def test_genus_three_series(ctx2):

@@ -156,10 +156,12 @@ def test_graph_values_sum_their_decorations(g, tags):
     # must equal the plain sum of the per-decoration values.  With delta != 0
     # both are zero per graph (the shift maps a graph's decorations onto
     # themselves), a cancellation of nonzero decoration values.
-    contributions = per_graph_contributions(build_context(), g, tags)
-    for item in contributions:
-        assert item.value == RingElem.sum(v for _, _, v in item.per_decoration)
-    assert any(not v.is_zero() for item in contributions for _, _, v in item.per_decoration)
+    ctx = build_context()
+    contributions = per_graph_contributions(ctx, g, tags)
+    details = [item.per_decoration(ctx) for item in contributions]
+    for item, detail in zip(contributions, details):
+        assert item.value == RingElem.sum(v for _, _, v in detail)
+    assert any(not v.is_zero() for detail in details for _, _, v in detail)
     if weight_degree(tags):
         assert all(item.value.is_zero() for item in contributions)
     else:
@@ -192,11 +194,11 @@ def test_reduced_matches_per_orbit(ctx2, g, tags):
     reduced = per_graph_contributions(ctx2, g, tags)
     direct = list(orbit_values(ctx2, g, tags))
     got = [(item.graph, labels, aut, value)
-           for item in reduced for labels, aut, value in item.per_decoration]
+           for item in reduced for labels, aut, value in item.per_decoration(ctx2)]
     assert got == direct
     for item in reduced:
         total = RingElem.zero()
-        for _, _, value in item.per_decoration:
+        for _, _, value in item.per_decoration(ctx2):
             total = total + value
         assert item.value == total
 
