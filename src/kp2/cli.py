@@ -149,7 +149,7 @@ def _cmd_fg(args):
         "genus": args.genus,
         "kmax": ctx.kmax,
         "total": total.to_json(),
-        "total_a2": total.to_a2_form().to_json(),
+        "total_a2": total.to_a2_form().to_json("A2"),
     }
     if args.per_graph:
         payload["graphs"] = [_graph_json(item, ctx) for item in contribs]

@@ -51,10 +51,12 @@ homogeneous of weight degree delta mod 3.  With w_p = zeta^p this gives:
 Relabeling does not change the decorated automorphism order.  Summed over
 all labelings the total is invariant under the shift, so T = zeta^delta T
 and the total vanishes exactly when delta is not 0 mod 3: correlator returns
-zero without assembly.  Otherwise per_graph_contributions evaluates one
-decoration orbit per class under Aut and the six relabelings p -> +-p + s,
-and adds each class once, as a v + b conj(v); the value of every other
-orbit of the class is v or conj(v) times a power of zeta.
+zero without assembly, and per_graph_contributions refuses such tags.  With
+delta = 0 a shift keeps a value and a swap conjugates it, so
+per_graph_contributions evaluates one decoration orbit per class under Aut
+and the six relabelings p -> +-p + s, and adds each class once, as
+a v + b conj(v) with integers a and b: the value of every other orbit of
+the class is v or conj(v).
 
 Contracted flag sum.  Each leg and loop meets only one vertex, so
 graph_contribution first sums, per vertex, over the flag compositions
@@ -76,7 +78,7 @@ from operator import mul
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
-from .scalars import ZERO, ConsistencyError, CycScalar, euler_at, weight_pow
+from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
 
 __all__ = [
     "StableGraph", "Contribution", "Context", "build_context",
@@ -308,24 +310,22 @@ def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
 
 
 class Contribution(namedtuple("Contribution", ("graph", "value", "orbits"))):
-    """Assembled value of one undecorated graph; orbits lists (labels,
-    aut_order, rep, s, eps) per decoration orbit, whose value is rep's
-    relabeled by p -> eps * p + s."""
+    """Assembled value of one undecorated graph, for delta = 0; orbits lists
+    (labels, aut_order, rep, conj) per decoration orbit, whose value is
+    rep's, conjugated when conj is true."""
 
     __slots__ = ()
 
     def per_decoration(self, ctx: Context) -> list:
         """(labels, aut_order, RingElem) per decoration orbit; each rep is
         evaluated again."""
-        delta = weight_degree(self.graph.tags)
         reps: dict = {}
         out = []
-        for labels, aut, rep, s, eps in self.orbits:
+        for labels, aut, rep, conj in self.orbits:
             if rep not in reps:
                 reps[rep] = graph_contribution(ctx, self.graph._replace(decorations=rep,
                                                                         aut_order=aut))
-            value = reps[rep].conjugate() if eps < 0 else reps[rep]
-            out.append((labels, aut, value * weight_pow(1, s * delta) if s * delta % 3 else value))
+            out.append((labels, aut, reps[rep].conjugate() if conj else reps[rep]))
         return out
 
 
@@ -637,27 +637,27 @@ def _aut_images(labels, sigmas) -> list[tuple]:
 _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
-def _contribution(ctx: Context, graph: StableGraph, delta: int,
-                  budget_extra: int) -> Contribution:
-    """The graph's value, from one graph_contribution per relabeling class.
+def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contribution:
+    """The graph's value for delta = 0, from one graph_contribution per
+    relabeling class.
 
-    A class with evaluated value v sums to a * v + b * conj(v): a and b sum
-    zeta^(s * delta) over the orbits that p -> eps * p + s reaches from the
-    evaluated one, with eps = 1 and -1 (see the module docstring).  Each
-    orbit keeps only its (rep, s, eps), not a value.
+    A class with evaluated value v sums to a * v + b * conj(v): the integers
+    a and b count the orbits that p -> eps * p + s reaches from the
+    evaluated one with eps = 1 and -1 (see the module docstring).  Each
+    orbit keeps only its (rep, conj), not a value.
     """
     orbits = decoration_orbits(graph)
-    found: dict = {}  # orbit labels -> (rep, s, eps)
+    found: dict = {}  # orbit labels -> (rep, conj)
     addends = []
     for labels, aut in orbits:
         if labels in found:
             continue
-        weights = [ZERO, ZERO]  # a and b
+        weights = [0, 0]  # a and b
         for s, eps in _RELABELINGS:
             image = min(_aut_images([(eps * p + s) % 3 for p in labels], graph.automorphisms))
             if image not in found:
-                found[image] = (labels, s, eps)
-                weights[eps < 0] += weight_pow(1, s * delta)
+                found[image] = (labels, eps < 0)
+                weights[eps < 0] += 1
         decorated = graph._replace(decorations=labels, aut_order=aut)
         addends.append((graph_contribution(ctx, decorated, budget_extra), *weights))
     return Contribution(graph, RingElem.sum_with_conjugates(addends),
@@ -667,14 +667,17 @@ def _contribution(ctx: Context, graph: StableGraph, delta: int,
 def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
     """Per undecorated graph: the sum over decoration orbits of its value.
 
-    Rows are extended first to 3g - 3 + n, the largest index any vertex, edge
-    or leg budget can request; each widening of the budgets by budget_extra
-    adds at most 2 * budget_extra (an edge spans two vertices).
+    Only for tags with delta = 0; other tags raise ValueError before any
+    graph is enumerated (their total is zero, see correlator).  Rows are
+    extended first to 3g - 3 + n, the largest index any vertex, edge or leg
+    budget can request; each widening of the budgets by budget_extra adds at
+    most 2 * budget_extra (an edge spans two vertices).
     """
+    if weight_degree(tags):
+        raise ValueError("per_graph_contributions needs insertions of weight degree 0")
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
-    delta = weight_degree(tags)
-    return [_contribution(ctx, gr, delta, budget_extra) for gr in graphs]
+    return [_contribution(ctx, gr, budget_extra) for gr in graphs]
 
 
 def correlator(ctx: Context, g: int, insertions) -> RingElem:

@@ -8,9 +8,10 @@ with x >= 0.  The derivation D acts by
     D(c) = -c X
 
 and MirrorData.eval_q (kp2.mirror) sends L, X, c to their q-expansions,
-under which D becomes q d/dq.  The alternate coordinate
-A2 = (3X + 1 - L^3/2)/L^3 is supported as a separate polynomial form for
-degree bookkeeping.
+under which D becomes q d/dq.  The propagator coordinate
+A2 = (3X + 1 - L^3/2)/L^3 is reached by a ring automorphism: to_a2_form
+substitutes X = (L^3 A2 + L^3/2 - 1)/3 and fixes L and c, and its result
+is a RingElem that holds A2 in the X slot; from_a2_form is the inverse.
 
 A RingElem keeps integer pairs over one denominator for all its terms (see
 its docstring); terms is a read-only view that yields CycScalars.
@@ -20,17 +21,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
-from .scalars import ONE, ZERO, CycScalar, _make
+from .scalars import ONE, ZERO, CycScalar, _make, to_cyc
 
-__all__ = ["RingElem", "A2Form"]
-
-
-def _cyc(x) -> CycScalar:
-    if isinstance(x, CycScalar):
-        return x
-    return CycScalar(x)
+__all__ = ["RingElem"]
 
 
 class RingElem:
@@ -52,7 +47,7 @@ class RingElem:
         lifted = {}
         if terms:
             for (l, x, e), coeff in terms.items():
-                coeff = _cyc(coeff)
+                coeff = to_cyc(coeff)
                 if coeff.is_zero():
                     continue
                 if x < 0:
@@ -82,7 +77,7 @@ class RingElem:
 
     @classmethod
     def const(cls, value) -> "RingElem":
-        return cls({(0, 0, 0): _cyc(value)})
+        return cls({(0, 0, 0): to_cyc(value)})
 
     @classmethod
     def L(cls, power: int = 1) -> "RingElem":
@@ -98,7 +93,7 @@ class RingElem:
 
     @classmethod
     def monomial(cls, coeff, l: int = 0, x: int = 0, e: int = 0) -> "RingElem":
-        return cls({(l, x, e): _cyc(coeff)})
+        return cls({(l, x, e): to_cyc(coeff)})
 
     @staticmethod
     def sum(items) -> "RingElem":
@@ -122,29 +117,21 @@ class RingElem:
     @staticmethod
     def sum_with_conjugates(items) -> "RingElem":
         """The sum of a * x + b * conj(x) over the triples (x, a, b) in items,
-        with CycScalars a and b, accumulated over one denominator as in sum."""
-        parts = []
-        for x, a, b in items:
-            if not x.nums:
-                continue
-            e = lcm(a.d, b.d)
-            a0, a1 = a.n0 * (e // a.d), a.n1 * (e // a.d)
-            b0, b1 = b.n0 * (e // b.d), b.n1 * (e // b.d)
-            # a (n0 + n1 z) + b ((n0 - n1) - n1 z) with z^2 = -1 - z is
-            # (p0 n0 + p1 n1) + (q0 n0 + q1 n1) z
-            parts.append((x.nums, x.den * e, a0 + b0, b1 - b0 - a1, a1 + b1, a0 - a1 - b0))
-        den = lcm(*(part[1] for part in parts))
+        with integers a and b, accumulated over one denominator as in sum."""
+        items = [item for item in items if item[0].nums]
+        den = lcm(*(x.den for x, _, _ in items))
         acc: dict = {}
-        for nums, d, p0, p1, q0, q1 in parts:
-            m = den // d
-            p0, p1, q0, q1 = p0 * m, p1 * m, q0 * m, q1 * m
-            for key, (n0, n1) in nums.items():
+        for x, a, b in items:
+            m = den // x.den
+            # a (n0 + n1 z) + b ((n0 - n1) - n1 z) = ((a + b) n0 - b n1) + (a - b) n1 z
+            p, q, r = (a + b) * m, b * m, (a - b) * m
+            for key, (n0, n1) in x.nums.items():
                 prev = acc.get(key)
                 if prev is None:
-                    acc[key] = [p0 * n0 + p1 * n1, q0 * n0 + q1 * n1]
+                    acc[key] = [p * n0 - q * n1, r * n1]
                 else:
-                    prev[0] += p0 * n0 + p1 * n1
-                    prev[1] += q0 * n0 + q1 * n1
+                    prev[0] += p * n0 - q * n1
+                    prev[1] += r * n1
         return _reduced(acc, den)
 
     # -- structure ---------------------------------------------------------
@@ -210,7 +197,7 @@ class RingElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            return _scaled(self.nums, self.den, _cyc(other))
+            return _scaled(self.nums, self.den, to_cyc(other))
         if not isinstance(other, RingElem):
             return NotImplemented
         right = other.nums.items()
@@ -232,7 +219,7 @@ class RingElem:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            return self * _cyc(other).inverse()
+            return self * to_cyc(other).inverse()
         if isinstance(other, RingElem):
             if len(other.nums) != 1:
                 raise ValueError("ring division only by monomials")
@@ -250,22 +237,6 @@ class RingElem:
         """zeta -> zeta^2 on every coefficient; L, X and c are fixed."""
         # (n0 + n1 z) -> (n0 - n1) - n1 z keeps the gcd of the numerators.
         return _ring({key: (n0 - n1, -n1) for key, (n0, n1) in self.nums.items()}, self.den)
-
-    def __pow__(self, n: int) -> "RingElem":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if len(self.nums) != 1:
-                raise ValueError("negative powers only of monomials")
-            return (RingElem.one() / self) ** (-n)
-        out = RingElem.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- calculus -----------------------------------------------------------
 
@@ -303,31 +274,31 @@ class RingElem:
 
     def eval_at(self, l_value, x_value, c_value=1) -> CycScalar:
         """Numeric evaluation at given values of L, X and c."""
-        lv, xv, cv = _cyc(l_value), _cyc(x_value), _cyc(c_value)
+        lv, xv, cv = to_cyc(l_value), to_cyc(x_value), to_cyc(c_value)
         total = ZERO
         for (l, x, e), coeff in self.terms.items():
             term = coeff * lv**l * xv**x * cv**e
             total = total + term
         return total
 
-    # -- A2 coordinate --------------------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
-    def to_a2_form(self) -> "A2Form":
-        """Rewrite via X = (L^3 A2 - 1 + L^3/2)/3."""
-        out: dict = {}
-        third = Fraction(1, 3)
-        half = Fraction(1, 2)
-        for (l, x, e), c in self.terms.items():
-            base = c * third**x
-            for t in range(x + 1):
-                for s in range(x - t + 1):
-                    coeff = base * (comb(x, t) * comb(x - t, s)) * half**s
-                    if (x - t - s) % 2:
-                        coeff = -coeff
-                    key = (l + 3 * t + 3 * s, t, e)
-                    prev = out.get(key)
-                    out[key] = coeff if prev is None else prev + coeff
-        return A2Form(out)
+    def substitute_x(self, image: "RingElem") -> "RingElem":
+        """The ring map that sends X to image and fixes L and c, by Horner's rule."""
+        out = RingElem.zero()
+        for x in range(self.x_degree(), -1, -1):
+            out = out * image + self.x_coefficient(x)
+        return out
+
+    def to_a2_form(self) -> "RingElem":
+        """This element in A2, held in the X slot: X = (L^3 A2 + L^3/2 - 1)/3."""
+        return self.substitute_x(RingElem({(3, 1, 0): Fraction(1, 3), (3, 0, 0): Fraction(1, 6),
+                                           (0, 0, 0): Fraction(-1, 3)}))
+
+    def from_a2_form(self) -> "RingElem":
+        """The inverse of to_a2_form: A2 = 3 L^-3 X + L^-3 - 1/2."""
+        return self.substitute_x(RingElem({(-3, 1, 0): 3, (-3, 0, 0): 1,
+                                           (0, 0, 0): Fraction(-1, 2)}))
 
     def __str__(self):
         if not self.nums:
@@ -347,9 +318,11 @@ class RingElem:
 
     __repr__ = __str__
 
-    def to_json(self) -> list[dict]:
+    def to_json(self, x_name: str = "X") -> list[dict]:
+        """The terms in exponent order; x_name keys the X-exponent ("A2" for
+        an element from to_a2_form)."""
         terms = self.terms
-        return [{"L": l, "X": x, "c": e, "coeff": terms[(l, x, e)].to_json()}
+        return [{"L": l, x_name: x, "c": e, "coeff": terms[(l, x, e)].to_json()}
                 for (l, x, e) in sorted(self.nums)]
 
     @classmethod
@@ -419,62 +392,3 @@ def _reduced(acc: dict, den: int) -> RingElem:
         nums = {key: (n0 // g, n1 // g) for key, (n0, n1) in nums.items()}
         den //= g
     return _ring(nums, den)
-
-
-class A2Form:
-    """A polynomial in A2 over the L/c Laurent ring; keys are (l, a2deg, e)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = _cyc(coeff)
-                if not coeff.is_zero():
-                    clean[key] = coeff
-        self.terms = clean
-
-    def degree_in_a2(self) -> int:
-        return max((a for (_, a, _) in self.terms), default=-1)
-
-    def l_range(self) -> tuple[int, int]:
-        ls = [l for (l, _, _) in self.terms]
-        if not ls:
-            return (0, 0)
-        return (min(ls), max(ls))
-
-    def a2_coefficient(self, a: int) -> RingElem:
-        """The coefficient of A2^a as an X-free ring element."""
-        return RingElem(
-            {(l, 0, e): c for (l, aa, e), c in self.terms.items() if aa == a}
-        )
-
-    def to_x_form(self) -> RingElem:
-        """Substitute A2 = (3X + 1 - L^3/2)/L^3 back."""
-        out: dict = {}
-        half = Fraction(1, 2)
-        for (l, a, e), c in self.terms.items():
-            for t in range(a + 1):
-                base = c * (comb(a, t) * 3**t)
-                for s in range(a - t + 1):
-                    coeff = base * comb(a - t, s) * half**s
-                    if s % 2:
-                        coeff = -coeff
-                    key = (l - 3 * a + 3 * s, t, e)
-                    prev = out.get(key)
-                    out[key] = coeff if prev is None else prev + coeff
-        return RingElem(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, A2Form):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for (l, a, e) in sorted(self.terms):
-            out.append({"L": l, "A2": a, "c": e, "coeff": self.terms[(l, a, e)].to_json()})
-        return out

@@ -25,6 +25,7 @@ __all__ = [
     "weight_pow",
     "euler_at",
     "rat_str",
+    "to_cyc",
 ]
 
 
@@ -220,6 +221,11 @@ def _lift(x):
     if isinstance(x, Fraction):
         return _make(x.numerator, 0, x.denominator)
     return None
+
+
+def to_cyc(x) -> CycScalar:
+    """x, an int, Fraction or CycScalar, as a CycScalar; else TypeError."""
+    return x if isinstance(x, CycScalar) else CycScalar(x)
 
 
 ZERO = CycScalar(0)

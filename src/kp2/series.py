@@ -27,17 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, ConsistencyError, CycScalar
+from .scalars import ONE, ZERO, ConsistencyError, CycScalar, to_cyc
 
 __all__ = ["QSeries", "QZSeries", "RatFunZ", "qs_exp", "qs_log"]
-
-
-def _cyc(x) -> CycScalar:
-    if isinstance(x, CycScalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycScalar(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a series coefficient")
 
 
 class QSeries:
@@ -46,7 +38,7 @@ class QSeries:
     __slots__ = ("coeffs", "qmax")
 
     def __init__(self, coeffs: Sequence, qmax: int | None = None):
-        coeffs = [_cyc(c) for c in coeffs]
+        coeffs = [to_cyc(c) for c in coeffs]
         if qmax is None:
             qmax = len(coeffs) - 1
         if qmax < 0:
@@ -58,7 +50,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value, qmax: int) -> "QSeries":
-        return cls([_cyc(value)], qmax)
+        return cls([to_cyc(value)], qmax)
 
     @classmethod
     def zero(cls, qmax: int) -> "QSeries":
@@ -122,7 +114,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            s = _cyc(other)
+            s = to_cyc(other)
             return QSeries([c * s for c in self.coeffs], self.qmax)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -157,7 +149,7 @@ class QSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            return self * _cyc(other).inverse()
+            return self * to_cyc(other).inverse()
         if isinstance(other, QSeries):
             return self * other.inverse()
         return NotImplemented
@@ -238,7 +230,7 @@ class QZSeries:
         self.zcap = zcap
         clean = {}
         for (d, m), c in entries.items():
-            c = _cyc(c)
+            c = to_cyc(c)
             if c.is_zero():
                 continue
             if d < 0 or d > qmax:
@@ -305,7 +297,7 @@ class QZSeries:
         return QZSeries({k: -c for k, c in self.entries.items()}, self.qmax, self.zcap)
 
     def scale(self, s) -> "QZSeries":
-        s = _cyc(s)
+        s = to_cyc(s)
         return QZSeries({k: c * s for k, c in self.entries.items()}, self.qmax, self.zcap)
 
     def __mul__(self, other):
@@ -392,8 +384,8 @@ class RatFunZ:
     __slots__ = ("numerators", "denominators", "qmax")
 
     def __init__(self, numerators, denominators, qmax: int):
-        self.numerators = [[(_cyc(a), _cyc(b)) for (a, b) in fl] for fl in numerators]
-        self.denominators = [[(_cyc(a), _cyc(b)) for (a, b) in fl] for fl in denominators]
+        self.numerators = [[(to_cyc(a), to_cyc(b)) for (a, b) in fl] for fl in numerators]
+        self.denominators = [[(to_cyc(a), to_cyc(b)) for (a, b) in fl] for fl in denominators]
         self.qmax = qmax
         if len(self.numerators) != qmax + 1 or len(self.denominators) != qmax + 1:
             raise ValueError("factor lists must cover q-degrees 0..qmax")

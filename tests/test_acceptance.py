@@ -182,7 +182,7 @@ def test_criterion_07_genus_two_total(ctx2):
     checks = [
         ("matches the frozen total", total == genus2_total()),
         ("value at the point (1, 0)", total.eval_at(1, 0, 1).as_rational() == F(1, 1920)),
-        ("propagator degree is 3", a2.degree_in_a2() == 3),
+        ("propagator degree is 3", a2.x_degree() == 3),
         ("L-window", -9 <= lo <= hi <= 6),
         ("observed L-window", (alo, ahi) == (0, 6)),
     ]

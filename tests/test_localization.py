@@ -286,6 +286,17 @@ def test_genus_three_series(ctx2):
     assert correlator(ctx2, 3, ("H0",)).is_zero()  # delta != 0: exact zero
 
 
+def test_genus_three_series_is_a_polynomial_in_a2(ctx2):
+    # F_3 lies in Q[L^-1, L][A2] with A2-degree 3g - 3 = 6 (Lho-Pandharipande)
+    total = correlator(ctx2, 3, ())
+    a2 = total.to_a2_form()
+    assert a2.x_degree() == 6
+    assert a2.c_degrees() == {0}
+    assert all(c.is_rational() for c in a2.terms.values())
+    assert a2.l_range() == (0, 12)
+    assert a2.from_a2_form() == total
+
+
 def _gv_numbers(ctx, dmax, f3_scale=1):
     """Gopakumar-Vafa numbers n^h_d, h = 0, 2, 3, from the exact totals.
 
