@@ -124,14 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _graph_json(contribution, ctx) -> dict:
+    from .localization import decoration_orbits, graph_contribution
+
     graph = contribution.graph
     return {
         "signature": graph.signature(),
         "aut_order": graph.aut_order,
         "value": contribution.value.to_json(),
         "decorations": [
-            {"labels": list(labels), "aut_order": aut, "value": val.to_json()}
-            for labels, aut, val in contribution.per_decoration(ctx)
+            {"labels": list(labels), "aut_order": aut, "value": graph_contribution(
+                ctx, graph._replace(decorations=labels, aut_order=aut)).to_json()}
+            for labels, aut in decoration_orbits(graph)
         ],
     }
 

@@ -309,31 +309,17 @@ def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
     return sorted(reps.items())
 
 
-class Contribution(namedtuple("Contribution", ("graph", "value", "orbits"))):
-    """Assembled value of one undecorated graph, for delta = 0; orbits lists
-    (labels, aut_order, rep, conj) per decoration orbit, whose value is
-    rep's, conjugated when conj is true."""
+class Contribution(namedtuple("Contribution", ("graph", "value"))):
+    """The assembled value of one undecorated graph, for delta = 0."""
 
     __slots__ = ()
 
-    def per_decoration(self, ctx: Context) -> list:
-        """(labels, aut_order, RingElem) per decoration orbit; each rep is
-        evaluated again."""
-        reps: dict = {}
-        out = []
-        for labels, aut, rep, conj in self.orbits:
-            if rep not in reps:
-                reps[rep] = graph_contribution(ctx, self.graph._replace(decorations=rep,
-                                                                        aut_order=aut))
-            out.append((labels, aut, reps[rep].conjugate() if conj else reps[rep]))
-        return out
-
 
 class Context:
-    """Shared exact inputs: the asymptotic rows R_{m,k}, k <= kmax, and memo tables.
+    """Shared exact inputs: the asymptotic rows R_{m,k}, k <= kmax, and the
+    memo tables of the factors that read them.
 
-    Besides the vertex classes by (i, h), four memo tables hold factors that
-    depend on no other part of a graph:
+    Each table holds factors that depend on no other part of a graph:
 
     - _vertex_memo: vertex_contribution by (h, i, sorted flag values);
     - _edge_memo: edge_contribution by (i, j, b1, b2);
@@ -341,13 +327,13 @@ class Context:
     - _dressed_memo: a vertex with its legs and loops summed out, by (h, i,
       leg tags, loop count, number of other-edge ends, budget).
 
-    Rows only ever grow, so no memoized value goes stale.
+    Rows only ever grow, so no memoized value goes stale.  The vertex
+    classes read no row and are cached in kp2.mgn.
     """
 
     def __init__(self):
         self.kmax = 0
         self.rows = extract_R_rows(0)
-        self._vertex_classes: dict = {}
         self._vertex_memo: dict = {}
         self._edge_memo: dict = {}
         self._leg_memo: dict = {}
@@ -358,11 +344,6 @@ class Context:
         if kmax > self.kmax:
             self.rows = extract_R_rows(kmax)
             self.kmax = kmax
-
-    def vertex_class(self, i: int, h: int):
-        if (i, h) not in self._vertex_classes:
-            self._vertex_classes[i, h] = expand_vertex_class(i, h)
-        return self._vertex_classes[i, h]
 
 
 def build_context() -> Context:
@@ -396,7 +377,7 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
     budget = 3 * h - 3 + n - sum(exps)
     terms = []
     rows0 = ctx.rows[0]
-    for lam, coeff in ctx.vertex_class(i, h).items():
+    for lam, coeff in expand_vertex_class(i, h).items():
         rem = budget - sum(lam)
         if rem < 0:
             continue
@@ -507,12 +488,11 @@ def _compositions(n: int, budget: int):
             yield (a,) + rest
 
 
-def _located(exc: ConsistencyError, graph: StableGraph, flags) -> ConsistencyError:
-    """exc restated with the decorated graph and the flag values of its term."""
+def _located(exc: ConsistencyError, graph: StableGraph, flags=()) -> ConsistencyError:
+    """exc restated with the decorated graph and the flag values of its term, if any."""
     named = " ".join(f"{name}={a}" for name, a in flags)
-    return ConsistencyError(
-        f"{exc} [graph {graph.signature()}, labels {list(graph.decorations)}, flags {named}]"
-    )
+    where = f"graph {graph.signature()}, labels {list(graph.decorations)}"
+    return ConsistencyError(f"{exc} [{where}{', flags ' + named if named else ''}]")
 
 
 def _edge_term(ctx: Context, graph: StableGraph, e: int, b1: int, b2: int) -> RingElem:
@@ -643,25 +623,28 @@ def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contri
 
     A class with evaluated value v sums to a * v + b * conj(v): the integers
     a and b count the orbits that p -> eps * p + s reaches from the
-    evaluated one with eps = 1 and -1 (see the module docstring).  Each
-    orbit keeps only its (rep, conj), not a value.
+    evaluated one with eps = 1 and -1 (see the module docstring).  Then
+    either a = b, and the class sum is rational by construction, or b = 0:
+    a swap fixes the class, so v must equal conj(v), which is checked here.
     """
-    orbits = decoration_orbits(graph)
-    found: dict = {}  # orbit labels -> (rep, conj)
+    found: set = set()  # the orbits of the classes evaluated so far
     addends = []
-    for labels, aut in orbits:
+    for labels, aut in decoration_orbits(graph):
         if labels in found:
             continue
         weights = [0, 0]  # a and b
         for s, eps in _RELABELINGS:
             image = min(_aut_images([(eps * p + s) % 3 for p in labels], graph.automorphisms))
             if image not in found:
-                found[image] = (labels, eps < 0)
+                found.add(image)
                 weights[eps < 0] += 1
         decorated = graph._replace(decorations=labels, aut_order=aut)
-        addends.append((graph_contribution(ctx, decorated, budget_extra), *weights))
-    return Contribution(graph, RingElem.sum_with_conjugates(addends),
-                        [(labels, aut) + found[labels] for labels, aut in orbits])
+        value = graph_contribution(ctx, decorated, budget_extra)
+        if not weights[1] and value != value.conjugate():
+            raise _located(ConsistencyError("a swap-fixed class value is not rational"),
+                           decorated)
+        addends.append((value, *weights))
+    return Contribution(graph, RingElem.sum_with_conjugates(addends))
 
 
 def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
@@ -696,12 +679,9 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
 
 
 def checked_total(contributions, tags) -> RingElem:
-    """The sum of the per-graph values; it must be rational, and free of c
-    when there are no insertions."""
+    """The sum of the per-graph values, which must be free of c when there
+    are no insertions; rationality is checked per class (_contribution)."""
     total = RingElem.sum(item.value for item in contributions)
-    for coeff in total.terms.values():
-        if not coeff.is_rational():
-            raise ConsistencyError("correlator total is not rational")
     if not tags and not total.c_degrees() <= {0}:
         raise ConsistencyError("series without insertions must have c-degree 0")
     return total

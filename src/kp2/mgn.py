@@ -21,6 +21,7 @@ of that dimension.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .scalars import CycScalar, euler_at, weight
@@ -31,10 +32,6 @@ __all__ = [
     "expand_vertex_class",
 ]
 
-_psi_memo: dict = {}
-_ch_memo: dict = {}
-_newton_memo: dict = {}
-_split_memo: dict = {}
 _bernoulli = [Fraction(1)]  # B_0, B_1, ... with B_1 = -1/2
 
 
@@ -47,15 +44,13 @@ def _dfact(n: int) -> int:
     return out
 
 
+@cache
 def _splits(items: tuple[int, ...]) -> list:
     """(left, right, weight) over the distinct sub-multisets of items.
 
     Both sides come out sorted; weight counts the index subsets of items
     that give the same pair of multisets.
     """
-    hit = _split_memo.get(items)
-    if hit is not None:
-        return hit
     groups: list = [((), (), 1)]
     for value in sorted(set(items)):
         m = items.count(value)
@@ -64,7 +59,6 @@ def _splits(items: tuple[int, ...]) -> list:
             for left, right, w in groups
             for t in range(m + 1)
         ]
-    _split_memo[items] = groups
     return groups
 
 
@@ -75,24 +69,19 @@ def _psi(g: int, exps: tuple[int, ...]) -> Fraction:
         return Fraction(0)
     if sum(exps) != 3 * g - 3 + n:
         return Fraction(0)
-    key = (g, tuple(sorted(exps)))
-    hit = _psi_memo.get(key)
-    if hit is not None:
-        return hit
+    return _dvv(g, tuple(sorted(exps)))
+
+
+@cache
+def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
+    """_psi in its stable range, exps sorted: recursion on the largest exponent."""
     if g == 0:
-        value = Fraction(factorial(n - 3))
+        value = Fraction(factorial(len(exps) - 3))
         for a in exps:
             value /= factorial(a)
-    elif key == (1, (1,)):
-        value = Fraction(1, 24)
-    else:
-        value = _dvv(g, key[1])
-    _psi_memo[key] = value
-    return value
-
-
-def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
-    """Recursion on the largest exponent; exps is sorted and has max >= 1."""
+        return value
+    if (g, exps) == (1, (1,)):
+        return Fraction(1, 24)
     k = exps[-1] - 1
     rest = exps[:-1]
     total = Fraction(0)
@@ -133,8 +122,7 @@ def _mumford_coeff(k: int) -> Fraction:
 def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
     """Total integral of a cotangent monomial times ch_{k_1}...ch_{k_r}(E).
 
-    ks is sorted and holds odd indices.  The largest ch_k is removed by
-    Mumford's formula; the other factors restrict to each boundary divisor.
+    ks is sorted and holds odd indices.
     """
     n = len(exps)
     if g < 0 or 2 * g - 2 + n <= 0:
@@ -147,11 +135,14 @@ def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
     # space of dimension 3g - 3 (M_{1,1} in genus 1)
     if ks[-1] > 2 * g - 1 or sum(ks) > max(3 * g - 3, 1):
         return Fraction(0)
-    key = (g, tuple(sorted(exps)), ks)
-    hit = _ch_memo.get(key)
-    if hit is not None:
-        return hit
-    exps = key[1]
+    return _mumford(g, tuple(sorted(exps)), ks)
+
+
+@cache
+def _mumford(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
+    """_ch where no vanishing applies, exps sorted: the largest ch_k is
+    removed by Mumford's formula; the other factors restrict to each
+    boundary divisor."""
     k, rest = ks[-1], ks[:-1]
     # kappa_k term, then the cotangent terms
     total = _ch(g, exps + (k + 1,), rest)
@@ -175,20 +166,16 @@ def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
                         part += w1 * w2 * value * _ch(g - h, side2, ks2)
         boundary += -part if a % 2 else part
     total += boundary / 2
-    value = _mumford_coeff(k) * total
-    _ch_memo[key] = value
-    return value
+    return _mumford_coeff(k) * total
 
 
+@cache
 def _lambda_in_ch(lam: tuple[int, ...]) -> dict:
     """A lambda-monomial as a polynomial in ch_1, ch_3, ...: sorted ks -> coefficient.
 
     Newton's identity m lambda_m = sum over odd i <= m of i! ch_i lambda_{m-i},
     with ch_{2l}(E) = 0 for l >= 1.
     """
-    hit = _newton_memo.get(lam)
-    if hit is not None:
-        return hit
     if not lam:
         return {(): Fraction(1)}
     if len(lam) > 1:
@@ -203,7 +190,6 @@ def _lambda_in_ch(lam: tuple[int, ...]) -> dict:
             for ks2, c2 in p2.items():
                 key = tuple(sorted(ks1 + ks2))
                 poly[key] = poly.get(key, 0) + c1 * c2
-    _newton_memo[lam] = poly
     return poly
 
 
@@ -226,6 +212,7 @@ def hodge_psi_integral(g: int, exps, lam) -> Fraction:
     return sum(c * _ch(g, exps, ks) for ks, c in _lambda_in_ch(lam).items())
 
 
+@cache
 def expand_vertex_class(i: int, h: int) -> dict:
     """Product of the three truncated dual Chern polynomials over e_i.
 
@@ -235,7 +222,8 @@ def expand_vertex_class(i: int, h: int) -> dict:
     total lambda-degree is capped at 3h - 3, the dimension of the space the
     lambda classes are pulled back from; in genus <= 1 the product is kept
     whole.  The expansion maps a sorted lambda-index tuple to its CycScalar
-    coefficient; the empty tuple keys the constant term.
+    coefficient; the empty tuple keys the constant term.  The expansion is
+    cached, so callers must not modify it.
     """
     w = weight(i)
     others = [j for j in range(3) if j != i]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from kp2 import cli, localization, mirror, rseries
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
-from kp2.scalars import ConsistencyError
+from kp2.scalars import ZETA, ConsistencyError
 
 F = Fraction
 
@@ -335,10 +336,15 @@ def test_fg_per_graph_payload(capsys):
     addends = RingElem.zero()
     for entry in graphs:
         assert set(entry) == {"signature", "aut_order", "value", "decorations"}
-        addends = addends + RingElem.from_json(entry["value"])
+        value = RingElem.from_json(entry["value"])
+        addends = addends + value
+        decorations = RingElem.zero()
         for dec in entry["decorations"]:
             assert set(dec) == {"labels", "aut_order", "value"}
             assert all(lab in (0, 1, 2) for lab in dec["labels"])
+            decorations = decorations + RingElem.from_json(dec["value"])
+        # the class sums against the decorations evaluated one by one
+        assert decorations == value, entry["signature"]
     assert addends == total
     assert total.eval_at(1, 0, 1).as_rational() == F(1, 1920)
 
@@ -352,6 +358,18 @@ def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
     assert out == ""
     assert err == ("internal consistency failure: "
                    "series without insertions must have c-degree 0\n")
+
+
+def test_fg_names_a_swap_fixed_class_that_is_not_rational(capsys, monkeypatch):
+    # every genus-2 class but one is fixed by a swap, so its value must be rational
+    monkeypatch.setattr(localization, "graph_contribution",
+                        lambda ctx, graph, budget_extra=0: RingElem.const(ZETA))
+    code, out, err = run(["fg", "--genus", "2"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal consistency failure: "
+                          "a swap-fixed class value is not rational [graph h=[")
+    assert re.search(r"p=\[\d(,\d)*\] .*, labels \[\d(, \d)*\]\]\n$", err), err
 
 
 # Runs main in a fresh interpreter, then lists on stderr the kp2 modules and
