@@ -41,85 +41,90 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
     return tuple(items)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: (help, its arguments as (flag, add_argument keywords)).
+# Every one but verify also takes --format.
+_SUBCOMMANDS = {
+    "fg": ("unpointed total at a genus", [
+        ("--genus", dict(type=int, required=True)),
+        # Rows are sized per correlator, so --kmax has no effect; it is still
+        # accepted because perfbench/selfcheck.py passes it.
+        ("--kmax", dict(type=int, help=argparse.SUPPRESS)),
+        ("--per-graph", dict(action="store_true", dest="per_graph")),
+    ]),
+    "correlator": ("pointed localization total", [
+        ("--genus", dict(type=int, required=True)),
+        ("--legs", dict(type=str, default=None, help="comma-separated tags, e.g. H1,H2,psiH")),
+        ("--a", dict(type=int, default=None, help="count of 1-insertions")),
+        ("--b", dict(type=int, default=None, help="count of H-insertions")),
+        ("--c", dict(type=int, default=None, help="count of H^2-insertions")),
+        ("--delta", dict(type=int, default=None, help="count of descendent insertions")),
+    ]),
+    "graphs": ("census of stable graphs", [
+        ("--genus", dict(type=int, required=True)),
+        ("--legs", dict(type=int, default=0)),
+    ]),
+    "rseries": ("asymptotic row entries as ring elements", [
+        ("--row", dict(type=int, choices=(0, 1, 2), required=True)),
+        ("--kmax", dict(type=int, default=3)),
+    ]),
+    "mirror": ("normalizations and mirror-map series", [
+        ("--qmax", dict(type=int, default=12)),
+    ]),
+    "mgn": ("cotangent/Hodge intersection number", [
+        ("--g", dict(type=int, required=True)),
+        ("--psi", dict(type=str, default="", help="comma-separated cotangent exponents")),
+        ("--lambda", dict(type=str, default="", dest="lam",
+                          help="comma-separated Hodge indices")),
+    ]),
+    "verify": ("run a verification suite", None),
+}
+_SUITES = {
+    "pf": ("differential-operator residual on the restricted series", [
+        ("--qmax", dict(type=int, default=12)),
+        ("--zmax", dict(type=int, default=8)),
+    ]),
+    "hae": ("unpointed anomaly identity", [("--genus", dict(type=int, default=2))]),
+    "lift": ("pointed lifts of the T-derivatives", [("--genus", dict(type=int, default=2))]),
+    "ss56": ("pointed anomaly identity with descendent term", [
+        ("--genus", dict(type=int, required=True)),
+        ("--a", dict(type=int, default=0)),
+        ("--b", dict(type=int, default=0)),
+        ("--c", dict(type=int, default=0)),
+    ]),
+    "lemmaR": ("ring rows against their recursions and z-expansions", [
+        ("--kmax", dict(type=int, default=5)),
+        ("--qmax", dict(type=int, default=None,
+                        help="q-order of the expansions (default: max(12, 2*kmax + 2))")),
+    ]),
+}
+
+
+def _add_subparsers(parser, dest: str, table: dict, chosen: str) -> argparse.Action:
+    """One subparser per table entry.  Only the chosen one gets its
+    arguments: the others are never parsed, and help lists them by name and
+    help alone."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, arguments) in table.items():
+        child = sub.add_parser(name, help=help_text)
+        if arguments is not None and name == chosen:
+            child.add_argument("--format", choices=("json", "text"), default="json")
+            for flag, keywords in arguments:
+                child.add_argument(flag, **keywords)
+    return sub
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The kp2 parser for argv.  Only the subcommand that argv selects (its
+    first word; for verify, also the next) gets its arguments, which leaves
+    every help text and usage error as with all of them."""
     parser = argparse.ArgumentParser(
         prog="kp2",
         description="Exact localization engine for the local plane geometry.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fg = sub.add_parser("fg", parents=[common],
-                          help="unpointed total at a genus")
-    p_fg.add_argument("--genus", type=int, required=True)
-    # Rows are sized per correlator, so --kmax has no effect; it is still
-    # accepted because perfbench/selfcheck.py passes it.
-    p_fg.add_argument("--kmax", type=int, help=argparse.SUPPRESS)
-    p_fg.add_argument("--per-graph", action="store_true", dest="per_graph")
-
-    p_cor = sub.add_parser("correlator", parents=[common],
-                           help="pointed localization total")
-    p_cor.add_argument("--genus", type=int, required=True)
-    p_cor.add_argument("--legs", type=str, default=None,
-                       help="comma-separated tags, e.g. H1,H2,psiH")
-    p_cor.add_argument("--a", type=int, default=None, help="count of 1-insertions")
-    p_cor.add_argument("--b", type=int, default=None, help="count of H-insertions")
-    p_cor.add_argument("--c", type=int, default=None, help="count of H^2-insertions")
-    p_cor.add_argument("--delta", type=int, default=None,
-                       help="count of descendent insertions")
-
-    p_gr = sub.add_parser("graphs", parents=[common],
-                          help="census of stable graphs")
-    p_gr.add_argument("--genus", type=int, required=True)
-    p_gr.add_argument("--legs", type=int, default=0)
-
-    p_rs = sub.add_parser("rseries", parents=[common],
-                          help="asymptotic row entries as ring elements")
-    p_rs.add_argument("--row", type=int, choices=(0, 1, 2), required=True)
-    p_rs.add_argument("--kmax", type=int, default=3)
-
-    p_mi = sub.add_parser("mirror", parents=[common],
-                          help="normalizations and mirror-map series")
-    p_mi.add_argument("--qmax", type=int, default=12)
-
-    p_mg = sub.add_parser("mgn", parents=[common],
-                          help="cotangent/Hodge intersection number")
-    p_mg.add_argument("--g", type=int, required=True)
-    p_mg.add_argument("--psi", type=str, default="",
-                      help="comma-separated cotangent exponents")
-    p_mg.add_argument("--lambda", type=str, default="", dest="lam",
-                      help="comma-separated Hodge indices")
-
-    p_ve = sub.add_parser("verify", help="run a verification suite")
-    what = p_ve.add_subparsers(dest="what", required=True)
-
-    v_pf = what.add_parser("pf", parents=[common],
-                           help="differential-operator residual on the restricted series")
-    v_pf.add_argument("--qmax", type=int, default=12)
-    v_pf.add_argument("--zmax", type=int, default=8)
-
-    v_hae = what.add_parser("hae", parents=[common],
-                            help="unpointed anomaly identity")
-    v_hae.add_argument("--genus", type=int, default=2)
-
-    v_li = what.add_parser("lift", parents=[common],
-                           help="pointed lifts of the T-derivatives")
-    v_li.add_argument("--genus", type=int, default=2)
-
-    v_ss = what.add_parser("ss56", parents=[common],
-                           help="pointed anomaly identity with descendent term")
-    v_ss.add_argument("--genus", type=int, required=True)
-    v_ss.add_argument("--a", type=int, default=0)
-    v_ss.add_argument("--b", type=int, default=0)
-    v_ss.add_argument("--c", type=int, default=0)
-
-    v_lr = what.add_parser("lemmaR", parents=[common],
-                           help="ring rows against their recursions and z-expansions")
-    v_lr.add_argument("--kmax", type=int, default=5)
-    v_lr.add_argument("--qmax", type=int, default=None,
-                      help="q-order of the expansions (default: max(12, 2*kmax + 2))")
+    command, suite = ([w for w in argv if not w.startswith("-")] + ["", ""])[:2]
+    sub = _add_subparsers(parser, "command", _SUBCOMMANDS, command)
+    if command == "verify":
+        _add_subparsers(sub.choices["verify"], "what", _SUITES, suite)
     return parser
 
 
@@ -391,7 +396,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,69 +1,68 @@
 """Stable-graph enumeration and the localization contribution assembly.
 
-A fixed locus is indexed by a stable graph: vertices carry a genus and a
-fixed-point label, edges carry two positive flag values, legs carry an
-insertion tag and a flag value.  The total invariant is the sum over
-decorated graphs of
+A fixed locus is a stable graph: vertices carry a genus and a fixed-point
+label, edges two positive flag values, legs an insertion tag and a flag
+value.  The total is the sum over decorated graphs of
 
     (1 / |Aut|) * sum over flag assignments of
         prod vertex terms * prod edge terms * prod leg terms
 
-with every factor an element of the differential ring.  Undecorated graphs
-are enumerated up to isomorphism; decorations are summed via one orbit
-representative each, weighted by its decorated automorphism count.
+with every factor in the differential ring.  Undecorated graphs are
+enumerated up to isomorphism, and each decoration orbit is summed once,
+weighted by its decorated automorphism order.
 
-Enumeration.  A stable graph is listed by its canonical form: the
-relabeling of its vertices with the smallest key (genera, edges, legs),
-where edges is the sorted tuple of pairs u <= v and legs the vertex of each
-marking.  Sorting the vertices by genus gives the smallest genera, so the
-canonical genera are nondecreasing and only those are generated; then only
-the relabelings within blocks of equal genus keep them.  The edges are
-generated as sorted multisets, and the walk is cut wherever no completion
-can be stable, connected and canonical (see _edge_multisets).  A survivor
-is canonical exactly when no block relabeling gives a smaller (edges,
-legs); the test stops at the first smaller key.  A relabeling that gives
-an equal key fixes the genera, the edge multiset and every leg, so it is a
-vertex automorphism.  These permutations are kept on the graph as its
-automorphism group; their number times the flag factor (parallel-edge
-permutations and loop flips) is the automorphism order, and the decoration
-orbits and relabeling classes below are orbits under that group.
+Enumeration.  Legs are coloured by insertion tag; an integer leg count
+gives each marking its own colour (labeled legs).  A graph is listed
+in canonical form: the vertex relabeling with the smallest key (genera,
+edges, placement), edges the sorted pairs u <= v and the placement each
+colour's leg vertices as a nondecreasing tuple.  Only nondecreasing genera
+are generated, so only relabelings within blocks of equal genus are tried,
+and edges come as sorted multisets, cut wherever no completion can be
+stable, connected and canonical (_edge_multisets).  A survivor is canonical
+exactly when no block relabeling gives a smaller key, each colour's image
+sorted, stopping at the first smaller key.  The relabelings that give an
+equal key form the graph's coloured automorphism group G; decoration
+orbits and relabeling classes are orbits under G.
 
-Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the insertions,
-counting H0 as -1, H1 as 0, H2 as 1 and psiH as 1.  Every factor is a
-Q-rational expression in the weights w_0, w_1, w_2 with coefficients in the
-ring over Q: the rows are shared by all fixed points and have rational
-coefficients, and the weights enter only through weight_pow, euler_at and
-the tangent weights of the vertex class.
-Counting weight degrees, a leg H_k with flag value a has degree k + 1 - a
-(psiH: 3 - a, as H2), a vertex with n flags of values a_f has degree
-sum(a_f - 1) - n (the Hodge coefficient of a lambda-monomial of
-degree d has degree 3h - 3 - d, each extra insertion j contributes 1 - j,
-and they fill the vertex dimension), and an edge with values (b1, b2) has
-degree 1 - b1 - b2 mod 3 (euler_at and w_i^2 w_j have degree 3).  Summing
-over a flag assignment, the flag values cancel and every term of the sum is
-homogeneous of weight degree delta mod 3.  With w_p = zeta^p this gives:
+Weight.  A coloured graph stands for N = prod_t m_t! / prod_(t,v) m_(t,v)!
+marking maps (m_t legs of colour t, m_(t,v) of them at vertex v), which
+fall into labeled graphs whose 1/|Aut| sum to N / (|G| F), F the flag
+factor (parallel-edge permutations and loop flips).  So aut_order is
+|G| F / N = |Aut| / prod_t m_t!, Aut also permuting same-colour legs: a
+Fraction unless N divides |G| F.
 
-- shift: relabeling p -> p + 1 multiplies each w_p by zeta, hence a
-  decorated-graph contribution by zeta^delta;
-- swap: relabeling p -> -p sends w_p to w_{-p}, its complex conjugate; as
-  conjugation fixes Q it conjugates the contribution.
+Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the
+insertions, with H0, H1, H2 and psiH counting -1, 0, 1 and 1.  Every factor
+is a Q-rational expression in the weights w_0, w_1, w_2 over the ring over
+Q: the rows have rational coefficients, and the weights enter only through
+weight_pow, euler_at and the tangent weights of the vertex class.  In
+weight degree, a leg H_k with flag value a has k + 1 - a (psiH: 3 - a), a
+vertex with n flags of values a_f has sum(a_f - 1) - n (a lambda-monomial
+of degree d has a Hodge coefficient of degree 3h - 3 - d, each extra
+insertion j adds 1 - j, and they fill the vertex dimension), and an edge
+(b1, b2) has 1 - b1 - b2 mod 3 (euler_at and w_i^2 w_j have degree 3).
+The flag values cancel, so every term of the sum has degree delta mod 3,
+and with w_p = zeta^p:
 
-Relabeling does not change the decorated automorphism order.  Summed over
-all labelings the total is invariant under the shift, so T = zeta^delta T
-and the total vanishes exactly when delta is not 0 mod 3: correlator returns
-zero without assembly, and per_graph_contributions refuses such tags.  With
-delta = 0 a shift keeps a value and a swap conjugates it, so
-per_graph_contributions evaluates one decoration orbit per class under Aut
-and the six relabelings p -> +-p + s, and adds each class once, as
-a v + b conj(v) with integers a and b: the value of every other orbit of
-the class is v or conj(v).
+- shift: p -> p + 1 multiplies each w_p, hence a decorated-graph value, by
+  zeta^delta;
+- swap: p -> -p sends w_p to its conjugate w_(-p), so it conjugates the
+  value, as conjugation fixes Q.
 
-Contracted flag sum.  Each leg and loop meets only one vertex, so
+Relabeling keeps the decorated automorphism order.  The total is
+shift-invariant, so T = zeta^delta T vanishes unless delta = 0 mod 3:
+correlator returns zero without assembly, and per_graph_contributions
+refuses such tags.  With delta = 0 a shift keeps a value and a swap
+conjugates it, so per_graph_contributions evaluates one decoration orbit
+per class under G and the six relabelings p -> +-p + s, and adds each class
+once, as a v + b conj(v) with integers a and b.
+
+Contracted flag sum.  Each leg and loop meets one vertex, so
 graph_contribution first sums, per vertex, over the flag compositions
-within the vertex's dimension bound: the vertex factor times its leg and
-loop factors, keyed by the values of its flags on the other edges.  It
-then walks the vertices depth-first, sharing prefix products, and
-multiplies an edge factor in once both of its ends are assigned.
+within its dimension bound: the vertex factor times its leg and loop
+factors, keyed by the values of its flags on the other edges.  It then
+walks the vertices depth-first, sharing prefix products, and multiplies an
+edge factor in once both of its ends are assigned.
 """
 
 from __future__ import annotations
@@ -104,13 +103,10 @@ class StableGraph(namedtuple("StableGraph", ("genera", "decorations", "edges", "
     """A stable graph, optionally decorated with fixed-point labels.
 
     genera[v] is the vertex genus, decorations[v] the fixed-point label (None
-    while undecorated), edges a sorted tuple of vertex pairs (u <= v, loops
+    while undecorated), edges the sorted vertex pairs (u <= v, loops
     allowed), legs the marking-to-vertex map, tags the insertion per marking.
-    aut_order counts decoration-preserving automorphisms at flag level.
-    automorphisms holds the vertex permutations fixing the genera, edges
-    and legs, as enumerate_graphs finds them (undecorated, also on a copy).
-    Immutable, hashable and equal by fields; _replace gives a copy with
-    some fields changed, e.g. a decorated graph.
+    aut_order is |G| F / N (decorated: for the G-stabilizer of the labels)
+    and automorphisms is G (see the module docstring).
     """
 
     __slots__ = ()
@@ -161,21 +157,20 @@ def _edge_multisets(genera, ne: int, n: int):
 
     Pairs are placed in lexicographic order, so row u (the pairs (u, .))
     and u's valence are final once passed.  Each cut drops only candidates
-    that enumerate_graphs rejects, so no canonical stable graph is lost:
+    that enumerate_graphs rejects:
 
     - stability: a vertex of genus h lacks max(0, 3 - 2h - valence) flags,
-      which only the n legs can supply.  The walk is cut when a vertex
-      becomes final and more than n flags must stay lacking, counting 2 per
-      left edge for the later vertices.
+      which only the n legs can supply.  The walk is cut when a vertex is
+      final and more than n flags stay lacking, 2 per left edge counted
+      for the later vertices.
     - connectivity: later edges join vertices > u, so a final row u whose
-      component holds no vertex > u leaves the graph disconnected.  Smaller
-      vertices' components were checked at their own rows, so every
-      multiset yielded is connected.
+      component holds no vertex > u leaves the graph disconnected; smaller
+      vertices were checked at their own rows.
     - column order: col[v][a] counts the pair (a, v).  If genera[v - 1] ==
       genera[v] and v - 1 > u, swapping v - 1 and v keeps the rows before
-      the first row a where the two columns differ, and trades their counts
-      in row a.  If column v - 1 is the smaller there, the swap makes the
-      edges smaller; more copies of (u, v) keep it so, and the row stops.
+      the first row a where their columns differ and trades their counts in
+      row a.  If column v - 1 is smaller there, the swap makes the edges
+      smaller; more copies of (u, v) keep it so, and the row stops.
     """
     nv = len(genera)
     need = [3 - 2 * h for h in genera]
@@ -239,22 +234,32 @@ def _edge_stabilizer(edges, perms):
     return out
 
 
+def _ratio(num, den):
+    """num / den exactly, as an int when den divides num."""
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     """All undecorated stable graphs of total genus g with the given legs.
 
-    tags is a sequence of insertion tags (one per marking) or an integer
-    count; markings are labeled, so automorphisms fix each leg.
-
-    Each graph appears once, in canonical form (see the module docstring),
-    and the list is sorted by the canonical key.
+    tags is an integer count, for labeled markings, or a sequence of
+    insertion tags, whose legs are coloured by tag and placed as one
+    multiset per colour; aut_order carries the weight N.  Each graph
+    appears once, in canonical form, sorted by (genera, edges, legs).
     """
     if isinstance(tags, int):
         if tags < 0:
             raise ValueError(f"leg count must be non-negative, got {tags}")
-        tags = ("H0",) * tags
-    tags = tuple(normalize_tag(t) for t in tags)
+        tags, colours = ("H0",) * tags, [[m] for m in range(tags)]
+    else:
+        tags = tuple(normalize_tag(t) for t in tags)
+        colours = [[m for m, t in enumerate(tags) if t == c] for c in dict.fromkeys(tags)]
     n = len(tags)
     _check_request(g, n)
+    slot = sorted(range(n), key=sum(colours, []).__getitem__)  # m at place[slot[m]]
+    runs = [(slot[c[0]], slot[c[0]] + len(c)) for c in colours if len(c) > 1]
+    labelings = prod(factorial(len(c)) for c in colours)
     out = []
     for nv in range(1, 2 * g - 1 + n):
         for genera in combinations_with_replacement(range(g + 1), nv):
@@ -271,41 +276,45 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
                 for (u, v) in edges:
                     base[u] += 1
                     base[v] += 1
-                for legs in product(range(nv), repeat=n):
+                for parts in product(*(combinations_with_replacement(range(nv), len(c))
+                                       for c in colours)):
+                    place = [v for p in parts for v in p]
                     val = base[:]
-                    for v in legs:
+                    for v in place:
                         val[v] += 1
                     if min(val) <= 0:
                         continue
                     group = []
                     for sigma in stabilizer:
-                        mapped = tuple(sigma[v] for v in legs)
-                        if mapped < legs:
+                        mapped = [sigma[v] for v in place]
+                        for a, b in runs:
+                            mapped[a:b] = sorted(mapped[a:b])
+                        if mapped < place:
                             break
-                        if mapped == legs:
+                        if mapped == place:
                             group.append(sigma)
                     else:
+                        legs = tuple(place[k] for k in slot)
+                        full = len(group) * flag * prod(factorial(p.count(v))
+                                                        for p in parts for v in set(p))
                         out.append(StableGraph(genera, None, edges, legs, tags,
-                                               len(group) * flag, tuple(group)))
+                                               _ratio(full, labelings), tuple(group)))
     out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
     return out
 
 
 def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
-    """Orbit representatives of fixed-point labelings, with decorated aut order.
-
-    The orbits are those of the graph's automorphism group; summing
-    representatives weighted by 1/aut_dec equals summing all 3^V labelings
-    weighted by 1/aut_undecorated.
+    """Orbit representatives of fixed-point labelings under the graph's
+    group G, each with aut_order times its stabilizer's share of G: summed
+    over 1/aut_dec, they give all 3^V labelings over 1/aut_order.
     """
     nv = len(graph.genera)
-    flag = _flag_factor(graph.edges)
     reps: dict = {}
     for p in product(range(3), repeat=nv):
         images = _aut_images(p, graph.automorphisms)
         key = min(images)
         if key not in reps:
-            reps[key] = images.count(key) * flag
+            reps[key] = _ratio(images.count(key) * graph.aut_order, len(images))
     return sorted(reps.items())
 
 
@@ -316,19 +325,19 @@ class Contribution(namedtuple("Contribution", ("graph", "value"))):
 
 
 class Context:
-    """Shared exact inputs: the asymptotic rows R_{m,k}, k <= kmax, and the
-    memo tables of the factors that read them.
+    """The asymptotic rows R_{m,k}, k <= kmax, and memo tables of the
+    factors that read them.
 
-    Each table holds factors that depend on no other part of a graph:
+    Each holds factors that depend on nothing else in a graph:
 
     - _vertex_memo: vertex_contribution by (h, i, sorted flag values);
     - _edge_memo: edge_contribution by (i, j, b1, b2);
     - _leg_memo: leg_contribution by (i, tag, a);
     - _dressed_memo: a vertex with its legs and loops summed out, by (h, i,
-      leg tags, loop count, number of other-edge ends, budget).
+      sorted leg tags, loop count, number of other-edge ends, budget).
 
-    Rows only ever grow, so no memoized value goes stale.  The vertex
-    classes read no row and are cached in kp2.mgn.
+    Rows only grow, so no memoized value goes stale.  The vertex classes
+    read no row and are cached in kp2.mgn.
     """
 
     def __init__(self):
@@ -361,11 +370,10 @@ def _partitions(total: int, cap: int):
 
 
 def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
-    """The localized vertex series coefficient for flag values a_values.
-
-    Finite sum over extra insertions j >= 2 whose shifted exponents fill the
-    vertex dimension, each weighted by t_j = (-1)^j R_{0,j-1} w_i^{1-j}, and
-    over the lambda-monomials of the vertex class.
+    """The localized vertex series coefficient for flag values a_values: a
+    sum over extra insertions j >= 2 filling the vertex dimension, each
+    weighted by t_j = (-1)^j R_{0,j-1} w_i^{1-j}, and over the
+    lambda-monomials of the vertex class.
     """
     a_values = tuple(sorted(a_values))
     key = (h, i, a_values)
@@ -420,10 +428,9 @@ def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> RingElem:
 
 
 def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
-    """The edge factor for flag values (b1, b2) at fixed points (i, j).
-
-    Alternating extraction of kernel coefficients along the anti-diagonal of
-    total degree b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted.
+    """The edge factor for flag values (b1, b2) at fixed points (i, j): an
+    alternating sum of kernel coefficients along the anti-diagonal of total
+    degree b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted.
     """
     if b1 < 1 or b2 < 1:
         raise ValueError("flag values are positive")
@@ -508,14 +515,14 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
 
     Keyed by the values of v's flags on the other edges, in the order of ends
     (pairs (edge, side)); every composition of v's flags within budget is
-    visited once.  The result depends only on the genus, label, leg tags,
-    loop count, number of ends and budget of v, and is memoized on those;
-    callers must not modify it.
+    visited once.  The sum is symmetric in the legs, so it is memoized on
+    v's genus, label, sorted leg tags, loop count, number of ends and
+    budget; callers must not modify it.
     """
     h, i = graph.genera[v], graph.decorations[v]
     legs = [m for m, w in enumerate(graph.legs) if w == v]
     loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
-    key = (h, i, tuple(graph.tags[m] for m in legs), len(loops), len(ends), budget)
+    key = (h, i, tuple(sorted(graph.tags[m] for m in legs)), len(loops), len(ends), budget)
     hit = ctx._dressed_memo.get(key)
     if hit is not None:
         return hit
@@ -551,12 +558,12 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
 
 
 def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) -> RingElem:
-    """Sum over flag assignments of the vertex/edge/leg product, over |Aut|.
+    """Sum over flag assignments of the vertex/edge/leg product, over aut_order.
 
-    Flags are assigned vertex by vertex, each vertex's flag values ranging
-    over the compositions within its dimension bound; budget_extra widens
-    every bound, and the extra terms all vanish, which the tests exercise.
-    A ConsistencyError from a factor names the graph, labels and flags.
+    Flags are assigned vertex by vertex, each vertex's flags ranging over
+    the compositions within its dimension bound; budget_extra widens every
+    bound, and the extra terms all vanish.  A ConsistencyError from a
+    factor names the graph, labels and flags.
     """
     if graph.decorations is None:
         raise ValueError("graph_contribution needs a decorated graph")
@@ -579,9 +586,8 @@ def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) 
         return factor
 
     def walk(w: int, prefix: RingElem | None) -> RingElem:
-        # prefix is the product over vertices before w (None before vertex 0).
-        # The last vertex closes every remaining edge; its terms are summed
-        # before the shared prefix multiplies them once.
+        # prefix: the product over vertices before w (None at vertex 0).  The
+        # last vertex closes the remaining edges; its terms are summed first.
         if w == nv - 1:
             inner = RingElem.sum([closed(w, key, factor) for key, factor in dressed[w].items()])
             return inner if prefix is None else prefix * inner
@@ -618,14 +624,13 @@ _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
 def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contribution:
-    """The graph's value for delta = 0, from one graph_contribution per
-    relabeling class.
+    """The graph's value for delta = 0, one graph_contribution per class.
 
-    A class with evaluated value v sums to a * v + b * conj(v): the integers
-    a and b count the orbits that p -> eps * p + s reaches from the
-    evaluated one with eps = 1 and -1 (see the module docstring).  Then
-    either a = b, and the class sum is rational by construction, or b = 0:
-    a swap fixes the class, so v must equal conj(v), which is checked here.
+    A class with evaluated value v sums to a * v + b * conj(v): a and b
+    count the orbits that p -> eps * p + s reaches from the evaluated one
+    with eps = 1 and -1.  Either a = b, and the class sum is rational by
+    construction, or b = 0: a swap fixes the class, so v must equal
+    conj(v), which is checked here.
     """
     found: set = set()  # the orbits of the classes evaluated so far
     addends = []
@@ -650,11 +655,10 @@ def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contri
 def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
     """Per undecorated graph: the sum over decoration orbits of its value.
 
-    Only for tags with delta = 0; other tags raise ValueError before any
-    graph is enumerated (their total is zero, see correlator).  Rows are
-    extended first to 3g - 3 + n, the largest index any vertex, edge or leg
-    budget can request; each widening of the budgets by budget_extra adds at
-    most 2 * budget_extra (an edge spans two vertices).
+    Tags with delta != 0 raise ValueError before any enumeration (their
+    total is zero).  Rows first reach 3g - 3 + n, the largest index a
+    vertex, edge or leg budget can request, plus 2 * budget_extra (an edge
+    spans two vertices).
     """
     if weight_degree(tags):
         raise ValueError("per_graph_contributions needs insertions of weight degree 0")
@@ -666,10 +670,9 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
 def correlator(ctx: Context, g: int, insertions) -> RingElem:
     """Total over all decorated stable graphs; rationality is asserted.
 
-    With no insertions this is the genus-g series itself, which must also be
-    free of c.  When delta is not 0 mod 3 the total is exactly zero and is
-    returned without assembly.  An unstable or negative-genus request raises
-    ValueError before the context is touched.
+    With no insertions it is the genus-g series, which must be free of c.
+    For delta != 0 mod 3 it is exactly zero, returned without assembly.  An
+    unstable or negative-genus request raises ValueError first.
     """
     tags = tuple(normalize_tag(t) for t in insertions)
     _check_request(g, len(tags))

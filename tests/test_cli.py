@@ -1,5 +1,6 @@
 """Command-line behavior: payload shapes and exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -199,6 +200,31 @@ def test_usage_errors_from_argparse(capsys):
     capsys.readouterr()
     assert cli.main([]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, name, flags",
+    [(["graphs", "--genus", "2"], "graphs", {"--genus", "--legs"}),
+     (["verify", "ss56", "--genus", "1"], "ss56", {"--genus", "--a", "--b", "--c"})],
+    ids=["graphs", "verify-ss56"],
+)
+def test_parser_builds_only_the_selected_subcommand(argv, name, flags):
+    # every other subcommand is listed with its help alone: -h and no flags
+    def subcommands(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def options(parser):
+        return {flag for action in parser._actions for flag in action.option_strings}
+
+    parser = cli.build_parser(argv)
+    built = dict(subcommands(parser))
+    if argv[0] == "verify":
+        assert options(built["verify"]) == {"-h", "--help"}
+        built.update(subcommands(built.pop("verify")))
+    for other, child in built.items():
+        want = flags | {"--format"} if other == name else set()
+        assert options(child) == want | {"-h", "--help"}, other
 
 
 def test_help_exits_cleanly(capsys):

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -41,18 +42,23 @@ GENUS2_CENSUS = {
 }
 
 
-def brute_aut(genera, edges, legs, decorations=None):
+def brute_aut(genera, edges, legs, decorations=None, tags=None):
     """Count automorphisms directly at flag level.
 
     A symmetry is a vertex bijection preserving genus (and labels, when
-    given), fixing every marking, together with a bijection of half-edges
-    that lies over it and preserves the edge pairing.
+    given), together with a bijection of half-edges that lies over it and
+    preserves the edge pairing, and a bijection of the markings that lies
+    over it: the identity, or with tags any one that keeps every tag (legs
+    coloured by tag).
     """
     nv = len(genera)
     flags = [(e, s) for e in range(len(edges)) for s in (0, 1)]
     vertex_of = {(e, s): edges[e][s] for (e, s) in flags}
     partner = {(e, s): (e, 1 - s) for (e, s) in flags}
     index = {f: k for k, f in enumerate(flags)}
+    markings = range(len(legs))
+    taus = [tau for tau in permutations(markings)
+            if all(tau[m] == m if tags is None else tags[tau[m]] == tags[m] for m in markings)]
     count = 0
     for sigma in permutations(range(nv)):
         if any(genera[sigma[v]] != genera[v] for v in range(nv)):
@@ -61,7 +67,8 @@ def brute_aut(genera, edges, legs, decorations=None):
             decorations[sigma[v]] != decorations[v] for v in range(nv)
         ):
             continue
-        if any(sigma[v] != v for v in legs):
+        leg_maps = sum(all(legs[tau[m]] == sigma[legs[m]] for m in markings) for tau in taus)
+        if not leg_maps:
             continue
         for pi in permutations(range(len(flags))):
             good = True
@@ -74,7 +81,7 @@ def brute_aut(genera, edges, legs, decorations=None):
                     good = False
                     break
             if good:
-                count += 1
+                count += leg_maps
     return count
 
 
@@ -83,7 +90,14 @@ def all_census_graphs():
     out.extend(enumerate_graphs(2, ()))
     out.extend(enumerate_graphs(1, ("H1",)))
     out.extend(enumerate_graphs(0, ("H0", "H0", "H2")))
+    out.extend(enumerate_graphs(1, ("H2", "H2", "H2")))
+    out.extend(enumerate_graphs(0, ("H1", "H2", "H1", "H1", "H2")))
     return out
+
+
+def labelings(tags):
+    """prod_t m_t!: the marking maps of each colour onto its legs."""
+    return prod(factorial(tags.count(t)) for t in set(tags))
 
 
 def test_genus_two_census():
@@ -358,17 +372,19 @@ def test_genus_three_gopakumar_vafa_integrality(ctx2):
 
 
 def test_aut_orders_by_brute_force():
+    # a coloured automorphism may permute same-tag markings, so |Aut| is
+    # aut_order = |G| F / N times prod_t m_t!
     for g in all_census_graphs():
-        assert brute_aut(g.genera, g.edges, g.legs) == g.aut_order, g.signature()
+        assert brute_aut(g.genera, g.edges, g.legs, tags=g.tags) == (
+            g.aut_order * labelings(g.tags)), g.signature()
+    assert any(isinstance(g.aut_order, Fraction) for g in all_census_graphs())
 
 
 def test_decorated_aut_orders_by_brute_force():
     for g in all_census_graphs():
         for labels, aut in decoration_orbits(g):
-            assert brute_aut(g.genera, g.edges, g.legs, labels) == aut, (
-                g.signature(),
-                labels,
-            )
+            assert brute_aut(g.genera, g.edges, g.legs, labels, g.tags) == (
+                aut * labelings(g.tags)), (g.signature(), labels)
 
 
 def test_orbit_stabilizer_count():
@@ -539,16 +555,18 @@ def _class_representatives(graph):
 
 
 @pytest.mark.parametrize(
-    "g, tags", [(1, ("H0", "psiH", "H1")), (2, ("H1", "H2")), (2, ())],
-    ids=["1-3-mixed", "2-2", "2-0"],
+    "g, tags", [(1, ("H0", "psiH", "H1")), (2, ("H1", "H2")), (2, ()), (1, ("H2", "psiH", "H2"))],
+    ids=["1-3-mixed", "2-2", "2-0", "1-3-orders"],
 )
 def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
     # A dressed vertex is shared across graphs, labels, vertices and budgets
     # by its key alone.  The reference is a fresh context per graph with that
     # memo off.  budget_extra widens every budget on the same contexts; at
     # (2,2) a vertex with a loop at 0 and one without at 2 differ only in
-    # the loop count of the key.  Every decoration orbit is checked, except
-    # at (2,2): there one per relabeling class, as the graph sums do.
+    # the loop count of the key.  At (1, H2 psiH H2) a vertex holds the legs
+    # psiH, H2 in one graph and H2, psiH in another, and the key sorts them.
+    # Every decoration orbit is checked, except at (2,2): there one per
+    # relabeling class, as the graph sums do.
     kmax = 3 * g - 3 + len(tags) + 4
     shared = build_context()
     shared.extend_rows(kmax)
@@ -563,6 +581,7 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
                 assert (graph_contribution(shared, decorated, extra)
                         == graph_contribution(fresh, decorated, extra)), (graph, labels, extra)
     assert shared._dressed_memo
+    assert all(list(key[2]) == sorted(key[2]) for key in shared._dressed_memo)
 
 
 def test_dressed_vertex_memo_keeps_error_location(monkeypatch):

@@ -1,6 +1,8 @@
-"""Relabeling symmetry and the contracted flag sum, checked against direct routes.
+"""Leg colours, relabeling symmetry and the contracted flag sum, checked
+against direct routes.
 
-The reduced assembly evaluates one decoration orbit per class under the
+The reduced assembly sums graphs whose same-tag legs share a colour,
+weighted by N, evaluates one decoration orbit per class under the
 automorphisms and the six relabelings p -> +-p + s, skips totals with
 delta != 0 mod 3, and contracts the flag sum vertex by vertex.  Each of
 these is compared here with the unreduced computation it replaces.
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from kp2 import localization
 from kp2.localization import (
+    _flag_factor,
     build_context,
     correlator,
     decoration_orbits,
@@ -106,6 +109,75 @@ def cartesian_contribution(ctx, graph):
     return total / Fraction(graph.aut_order)
 
 
+@cache
+def labelled_reference(g, tags):
+    """The total over the labeled graphs of len(tags) markings with the tags
+    put on, every decoration orbit evaluated on its own: no leg colours."""
+    ctx = build_context()
+    ctx.extend_rows(3 * g - 3 + len(tags))
+    values = []
+    for graph in enumerate_graphs(g, len(tags)):
+        graph = graph._replace(tags=tags)
+        values += [graph_contribution(ctx, labeled(graph, labels, aut))
+                   for labels, aut in decoration_orbits(graph)]
+    return RingElem.sum(values)
+
+
+COLOURED_CASES = {
+    "0-H1x4": (0, ("H1",) * 4),
+    "1-H1x3": (1, ("H1",) * 3),
+    "1-H2H2psiH": (1, ("H2", "H2", "psiH")),
+    "1-H1H1H2H2": (1, ("H1", "H1", "H2", "H2")),
+    "1-H2psiHH2": (1, ("H2", "psiH", "H2")),
+    "2-H1x2": (2, ("H1", "H1")),
+}
+
+
+@pytest.mark.parametrize("g, tags", COLOURED_CASES.values(), ids=COLOURED_CASES)
+def test_coloured_sums_match_the_labelled_reference(ctx2, g, tags):
+    # Each coloured graph stands for N labeled ones.  Its decoration orbits,
+    # evaluated one by one, and correlator must both give the labeled total.
+    # At delta != 0 (H1 H1 H2 H2) correlator returns zero unassembled, and
+    # both sums are cancellations of nonzero values.
+    reference = labelled_reference(g, tags)
+    ctx2.extend_rows(3 * g - 3 + len(tags))
+    values = [value for *_, value in orbit_values(ctx2, g, tags)]
+    assert RingElem.sum(values) == reference
+    assert correlator(ctx2, g, tags) == reference
+    assert reference.is_zero() == bool(weight_degree(tags))
+    assert any(not v.is_zero() for v in values)
+
+
+def test_unweighted_coloured_sum_differs(ctx2, monkeypatch):
+    # control: the coloured graphs with N forced to 1 miss labeled graphs
+    real = localization.enumerate_graphs
+
+    def unweighted(g, tags):
+        return [gr._replace(aut_order=len(gr.automorphisms) * _flag_factor(gr.edges))
+                for gr in real(g, tags)]
+
+    monkeypatch.setattr(localization, "enumerate_graphs", unweighted)
+    assert correlator(ctx2, 2, ("H1", "H1")) != labelled_reference(2, ("H1", "H1"))
+
+
+def test_coloured_graph_counts():
+    # same-tag legs are placed as multisets: fewer graphs than labeled legs
+    for g, tags, labelled, coloured in ((1, ("H1",) * 3, 23, 11), (2, ("H1",) * 2, 75, 60),
+                                        (2, ("H1",) * 3, 555, 191)):
+        assert len(enumerate_graphs(g, len(tags))) == labelled
+        assert len(enumerate_graphs(g, tags)) == coloured
+
+
+@pytest.mark.parametrize(
+    "g, tags",
+    [(1, ("H0", "H1", "H2")), (2, ("H2", "psiH", "H1")), (1, ("psiH", "H2", "H1", "H0"))],
+)
+def test_distinct_tags_give_the_labelled_census(g, tags):
+    # one colour per marking: graph for graph the labeled census, tags aside
+    labelled = [gr._replace(tags=tags) for gr in enumerate_graphs(g, len(tags))]
+    assert enumerate_graphs(g, tags) == labelled
+
+
 def test_weight_degree_rule():
     assert weight_degree(("H0",)) == 2
     assert weight_degree(("H1", "H1")) == 0
@@ -167,20 +239,25 @@ def assert_graphs_cancel(ctx, g, tags):
 
 
 @pytest.mark.parametrize(
-    "g, tags", [(2, ()), (2, ("H1", "H1")), (1, ("H0", "psiH", "H1")), (1, ("H1", "H2"))],
-    ids=["2-0", "2-2", "1-3-mixed", "1-2-delta"],
+    "g, tags",
+    [(2, ()), (2, ("H1", "H1")), (1, ("H0", "psiH", "H1")), (1, ("H1", "H2")),
+     (1, ("H2", "H2", "H2")), (1, ("H0", "H2"))],
+    ids=["2-0", "2-2", "1-3-mixed", "1-2-delta", "1-3-repeated", "1-2"],
 )
 def test_graph_values_sum_their_decorations(g, tags):
     # A graph value adds a * v + b * conj(v) once per relabeling class; it
     # must equal the plain sum of the per-decoration values, each evaluated
-    # on its own.  With delta != 0 per_graph_contributions refuses and every
-    # graph value is zero.
+    # on its own, graph by graph and in enumeration order.  At (1, H2 H2 H2)
+    # the legs share one colour, so the decorated orders carry the weight N.
+    # With delta != 0 per_graph_contributions refuses and every graph value
+    # is zero.
     ctx = build_context()
     if weight_degree(tags):
         assert_graphs_cancel(ctx, g, tags)
         return
     contributions = per_graph_contributions(ctx, g, tags)
     by_graph = values_by_graph(ctx, g, tags)
+    assert [item.graph for item in contributions] == list(by_graph)
     for item in contributions:
         assert item.value == RingElem.sum(by_graph[item.graph]), item.graph.signature()
     assert any(not v.is_zero() for values in by_graph.values() for v in values)
@@ -218,20 +295,6 @@ def test_zero_shortcut_keeps_input_errors(ctx2):
         correlator(ctx2, -1, ("H2",) * 4)
     with pytest.raises(ValueError, match="unknown"):
         correlator(ctx2, 1, ("H2", 3))
-
-
-@pytest.mark.parametrize(
-    "g, tags", [(2, ()), (1, ("H2", "H2", "H2")), (1, ("H0", "H2"))]
-)
-def test_reduced_matches_per_orbit(ctx2, g, tags):
-    reduced = per_graph_contributions(ctx2, g, tags)
-    by_graph = values_by_graph(ctx2, g, tags)
-    assert [item.graph for item in reduced] == list(by_graph)
-    for item in reduced:
-        total = RingElem.zero()
-        for value in by_graph[item.graph]:
-            total = total + value
-        assert item.value == total
 
 
 @pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())])
