@@ -264,6 +264,21 @@ def test_graph_values_sum_their_decorations(g, tags):
     assert any(not item.value.is_zero() for item in contributions)
 
 
+@pytest.mark.parametrize("g, tags", [(2, ())])
+def test_reduced_matches_per_orbit(ctx2, g, tags):
+    # The reduced graph sums on the shared context, whose rows other tests
+    # have extended further, match the per-decoration sums on a fresh one:
+    # the assembly reads no row beyond 3g - 3 + n.
+    ctx2.extend_rows(3 * g - 3 + len(tags) + 2)
+    reduced = per_graph_contributions(ctx2, g, tags)
+    fresh = build_context()
+    fresh.extend_rows(3 * g - 3 + len(tags))
+    by_graph = values_by_graph(fresh, g, tags)
+    assert [item.graph for item in reduced] == list(by_graph)
+    for item in reduced:
+        assert item.value == RingElem.sum(by_graph[item.graph]), item.graph.signature()
+
+
 @pytest.mark.parametrize("g, tags", [(1, ("H2",))], ids=["1-1"])
 def test_nonzero_delta_values_cancel_per_graph(ctx2, g, tags):
     assert_graphs_cancel(ctx2, g, tags)
