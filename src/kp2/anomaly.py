@@ -45,9 +45,13 @@ class HAEReport(namedtuple("HAEReport", ("genus", "lhs", "rhs", "residual", "pas
             "rhs": self.rhs.to_json(),
             "residual": self.residual.to_json(),
             "pass": self.passed,
-            # both sides exactly zero: the identity holds but proves nothing
-            "vacuous": self.lhs.is_zero() and self.rhs.is_zero(),
+            "vacuous": self.vacuous,
         }
+
+    @property
+    def vacuous(self) -> bool:
+        """Both sides exactly zero: the identity holds but proves nothing."""
+        return self.lhs.is_zero() and self.rhs.is_zero()
 
 
 def _report(genus: int, lhs: RingElem, rhs: RingElem) -> HAEReport:

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .scalars import ConsistencyError
+from . import ConsistencyError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -205,7 +205,7 @@ def _cmd_correlator(args):
 
 
 def _cmd_graphs(args):
-    from .localization import enumerate_graphs
+    from .graphs import enumerate_graphs
 
     graphs = enumerate_graphs(args.genus, args.legs)
     payload = {
@@ -301,13 +301,21 @@ def _cmd_verify_pf(args):
     return (EXIT_OK if ok else EXIT_VERIFY), payload, text
 
 
+def _verdict(ok: bool, *reports) -> str:
+    """pass or FAIL, marked when one of the reports is vacuous."""
+    text = "pass" if ok else "FAIL"
+    if any(report.vacuous for report in reports if report is not None):
+        text += " (vacuous: both sides are exactly zero)"
+    return text
+
+
 def _cmd_verify_hae(args):
     from .anomaly import verify_ttt
     from .localization import build_context
 
     report = verify_ttt(build_context(), args.genus)
     payload = {"command": "verify", "what": "hae", "report": report.to_json()}
-    text = f"hae genus {args.genus}: " + ("pass" if report.passed else "FAIL")
+    text = f"hae genus {args.genus}: " + _verdict(report.passed, report)
     return (EXIT_OK if report.passed else EXIT_VERIFY), payload, text
 
 
@@ -327,7 +335,7 @@ def _cmd_verify_lift(args):
         "two_point": None if two is None else two.to_json(),
         "pass": ok,
     }
-    text = f"lift genus {args.genus}: " + ("pass" if ok else "FAIL")
+    text = f"lift genus {args.genus}: " + _verdict(ok, one, two)
     return (EXIT_OK if ok else EXIT_VERIFY), payload, text
 
 
@@ -338,7 +346,7 @@ def _cmd_verify_ss56(args):
     report = verify_ss56(build_context(), args.genus, args.a, args.b, args.c)
     payload = {"command": "verify", "what": "ss56", "report": report.to_json()}
     marks = f"(a={args.a}, b={args.b}, c={args.c})"
-    text = f"ss56 genus {args.genus} {marks}: " + ("pass" if report.passed else "FAIL")
+    text = f"ss56 genus {args.genus} {marks}: " + _verdict(report.passed, report)
     return (EXIT_OK if report.passed else EXIT_VERIFY), payload, text
 
 

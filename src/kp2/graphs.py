@@ -1,0 +1,297 @@
+"""Stable graphs: enumeration, automorphisms and decoration orbits.
+
+A fixed locus is a stable graph: vertices carry a genus and a fixed-point
+label, edges two positive flag values, legs an insertion tag and a flag
+value.  This module lists the undecorated graphs up to isomorphism, with
+their automorphism groups, and the orbits of fixed-point labelings under
+them; kp2.localization assembles their values.  It needs no ring
+arithmetic, so the graph census loads nothing else of kp2.
+
+Enumeration.  Legs are coloured by insertion tag; an integer leg count
+gives each marking its own colour (labeled legs).  A graph is listed
+in canonical form: the vertex relabeling with the smallest key (genera,
+edges, placement), edges the sorted pairs u <= v and the placement each
+colour's leg vertices as a nondecreasing tuple.  Only nondecreasing genera
+are generated, so only relabelings within blocks of equal genus are tried,
+and edges come as sorted multisets, cut wherever no completion can be
+stable, connected and canonical (_edge_multisets).  A survivor is canonical
+exactly when no block relabeling gives a smaller key, each colour's image
+sorted, stopping at the first smaller key.  The relabelings that give an
+equal key form the graph's coloured automorphism group G; decoration
+orbits and relabeling classes are orbits under G.
+
+Weight.  A coloured graph stands for N = prod_t m_t! / prod_(t,v) m_(t,v)!
+marking maps (m_t legs of colour t, m_(t,v) of them at vertex v), which
+fall into labeled graphs whose 1/|Aut| sum to N / (|G| F), F the flag
+factor (parallel-edge permutations and loop flips).  So aut_order is
+|G| F / N = |Aut| / prod_t m_t!, Aut also permuting same-colour legs: a
+Fraction unless N divides |G| F.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
+
+__all__ = ["TAGS", "normalize_tag", "StableGraph", "enumerate_graphs", "decoration_orbits"]
+
+TAGS = ("H0", "H1", "H2", "psiH")
+
+
+def normalize_tag(tag) -> str:
+    if isinstance(tag, int):
+        tag = f"H{tag}"
+    if tag not in TAGS:
+        raise ValueError(f"unknown insertion tag {tag!r}")
+    return tag
+
+
+class StableGraph(namedtuple("StableGraph", ("genera", "decorations", "edges", "legs",
+                                               "tags", "aut_order", "automorphisms"))):
+    """A stable graph, optionally decorated with fixed-point labels.
+
+    genera[v] is the vertex genus, decorations[v] the fixed-point label (None
+    while undecorated), edges the sorted vertex pairs (u <= v, loops
+    allowed), legs the marking-to-vertex map, tags the insertion per marking.
+    aut_order is |G| F / N (decorated: for the G-stabilizer of the labels)
+    and automorphisms is G (see the module docstring).
+    """
+
+    __slots__ = ()
+
+    def genus(self) -> int:
+        return sum(self.genera) + len(self.edges) - len(self.genera) + 1
+
+    def valences(self) -> list[int]:
+        val = [0] * len(self.genera)
+        for (u, v) in self.edges:
+            val[u] += 1
+            val[v] += 1
+        for v in self.legs:
+            val[v] += 1
+        return val
+
+    def signature(self) -> str:
+        dec = "" if self.decorations is None else ",".join(map(str, self.decorations))
+        e = ";".join(f"{u}-{v}" for (u, v) in self.edges)
+        l = ";".join(f"{v}:{t}" for v, t in zip(self.legs, self.tags))
+        h = ",".join(map(str, self.genera))
+        return f"h=[{h}] p=[{dec}] e=[{e}] legs=[{l}]"
+
+
+def _mapped_edges(sigma, edges) -> tuple:
+    """The sorted edge multiset that the vertex permutation sigma carries
+    edges to: the direct route that the tests hold _pair_tables to."""
+    return tuple(sorted((a, b) if a <= b else (b, a)
+                        for a, b in ((sigma[u], sigma[v]) for (u, v) in edges)))
+
+
+def _flag_factor(edges) -> int:
+    """Parallel-edge permutations times half-edge swaps of loops."""
+    out = 2 ** sum(u == v for u, v in edges)
+    for e in set(edges):
+        out *= factorial(edges.count(e))
+    return out
+
+
+def _check_request(g: int, n: int) -> None:
+    if g < 0:
+        raise ValueError(f"genus must be non-negative, got {g}")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError(f"unstable request (g={g}, n={n})")
+
+
+def _edge_multisets(genera, ne: int, n: int):
+    """Sorted multisets of ne edges (u <= v) on the vertices of genera.
+
+    Pairs are placed in lexicographic order, so row u (the pairs (u, .))
+    and u's valence are final once passed.  Each cut drops only candidates
+    that enumerate_graphs rejects:
+
+    - stability: a vertex of genus h lacks max(0, 3 - 2h - valence) flags,
+      which only the n legs can supply.  The walk is cut when a vertex is
+      final and more than n flags stay lacking, 2 per left edge counted
+      for the later vertices.
+    - connectivity: later edges join vertices > u, so a final row u whose
+      component holds no vertex > u leaves the graph disconnected; smaller
+      vertices were checked at their own rows.
+    - column order: col[v][a] counts the pair (a, v).  If genera[v - 1] ==
+      genera[v] and v - 1 > u, swapping v - 1 and v keeps the rows before
+      the first row a where their columns differ and trades their counts in
+      row a.  If column v - 1 is smaller there, the swap makes the edges
+      smaller; more copies of (u, v) keep it so, and the row stops.
+    """
+    nv = len(genera)
+    need = [3 - 2 * h for h in genera]
+    val = [0] * nv
+    col = [[0] * nv for _ in genera]  # col[v][u]: copies of the pair (u, v)
+    tie = [v > 0 and genera[v - 1] == genera[v] for v in range(nv)]
+    out: list = []
+
+    def place(u, v, left, lacking, comp):
+        if v == nv:  # every pair (u, .) is placed: u is final
+            lacking += max(0, need[u] - val[u])
+            later = sum(max(0, need[w] - val[w]) for w in range(u + 1, nv))
+            if lacking + max(0, later - 2 * left) > n:
+                return
+            if u + 1 < nv:
+                joined = {comp[w] for w in range(u, nv) if col[w][u]} | {comp[u]}
+                comp = [u if c in joined else c for c in comp]
+                if u in comp[u + 1:]:
+                    place(u + 1, u + 1, left, lacking, comp)
+            elif left == 0:
+                out.append(tuple((a, b) for a in range(nv) for b in range(a, nv)
+                                 for _ in range(col[b][a])))
+            return
+        place(u, v + 1, left, lacking, comp)
+        for count in range(1, left + 1):
+            val[u] += 1
+            val[v] += 1
+            col[v][u] += 1
+            if v > u + 1 and tie[v] and col[v - 1] < col[v]:
+                break
+            place(u, v + 1, left - count, lacking, comp)
+        count = col[v][u]
+        val[u] -= count
+        val[v] -= count
+        col[v][u] = 0
+
+    place(0, 0, ne, 0, list(range(nv)))
+    return out
+
+
+def _block_perms(genera) -> list[tuple]:
+    """Vertex permutations that preserve the nondecreasing genera."""
+    blocks = []
+    start = 0
+    for v in range(1, len(genera) + 1):
+        if v == len(genera) or genera[v] != genera[start]:
+            blocks.append(range(start, v))
+            start = v
+    return [sum(parts, ()) for parts in product(*(permutations(b) for b in blocks))]
+
+
+def _pair_tables(perms, nv: int) -> list[bytes]:
+    """Per permutation sigma, the code of the sorted image of each pair code.
+
+    A pair (u, v), u <= v, has the code u * nv + v, so codes sort as the
+    pairs do; entry u * nv + v of sigma's table is the code of the pair
+    (sigma[u], sigma[v]) sorted.  Codes fit in a byte up to 16 vertices;
+    a census with 17 would first list the 17! perms of its all-genus-0
+    vertex set.
+    """
+    return [bytes(a * nv + b if a <= b else b * nv + a for a in sigma for b in sigma)
+            for sigma in perms]
+
+
+def _edge_stabilizer(codes, perms, tables):
+    """The perms that fix the sorted edge codes, or None if one makes them smaller."""
+    out = []
+    for sigma, table in zip(perms, tables):
+        mapped = sorted(map(table.__getitem__, codes))
+        if mapped < codes:
+            return None
+        if mapped == codes:
+            out.append(sigma)
+    return out
+
+
+def _ratio(num, den):
+    """num / den exactly, as an int when den divides num."""
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def enumerate_graphs(g: int, tags) -> list[StableGraph]:
+    """All undecorated stable graphs of total genus g with the given legs.
+
+    tags is an integer count, for labeled markings, or a sequence of
+    insertion tags, whose legs are coloured by tag and placed as one
+    multiset per colour; aut_order carries the weight N.  Each graph
+    appears once, in canonical form, sorted by (genera, edges, legs).
+    """
+    if isinstance(tags, int):
+        if tags < 0:
+            raise ValueError(f"leg count must be non-negative, got {tags}")
+        tags, colours = ("H0",) * tags, [[m] for m in range(tags)]
+    else:
+        tags = tuple(normalize_tag(t) for t in tags)
+        colours = [[m for m, t in enumerate(tags) if t == c] for c in dict.fromkeys(tags)]
+    n = len(tags)
+    _check_request(g, n)
+    slot = sorted(range(n), key=sum(colours, []).__getitem__)  # m at place[slot[m]]
+    runs = [(slot[c[0]], slot[c[0]] + len(c)) for c in colours if len(c) > 1]
+    labelings = prod(factorial(len(c)) for c in colours)
+    out = []
+    for nv in range(1, 2 * g - 1 + n):
+        for genera in combinations_with_replacement(range(g + 1), nv):
+            ne = g - sum(genera) + nv - 1
+            if ne < 0:
+                continue
+            multisets = _edge_multisets(genera, ne, n)
+            if not multisets:
+                continue
+            perms = _block_perms(genera)
+            tables = _pair_tables(perms, nv)
+            for edges in multisets:
+                stabilizer = _edge_stabilizer([u * nv + v for u, v in edges], perms, tables)
+                if stabilizer is None:
+                    continue
+                flag = _flag_factor(edges)
+                base = [2 * h - 2 for h in genera]
+                for (u, v) in edges:
+                    base[u] += 1
+                    base[v] += 1
+                for parts in product(*(combinations_with_replacement(range(nv), len(c))
+                                       for c in colours)):
+                    place = [v for p in parts for v in p]
+                    val = base[:]
+                    for v in place:
+                        val[v] += 1
+                    if min(val) <= 0:
+                        continue
+                    group = []
+                    for sigma in stabilizer:
+                        mapped = [sigma[v] for v in place]
+                        for a, b in runs:
+                            mapped[a:b] = sorted(mapped[a:b])
+                        if mapped < place:
+                            break
+                        if mapped == place:
+                            group.append(sigma)
+                    else:
+                        legs = tuple(place[k] for k in slot)
+                        full = len(group) * flag * prod(factorial(p.count(v))
+                                                        for p in parts for v in set(p))
+                        out.append(StableGraph(genera, None, edges, legs, tags,
+                                               _ratio(full, labelings), tuple(group)))
+    out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
+    return out
+
+
+def _aut_images(labels, sigmas) -> list[tuple]:
+    """The labelings that the vertex permutations sigmas carry labels to."""
+    images = []
+    for sigma in sigmas:
+        mapped = [0] * len(labels)
+        for v, p in enumerate(labels):
+            mapped[sigma[v]] = p
+        images.append(tuple(mapped))
+    return images
+
+
+def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
+    """Orbit representatives of fixed-point labelings under the graph's
+    group G, each with aut_order times its stabilizer's share of G: summed
+    over 1/aut_dec, they give all 3^V labelings over 1/aut_order.
+    """
+    nv = len(graph.genera)
+    reps: dict = {}
+    for p in product(range(3), repeat=nv):
+        images = _aut_images(p, graph.automorphisms)
+        key = min(images)
+        if key not in reps:
+            reps[key] = _ratio(images.count(key) * graph.aut_order, len(images))
+    return sorted(reps.items())

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import ConsistencyError
+
 __all__ = [
     "CycScalar",
     "ConsistencyError",
@@ -27,10 +29,6 @@ __all__ = [
     "rat_str",
     "to_cyc",
 ]
-
-
-class ConsistencyError(Exception):
-    """An internal exact identity failed (fatal: signals a bug, not bad input)."""
 
 
 def _coerce(x) -> Fraction:

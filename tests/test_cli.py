@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kp2 import cli, localization, mirror, rseries
+from kp2 import cli, graphs, localization, mirror, rseries
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ZETA, ConsistencyError
@@ -274,6 +274,8 @@ def test_verify_lift_cli_genus_one(capsys):
     assert payload["two_point"] is None
     assert payload["one_point"]["pass"] is True
     assert payload["one_point"]["vacuous"] is False
+    code, out, err = run(["verify", "lift", "--genus", "1", "--format", "text"], capsys)
+    assert (code, out, err) == (cli.EXIT_OK, "lift genus 1: pass\n", "")
 
 
 def test_verify_ss56_cli(capsys):
@@ -286,6 +288,20 @@ def test_verify_ss56_cli(capsys):
     assert payload["report"]["pass"] is True
     assert payload["report"]["residual"] == []
     assert payload["report"]["vacuous"] is True
+
+
+@pytest.mark.parametrize("genus, c, vacuous", [(1, 1, True), (0, 3, True), (1, 3, False)])
+def test_verify_ss56_text_marks_vacuous(genus, c, vacuous, capsys):
+    # the text report says what the JSON one does: at (1, 1) and (0, 3) both
+    # sides are exactly zero (at (1, 1) delta = 1)
+    argv = ["verify", "ss56", "--genus", str(genus), "--c", str(c)]
+    code, payload = run_json(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert payload["report"]["vacuous"] is vacuous
+    code, out, err = run(argv + ["--format", "text"], capsys)
+    assert code == cli.EXIT_OK and err == ""
+    mark = " (vacuous: both sides are exactly zero)" if vacuous else ""
+    assert out == f"ss56 genus {genus} (a=0, b=0, c={c}): pass{mark}\n"
 
 
 def test_verify_ss56_cli_non_vacuous(capsys):
@@ -325,7 +341,7 @@ def test_unexpected_error_exit(capsys, monkeypatch):
     def boom(genus, legs):
         raise IndexError("fabricated")
 
-    monkeypatch.setattr(localization, "enumerate_graphs", boom)
+    monkeypatch.setattr(graphs, "enumerate_graphs", boom)
     code, out, err = run(["graphs", "--genus", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert err == "internal error: IndexError: fabricated\n"
@@ -426,14 +442,28 @@ def loaded_modules(argv) -> set:
     ["verify", "ss56", "--genus", "1", "--c", "3"],
 ], ids=["fg", "correlator", "graphs", "ss56"])
 def test_commands_load_only_their_layers(argv):
-    # Each handler imports what it runs: the graph-sum commands never load
-    # the q-series layers or dataclasses, and only the anomaly command loads
-    # kp2.anomaly.
+    # Each handler imports what it runs: the census needs no ring at all,
+    # the graph-sum commands never load the q-series layers or dataclasses,
+    # and only the anomaly command loads kp2.anomaly.
     modules = loaded_modules(argv)
+    if argv[0] == "graphs":
+        assert modules == {"kp2", "kp2.cli", "kp2.graphs"}
+        return
     assert "kp2.localization" in modules
     assert not modules & {"kp2.mirror", "kp2.series", "dataclasses", "inspect"}
     assert ("kp2.anomaly" in modules) == (argv[0] == "verify")
 
 
 def test_help_loads_no_layer():
-    assert loaded_modules(["--help"]) == {"kp2", "kp2.scalars", "kp2.cli"}
+    assert loaded_modules(["--help"]) == {"kp2", "kp2.cli"}
+
+
+def test_layers_share_one_object_per_name():
+    # the root defines the error that every layer raises, and the assembly
+    # re-exports the census names rather than defining its own
+    import kp2
+    from kp2 import scalars
+
+    assert kp2.ConsistencyError is scalars.ConsistencyError is ConsistencyError
+    for name in ("StableGraph", "enumerate_graphs", "decoration_orbits", "normalize_tag"):
+        assert getattr(localization, name) is getattr(graphs, name), name

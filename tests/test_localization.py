@@ -7,10 +7,16 @@ from math import factorial, prod
 
 import pytest
 
-from kp2 import localization
-from kp2.localization import (
+from kp2 import graphs, localization
+from kp2.graphs import (
+    _block_perms,
+    _edge_multisets,
+    _edge_stabilizer,
     _flag_factor,
     _mapped_edges,
+    _pair_tables,
+)
+from kp2.localization import (
     _p_coefficient,
     build_context,
     correlator,
@@ -157,6 +163,26 @@ def test_automorphism_groups_match_brute_force(g, n):
         assert gr.aut_order == len(group) * _flag_factor(gr.edges)
 
 
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_edge_stabilizer_matches_mapped_edges(nv):
+    # The table sweep against mapping each edge multiset pair by pair: the
+    # same kept perms in the same order, and None for a non-canonical one.
+    pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+    outcomes = set()
+    for genera in combinations_with_replacement(range(2), nv):
+        perms = _block_perms(genera)
+        tables = _pair_tables(perms, nv)
+        for ne in range(4):
+            for edges in combinations_with_replacement(pairs, ne):
+                mapped = [_mapped_edges(sigma, edges) for sigma in perms]
+                want = (None if min(mapped) < edges
+                        else [sigma for sigma, m in zip(perms, mapped) if m == edges])
+                codes = [u * nv + v for u, v in edges]
+                assert _edge_stabilizer(codes, perms, tables) == want, (genera, edges)
+                outcomes.add(want is None)
+    assert outcomes == {False, True}
+
+
 def _connected(nv, edges) -> bool:
     parent = list(range(nv))
 
@@ -211,7 +237,7 @@ def brute_census(g, n):
                     key = reference_key(genera, edges, legs)
                     if key not in found:
                         found[key] = len(_valid_perms(*key)) * _flag_factor(key[1])
-    return [(localization.StableGraph(h, None, e, l, ("H0",) * n, aut, ()).signature(), aut)
+    return [(graphs.StableGraph(h, None, e, l, ("H0",) * n, aut, ()).signature(), aut)
             for (h, e, l), aut in sorted(found.items())]
 
 
@@ -258,7 +284,7 @@ def test_edge_walk_keeps_every_canonical_candidate(g, n):
             ne = g - sum(genera) + nv - 1
             if ne < 0:
                 continue
-            walked = localization._edge_multisets(genera, ne, n)
+            walked = _edge_multisets(genera, ne, n)
             assert len(set(walked)) == len(walked)
             for edges in walked:
                 assert _connected(nv, edges), (genera, edges)
@@ -549,7 +575,7 @@ def _class_representatives(graph):
     seen = set()
     for labels, aut in decoration_orbits(graph):
         if labels not in seen:
-            seen.update(min(localization._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
+            seen.update(min(graphs._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
                         for s, eps in localization._RELABELINGS)
             yield labels, aut
 

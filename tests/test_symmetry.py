@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kp2 import localization
+from kp2.graphs import _flag_factor
 from kp2.localization import (
-    _flag_factor,
     build_context,
     correlator,
     decoration_orbits,
