@@ -1,8 +1,6 @@
 """Stable graphs: enumeration, automorphisms and decoration orbits.
 
-A fixed locus is a stable graph: vertices carry a genus and a fixed-point
-label, edges two positive flag values, legs an insertion tag and a flag
-value.  This module lists the undecorated graphs up to isomorphism, with
+This module lists the undecorated stable graphs up to isomorphism, with
 their automorphism groups, and the orbits of fixed-point labelings under
 them; kp2.localization assembles their values.  It needs no ring
 arithmetic, so the graph census loads nothing else of kp2.
@@ -81,13 +79,6 @@ class StableGraph(namedtuple("StableGraph", ("genera", "decorations", "edges", "
         return f"h=[{h}] p=[{dec}] e=[{e}] legs=[{l}]"
 
 
-def _mapped_edges(sigma, edges) -> tuple:
-    """The sorted edge multiset that the vertex permutation sigma carries
-    edges to: the direct route that the tests hold _pair_tables to."""
-    return tuple(sorted((a, b) if a <= b else (b, a)
-                        for a, b in ((sigma[u], sigma[v]) for (u, v) in edges)))
-
-
 def _flag_factor(edges) -> int:
     """Parallel-edge permutations times half-edge swaps of loops."""
     out = 2 ** sum(u == v for u, v in edges)
@@ -119,9 +110,12 @@ def _edge_multisets(genera, ne: int, n: int):
       vertices were checked at their own rows.
     - column order: col[v][a] counts the pair (a, v).  If genera[v - 1] ==
       genera[v] and v - 1 > u, swapping v - 1 and v keeps the rows before
-      the first row a where their columns differ and trades their counts in
-      row a.  If column v - 1 is smaller there, the swap makes the edges
-      smaller; more copies of (u, v) keep it so, and the row stops.
+      the first row a where their columns differ and trades their counts
+      there; if column v - 1 is smaller, the edges get smaller, more copies
+      of (u, v) keep it so, and the row stops.
+    - row order: if columns u - 1 and u also agree in the rows above u - 1,
+      swapping them trades the final rows u - 1 and u, read as (loops,
+      pairs beyond u); if row u - 1 is smaller, the edges get smaller.
     """
     nv = len(genera)
     need = [3 - 2 * h for h in genera]
@@ -136,6 +130,10 @@ def _edge_multisets(genera, ne: int, n: int):
             later = sum(max(0, need[w] - val[w]) for w in range(u + 1, nv))
             if lacking + max(0, later - 2 * left) > n:
                 return
+            if u and tie[u] and col[u - 1][:u - 1] == col[u][:u - 1]:
+                rows = [[col[w][a] for w in (a, *range(u + 1, nv))] for a in (u - 1, u)]
+                if rows[0] < rows[1]:
+                    return
             if u + 1 < nv:
                 joined = {comp[w] for w in range(u, nv) if col[w][u]} | {comp[u]}
                 comp = [u if c in joined else c for c in comp]
@@ -177,10 +175,8 @@ def _pair_tables(perms, nv: int) -> list[bytes]:
     """Per permutation sigma, the code of the sorted image of each pair code.
 
     A pair (u, v), u <= v, has the code u * nv + v, so codes sort as the
-    pairs do; entry u * nv + v of sigma's table is the code of the pair
-    (sigma[u], sigma[v]) sorted.  Codes fit in a byte up to 16 vertices;
-    a census with 17 would first list the 17! perms of its all-genus-0
-    vertex set.
+    pairs do.  Codes fit in a byte up to 16 vertices; a census with 17
+    would first list the 17! perms of its all-genus-0 vertex set.
     """
     return [bytes(a * nv + b if a <= b else b * nv + a for a in sigma for b in sigma)
             for sigma in perms]

@@ -2,47 +2,41 @@
 
 A fixed locus is a stable graph: vertices carry a genus and a fixed-point
 label, edges two positive flag values, legs an insertion tag and a flag
-value.  The total is the sum over decorated graphs of
+value.  The total is the sum over decorated graphs of (1 / |Aut|) times
+the sum over flag assignments of the product of vertex, edge and leg
+factors in the differential ring.  Undecorated graphs come from
+kp2.graphs, and each decoration orbit is summed once, weighted by its
+decorated automorphism order.
 
-    (1 / |Aut|) * sum over flag assignments of
-        prod vertex terms * prod edge terms * prod leg terms
+Weight degree.  A factor is a Q-rational expression in the weights w_p
+over the ring over Q (the rows are rational; weights enter through
+weight_pow, euler_at and the vertex class) of degree, mod 3:
 
-with every factor in the differential ring.  Undecorated graphs are
-enumerated up to isomorphism (kp2.graphs), and each decoration orbit is
-summed once, weighted by its decorated automorphism order.
+- leg H_k with flag value a: k + 1 - a (psiH: 3 - a);
+- vertex with n flags of values a_f: sum(a_f - 1) - n (a lambda-monomial
+  of degree d has a coefficient of degree 3h - 3 - d, each extra
+  insertion j adds 1 - j, and they fill the vertex dimension);
+- edge (b1, b2): 1 - b1 - b2 (euler_at and w_i^2 w_j have degree 3).
 
-Relabeling symmetry.  Let delta = sum_j (k_j - 1) mod 3 over the
-insertions, with H0, H1, H2 and psiH counting -1, 0, 1 and 1.  Every factor
-is a Q-rational expression in the weights w_0, w_1, w_2 over the ring over
-Q: the rows have rational coefficients, and the weights enter only through
-weight_pow, euler_at and the tangent weights of the vertex class.  In
-weight degree, a leg H_k with flag value a has k + 1 - a (psiH: 3 - a), a
-vertex with n flags of values a_f has sum(a_f - 1) - n (a lambda-monomial
-of degree d has a Hodge coefficient of degree 3h - 3 - d, each extra
-insertion j adds 1 - j, and they fill the vertex dimension), and an edge
-(b1, b2) has 1 - b1 - b2 mod 3 (euler_at and w_i^2 w_j have degree 3).
-The flag values cancel, so every term of the sum has degree delta mod 3,
-and with w_p = zeta^p:
+With w_p = zeta^p the shift p -> p + s multiplies a factor of degree d by
+zeta^(s d), and the swap p -> -p conjugates it.  So an edge at (i, j) is
+the one at (0, j - i) twisted, and a dressed vertex (below) is computed at
+the first label asked for and twisted to the others; each leg H_k adds
+k - 1 (psiH: 1) to the degree of its other flags, each loop 0.
 
-- shift: p -> p + 1 multiplies each w_p, hence a decorated-graph value, by
-  zeta^delta;
-- swap: p -> -p sends w_p to its conjugate w_(-p), so it conjugates the
-  value, as conjugation fixes Q.
+Flag values cancel, so every term of a graph sum has degree
+delta = sum_j (k_j - 1) mod 3 over the insertions.  The total is
+shift-invariant, so it vanishes unless delta = 0: correlator returns zero
+without assembly, and per_graph_contributions refuses such tags.  With
+delta = 0 a shift keeps a value and a swap conjugates it, so one
+decoration orbit is evaluated per class under G and the six relabelings
+p -> +-p + s, which keep the decorated automorphism order (_contribution).
 
-Relabeling keeps the decorated automorphism order.  The total is
-shift-invariant, so T = zeta^delta T vanishes unless delta = 0 mod 3:
-correlator returns zero without assembly, and per_graph_contributions
-refuses such tags.  With delta = 0 a shift keeps a value and a swap
-conjugates it, so per_graph_contributions evaluates one decoration orbit
-per class under the graph's group G (kp2.graphs) and the six relabelings p -> +-p + s, and adds each class
-once, as a v + b conj(v) with integers a and b.
-
-Contracted flag sum.  Each leg and loop meets one vertex, so
-graph_contribution first sums, per vertex, over the flag compositions
-within its dimension bound: the vertex factor times its leg and loop
-factors, keyed by the values of its flags on the other edges.  It then
-walks the vertices depth-first, sharing prefix products, and multiplies an
-edge factor in once both of its ends are assigned.
+Contracted flag sum.  graph_contribution first sums, per vertex, the
+vertex factor times its leg and loop factors over its flag compositions,
+keyed by its flags on the other edges, then walks the vertices
+depth-first, sharing prefix products, and multiplies an edge factor in
+once both ends are assigned.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ from .graphs import (StableGraph, _aut_images, _check_request, decoration_orbits
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
-from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
+from .scalars import ConsistencyError, CycScalar, euler_at, weight, weight_pow
 
 __all__ = [
     "StableGraph", "Contribution", "Context", "build_context",
@@ -76,18 +70,10 @@ class Contribution(namedtuple("Contribution", ("graph", "value"))):
 
 class Context:
     """The asymptotic rows R_{m,k}, k <= kmax, and memo tables of the
-    factors that read them.
-
-    Each holds factors that depend on nothing else in a graph:
-
-    - _vertex_memo: vertex_contribution by (h, i, sorted flag values);
-    - _edge_memo: edge_contribution by (i, j, b1, b2);
-    - _leg_memo: leg_contribution by (i, tag, a);
-    - _dressed_memo: a vertex with its legs and loops summed out, by (h, i,
-      sorted leg tags, loop count, number of other-edge ends, budget).
-
-    Rows only grow, so no memoized value goes stale.  The vertex classes
-    read no row and are cached in kp2.mgn.
+    factors that read them: vertex_contribution by (h, i, sorted flag
+    values), edge_contribution by (i, j, b1, b2), leg_contribution by
+    (i, tag, a) and _dressed_vertex.  Rows only grow, so no memoized value
+    goes stale; the vertex classes read no row and are cached in kp2.mgn.
     """
 
     def __init__(self):
@@ -144,14 +130,12 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
             integral = hodge_psi_integral(h, exps + tuple(p + 1 for p in parts), lam)
             if integral == 0:
                 continue
+            if parts and parts[0] > ctx.kmax:
+                raise ValueError(f"row index {parts[0]} beyond kmax={ctx.kmax}")
             mult = prod(factorial(parts.count(p)) for p in set(parts))
-            factor = RingElem.const(coeff * integral / mult)
-            for p in parts:
-                if p > ctx.kmax:
-                    raise ValueError(f"row index {p} beyond kmax={ctx.kmax}")
-                factor = factor * rows0[p] * RingElem.const(
-                    CycScalar(1 if p % 2 else -1) * weight_pow(i, -p))
-            terms.append(factor)
+            scale = coeff * integral * (-1) ** sum(p % 2 == 0 for p in parts) / mult
+            terms.append(reduce(mul, (rows0[p] for p in parts),
+                                RingElem.const(scale * weight_pow(i, -rem))))
     total = RingElem.sum(terms)
     if total.x_degree() > 0:
         raise ConsistencyError("vertex contribution acquired an X-dependence")
@@ -177,38 +161,45 @@ def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> RingElem:
     return out
 
 
-def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
-    """The edge factor for flag values (b1, b2) at fixed points (i, j): an
-    alternating sum of kernel coefficients along the anti-diagonal of total
-    degree b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted.
-    """
-    if b1 < 1 or b2 < 1:
-        raise ValueError("flag values are positive")
-    if b1 + b2 - 1 > ctx.kmax:
-        raise ValueError(f"edge needs rows up to {b1 + b2 - 1}, kmax={ctx.kmax}")
-    key = (i, j, b1, b2)
-    hit = ctx._edge_memo.get(key)
-    if hit is not None:
-        return hit
+def _twist(x: RingElem, d: int) -> RingElem:
+    """x times zeta^d."""
+    return x * weight(d % 3) if d % 3 else x
+
+
+def _edge_at(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
+    """The edge factor computed at (i, j): an alternating sum of kernel
+    coefficients along the anti-diagonal of total degree b1 + b2 - 1."""
     terms = []
     for s in range(b2):
         term = _p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s)
         terms.append(term if (b1 + b2 + s) % 2 == 0 else -term)
-    total = RingElem.sum(terms)
-    if not total.c_degrees() <= {0}:
-        raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has nonzero c-degree")
-    if total.x_degree() > 1:
-        raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has X-degree > 1")
-    ctx._edge_memo[key] = total
+    return RingElem.sum(terms)
+
+
+def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
+    """The edge factor for flag values (b1, b2) at fixed points (i, j), the
+    one at (0, j - i) twisted; c-degree 0 and X-degree <= 1 are asserted."""
+    if b1 < 1 or b2 < 1:
+        raise ValueError("flag values are positive")
+    if b1 + b2 - 1 > ctx.kmax:
+        raise ValueError(f"edge needs rows up to {b1 + b2 - 1}, kmax={ctx.kmax}")
+    key, base = (i, j, b1, b2), (0, (j - i) % 3, b1, b2)
+    memo = ctx._edge_memo
+    total = memo.get(key)
+    if total is None:
+        at0 = memo.get(base)
+        if at0 is None:
+            at0 = _edge_at(ctx, *base)
+        total = _twist(at0, i * (1 - b1 - b2))
+        if not total.c_degrees() <= {0}:
+            raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has nonzero c-degree")
+        if total.x_degree() > 1:
+            raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has X-degree > 1")
+        memo[base], memo[key] = at0, total
     return total
 
 
-_PREFAC = {
-    "H0": lambda i: RingElem.one(),
-    "H1": lambda i: RingElem.monomial(weight_pow(i, 1), l=1, x=0, e=1),
-    "H2": lambda i: RingElem.monomial(weight_pow(i, 2), l=-1, x=0, e=-1),
-    "psiH": lambda i: RingElem.monomial(weight_pow(i, 1), l=1, x=0, e=1),
-}
+_PREFAC = {"H0": (0, 0), "H1": (1, 1), "H2": (2, -1), "psiH": (1, 1)}  # w_i power, L and c power
 
 
 def leg_contribution(ctx: Context, i: int, tag: str, a: int) -> RingElem:
@@ -227,10 +218,9 @@ def leg_contribution(ctx: Context, i: int, tag: str, a: int) -> RingElem:
     else:
         if shift > ctx.kmax:
             raise ValueError(f"leg needs row order {shift}, kmax={ctx.kmax}")
-        sign = CycScalar(-1 if (a - 1) % 2 else 1)
-        out = _PREFAC[tag](i) * ctx.rows[row][shift] * RingElem.const(
-            sign * weight_pow(i, -shift)
-        )
+        k, l = _PREFAC[tag]
+        out = ctx.rows[row][shift] * RingElem.monomial(
+            CycScalar(-1 if (a - 1) % 2 else 1) * weight_pow(i, k - shift), l=l, e=l)
     ctx._leg_memo[key] = out
     return out
 
@@ -260,22 +250,13 @@ def _edge_term(ctx: Context, graph: StableGraph, e: int, b1: int, b2: int) -> Ri
         raise _located(exc, graph, ((f"e{e}.0", b1), (f"e{e}.1", b2))) from exc
 
 
-def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
-    """Vertex v's factor with its leg and loop flags summed out.
-
-    Keyed by the values of v's flags on the other edges, in the order of ends
-    (pairs (edge, side)); every composition of v's flags within budget is
-    visited once.  The sum is symmetric in the legs, so it is memoized on
-    v's genus, label, sorted leg tags, loop count, number of ends and
-    budget; callers must not modify it.
-    """
+def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
+    """Vertex v's factor at its label with its leg and loop flags summed
+    out, keyed by its flags on the other edges in the order of ends (pairs
+    (edge, side)), over the compositions within budget."""
     h, i = graph.genera[v], graph.decorations[v]
     legs = [m for m, w in enumerate(graph.legs) if w == v]
     loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
-    key = (h, i, tuple(sorted(graph.tags[m] for m in legs)), len(loops), len(ends), budget)
-    hit = ctx._dressed_memo.get(key)
-    if hit is not None:
-        return hit
     names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
              + [f"e{e}.{s}" for e in loops for s in (0, 1)])
     nk, nl = len(ends), len(legs)
@@ -302,18 +283,37 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
         if dress is not None:
             term = term * dress
         out.setdefault(values[:nk], []).append(term)
-    dressed = {k: RingElem.sum(terms) for k, terms in out.items()}
-    ctx._dressed_memo[key] = dressed
+    return {k: RingElem.sum(terms) for k, terms in out.items()}
+
+
+def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
+    """_dressed_at, memoized on v's genus, label, sorted leg tags, loop
+    count, number of ends and budget; callers must not modify it.  Only
+    the first label asked for is computed; the others twist it."""
+    h, i = graph.genera[v], graph.decorations[v]
+    tags = tuple(sorted(t for t, w in zip(graph.tags, graph.legs) if w == v))
+    key = (h, i, tags, sum(a == b == v for a, b in graph.edges), len(ends), budget)
+    memo = ctx._dressed_memo
+    dressed = memo.get(key)
+    if dressed is None:
+        for s in (1, 2):
+            other = memo.get((h, (i + s) % 3) + key[2:])
+            if other is not None:
+                d = len(ends) + weight_degree(tags)
+                dressed = {k: _twist(x, -s * (sum(k) + d)) for k, x in other.items()}
+                break
+        else:
+            dressed = _dressed_at(ctx, graph, v, budget, ends)
+        memo[key] = dressed
     return dressed
 
 
 def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) -> RingElem:
     """Sum over flag assignments of the vertex/edge/leg product, over aut_order.
 
-    Flags are assigned vertex by vertex, each vertex's flags ranging over
-    the compositions within its dimension bound; budget_extra widens every
-    bound, and the extra terms all vanish.  A ConsistencyError from a
-    factor names the graph, labels and flags.
+    Each vertex's flags range over the compositions within its dimension
+    bound; budget_extra widens every bound, and the extra terms vanish.  A
+    ConsistencyError from a factor names the graph, labels and flags.
     """
     if graph.decorations is None:
         raise ValueError("graph_contribution needs a decorated graph")
@@ -365,11 +365,9 @@ _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contribution:
     """The graph's value for delta = 0, one graph_contribution per class.
 
-    A class with evaluated value v sums to a * v + b * conj(v): a and b
-    count the orbits that p -> eps * p + s reaches from the evaluated one
-    with eps = 1 and -1.  Either a = b, and the class sum is rational by
-    construction, or b = 0: a swap fixes the class, so v must equal
-    conj(v), which is checked here.
+    A class with value v sums to a * v + b * conj(v), a and b counting the
+    orbits that p -> eps * p + s reaches with eps = 1 and -1.  Either a = b,
+    or b = 0: a swap fixes the class, and v = conj(v) is checked.
     """
     found: set = set()  # the orbits of the classes evaluated so far
     addends = []
@@ -394,10 +392,9 @@ def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contri
 def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
     """Per undecorated graph: the sum over decoration orbits of its value.
 
-    Tags with delta != 0 raise ValueError before any enumeration (their
-    total is zero).  Rows first reach 3g - 3 + n, the largest index a
-    vertex, edge or leg budget can request, plus 2 * budget_extra (an edge
-    spans two vertices).
+    Tags with delta != 0 raise ValueError (their total is zero).  Rows reach
+    3g - 3 + n, the largest index a budget can request, plus
+    2 * budget_extra (an edge spans two vertices).
     """
     if weight_degree(tags):
         raise ValueError("per_graph_contributions needs insertions of weight degree 0")
@@ -407,11 +404,9 @@ def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -
 
 
 def correlator(ctx: Context, g: int, insertions) -> RingElem:
-    """Total over all decorated stable graphs; rationality is asserted.
-
-    With no insertions it is the genus-g series, which must be free of c.
-    For delta != 0 mod 3 it is exactly zero, returned without assembly.  An
-    unstable or negative-genus request raises ValueError first.
+    """Total over all decorated stable graphs: the genus-g series, free of
+    c, with no insertions; exactly zero for delta != 0.  An unstable or
+    negative-genus request raises ValueError.
     """
     tags = tuple(normalize_tag(t) for t in insertions)
     _check_request(g, len(tags))

@@ -12,9 +12,6 @@ under which D becomes q d/dq.  The propagator coordinate
 A2 = (3X + 1 - L^3/2)/L^3 is reached by a ring automorphism: to_a2_form
 substitutes X = (L^3 A2 + L^3/2 - 1)/3 and fixes L and c, and its result
 is a RingElem that holds A2 in the X slot; from_a2_form is the inverse.
-
-A RingElem keeps integer pairs over one denominator for all its terms (see
-its docstring); terms is a read-only view that yields CycScalars.
 """
 
 from __future__ import annotations

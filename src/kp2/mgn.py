@@ -1,21 +1,24 @@
 """Exact intersection numbers on moduli of stable curves.
 
-Pure cotangent-class integrals in any genus come from the Virasoro-type
-recursion on the largest exponent.  Mixed Hodge integrals follow Faber's
-algorithm ("Algorithms for computing intersection numbers on moduli spaces
-of curves"), in every genus.  Newton's identities write a lambda-monomial
-as a polynomial in ch_1, ch_3, ch_5, ... of the Hodge bundle E, since
-ch_{2l}(E) = 0 for l >= 1.  Mumford's formula
+Cotangent integrals come from the DVV recursion on the largest exponent,
+Hodge integrals from Faber's algorithm ("Algorithms for computing
+intersection numbers on moduli spaces of curves") in every genus.
+Newton's identities write a lambda-monomial in ch_1, ch_3, ... of the
+Hodge bundle E (ch_{2l}(E) = 0 for l >= 1), and Mumford's formula
 
     ch_{2l-1}(E) = B_{2l}/(2l)! [kappa_{2l-1} - sum_i psi_i^{2l-1}
                    + 1/2 iota_*(sum_{a+b=2l-2} (-1)^a psi^a psi'^b)]
 
-removes one ch factor at a time: the kappa term becomes an extra marking
-with psi^{2l}, and on a boundary divisor the other ch factors restrict to
-genus g - 1 or split over the two sides.  Two vanishings end the
-recursion early: ch_k(E) = 0 for k > 2g - 1, and a ch-monomial of degree
-above 3g - 3 (1 in genus 1) is zero, because E is pulled back from a space
-of that dimension.
+removes one ch factor at a time: kappa becomes an extra marking with
+psi^{2l}, and on a boundary divisor the other ch factors restrict to
+genus g - 1 or split over the two sides.  ch_k(E) = 0 for k > 2g - 1, and
+a ch-monomial of degree above 3g - 3 (1 in genus 1) vanishes, as E is
+pulled back from a space of that dimension.
+
+Before either recursion step, the string equation removes a psi^0
+marking and the dilaton equation a psi^1 marking (a factor 2g - 3 + n)
+whenever (g, n - 1) is stable.  Both hold with ch classes, as E is pulled
+back along forgetful maps, so the recursions see only exponents >= 2.
 """
 
 from __future__ import annotations
@@ -62,42 +65,32 @@ def _splits(items: tuple[int, ...]) -> list:
     return groups
 
 
-def _psi(g: int, exps: tuple[int, ...]) -> Fraction:
-    """Total version of the cotangent integral: 0 outside the stable range."""
-    n = len(exps)
-    if g < 0 or 2 * g - 2 + n <= 0:
-        return Fraction(0)
-    if sum(exps) != 3 * g - 3 + n:
-        return Fraction(0)
-    return _dvv(g, tuple(sorted(exps)))
-
-
 @cache
 def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
-    """_psi in its stable range, exps sorted: recursion on the largest exponent."""
-    if g == 0:
-        value = Fraction(factorial(len(exps) - 3))
-        for a in exps:
-            value /= factorial(a)
-        return value
-    if (g, exps) == (1, (1,)):
+    """_ch without ch classes, exps sorted: recursion on the largest exponent."""
+    reduced = _forget(g, exps)
+    if reduced is not None:
+        return reduced
+    if g == 0:  # exps == (0, 0, 0)
+        return Fraction(1)
+    if g == 1 and exps == (1,):
         return Fraction(1, 24)
     k = exps[-1] - 1
     rest = exps[:-1]
     total = Fraction(0)
     for j, d in enumerate(rest):
         others = rest[:j] + rest[j + 1 :]
-        total += Fraction(_dfact(2 * (k + d) + 1), _dfact(2 * d - 1)) * _psi(
+        total += Fraction(_dfact(2 * (k + d) + 1), _dfact(2 * d - 1)) * _ch(
             g, others + (k + d,)
         )
     boundary = Fraction(0)
     for a in range(k):
         b = k - 1 - a
         w = _dfact(2 * a + 1) * _dfact(2 * b + 1)
-        boundary += w * _psi(g - 1, rest + (a, b))
+        boundary += w * _ch(g - 1, rest + (a, b))
         for g1 in range(g + 1):
             for left, right, m in _splits(rest):
-                boundary += m * w * _psi(g1, left + (a,)) * _psi(g - g1, right + (b,))
+                boundary += m * w * _ch(g1, left + (a,)) * _ch(g - g1, right + (b,))
     total += boundary / 2
     return total / _dfact(2 * k + 3)
 
@@ -111,6 +104,22 @@ def psi_integral(g: int, exps) -> Fraction:
     return hodge_psi_integral(g, exps, ())
 
 
+def _forget(g: int, exps: tuple[int, ...], ks: tuple[int, ...] = ()):
+    """The string or dilaton step on the first marking of exps (sorted) if it
+    has psi^0 or psi^1 and (g, n - 1) is stable, else None."""
+    n = len(exps)
+    if not exps or exps[0] > 1 or 2 * g - 3 + n <= 0:
+        return None
+    rest = exps[1:]
+    if exps[0]:
+        return (2 * g - 3 + n) * _ch(g, rest, ks)
+    total = Fraction(0)
+    for j, a in enumerate(rest):
+        if a and (j == 0 or rest[j - 1] < a):  # once per distinct exponent
+            total += rest.count(a) * _ch(g, rest[:j] + (a - 1,) + rest[j + 1:], ks)
+    return total
+
+
 def _mumford_coeff(k: int) -> Fraction:
     """B_{k+1}/(k+1)!, the coefficient of ch_k in Mumford's formula."""
     while len(_bernoulli) <= k + 1:
@@ -119,20 +128,14 @@ def _mumford_coeff(k: int) -> Fraction:
     return _bernoulli[k + 1] / factorial(k + 1)
 
 
-def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
-    """Total integral of a cotangent monomial times ch_{k_1}...ch_{k_r}(E).
-
-    ks is sorted and holds odd indices.
-    """
+def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...] = ()) -> Fraction:
+    """Total integral of a cotangent monomial times ch_{k_1}...ch_{k_r}(E),
+    0 outside the stable range; ks is sorted and holds odd indices."""
     n = len(exps)
-    if g < 0 or 2 * g - 2 + n <= 0:
-        return Fraction(0)
-    if sum(exps) + sum(ks) != 3 * g - 3 + n:
+    if g < 0 or 2 * g - 2 + n <= 0 or sum(exps) + sum(ks) != 3 * g - 3 + n:
         return Fraction(0)
     if not ks:
-        return _psi(g, exps)
-    # ch_k vanishes above 2g - 1, and the ch classes are pulled back from a
-    # space of dimension 3g - 3 (M_{1,1} in genus 1)
+        return _dvv(g, tuple(sorted(exps)))
     if ks[-1] > 2 * g - 1 or sum(ks) > max(3 * g - 3, 1):
         return Fraction(0)
     return _mumford(g, tuple(sorted(exps)), ks)
@@ -143,6 +146,9 @@ def _mumford(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
     """_ch where no vanishing applies, exps sorted: the largest ch_k is
     removed by Mumford's formula; the other factors restrict to each
     boundary divisor."""
+    reduced = _forget(g, exps, ks)
+    if reduced is not None:
+        return reduced
     k, rest = ks[-1], ks[:-1]
     # kappa_k term, then the cotangent terms
     total = _ch(g, exps + (k + 1,), rest)
@@ -216,14 +222,12 @@ def hodge_psi_integral(g: int, exps, lam) -> Fraction:
 def expand_vertex_class(i: int, h: int) -> dict:
     """Product of the three truncated dual Chern polynomials over e_i.
 
-    Each factor is sum_k (-1)^k lambda_k u^{h-k} for a tangent weight u: the
-    weights w_i - w_j at the other fixed points and -3 w_i, whose product is
-    exactly e_i, so the constant term is e_i^{h-1}.  From genus 2 on, the
-    total lambda-degree is capped at 3h - 3, the dimension of the space the
-    lambda classes are pulled back from; in genus <= 1 the product is kept
-    whole.  The expansion maps a sorted lambda-index tuple to its CycScalar
-    coefficient; the empty tuple keys the constant term.  The expansion is
-    cached, so callers must not modify it.
+    Each factor is sum_k (-1)^k lambda_k u^{h-k} for a tangent weight u:
+    w_i - w_j at the other fixed points and -3 w_i, whose product is e_i.
+    From genus 2 on, the lambda-degree is capped at 3h - 3, the dimension
+    the lambda classes are pulled back from.  Maps sorted lambda-index
+    tuples (() for the constant term e_i^{h-1}) to CycScalars; cached, so
+    callers must not modify it.
     """
     w = weight(i)
     others = [j for j in range(3) if j != i]

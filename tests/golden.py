@@ -5,14 +5,19 @@ Each block is (X-degree, denominator, L-shift, {L-power: numerator}).
 These are data, not derived in-process; the tests compare engine output
 against them term by term.
 
+plain_psi: the cotangent recursion alone, with neither the string nor the
+dilaton equation, which kp2.mgn applies before each recursion step.
+
 hodge_second_route: a one-step removal through the third Chern character,
 for the few Hodge integrals it covers.
 """
 
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 from kp2.lring import RingElem
-from kp2.mgn import _psi, _splits
+from kp2.mgn import _dfact, _splits
 
 GRAPH_VALUES = {
     "G1": [
@@ -101,20 +106,57 @@ def hodge_second_route(g: int, exps, lam) -> Fraction:
     exps = tuple(int(a) for a in exps)
     lam = tuple(sorted(int(m) for m in lam))
     if g == 1 and lam == (1,) and len(exps) == 1:
-        return _psi(1, (exps[0] + 1,))
+        return plain_psi(1, (exps[0] + 1,))
     if g == 2 and lam in ((1, 1, 1), (1, 2)):
         factor = Fraction(1) if lam == (1, 1, 1) else Fraction(1, 2)
-        total = _psi(2, exps + (4,))
+        total = plain_psi(2, exps + (4,))
         for j, a in enumerate(exps):
-            total -= _psi(2, exps[:j] + exps[j + 1 :] + (a + 3,))
+            total -= plain_psi(2, exps[:j] + exps[j + 1 :] + (a + 3,))
         boundary = Fraction(0)
         for a in range(3):
             b = 2 - a
             sign = -1 if a % 2 else 1
-            boundary += sign * _psi(1, exps + (a, b))
+            boundary += sign * plain_psi(1, exps + (a, b))
             for h in range(3):
                 for left, right, m in _splits(exps):
-                    boundary += sign * m * _psi(h, left + (a,)) * _psi(2 - h, right + (b,))
+                    boundary += sign * m * plain_psi(h, left + (a,)) * plain_psi(2 - h, right + (b,))
         total += boundary / 2
         return factor * total / 60
     raise ValueError("second route covers only its cross-check cases")
+
+
+def plain_psi(g: int, exps) -> Fraction:
+    """The cotangent integral by the DVV recursion on the largest exponent
+    alone: 0 outside the stable range or on dimension mismatch."""
+    n = len(exps)
+    if g < 0 or 2 * g - 2 + n <= 0 or sum(exps) != 3 * g - 3 + n:
+        return Fraction(0)
+    return _plain_dvv(g, tuple(sorted(exps)))
+
+
+@cache
+def _plain_dvv(g: int, exps: tuple) -> Fraction:
+    if g == 0:
+        value = Fraction(factorial(len(exps) - 3))
+        for a in exps:
+            value /= factorial(a)
+        return value
+    if (g, exps) == (1, (1,)):
+        return Fraction(1, 24)
+    k = exps[-1] - 1
+    rest = exps[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        others = rest[:j] + rest[j + 1:]
+        total += Fraction(_dfact(2 * (k + d) + 1), _dfact(2 * d - 1)) * plain_psi(
+            g, others + (k + d,))
+    boundary = Fraction(0)
+    for a in range(k):
+        b = k - 1 - a
+        w = _dfact(2 * a + 1) * _dfact(2 * b + 1)
+        boundary += w * plain_psi(g - 1, rest + (a, b))
+        for g1 in range(g + 1):
+            for left, right, m in _splits(rest):
+                boundary += m * w * plain_psi(g1, left + (a,)) * plain_psi(g - g1, right + (b,))
+    total += boundary / 2
+    return total / _dfact(2 * k + 3)

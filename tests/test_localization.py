@@ -13,7 +13,6 @@ from kp2.graphs import (
     _edge_multisets,
     _edge_stabilizer,
     _flag_factor,
-    _mapped_edges,
     _pair_tables,
 )
 from kp2.localization import (
@@ -136,6 +135,13 @@ def test_tag_normalization():
     assert graphs[0].tags == ("H0", "H1", "H2")
     with pytest.raises(ValueError):
         enumerate_graphs(0, ("H3", "H0", "H0"))
+
+
+def _mapped_edges(sigma, edges) -> tuple:
+    """The sorted edge multiset that the vertex permutation sigma carries
+    edges to: the direct route that _pair_tables is held to."""
+    return tuple(sorted((a, b) if a <= b else (b, a)
+                        for a, b in ((sigma[u], sigma[v]) for (u, v) in edges)))
 
 
 def _valid_perms(genera, edges, legs):
@@ -275,9 +281,9 @@ def test_edge_walk_keeps_every_canonical_candidate(g, n):
     # multiset, one that needs more than n legs, or one that a relabeling
     # within the genus blocks makes smaller.  Every genus vector with up to
     # five vertices is checked against all multisets of its pairs.  What it
-    # yields is connected, and no two adjacent vertices s, s + 1 of one genus
-    # have columns out of order in the rows a < s (swapping them would make
-    # the edges smaller).
+    # yields is connected, and no two adjacent vertices t, t + 1 of one genus
+    # have columns out of order in the rows a < t, or, with equal columns
+    # there, rows out of order (swapping them would make the edges smaller).
     for nv in range(1, min(5, 2 * g - 2 + n) + 1):
         pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
         for genera in combinations_with_replacement(range(g + 1), nv):
@@ -292,8 +298,14 @@ def test_edge_walk_keeps_every_canonical_candidate(g, n):
                 count = Counter(edges)
                 for t in range(nv - 1):
                     if genera[t] == genera[t + 1]:
-                        assert ([count[a, t] for a in range(t)]
-                                >= [count[a, t + 1] for a in range(t)]), (genera, edges)
+                        above = [count[a, t] for a in range(t)]
+                        assert above >= [count[a, t + 1] for a in range(t)], (genera, edges)
+                        # equal above: rows t and t + 1, read as (loops, pairs
+                        # beyond t + 1), are in order too
+                        if above == [count[a, t + 1] for a in range(t)]:
+                            rows = [[count[s, w] for w in (s, *range(t + 2, nv))]
+                                    for s in (t, t + 1)]
+                            assert rows[0] >= rows[1], (genera, edges)
             perms = [sigma for sigma in permutations(range(nv))
                      if all(genera[sigma[v]] == genera[v] for v in range(nv))]
             walked = set(walked)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from kp2.mgn import expand_vertex_class, hodge_psi_integral, psi_integral
 from kp2.scalars import CycScalar, euler_at, weight, weight_pow
 
-from golden import hodge_second_route
+from golden import hodge_second_route, plain_psi
 
 F = Fraction
+
+# |B_2g| for g = 1..6, from the standard tables
+BERNOULLI = {1: F(1, 6), 2: F(1, 30), 3: F(1, 42), 4: F(1, 30), 5: F(5, 66), 6: F(691, 2730)}
 
 
 def test_base_values():
@@ -80,8 +83,8 @@ def test_unstable_raises():
 
 def test_genus_scope():
     # int over M_{g,1} of psi^(2g-2) lambda_g = (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!)
-    bernoulli = {1: F(1, 6), 2: F(1, 30), 3: F(1, 42)}
-    for g, b in bernoulli.items():
+    for g in (1, 2, 3):
+        b = BERNOULLI[g]
         expected = (2 ** (2 * g - 1) - 1) * b / (2 ** (2 * g - 1) * factorial(2 * g))
         assert hodge_psi_integral(g, (2 * g - 2,), (g,)) == expected, g
     assert hodge_psi_integral(2, (2,), (2,)) == F(7, 5760)
@@ -132,7 +135,7 @@ def ref_hodge(g, exps, alpha):
     if sum(exps) + alpha != 3 * g - 3 + n:
         return F(0)
     if alpha == 0:
-        return psi_integral(g, exps)
+        return plain_psi(g, exps)
     if (g == 1 and alpha >= 2) or (g == 2 and alpha >= 4) or g == 0:
         return F(0)
     key = (g, tuple(sorted(exps)), alpha)
@@ -248,6 +251,9 @@ def stable_monomials(draw):
     return g, tuple(exps)
 
 
+# kp2.mgn applies the string and dilaton equations itself, so their right
+# sides come from the plain recursion of golden.plain_psi, which applies
+# neither.
 @given(stable_monomials())
 @settings(max_examples=120, deadline=None)
 def test_string_equation(case):
@@ -258,8 +264,8 @@ def test_string_equation(case):
         if a == 0:
             continue
         reduced = exps[:j] + (a - 1,) + exps[j + 1:]
-        rhs += psi_integral(g, reduced)
-    assert lhs == rhs
+        rhs += plain_psi(g, reduced)
+    assert lhs == rhs == plain_psi(g, exps + (0,))
 
 
 @given(stable_monomials())
@@ -267,7 +273,56 @@ def test_string_equation(case):
 def test_dilaton_equation(case):
     g, exps = case
     lhs = psi_integral(g, exps + (1,))
-    assert lhs == (2 * g - 2 + len(exps)) * psi_integral(g, exps)
+    assert lhs == (2 * g - 2 + len(exps)) * plain_psi(g, exps) == plain_psi(g, exps + (1,))
+
+
+def test_plain_recursion_grid():
+    # every cotangent integral with g <= 3 and n <= 5, string and dilaton
+    # reductions included, against the plain recursion; all are positive
+    cases = 0
+    for g in range(4):
+        for n in range(1, 6):
+            if 2 * g - 2 + n <= 0:
+                continue
+            for exps in combinations_with_replacement(range(3 * g - 2 + n), n):
+                if sum(exps) == 3 * g - 3 + n:
+                    value = psi_integral(g, exps)
+                    assert value > 0 and value == plain_psi(g, exps), (g, exps)
+                    cases += 1
+    assert cases == 140
+
+
+def _multinomial(exps):
+    out = factorial(sum(exps))
+    for a in exps:
+        out //= factorial(a)
+    return out
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_witten_top_intersection(g):
+    # <tau_{3g-2}>_g = 1 / (24^g g!)
+    assert psi_integral(g, (3 * g - 2,)) == F(1, 24**g * factorial(g))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_lambda_g_formula(g):
+    # int over M_{g,n} of psi^a lambda_g = multinomial(2g - 3 + n; a) b_g, with
+    # b_g = (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!)  (Faber-Pandharipande)
+    b_g = (2 ** (2 * g - 1) - 1) * BERNOULLI[g] / (2 ** (2 * g - 1) * factorial(2 * g))
+    for n in range(1, 4):
+        for exps in product(range(2 * g - 2 + n), repeat=n):
+            if sum(exps) == 2 * g - 3 + n:
+                assert hodge_psi_integral(g, exps, (g,)) == _multinomial(exps) * b_g, (g, exps)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_lambda_g_lambda_g_minus_one(g):
+    # int over M_{g,1} of psi^(g-1) lambda_(g-1) lambda_g
+    #   = |B_2g| / (2^(2g-1) (2g-1)!! 2g)  (Getzler-Pandharipande)
+    lam = (g - 1, g) if g > 1 else (1,)
+    dfact = prod(range(1, 2 * g, 2))
+    assert hodge_psi_integral(g, (g - 1,), lam) == BERNOULLI[g] / (2 ** (2 * g - 1) * dfact * 2 * g)
 
 
 def test_vertex_class_rank_zero():

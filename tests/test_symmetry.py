@@ -31,7 +31,7 @@ from kp2.localization import (
 )
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
-from kp2.scalars import ConsistencyError, weight_pow
+from kp2.scalars import ConsistencyError, weight, weight_pow
 
 # g <= 1 with up to three legs, and genus 2 unpointed
 SMALL_CASES = [
@@ -360,3 +360,78 @@ def test_edge_consistency_error_names_its_term():
     assert "c-degree" in message
     assert graph.signature() in message
     assert "flags e0.0=1 e0.1=1" in message
+
+
+def test_twisted_edge_error_names_the_requested_labels():
+    # the edge at (1, 1) is the one at (0, 0) twisted; the error names (1, 1)
+    ctx = build_context()
+    ctx.extend_rows(1)
+    ctx.rows[1][1] = ctx.rows[1][1] + RingElem.c(1)
+    with pytest.raises(ConsistencyError) as info:
+        edge_contribution(ctx, 1, 1, 1, 1)
+    assert "edge (1,1,1,1) has nonzero c-degree" in str(info.value)
+
+
+def test_edge_twists_match_the_direct_worker(ctx1):
+    # E(i, j, b1, b2) = zeta^(i (1 - b1 - b2)) E(0, j - i, b1, b2) against
+    # the edge computed at (i, j), for every pair of labels and every flag
+    # pair the rows reach; the twist with the degree's sign flipped fails
+    wrong = 0
+    for b1, b2 in product(range(1, ctx1.kmax + 1), repeat=2):
+        if b1 + b2 - 1 > ctx1.kmax:
+            continue
+        for i, j in product(range(3), repeat=2):
+            direct = localization._edge_at(ctx1, i, j, b1, b2)
+            assert edge_contribution(ctx1, i, j, b1, b2) == direct, (i, j, b1, b2)
+            base = ctx1._edge_memo[(0, (j - i) % 3, b1, b2)]
+            wrong += base * weight((i * (b1 + b2 - 1)) % 3) != direct
+    assert wrong > 100
+
+
+# Graphs whose vertices carry every leg tag and loop pattern at genus <= 2,
+# including every dressed vertex of pointed-g2 (<H1,H1>_2) and anomaly-g1
+# (genus 1 with H2 and psiH legs)
+TWIST_CASES = [(2, ("H1", "H1")), (2, ()), (1, ("H2", "H2", "H2")), (1, ("H2", "H2", "psiH")),
+               (1, ("H0", "psiH", "H1")), (0, ("H0", "H1", "H2", "psiH"))]
+_K = {"H0": 0, "H1": 1, "H2": 2, "psiH": 2}
+
+
+def test_dressed_twists_match_the_direct_worker():
+    # The memo computes a dressed vertex at the first label asked for and
+    # twists it to the others.  Each memo key class is checked from every
+    # first label against _dressed_at at each label.  The direct values
+    # also satisfy entry(p) = zeta^((p - q) d) entry(q) with
+    # d = sum(a - 1) - n_flags + sum k_t - n_loops (H0, H1, H2, psiH:
+    # k_t = 0, 1, 2, 2), and fail it with the sign of d flipped.
+    ctx = build_context()
+    ctx.extend_rows(7)
+    seen = set()
+    wrong = nonzero = 0
+    for g, tags in TWIST_CASES:
+        for graph in enumerate_graphs(g, tags):
+            nv, val = len(graph.genera), graph.valences()
+            links = [(e, u, w) for e, (u, w) in enumerate(graph.edges) if u != w]
+            for v, extra in product(range(nv), (0, 1)):
+                ends = [(e, 0 if u == v else 1) for e, u, w in links if v in (u, w)]
+                legs = sorted(t for t, w in zip(graph.tags, graph.legs) if w == v)
+                loops = sum(a == b == v for a, b in graph.edges)
+                budget = 3 * graph.genera[v] - 3 + val[v] + extra
+                key = (graph.genera[v], tuple(legs), loops, len(ends), budget)
+                if key in seen:
+                    continue
+                seen.add(key)
+                at = [labeled(graph, [p] * nv) for p in range(3)]
+                direct = [localization._dressed_at(ctx, at[p], v, budget, ends) for p in range(3)]
+                nonzero += any(direct[0].values())
+                flags = len(ends) + len(legs) + 2 * loops
+                for first in range(3):
+                    ctx._dressed_memo = {}
+                    localization._dressed_vertex(ctx, at[first], v, budget, ends)
+                    for p in range(3):
+                        got = localization._dressed_vertex(ctx, at[p], v, budget, ends)
+                        assert got == direct[p], (graph.signature(), v, budget, first, p)
+                        for k, x in direct[first].items():
+                            d = sum(a - 1 for a in k) - flags + sum(_K[t] for t in legs) - loops
+                            assert direct[p][k] == x * weight((p - first) * d % 3)
+                            wrong += direct[p][k] != x * weight(-(p - first) * d % 3)
+    assert (len(seen), nonzero) == (114, 106) and wrong > 800
