@@ -9,8 +9,9 @@ generator taken at fixed normalization.
 
 The three identities share one right side: verify_ttt is verify_ss56
 with no markings, and verify_lift checks its T-derivative terms against
-hyperplane insertions.  _split_dT and _second_dT hold the genus-0/1
-conventions of those terms.  Each identity assembles a total once.
+hyperplane insertions.  Every T-derivative goes through _dT, which holds
+the genus-0/1 conventions of those terms.  Each identity assembles a
+total once.
 """
 
 from __future__ import annotations
@@ -93,41 +94,31 @@ def _totals(ctx: Context):
     return cache(lambda g, a, b, c_count, delta=0: pointed_total(ctx, g, a, b, c_count, delta))
 
 
-def _split_dT(total, g: int, a: int, b: int, c_count: int) -> RingElem:
-    """T-derivative of one splitting factor, with the unstable cases
-    replaced by their fixed conventions: genus 0 with two markings
-    becomes a three-point total with an extra hyperplane, genus 1 with
-    no markings uses the closed form."""
-    n = a + b + c_count
-    if g == 0 and n == 2:
-        return total(0, a, b + 1, c_count)
-    if g == 1 and n == 0:
-        return genus_one_inputs()[0]
-    return total(g, a, b, c_count).d_dT()
+def _dT(total, g: int, a: int, b: int, c_count: int, order: int) -> RingElem:
+    """The order-th T-derivative of the genus-g pointed total, with the
+    unstable cases replaced by their fixed conventions: in genus 0 with
+    fewer than three markings each derivative is one extra hyperplane
+    insertion, and unpointed genus 1 uses the closed forms.  A genus-0
+    convention that is itself unstable raises ValueError."""
+    if g == 0 and a + b + c_count < 3:
+        return total(0, a, b + order, c_count)
+    if g == 1 and a + b + c_count == 0:
+        return genus_one_inputs()[order - 1]
+    out = total(g, a, b, c_count)
+    for _ in range(order):
+        out = out.d_dT()
+    return out
 
 
-def _second_dT(total, g: int, a: int, b: int, c_count: int) -> RingElem:
-    """Second T-derivative of the genus-(g) pointed total, with the
-    unstable replacements: two extra hyperplane insertions in genus 0,
-    the closed form in unpointed genus 1."""
-    n = a + b + c_count
-    if g == 0 and n in (1, 2):
-        return total(0, a, b + 2, c_count)
-    if g == 1 and n == 0:
-        return genus_one_inputs()[1]
-    if g == 0 and n == 0:
-        raise ValueError("no convention for an unpointed genus-0 total")
-    return total(g, a, b, c_count).d_dT().d_dT()
-
-
-def _pointed_identity(ctx: Context, g: int, a: int, b: int, c_count: int,
-                      half: Fraction) -> HAEReport:
-    """The pointed anomaly identity.
+def verify_ss56(ctx: Context, g: int, a: int, b: int, c_count: int) -> HAEReport:
+    """The pointed anomaly identity with the descendent correction.
 
     The right side sums ordered genus splittings weighted by binomial
     distribution counts of the markings, adds the second T-derivative one
-    genus down, both times half, and subtracts a third of c_count times
-    the total with one square insertion traded for a descendent.
+    genus down, both times 1/2, and subtracts a third of c_count times
+    the total with one square insertion traded for a descendent.  A
+    negative count raises ValueError, from pointed_total, before any
+    assembly.
     """
     total = _totals(ctx)
     n = a + b + c_count
@@ -144,30 +135,23 @@ def _pointed_identity(ctx: Context, g: int, a: int, b: int, c_count: int,
                     if 2 * g1 - 2 + n1 < 0 or 2 * g2 - 2 + n2 < 0:
                         continue
                     weight = comb(a, a1) * comb(b, b1) * comb(c_count, c1)
-                    term = (_split_dT(total, g1, a1, b1, c1)
-                            * _split_dT(total, g2, a - a1, b - b1, c_count - c1))
+                    term = (_dT(total, g1, a1, b1, c1, 1)
+                            * _dT(total, g2, a - a1, b - b1, c_count - c1, 1))
                     split = split + term.scale(weight)
-    rhs = split.scale(half)
+    rhs = split.scale(Fraction(1, 2))
     if g >= 1:
-        rhs = rhs + _second_dT(total, g - 1, a, b, c_count).scale(half)
+        rhs = rhs + _dT(total, g - 1, a, b, c_count, 2).scale(Fraction(1, 2))
     if c_count >= 1:
         desc = total(g, a, b, c_count - 1, delta=1)
         rhs = rhs - desc.scale(Fraction(c_count, 3))
     return _report(g, lhs, rhs)
 
 
-def verify_ttt(ctx: Context, g: int = 2,
-               negative_control: bool = False) -> HAEReport:
-    """Unpointed anomaly identity at genus g: the pointed identity with no
-    markings.
-
-    With negative_control the halving factor on the right side is
-    replaced by 1, which must break the identity.
-    """
+def verify_ttt(ctx: Context, g: int = 2) -> HAEReport:
+    """The unpointed anomaly identity at genus g: verify_ss56 with no markings."""
     if g < 2:
         raise ValueError("the unpointed identity starts at genus 2")
-    half = Fraction(1) if negative_control else Fraction(1, 2)
-    return _pointed_identity(ctx, g, 0, 0, 0, half)
+    return verify_ss56(ctx, g, 0, 0, 0)
 
 
 def verify_lift(ctx: Context, g: int, two_point: bool = False) -> HAEReport:
@@ -183,15 +167,6 @@ def verify_lift(ctx: Context, g: int, two_point: bool = False) -> HAEReport:
         if g < 2:
             raise ValueError(f"the two-point lift needs genus at least 2, got {g}")
         h = g - 1
-        return _report(h, total(h, 0, 2, 0), _second_dT(total, h, 0, 0, 0))
-    return _report(g, total(g, 0, 1, 0), _split_dT(total, g, 0, 0, 0))
+        return _report(h, total(h, 0, 2, 0), _dT(total, h, 0, 0, 0, 2))
+    return _report(g, total(g, 0, 1, 0), _dT(total, g, 0, 0, 0, 1))
 
-
-def verify_ss56(ctx: Context, g: int, a: int, b: int,
-                c_count: int) -> HAEReport:
-    """Pointed anomaly identity with the descendent correction.
-
-    A negative count raises ValueError, from pointed_total, before any
-    assembly.
-    """
-    return _pointed_identity(ctx, g, a, b, c_count, Fraction(1, 2))

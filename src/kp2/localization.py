@@ -72,8 +72,10 @@ class Context:
     """The asymptotic rows R_{m,k}, k <= kmax, and memo tables of the
     factors that read them: vertex_contribution by (h, i, sorted flag
     values), edge_contribution by (i, j, b1, b2), leg_contribution by
-    (i, tag, a) and _dressed_vertex.  Rows only grow, so no memoized value
-    goes stale; the vertex classes read no row and are cached in kp2.mgn.
+    (i, tag, a) and _dressed_vertex by (h, i, sorted leg tags, loops,
+    ends).  Flag budgets are fixed by the graph, so no memo key carries
+    one.  Rows only grow, so no memoized value goes stale; the vertex
+    classes read no row and are cached in kp2.mgn.
     """
 
     def __init__(self):
@@ -286,13 +288,15 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> 
     return {k: RingElem.sum(terms) for k, terms in out.items()}
 
 
-def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
-    """_dressed_at, memoized on v's genus, label, sorted leg tags, loop
-    count, number of ends and budget; callers must not modify it.  Only
-    the first label asked for is computed; the others twist it."""
+def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, ends) -> dict:
+    """_dressed_at within v's dimension bound 3h - 3 + legs + 2 loops + ends,
+    memoized on v's genus, label, sorted leg tags, loop count and number of
+    ends, which fix that bound; callers must not modify it.  Only the first
+    label asked for is computed; the others twist it."""
     h, i = graph.genera[v], graph.decorations[v]
     tags = tuple(sorted(t for t, w in zip(graph.tags, graph.legs) if w == v))
-    key = (h, i, tags, sum(a == b == v for a, b in graph.edges), len(ends), budget)
+    loops = sum(a == b == v for a, b in graph.edges)
+    key = (h, i, tags, loops, len(ends))
     memo = ctx._dressed_memo
     dressed = memo.get(key)
     if dressed is None:
@@ -303,29 +307,26 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, budget: int, ends)
                 dressed = {k: _twist(x, -s * (sum(k) + d)) for k, x in other.items()}
                 break
         else:
+            budget = 3 * h - 3 + len(tags) + 2 * loops + len(ends)
             dressed = _dressed_at(ctx, graph, v, budget, ends)
         memo[key] = dressed
     return dressed
 
 
-def graph_contribution(ctx: Context, graph: StableGraph, budget_extra: int = 0) -> RingElem:
+def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
     """Sum over flag assignments of the vertex/edge/leg product, over aut_order.
 
     Each vertex's flags range over the compositions within its dimension
-    bound; budget_extra widens every bound, and the extra terms vanish.  A
+    bound (_dressed_vertex); wider bounds add only vanishing terms.  A
     ConsistencyError from a factor names the graph, labels and flags.
     """
     if graph.decorations is None:
         raise ValueError("graph_contribution needs a decorated graph")
     nv = len(graph.genera)
-    val = graph.valences()
     links = [(e, u, v) for e, (u, v) in enumerate(graph.edges) if u != v]
     ends = [[(e, 0 if u == w else 1) for e, u, v in links if w in (u, v)] for w in range(nv)]
     closing = [[e for e, _, v in links if v == w] for w in range(nv)]
-    dressed = [
-        _dressed_vertex(ctx, graph, w, 3 * graph.genera[w] - 3 + val[w] + budget_extra, ends[w])
-        for w in range(nv)
-    ]
+    dressed = [_dressed_vertex(ctx, graph, w, ends[w]) for w in range(nv)]
     flag: dict = {}  # (edge, side) -> value, on the vertices assigned so far
 
     def closed(w: int, key, factor: RingElem) -> RingElem:
@@ -362,7 +363,7 @@ def weight_degree(tags) -> int:
 _RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
 
 
-def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contribution:
+def _contribution(ctx: Context, graph: StableGraph) -> Contribution:
     """The graph's value for delta = 0, one graph_contribution per class.
 
     A class with value v sums to a * v + b * conj(v), a and b counting the
@@ -381,7 +382,7 @@ def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contri
                 found.add(image)
                 weights[eps < 0] += 1
         decorated = graph._replace(decorations=labels, aut_order=aut)
-        value = graph_contribution(ctx, decorated, budget_extra)
+        value = graph_contribution(ctx, decorated)
         if not weights[1] and value != value.conjugate():
             raise _located(ConsistencyError("a swap-fixed class value is not rational"),
                            decorated)
@@ -389,18 +390,17 @@ def _contribution(ctx: Context, graph: StableGraph, budget_extra: int) -> Contri
     return Contribution(graph, RingElem.sum_with_conjugates(addends))
 
 
-def per_graph_contributions(ctx: Context, g: int, tags, budget_extra: int = 0) -> list[Contribution]:
+def per_graph_contributions(ctx: Context, g: int, tags) -> list[Contribution]:
     """Per undecorated graph: the sum over decoration orbits of its value.
 
     Tags with delta != 0 raise ValueError (their total is zero).  Rows reach
-    3g - 3 + n, the largest index a budget can request, plus
-    2 * budget_extra (an edge spans two vertices).
+    3g - 3 + n, the largest index a budget can request.
     """
     if weight_degree(tags):
         raise ValueError("per_graph_contributions needs insertions of weight degree 0")
     graphs = enumerate_graphs(g, tags)
-    ctx.extend_rows(3 * g - 3 + len(tags) + 2 * budget_extra)
-    return [_contribution(ctx, gr, budget_extra) for gr in graphs]
+    ctx.extend_rows(3 * g - 3 + len(tags))
+    return [_contribution(ctx, gr) for gr in graphs]
 
 
 def correlator(ctx: Context, g: int, insertions) -> RingElem:

@@ -11,7 +11,8 @@ and MirrorData.eval_q (kp2.mirror) sends L, X, c to their q-expansions,
 under which D becomes q d/dq.  The propagator coordinate
 A2 = (3X + 1 - L^3/2)/L^3 is reached by a ring automorphism: to_a2_form
 substitutes X = (L^3 A2 + L^3/2 - 1)/3 and fixes L and c, and its result
-is a RingElem that holds A2 in the X slot; from_a2_form is the inverse.
+is a RingElem that holds A2 in the X slot; substitute_x with the image
+(3X + 1 - L^3/2)/L^3 undoes it.
 """
 
 from __future__ import annotations
@@ -291,11 +292,6 @@ class RingElem:
         """This element in A2, held in the X slot: X = (L^3 A2 + L^3/2 - 1)/3."""
         return self.substitute_x(RingElem({(3, 1, 0): Fraction(1, 3), (3, 0, 0): Fraction(1, 6),
                                            (0, 0, 0): Fraction(-1, 3)}))
-
-    def from_a2_form(self) -> "RingElem":
-        """The inverse of to_a2_form: A2 = 3 L^-3 X + L^-3 - 1/2."""
-        return self.substitute_x(RingElem({(-3, 1, 0): 3, (-3, 0, 0): 1,
-                                           (0, 0, 0): Fraction(-1, 2)}))
 
     def __str__(self):
         if not self.nums:

@@ -30,7 +30,6 @@ from math import comb, factorial
 from .scalars import CycScalar, euler_at, weight
 
 __all__ = [
-    "psi_integral",
     "hodge_psi_integral",
     "expand_vertex_class",
 ]
@@ -93,15 +92,6 @@ def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
                 boundary += m * w * _ch(g1, left + (a,)) * _ch(g - g1, right + (b,))
     total += boundary / 2
     return total / _dfact(2 * k + 3)
-
-
-def psi_integral(g: int, exps) -> Fraction:
-    """Integral of psi_1^{a_1}...psi_n^{a_n} over the genus-g stable space,
-    the Hodge integral with no lambda class.
-
-    Zero on dimension mismatch; unstable (g, n) is an error.
-    """
-    return hodge_psi_integral(g, exps, ())
 
 
 def _forget(g: int, exps: tuple[int, ...], ks: tuple[int, ...] = ()):

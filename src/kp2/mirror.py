@@ -96,14 +96,13 @@ def apply_m_u(rows: list[QSeries], w: CycScalar) -> list[QSeries]:
     return [rows[k] * w + rows[k + 1].d_logq() for k in range(len(rows) - 1)]
 
 
-def verify_pf(i: int, qmax: int, zmax: int, include_correction: bool = True) -> QZSeries:
+def verify_pf(i: int, qmax: int, zmax: int) -> QZSeries:
     """Residual of the degree-3 differential identity on the restriction at i.
 
     Applies M^3 - w^3 + 3q M (3M + z)(3M + 2z) to the z -> 0 expansion and
-    returns the residual, which must vanish identically.  Passing
-    include_correction=False drops the 3q term (negative control).  Needs
-    qmax >= 1 and zmax >= 0: below that the residual is empty or never meets
-    the 3q term.
+    returns the residual, which must vanish identically.  Needs qmax >= 1
+    and zmax >= 0: below that the residual is empty or never meets the 3q
+    term.
     """
     if qmax < 1 or zmax < 0:
         raise ValueError(f"verify_pf needs qmax >= 1 and zmax >= 0, got {qmax} and {zmax}")
@@ -111,16 +110,12 @@ def verify_pf(i: int, qmax: int, zmax: int, include_correction: bool = True) -> 
     zcap = qmax + zmax
     f = build_ibar(i, qmax).expand_at_zero(zcap)
     mf = apply_m(f, w)
-    m2f = apply_m(mf, w)
-    m3f = apply_m(m2f, w)
-    residual = m3f - f.scale(w**3)
-    if include_correction:
-        z = QZSeries.lift(QSeries.one(qmax), zcap, 1)
-        h1 = mf.scale(3) + (f * z).scale(2)
-        h2 = apply_m(h1, w).scale(3) + h1 * z
-        h3 = apply_m(h2, w)
-        residual = residual + h3 * QZSeries.lift(QSeries([0, 3], qmax), zcap)
-    return residual
+    m3f = apply_m(apply_m(mf, w), w)
+    z = QZSeries.lift(QSeries.one(qmax), zcap, 1)
+    h1 = mf.scale(3) + (f * z).scale(2)
+    h2 = apply_m(h1, w).scale(3) + h1 * z
+    h3 = apply_m(h2, w)
+    return m3f - f.scale(w**3) + h3 * QZSeries.lift(QSeries([0, 3], qmax), zcap)
 
 
 def birkhoff_normalizations(qmax: int, i: int = 0) -> tuple[QSeries, QSeries, QSeries]:

@@ -67,11 +67,6 @@ class QSeries:
             raise IndexError(f"coefficient q^{d} beyond truncation {self.qmax}")
         return self.coeffs[d]
 
-    def truncate(self, qmax: int) -> "QSeries":
-        if qmax >= self.qmax:
-            return self
-        return QSeries(self.coeffs[: qmax + 1], qmax)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -243,10 +238,6 @@ class QZSeries:
                 continue
             clean[(d, m)] = c
         self.entries = clean
-
-    @classmethod
-    def one(cls, qmax: int, zcap: int) -> "QZSeries":
-        return cls({(0, 0): ONE}, qmax, zcap)
 
     @classmethod
     def lift(cls, s: QSeries, zcap: int, m: int = 0) -> "QZSeries":

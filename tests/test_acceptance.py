@@ -9,11 +9,11 @@ import json
 import random
 from fractions import Fraction
 
-from kp2 import cli
+from kp2 import anomaly, cli
 from kp2.anomaly import pointed_total, verify_ss56, verify_ttt
 from kp2.localization import correlator, enumerate_graphs, per_graph_contributions
 from kp2.lring import RingElem
-from kp2.mgn import hodge_psi_integral, psi_integral
+from kp2.mgn import hodge_psi_integral
 from kp2.mirror import check_rows, expand_rows, mirror_map, verify_pf
 from kp2.rseries import extract_R_rows, verify_lemma_R
 from kp2.scalars import ConsistencyError, CycScalar
@@ -95,6 +95,10 @@ def test_criterion_03_asymptotic_rows(mirror12):
         ("derivation rule", True),
     ]
     report(3, "asymptotic rows", checks)
+
+
+def psi_integral(g, exps):
+    return hodge_psi_integral(g, exps, ())
 
 
 def test_criterion_04_intersection_engine():
@@ -189,9 +193,17 @@ def test_criterion_07_genus_two_total(ctx2):
     report(7, "genus-2 total", checks)
 
 
-def test_criterion_08_anomaly_identity(ctx2):
+def test_criterion_08_anomaly_identity(ctx2, monkeypatch):
     good = verify_ttt(ctx2)
-    control = verify_ttt(ctx2, negative_control=True)
+    real = anomaly.genus_one_inputs
+
+    def doubled():
+        d_f1, d2_f1 = real()
+        return d_f1, d2_f1.scale(2)
+
+    # a wrong second T-derivative of F_1 must break the identity
+    monkeypatch.setattr(anomaly, "genus_one_inputs", doubled)
+    control = verify_ttt(ctx2)
     checks = [
         ("residual is the zero element", good.passed and good.residual.is_zero()),
         ("negative control is nonzero", not control.passed),

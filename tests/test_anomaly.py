@@ -36,10 +36,51 @@ def test_unpointed_identity_genus_two(ctx2):
     assert not report.lhs.is_zero()
 
 
-def test_negative_control_breaks_identity(ctx2):
-    report = verify_ttt(ctx2, negative_control=True)
+def test_negative_control_breaks_identity(ctx2, monkeypatch):
+    # the genus-2 right side reads the second T-derivative of F_1; a wrong
+    # closed form for it must break the identity that holds with the right one
+    assert verify_ttt(ctx2).passed
+    real = anomaly.genus_one_inputs
+
+    def doubled():
+        d_f1, d2_f1 = real()
+        return d_f1, d2_f1.scale(2)
+
+    monkeypatch.setattr(anomaly, "genus_one_inputs", doubled)
+    report = verify_ttt(ctx2)
     assert not report.passed
     assert not report.residual.is_zero()
+
+
+def test_dT_genus_zero_adds_hyperplanes(ctx1):
+    # with fewer than three markings each T-derivative is one more H1
+    total = anomaly._totals(ctx1)
+    for (a, b, c_count), order in [((1, 0, 1), 1), ((0, 2, 0), 1), ((0, 1, 0), 2),
+                                   ((0, 2, 0), 2), ((1, 0, 0), 2)]:
+        got = anomaly._dT(total, 0, a, b, c_count, order)
+        assert got == pointed_total(ctx1, 0, a, b + order, c_count), (a, b, c_count, order)
+        assert got.is_zero() == (a == 1 and order == 2)
+
+
+def test_dT_unpointed_genus_one_is_the_closed_form(ctx1):
+    total = anomaly._totals(ctx1)
+    d_f1, d2_f1 = genus_one_inputs()
+    assert anomaly._dT(total, 1, 0, 0, 0, 1) == d_f1
+    assert anomaly._dT(total, 1, 0, 0, 0, 2) == d2_f1
+
+
+def test_dT_stable_case_derives(ctx1):
+    total = anomaly._totals(ctx1)
+    for g, (a, b, c_count) in [(1, (0, 1, 0)), (0, (0, 0, 3)), (2, (0, 0, 0))]:
+        second = pointed_total(ctx1, g, a, b, c_count).d_dT().d_dT()
+        assert not second.is_zero(), g
+        assert anomaly._dT(total, g, a, b, c_count, 2) == second, g
+        assert anomaly._dT(total, g, a, b, c_count, 1) == pointed_total(ctx1, g, a, b, c_count).d_dT()
+
+
+def test_dT_unpointed_genus_zero_raises(ctx1):
+    with pytest.raises(ValueError):
+        anomaly._dT(anomaly._totals(ctx1), 0, 0, 0, 0, 2)
 
 
 def test_unpointed_identity_genus_range(ctx2):

@@ -394,7 +394,7 @@ def test_fg_per_graph_payload(capsys):
 def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
     # a graph value with a c term must fail the c-degree check on the fg path
     monkeypatch.setattr(localization, "graph_contribution",
-                        lambda ctx, graph, budget_extra=0: RingElem.c(1))
+                        lambda ctx, graph: RingElem.c(1))
     code, out, err = run(["fg", "--genus", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert out == ""
@@ -405,7 +405,7 @@ def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
 def test_fg_names_a_swap_fixed_class_that_is_not_rational(capsys, monkeypatch):
     # every genus-2 class but one is fixed by a swap, so its value must be rational
     monkeypatch.setattr(localization, "graph_contribution",
-                        lambda ctx, graph, budget_extra=0: RingElem.const(ZETA))
+                        lambda ctx, graph: RingElem.const(ZETA))
     code, out, err = run(["fg", "--genus", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert out == ""

@@ -74,9 +74,13 @@ def test_d_da2_on_x_powers():
     assert RingElem.one().d_da2().is_zero()
 
 
+# A2 = (3X + 1 - L^3/2)/L^3, the image of X under the inverse of to_a2_form
+A2_OF_X = RingElem({(-3, 1, 0): 3, (-3, 0, 0): 1, (0, 0, 0): Fraction(-1, 2)})
+
+
 @given(ring_elems)
 def test_a2_form_roundtrip(f):
-    assert f.to_a2_form().from_a2_form() == f
+    assert f.to_a2_form().substitute_x(A2_OF_X) == f
 
 
 def test_a2_form_shape():

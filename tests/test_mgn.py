@@ -5,10 +5,16 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kp2.mgn import expand_vertex_class, hodge_psi_integral, psi_integral
+from kp2.mgn import expand_vertex_class, hodge_psi_integral
 from kp2.scalars import CycScalar, euler_at, weight, weight_pow
 
 from golden import hodge_second_route, plain_psi
+
+
+def psi_integral(g, exps):
+    """The cotangent integral: the Hodge integral with no lambda class."""
+    return hodge_psi_integral(g, exps, ())
+
 
 F = Fraction
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kp2 import series
+from kp2 import mirror, series
 from kp2.mirror import (
     birkhoff_normalizations,
     build_ibar,
@@ -19,9 +19,18 @@ def test_pf_residual_vanishes_small():
         assert verify_pf(i, 8, 5).is_zero()
 
 
-def test_pf_negative_control():
-    # dropping the q-shifted correction term must leave a residual
-    assert not verify_pf(0, 6, 4, include_correction=False).is_zero()
+def test_pf_negative_control(monkeypatch):
+    # a restriction with one degree-1 numerator factor dropped must leave a
+    # residual that the true restriction does not
+    assert verify_pf(0, 6, 4).is_zero()
+
+    def short_numerator(i, qmax):
+        ibar = build_ibar(i, qmax)
+        ibar.numerators[1] = ibar.numerators[1][1:]
+        return ibar
+
+    monkeypatch.setattr(mirror, "build_ibar", short_numerator)
+    assert not verify_pf(0, 6, 4).is_zero()
 
 
 def test_restricted_series_leading_pole():

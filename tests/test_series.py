@@ -59,7 +59,7 @@ def test_truncate_and_index():
     f = QSeries([1, 2, 3], 2)
     assert f[1] == CycScalar(2)
     assert f[-2].is_zero()
-    assert f.truncate(1) == QSeries([1, 2], 1)
+    assert QSeries([1, 2, 3], 1).coeffs == QSeries([1, 2], 1).coeffs  # qmax truncates
     with pytest.raises(IndexError):
         f[5]
 
@@ -89,7 +89,7 @@ def test_qz_exp_pole_inverse():
     s = QSeries([0, 2, -3, 1], 4)
     e = QZSeries.exp_pole(s, 4, 4)
     ei = QZSeries.exp_pole(-s, 4, 4)
-    assert e * ei == QZSeries.one(4, 4)
+    assert e * ei == QZSeries.lift(QSeries.one(4), 4)
 
 
 def test_qz_shift_and_coefficient_helpers():
@@ -116,7 +116,7 @@ def test_series_are_unhashable():
     with pytest.raises(TypeError):
         hash(QSeries([1, 2], 1))
     with pytest.raises(TypeError):
-        hash(QZSeries.one(2, 2))
+        hash(QZSeries.lift(QSeries.one(2), 2))
 
 
 def test_qz_pole_bound_enforced():

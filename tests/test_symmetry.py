@@ -399,7 +399,8 @@ _K = {"H0": 0, "H1": 1, "H2": 2, "psiH": 2}
 def test_dressed_twists_match_the_direct_worker():
     # The memo computes a dressed vertex at the first label asked for and
     # twists it to the others.  Each memo key class is checked from every
-    # first label against _dressed_at at each label.  The direct values
+    # first label against _dressed_at at each label, at the flag budget
+    # the memo uses.  The direct values, at that budget and one above it,
     # also satisfy entry(p) = zeta^((p - q) d) entry(q) with
     # d = sum(a - 1) - n_flags + sum k_t - n_loops (H0, H1, H2, psiH:
     # k_t = 0, 1, 2, 2), and fail it with the sign of d flipped.
@@ -425,13 +426,41 @@ def test_dressed_twists_match_the_direct_worker():
                 nonzero += any(direct[0].values())
                 flags = len(ends) + len(legs) + 2 * loops
                 for first in range(3):
-                    ctx._dressed_memo = {}
-                    localization._dressed_vertex(ctx, at[first], v, budget, ends)
+                    if not extra:
+                        ctx._dressed_memo = {}
+                        localization._dressed_vertex(ctx, at[first], v, ends)
+                        for p in range(3):
+                            got = localization._dressed_vertex(ctx, at[p], v, ends)
+                            assert got == direct[p], (graph.signature(), v, first, p)
                     for p in range(3):
-                        got = localization._dressed_vertex(ctx, at[p], v, budget, ends)
-                        assert got == direct[p], (graph.signature(), v, budget, first, p)
                         for k, x in direct[first].items():
                             d = sum(a - 1 for a in k) - flags + sum(_K[t] for t in legs) - loops
                             assert direct[p][k] == x * weight((p - first) * d % 3)
                             wrong += direct[p][k] != x * weight(-(p - first) * d % 3)
+    # 57 memo keys, each at two budgets
     assert (len(seen), nonzero) == (114, 106) and wrong > 800
+
+
+def test_flag_budget_slack_changes_no_dressed_vertex():
+    # A flag composition past a vertex's dimension bound only adds terms
+    # that vanish, so the bound the graph sums use loses nothing.  Checked
+    # on every vertex of every graph at (2, ()), (1, H1) and TWIST_CASES,
+    # with the labels 0, 1, 2 spread over the vertices.
+    ctx = build_context()
+    ctx.extend_rows(7)
+    checked = nonzero = 0
+    for g, tags in [(2, ()), (1, ("H1",))] + TWIST_CASES:
+        for graph in enumerate_graphs(g, tags):
+            nv, val = len(graph.genera), graph.valences()
+            graph = labeled(graph, [w % 3 for w in range(nv)])
+            links = [(e, u, w) for e, (u, w) in enumerate(graph.edges) if u != w]
+            for v in range(nv):
+                ends = [(e, 0 if u == v else 1) for e, u, w in links if v in (u, w)]
+                budget = 3 * graph.genera[v] - 3 + val[v]
+                base = localization._dressed_at(ctx, graph, v, budget, ends)
+                for extra in (1, 2):
+                    wide = localization._dressed_at(ctx, graph, v, budget + extra, ends)
+                    assert wide == base, (graph.signature(), v, extra)
+                checked += 1
+                nonzero += any(base.values())
+    assert (checked, nonzero) == (322, 294)
