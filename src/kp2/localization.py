@@ -2,41 +2,35 @@
 
 A fixed locus is a stable graph: vertices carry a genus and a fixed-point
 label, edges two positive flag values, legs an insertion tag and a flag
-value.  The total is the sum over decorated graphs of (1 / |Aut|) times
-the sum over flag assignments of the product of vertex, edge and leg
-factors in the differential ring.  Undecorated graphs come from
-kp2.graphs, and each decoration orbit is summed once, weighted by its
-decorated automorphism order.
+value.  The total is the sum over labelled graphs of (1 / |Aut|) times the
+sum over flag assignments of the product of vertex, edge and leg factors
+in the differential ring.  Undecorated graphs come from kp2.graphs.
 
-Weight degree.  A factor is a Q-rational expression in the weights w_p
-over the ring over Q (the rows are rational; weights enter through
-weight_pow, euler_at and the vertex class) of degree, mod 3:
+Weight degree.  With w_p = zeta^p a factor has a degree d mod 3 (leg H_k
+at flag a: k + 1 - a, psiH: 3 - a; vertex with flags a_f: sum(a_f - 2);
+edge (b1, b2): 1 - b1 - b2): p -> p + s multiplies it by zeta^(s d), and
+p -> -p conjugates it (the rows are rational).  So a vertex with its legs
+and loops (_dressed_vertex) at label p is zeta^(p (|k| + d_v)) times its
+label-0 value, k its flags on the links, d_v = len(k) + weight_degree(its
+legs), and E^(i,j)(b1, b2) = zeta^(i (1 - b1 - b2)) E^(0,j-i)(b1, b2).
+A term of labelling p is then zeta^(sum_v p_v a_v) times the label-0
+vertices times, per link (u, v), zeta^(t b2) E^(0,t)(b1, b2),
+t = p_v - p_u, a_v = d_v + #links leaving v.
+Parallel links share t: in B bundles, a Fourier sum over t gives the sum
+over all 3^V labellings as 3^(V - B) sum_phi W(phi).  phi runs over the
+3^(B - V + 1) solutions of sum_(into v) phi - sum_(out of v) phi = a_v
+mod 3 (_phases), and W(phi) is one flag sum over label-0 vertices with a
+factor sum_t zeta^(psi t) prod E^(0,t)(b1, b2), psi = phi + sum b2, per
+bundle (_bundle_term).  Solutions exist iff sum_v a_v = delta =
+sum_j (k_j - 1) = 0 mod 3 over the insertions; otherwise the total is
+zero, and correlator returns it unassembled.  A decorated
+graph_contribution is the direct route at its labels, for fg --per-graph
+and the tests.
 
-- leg H_k with flag value a: k + 1 - a (psiH: 3 - a);
-- vertex with n flags of values a_f: sum(a_f - 1) - n (a lambda-monomial
-  of degree d has a coefficient of degree 3h - 3 - d, each extra
-  insertion j adds 1 - j, and they fill the vertex dimension);
-- edge (b1, b2): 1 - b1 - b2 (euler_at and w_i^2 w_j have degree 3).
-
-With w_p = zeta^p the shift p -> p + s multiplies a factor of degree d by
-zeta^(s d), and the swap p -> -p conjugates it.  So an edge at (i, j) is
-the one at (0, j - i) twisted, and a dressed vertex (below) is computed at
-the first label asked for and twisted to the others; each leg H_k adds
-k - 1 (psiH: 1) to the degree of its other flags, each loop 0.
-
-Flag values cancel, so every term of a graph sum has degree
-delta = sum_j (k_j - 1) mod 3 over the insertions.  The total is
-shift-invariant, so it vanishes unless delta = 0: correlator returns zero
-without assembly, and per_graph_contributions refuses such tags.  With
-delta = 0 a shift keeps a value and a swap conjugates it, so one
-decoration orbit is evaluated per class under G and the six relabelings
-p -> +-p + s, which keep the decorated automorphism order (_contribution).
-
-Contracted flag sum.  graph_contribution first sums, per vertex, the
-vertex factor times its leg and loop factors over its flag compositions,
-keyed by its flags on the other edges, then walks the vertices
-depth-first, sharing prefix products, and multiplies an edge factor in
-once both ends are assigned.
+Contracted flag sum.  graph_contribution sums each vertex with its legs
+and loops over its flag compositions, keyed by its flags on the links,
+then walks the vertices depth-first, sharing prefix products; a link or
+bundle factor enters once its last vertex is assigned.
 """
 
 from __future__ import annotations
@@ -44,11 +38,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import factorial, prod
 from operator import mul
 
-from .graphs import (StableGraph, _aut_images, _check_request, decoration_orbits,
-                     enumerate_graphs, normalize_tag)
+from .graphs import (StableGraph, _check_request, decoration_orbits, enumerate_graphs,
+                     normalize_tag)
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
@@ -72,10 +67,9 @@ class Context:
     """The asymptotic rows R_{m,k}, k <= kmax, and memo tables of the
     factors that read them: vertex_contribution by (h, i, sorted flag
     values), edge_contribution by (i, j, b1, b2), leg_contribution by
-    (i, tag, a) and _dressed_vertex by (h, i, sorted leg tags, loops,
-    ends).  Flag budgets are fixed by the graph, so no memo key carries
-    one.  Rows only grow, so no memoized value goes stale; the vertex
-    classes read no row and are cached in kp2.mgn.
+    (i, tag, a), _dressed_vertex by (h, i, sorted leg tags, loops, ends)
+    and _bundle_term by (psi, sorted flag pairs).  Rows only grow, so no
+    memoized value goes stale; kp2.mgn caches the vertex classes.
     """
 
     def __init__(self):
@@ -85,6 +79,7 @@ class Context:
         self._edge_memo: dict = {}
         self._leg_memo: dict = {}
         self._dressed_memo: dict = {}
+        self._bundle_memo: dict = {}
 
     def extend_rows(self, kmax: int) -> None:
         """Make the rows reach R_{m,kmax}; rows already present do not change."""
@@ -163,41 +158,24 @@ def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> RingElem:
     return out
 
 
-def _twist(x: RingElem, d: int) -> RingElem:
-    """x times zeta^d."""
-    return x * weight(d % 3) if d % 3 else x
-
-
-def _edge_at(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
-    """The edge factor computed at (i, j): an alternating sum of kernel
-    coefficients along the anti-diagonal of total degree b1 + b2 - 1."""
-    terms = []
-    for s in range(b2):
-        term = _p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s)
-        terms.append(term if (b1 + b2 + s) % 2 == 0 else -term)
-    return RingElem.sum(terms)
-
-
 def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
-    """The edge factor for flag values (b1, b2) at fixed points (i, j), the
-    one at (0, j - i) twisted; c-degree 0 and X-degree <= 1 are asserted."""
+    """The edge factor for flag values (b1, b2) at fixed points (i, j): an
+    alternating sum of kernel coefficients along the anti-diagonal of total
+    degree b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted."""
     if b1 < 1 or b2 < 1:
         raise ValueError("flag values are positive")
     if b1 + b2 - 1 > ctx.kmax:
         raise ValueError(f"edge needs rows up to {b1 + b2 - 1}, kmax={ctx.kmax}")
-    key, base = (i, j, b1, b2), (0, (j - i) % 3, b1, b2)
-    memo = ctx._edge_memo
-    total = memo.get(key)
+    key = (i, j, b1, b2)
+    total = ctx._edge_memo.get(key)
     if total is None:
-        at0 = memo.get(base)
-        if at0 is None:
-            at0 = _edge_at(ctx, *base)
-        total = _twist(at0, i * (1 - b1 - b2))
+        terms = [_p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s) for s in range(b2)]
+        total = RingElem.sum([x if (b1 + b2 + s) % 2 == 0 else -x for s, x in enumerate(terms)])
         if not total.c_degrees() <= {0}:
             raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has nonzero c-degree")
         if total.x_degree() > 1:
             raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has X-degree > 1")
-        memo[base], memo[key] = at0, total
+        ctx._edge_memo[key] = total
     return total
 
 
@@ -238,9 +216,11 @@ def _compositions(n: int, budget: int):
 
 
 def _located(exc: ConsistencyError, graph: StableGraph, flags=()) -> ConsistencyError:
-    """exc restated with the decorated graph and the flag values of its term, if any."""
+    """exc restated with the graph, labels and flag values of its term, if any."""
     named = " ".join(f"{name}={a}" for name, a in flags)
-    where = f"graph {graph.signature()}, labels {list(graph.decorations)}"
+    where = f"graph {graph.signature()}"
+    if graph.decorations is not None:
+        where += f", labels {list(graph.decorations)}"
     return ConsistencyError(f"{exc} [{where}{', flags ' + named if named else ''}]")
 
 
@@ -289,66 +269,121 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> 
 
 
 def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, ends) -> dict:
-    """_dressed_at within v's dimension bound 3h - 3 + legs + 2 loops + ends,
-    memoized on v's genus, label, sorted leg tags, loop count and number of
-    ends, which fix that bound; callers must not modify it.  Only the first
-    label asked for is computed; the others twist it."""
+    """_dressed_at within v's dimension bound 3h - 3 + legs + 2 loops + ends
+    (wider bounds add only vanishing terms), memoized on the fields that fix
+    it and v's label; callers must not modify it."""
     h, i = graph.genera[v], graph.decorations[v]
     tags = tuple(sorted(t for t, w in zip(graph.tags, graph.legs) if w == v))
     loops = sum(a == b == v for a, b in graph.edges)
     key = (h, i, tags, loops, len(ends))
-    memo = ctx._dressed_memo
-    dressed = memo.get(key)
+    dressed = ctx._dressed_memo.get(key)
     if dressed is None:
-        for s in (1, 2):
-            other = memo.get((h, (i + s) % 3) + key[2:])
-            if other is not None:
-                d = len(ends) + weight_degree(tags)
-                dressed = {k: _twist(x, -s * (sum(k) + d)) for k, x in other.items()}
-                break
-        else:
-            budget = 3 * h - 3 + len(tags) + 2 * loops + len(ends)
-            dressed = _dressed_at(ctx, graph, v, budget, ends)
-        memo[key] = dressed
+        budget = 3 * h - 3 + len(tags) + 2 * loops + len(ends)
+        dressed = ctx._dressed_memo[key] = _dressed_at(ctx, graph, v, budget, ends)
     return dressed
 
 
-def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
-    """Sum over flag assignments of the vertex/edge/leg product, over aut_order.
+def _bundle_term(ctx: Context, graph: StableGraph, edges, phi: int, flag) -> RingElem:
+    """sum_t zeta^(psi t) prod E^(0,t)(b1, b2) over a bundle's links, psi =
+    phi + sum b2; memoized by (psi, sorted flag pairs), all psi at once."""
+    pairs = [(flag[e, 0], flag[e, 1]) for e in edges]
+    key = tuple(sorted(pairs))
+    memo = ctx._bundle_memo
+    psi = (phi + sum(b for _, b in key)) % 3
+    if (psi, key) not in memo:
+        try:
+            prods = [reduce(mul, [edge_contribution(ctx, 0, t, *ab) for ab in key])
+                     for t in range(3)]
+        except ConsistencyError as exc:
+            raise _located(exc, graph, [(f"e{e}.{s}", ab[s]) for e, ab in zip(edges, pairs)
+                                        for s in (0, 1)]) from exc
+        for s in range(3):
+            memo[s, key] = RingElem.sum([x * weight(s * t % 3) if s * t % 3 else x
+                                         for t, x in enumerate(prods)])
+    return memo[psi, key]
 
-    Each vertex's flags range over the compositions within its dimension
-    bound (_dressed_vertex); wider bounds add only vanishing terms.  A
-    ConsistencyError from a factor names the graph, labels and flags.
-    """
-    if graph.decorations is None:
-        raise ValueError("graph_contribution needs a decorated graph")
+
+def _phases(graph: StableGraph, pairs) -> list[tuple]:
+    """The phi on the bundles (u, v), u < v, that solve the system of the
+    module docstring: one per element of the cycle space."""
     nv = len(graph.genera)
-    links = [(e, u, v) for e, (u, v) in enumerate(graph.edges) if u != v]
-    ends = [[(e, 0 if u == w else 1) for e, u, v in links if w in (u, v)] for w in range(nv)]
-    closing = [[e for e, _, v in links if v == w] for w in range(nv)]
-    dressed = [_dressed_vertex(ctx, graph, w, ends[w]) for w in range(nv)]
-    flag: dict = {}  # (edge, side) -> value, on the vertices assigned so far
+    a = [weight_degree(t for t, w in zip(graph.tags, graph.legs) if w == v) for v in range(nv)]
+    for u, v in graph.edges:
+        if u != v:
+            a[u] += 2
+            a[v] += 1
+    if sum(a) % 3:
+        raise _located(ConsistencyError("no labelling sum at nonzero weight degree"), graph)
+    up, order = {}, [0]  # spanning tree: vertex -> bundle towards root 0
+    for w in order:
+        for b, (u, v) in enumerate(pairs):
+            x = u + v - w if w in (u, v) else 0
+            if x and x not in up:
+                up[x] = b
+                order.append(x)
+    free = [b for b in range(len(pairs)) if b not in up.values()]
+    out = []
+    for values in product(range(3), repeat=len(free)):
+        phi = dict(zip(free, values))
+        for x in order[:0:-1]:  # leaves first: every other bundle at x is set
+            b = up[x]
+            rest = a[x] - sum(phi[c] if v == x else -phi[c]
+                              for c, (u, v) in enumerate(pairs) if x in (u, v) and c != b)
+            phi[b] = rest if pairs[b][1] == x else -rest
+        out.append(tuple(phi[b] % 3 for b in range(len(pairs))))
+    return out
 
-    def closed(w: int, key, factor: RingElem) -> RingElem:
+
+def _flag_walk(dressed, ends, closing, factor) -> RingElem:
+    """The flag sum, vertices walked depth-first sharing prefix products;
+    factor(item, flag) enters once w is assigned, for item in closing[w]."""
+    nv = len(dressed)
+    flag: dict = {}  # (edge, side) -> value
+
+    def closed(w: int, key, term: RingElem) -> RingElem:
         for end, a in zip(ends[w], key):
             flag[end] = a
-        for e in closing[w]:
-            factor = factor * _edge_term(ctx, graph, e, flag[(e, 0)], flag[(e, 1)])
-        return factor
+        for item in closing[w]:
+            term = term * factor(item, flag)
+        return term
 
     def walk(w: int, prefix: RingElem | None) -> RingElem:
-        # prefix: the product over vertices before w (None at vertex 0).  The
-        # last vertex closes the remaining edges; its terms are summed first.
+        # prefix: the product over vertices before w (None at vertex 0); the
+        # last vertex's terms are summed first.
         if w == nv - 1:
-            inner = RingElem.sum([closed(w, key, factor) for key, factor in dressed[w].items()])
+            inner = RingElem.sum([closed(w, key, term) for key, term in dressed[w].items()])
             return inner if prefix is None else prefix * inner
         terms = []
-        for key, factor in dressed[w].items():
-            term = closed(w, key, factor)
+        for key, term in dressed[w].items():
+            term = closed(w, key, term)
             terms.append(walk(w + 1, term if prefix is None else prefix * term))
         return RingElem.sum(terms)
 
-    return walk(0, None) / Fraction(graph.aut_order)
+    return walk(0, None)
+
+
+def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
+    """Sum over flag assignments of the vertex/edge/leg product, over
+    aut_order, at the graph's labels or, undecorated, over all labellings.
+    A ConsistencyError from a factor names the graph, labels and flags."""
+    nv = len(graph.genera)
+    links = [(e, u, v) for e, (u, v) in enumerate(graph.edges) if u != v]
+    ends = [[(e, 0 if u == w else 1) for e, u, v in links if w in (u, v)] for w in range(nv)]
+    if graph.decorations is not None:
+        dressed = [_dressed_vertex(ctx, graph, w, ends[w]) for w in range(nv)]
+        closing = [[e for e, _, v in links if v == w] for w in range(nv)]
+        return _flag_walk(dressed, ends, closing, lambda e, flag: _edge_term(
+            ctx, graph, e, flag[e, 0], flag[e, 1])) / Fraction(graph.aut_order)
+    bundles: dict = {}
+    for e, u, v in links:
+        bundles.setdefault((u, v), []).append(e)
+    pairs, edges = list(bundles), list(bundles.values())
+    at0 = graph._replace(decorations=(0,) * nv)
+    dressed = [_dressed_vertex(ctx, at0, w, ends[w]) for w in range(nv)]
+    closing = [[b for b, (_, v) in enumerate(pairs) if v == w] for w in range(nv)]
+    walks = [_flag_walk(dressed, ends, closing, lambda b, flag: _bundle_term(
+        ctx, graph, edges[b], phi[b], flag)) for phi in _phases(graph, pairs)]
+    return RingElem.sum(walks) * (Fraction(3) ** (nv - len(pairs)) / graph.aut_order)
 
 
 _TAG_DEGREE = {"H0": -1, "H1": 0, "H2": 1, "psiH": 1}
@@ -359,52 +394,25 @@ def weight_degree(tags) -> int:
     return sum(_TAG_DEGREE[normalize_tag(t)] for t in tags) % 3
 
 
-# The six relabelings p -> eps * p + s of the fixed points, as (s, eps).
-_RELABELINGS = tuple((s, eps) for eps in (1, -1) for s in range(3))
-
-
-def _contribution(ctx: Context, graph: StableGraph) -> Contribution:
-    """The graph's value for delta = 0, one graph_contribution per class.
-
-    A class with value v sums to a * v + b * conj(v), a and b counting the
-    orbits that p -> eps * p + s reaches with eps = 1 and -1.  Either a = b,
-    or b = 0: a swap fixes the class, and v = conj(v) is checked.
-    """
-    found: set = set()  # the orbits of the classes evaluated so far
-    addends = []
-    for labels, aut in decoration_orbits(graph):
-        if labels in found:
-            continue
-        weights = [0, 0]  # a and b
-        for s, eps in _RELABELINGS:
-            image = min(_aut_images([(eps * p + s) % 3 for p in labels], graph.automorphisms))
-            if image not in found:
-                found.add(image)
-                weights[eps < 0] += 1
-        decorated = graph._replace(decorations=labels, aut_order=aut)
-        value = graph_contribution(ctx, decorated)
-        if not weights[1] and value != value.conjugate():
-            raise _located(ConsistencyError("a swap-fixed class value is not rational"),
-                           decorated)
-        addends.append((value, *weights))
-    return Contribution(graph, RingElem.sum_with_conjugates(addends))
-
-
 def per_graph_contributions(ctx: Context, g: int, tags) -> list[Contribution]:
-    """Per undecorated graph: the sum over decoration orbits of its value.
-
-    Tags with delta != 0 raise ValueError (their total is zero).  Rows reach
-    3g - 3 + n, the largest index a budget can request.
-    """
+    """Per undecorated graph its value, which must be rational (p -> -p
+    conjugates each term); delta != 0 raises ValueError.  Rows reach
+    3g - 3 + n, the largest index a budget can request."""
     if weight_degree(tags):
         raise ValueError("per_graph_contributions needs insertions of weight degree 0")
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags))
-    return [_contribution(ctx, gr) for gr in graphs]
+    out = []
+    for graph in graphs:
+        value = graph_contribution(ctx, graph)
+        if value != value.conjugate():
+            raise _located(ConsistencyError("a graph value is not rational"), graph)
+        out.append(Contribution(graph, value))
+    return out
 
 
 def correlator(ctx: Context, g: int, insertions) -> RingElem:
-    """Total over all decorated stable graphs: the genus-g series, free of
+    """Total over all labelled stable graphs: the genus-g series, free of
     c, with no insertions; exactly zero for delta != 0.  An unstable or
     negative-genus request raises ValueError.
     """
@@ -417,7 +425,7 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
 
 def checked_total(contributions, tags) -> RingElem:
     """The sum of the per-graph values, which must be free of c when there
-    are no insertions; rationality is checked per class (_contribution)."""
+    are no insertions; rationality is checked per graph."""
     total = RingElem.sum(item.value for item in contributions)
     if not tags and not total.c_degrees() <= {0}:
         raise ConsistencyError("series without insertions must have c-degree 0")

@@ -112,26 +112,6 @@ class RingElem:
                     prev[1] += n1 * m
         return _reduced(acc, den)
 
-    @staticmethod
-    def sum_with_conjugates(items) -> "RingElem":
-        """The sum of a * x + b * conj(x) over the triples (x, a, b) in items,
-        with integers a and b, accumulated over one denominator as in sum."""
-        items = [item for item in items if item[0].nums]
-        den = lcm(*(x.den for x, _, _ in items))
-        acc: dict = {}
-        for x, a, b in items:
-            m = den // x.den
-            # a (n0 + n1 z) + b ((n0 - n1) - n1 z) = ((a + b) n0 - b n1) + (a - b) n1 z
-            p, q, r = (a + b) * m, b * m, (a - b) * m
-            for key, (n0, n1) in x.nums.items():
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = [p * n0 - q * n1, r * n1]
-                else:
-                    prev[0] += p * n0 - q * n1
-                    prev[1] += r * n1
-        return _reduced(acc, den)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -529,10 +529,14 @@ def test_vertex_genus_three(ctx1):
         assert value.x_degree() == 0 and value.c_degrees() == {0}
 
 
-def test_graph_contribution_needs_decorations(ctx1):
-    graph = enumerate_graphs(1, ("H1",))[0]
-    with pytest.raises(ValueError):
-        graph_contribution(ctx1, graph)
+@pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())], ids=["1-1", "2-0"])
+def test_graph_contribution_sums_every_labelling(ctx1, g, tags):
+    # undecorated: the sum over all 3^V labellings of the decorated values,
+    # each over the undecorated aut_order, with no orbits taken
+    for graph in enumerate_graphs(g, tags):
+        direct = RingElem.sum(graph_contribution(ctx1, graph._replace(decorations=labels))
+                              for labels in product(range(3), repeat=len(graph.genera)))
+        assert graph_contribution(ctx1, graph) == direct, graph.signature()
 
 
 def test_genus_two_golden_values(ctx2):
@@ -574,13 +578,13 @@ class _NoMemo(dict):
 
 
 def _class_representatives(graph):
-    """One decoration orbit per relabeling class, as per_graph_contributions evaluates."""
+    """One decoration orbit per class under G and the six relabelings p -> +-p + s."""
     sigmas = graph.automorphisms
     seen = set()
     for labels, aut in decoration_orbits(graph):
         if labels not in seen:
             seen.update(min(graphs._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
-                        for s, eps in localization._RELABELINGS)
+                        for s in range(3) for eps in (1, -1))
             yield labels, aut
 
 
@@ -596,7 +600,8 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
     # the key.  At (1, H2 psiH H2) a vertex holds the legs psiH, H2 in one
     # graph and H2, psiH in another, and the key sorts them.  Every
     # decoration orbit is checked, except at (2,2): there one per relabeling
-    # class, as the graph sums do.
+    # class, to keep it short.  With delta = 0 the sum over all labellings,
+    # which reads only label-0 vertices, is checked too.
     kmax = 3 * g - 3 + len(tags)
     shared = build_context()
     shared.extend_rows(kmax)
@@ -609,6 +614,8 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
             decorated = graph._replace(decorations=labels, aut_order=aut)
             assert (graph_contribution(shared, decorated)
                     == graph_contribution(fresh, decorated)), (graph, labels)
+        if not localization.weight_degree(tags):
+            assert graph_contribution(shared, graph) == graph_contribution(fresh, graph), graph
     assert shared._dressed_memo
     assert all(list(key[2]) == sorted(key[2]) for key in shared._dressed_memo)
 

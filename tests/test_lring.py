@@ -169,7 +169,6 @@ def test_sum_and_add_drop_cancelled_terms(f, g):
 
 def test_sum_of_nothing_is_zero():
     assert RingElem.sum([]).is_zero()
-    assert RingElem.sum_with_conjugates([]).is_zero()
 
 
 @given(cyc_elems, ring_elems, ring_elems)
@@ -182,15 +181,6 @@ def test_substitute_x_is_a_ring_map(image, f, g):
     assert sub(RingElem.zero()).is_zero()
     assert sub(RingElem.X()) == image
     assert sub(f.x_coefficient(0)) == f.x_coefficient(0)  # L and c are fixed
-
-
-@given(st.lists(st.tuples(cyc_elems, st.integers(-6, 6), st.integers(-6, 6)), max_size=5))
-def test_sum_with_conjugates_matches_the_scaled_sum(triples):
-    triples += [(x, -a, -b) for x, a, b in triples[:1]]  # a cancelling pair
-    expected = RingElem.sum([x * a + x.conjugate() * b for x, a, b in triples])
-    total = RingElem.sum_with_conjugates(triples)
-    assert total.terms == expected.terms
-    assert_canonical(total)
 
 
 # -- the one-denominator representation against the per-term one ----------

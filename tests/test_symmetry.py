@@ -2,10 +2,11 @@
 against direct routes.
 
 The reduced assembly sums graphs whose same-tag legs share a colour,
-weighted by N, evaluates one decoration orbit per class under the
-automorphisms and the six relabelings p -> +-p + s, skips totals with
-delta != 0 mod 3, and contracts the flag sum vertex by vertex.  Each of
-these is compared here with the unreduced computation it replaces.
+weighted by N, sums every labelling of a graph at once from label-0
+vertices and bundled links over the phases of its cycle space, skips
+totals with delta != 0 mod 3, and contracts the flag sum vertex by vertex.
+Each of these is compared here with the unreduced computation it replaces:
+decorated graphs evaluated one by one at their labels.
 """
 
 from fractions import Fraction
@@ -241,27 +242,72 @@ def assert_graphs_cancel(ctx, g, tags):
 @pytest.mark.parametrize(
     "g, tags",
     [(2, ()), (2, ("H1", "H1")), (1, ("H0", "psiH", "H1")), (1, ("H1", "H2")),
-     (1, ("H2", "H2", "H2")), (1, ("H0", "H2"))],
-    ids=["2-0", "2-2", "1-3-mixed", "1-2-delta", "1-3-repeated", "1-2"],
+     (1, ("H2", "H2", "H2")), (1, ("H0", "H2")), (0, ("H1",) * 4), (1, ("H1",)),
+     (1, ("H2", "H2", "psiH")), (3, ())],
+    ids=["2-0", "2-2", "1-3-mixed", "1-2-delta", "1-3-repeated", "1-2", "0-H1x4", "1-1",
+         "1-H2H2psiH", "3-0"],
 )
 def test_graph_values_sum_their_decorations(g, tags):
-    # A graph value adds a * v + b * conj(v) once per relabeling class; it
-    # must equal the plain sum of the per-decoration values, each evaluated
-    # on its own, graph by graph and in enumeration order.  At (1, H2 H2 H2)
-    # the legs share one colour, so the decorated orders carry the weight N.
-    # With delta != 0 per_graph_contributions refuses and every graph value
-    # is zero.
+    # A graph value, the sum over all labellings from label-0 vertices and
+    # bundled links, must equal the plain sum of the per-decoration values,
+    # each evaluated on its own at its labels, graph by graph and in
+    # enumeration order.  At (1, H2 H2 H2) the legs share one colour, so the
+    # decorated orders carry the weight N.  With delta != 0
+    # per_graph_contributions refuses, graph_contribution has no phases, and
+    # every graph value is zero.
     ctx = build_context()
     if weight_degree(tags):
         assert_graphs_cancel(ctx, g, tags)
+        for graph in graphs_of(g, tags):
+            with pytest.raises(ConsistencyError, match="weight degree") as info:
+                graph_contribution(ctx, graph)
+            assert graph.signature() in str(info.value)
         return
     contributions = per_graph_contributions(ctx, g, tags)
     by_graph = values_by_graph(ctx, g, tags)
     assert [item.graph for item in contributions] == list(by_graph)
     for item in contributions:
         assert item.value == RingElem.sum(by_graph[item.graph]), item.graph.signature()
+        assert graph_contribution(ctx, item.graph) == item.value
     assert any(not v.is_zero() for values in by_graph.values() for v in values)
     assert any(not item.value.is_zero() for item in contributions)
+
+
+PHASE_CASES = [(3, ()), (2, ("H1", "H1")), (1, ("H2", "H2", "psiH")), (2, ("H0",)),
+               (1, ("H1", "H2")), (2, ("H2", "H2"))]
+
+
+@pytest.mark.parametrize("g, tags", PHASE_CASES)
+def test_phases_solve_the_vertex_system(g, tags):
+    # _phases yields 3^(B - V + 1) distinct phi on the B bundles, each
+    # solving sum_(into v) phi - sum_(out of v) phi = a_v mod 3, a_v = ends
+    # + weight degree of the legs + links leaving v.  sum a_v = 0 exactly
+    # when delta = 0; otherwise there is no solution and it raises.
+    ranks = set()
+    for graph in graphs_of(g, tags):
+        nv = len(graph.genera)
+        links = [(u, v) for u, v in graph.edges if u != v]
+        pairs = sorted(set(links))
+        a = [sum(w in link for link in links) + sum(u == w for u, _ in links)
+             + weight_degree(t for t, x in zip(graph.tags, graph.legs) if x == w)
+             for w in range(nv)]
+        assert (sum(a) % 3 == 0) == (weight_degree(tags) == 0)
+        if weight_degree(tags):
+            with pytest.raises(ConsistencyError, match="weight degree") as info:
+                localization._phases(graph, pairs)
+            assert graph.signature() in str(info.value)
+            continue
+        phases = localization._phases(graph, pairs)
+        rank = len(pairs) - nv + 1
+        assert len(set(phases)) == len(phases) == 3 ** rank, graph.signature()
+        ranks.add(rank)
+        for phi in phases:
+            for w in range(nv):
+                into = sum(p for p, (_, v) in zip(phi, pairs) if v == w)
+                out = sum(p for p, (u, _) in zip(phi, pairs) if u == w)
+                assert (into - out - a[w]) % 3 == 0, (graph.signature(), phi, w)
+    if not weight_degree(tags):
+        assert max(ranks) >= 1  # some graph has a cycle of bundles
 
 
 @pytest.mark.parametrize("g, tags", [(2, ())])
@@ -282,6 +328,34 @@ def test_reduced_matches_per_orbit(ctx2, g, tags):
 @pytest.mark.parametrize("g, tags", [(1, ("H2",))], ids=["1-1"])
 def test_nonzero_delta_values_cancel_per_graph(ctx2, g, tags):
     assert_graphs_cancel(ctx2, g, tags)
+
+
+@pytest.mark.parametrize("g, tags", [(2, ()), (3, ()), (2, ("H1", "H1"))],
+                         ids=["2-0", "3-0", "2-2"])
+def test_labelling_sum_walks_once_per_phase(g, tags, monkeypatch):
+    # Parallel links share one bundle: a graph costs 3^(B - V + 1) flag
+    # walks, B its distinct link pairs.  Links left unbundled give the same
+    # value (the Fourier sum holds over any set of links) with 3^(L - B)
+    # times the walks, so only this count sees them.
+    walks = []
+    real = localization._flag_walk
+
+    def counted(*args):
+        walks.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(localization, "_flag_walk", counted)
+    ctx = build_context()
+    ctx.extend_rows(3 * g - 3 + len(tags))
+    bundled = 0
+    for graph in graphs_of(g, tags):
+        links = [(u, v) for u, v in graph.edges if u != v]
+        del walks[:]
+        graph_contribution(ctx, graph)
+        assert len(walks) == 3 ** (len(set(links)) - len(graph.genera) + 1), graph.signature()
+        bundled += len(set(links)) < len(links)
+    assert bundled
+    assert any(len(pairs) > 1 for _, pairs in ctx._bundle_memo)
 
 
 def test_nonzero_delta_refuses_graph_sums(ctx2, monkeypatch):
@@ -360,10 +434,19 @@ def test_edge_consistency_error_names_its_term():
     assert "c-degree" in message
     assert graph.signature() in message
     assert "flags e0.0=1 e0.1=1" in message
+    # on the correlator path a loop fails in its vertex, dressed at label 0,
+    # and a link in its bundle factor; both name the graph and flags
+    for g, tags, where in ((1, ("H1",), "h=[0] p=[0] e=[0-0] legs=[0:H1], labels [0]"),
+                           (0, ("H1",) * 4, "h=[0,0] p=[] e=[0-1] legs=[0:H1;0:H1;1:H1;1:H1]")):
+        with pytest.raises(ConsistencyError) as info:
+            correlator(ctx, g, tags)
+        message = str(info.value)
+        assert "c-degree" in message
+        assert f"[graph {where}, flags e0.0=1 e0.1=1]" in message
 
 
 def test_twisted_edge_error_names_the_requested_labels():
-    # the edge at (1, 1) is the one at (0, 0) twisted; the error names (1, 1)
+    # each edge is computed at its own labels; the error names (1, 1)
     ctx = build_context()
     ctx.extend_rows(1)
     ctx.rows[1][1] = ctx.rows[1][1] + RingElem.c(1)
@@ -373,17 +456,18 @@ def test_twisted_edge_error_names_the_requested_labels():
 
 
 def test_edge_twists_match_the_direct_worker(ctx1):
-    # E(i, j, b1, b2) = zeta^(i (1 - b1 - b2)) E(0, j - i, b1, b2) against
-    # the edge computed at (i, j), for every pair of labels and every flag
-    # pair the rows reach; the twist with the degree's sign flipped fails
+    # E(i, j, b1, b2) = zeta^(i (1 - b1 - b2)) E(0, j - i, b1, b2), which the
+    # sum over all labellings rests on, for every pair of labels and every
+    # flag pair the rows reach, each edge computed at its own labels; the
+    # twist with the degree's sign flipped fails
     wrong = 0
     for b1, b2 in product(range(1, ctx1.kmax + 1), repeat=2):
         if b1 + b2 - 1 > ctx1.kmax:
             continue
         for i, j in product(range(3), repeat=2):
-            direct = localization._edge_at(ctx1, i, j, b1, b2)
-            assert edge_contribution(ctx1, i, j, b1, b2) == direct, (i, j, b1, b2)
-            base = ctx1._edge_memo[(0, (j - i) % 3, b1, b2)]
+            direct = edge_contribution(ctx1, i, j, b1, b2)
+            base = edge_contribution(ctx1, 0, (j - i) % 3, b1, b2)
+            assert base * weight((i * (1 - b1 - b2)) % 3) == direct, (i, j, b1, b2)
             wrong += base * weight((i * (b1 + b2 - 1)) % 3) != direct
     assert wrong > 100
 
@@ -397,13 +481,13 @@ _K = {"H0": 0, "H1": 1, "H2": 2, "psiH": 2}
 
 
 def test_dressed_twists_match_the_direct_worker():
-    # The memo computes a dressed vertex at the first label asked for and
-    # twists it to the others.  Each memo key class is checked from every
-    # first label against _dressed_at at each label, at the flag budget
-    # the memo uses.  The direct values, at that budget and one above it,
-    # also satisfy entry(p) = zeta^((p - q) d) entry(q) with
-    # d = sum(a - 1) - n_flags + sum k_t - n_loops (H0, H1, H2, psiH:
-    # k_t = 0, 1, 2, 2), and fail it with the sign of d flipped.
+    # The memo computes a dressed vertex at each label it is asked for, and
+    # the sum over all labellings reads only label 0, assuming
+    # entry(p) = zeta^((p - q) d) entry(q) with d = sum(a - 1) - n_flags +
+    # sum k_t - n_loops (H0, H1, H2, psiH: k_t = 0, 1, 2, 2).  Each memo
+    # entry is checked against _dressed_at at its label, and the relation on
+    # the direct values from every label q to every p, at the flag budget
+    # the memo uses and one above it; it fails with the sign of d flipped.
     ctx = build_context()
     ctx.extend_rows(7)
     seen = set()
@@ -425,20 +509,16 @@ def test_dressed_twists_match_the_direct_worker():
                 direct = [localization._dressed_at(ctx, at[p], v, budget, ends) for p in range(3)]
                 nonzero += any(direct[0].values())
                 flags = len(ends) + len(legs) + 2 * loops
-                for first in range(3):
+                for p in range(3):
                     if not extra:
-                        ctx._dressed_memo = {}
-                        localization._dressed_vertex(ctx, at[first], v, ends)
-                        for p in range(3):
-                            got = localization._dressed_vertex(ctx, at[p], v, ends)
-                            assert got == direct[p], (graph.signature(), v, first, p)
-                    for p in range(3):
-                        for k, x in direct[first].items():
+                        assert localization._dressed_vertex(ctx, at[p], v, ends) == direct[p]
+                    for q in range(3):
+                        for k, x in direct[q].items():
                             d = sum(a - 1 for a in k) - flags + sum(_K[t] for t in legs) - loops
-                            assert direct[p][k] == x * weight((p - first) * d % 3)
-                            wrong += direct[p][k] != x * weight(-(p - first) * d % 3)
-    # 57 memo keys, each at two budgets
-    assert (len(seen), nonzero) == (114, 106) and wrong > 800
+                            assert direct[p][k] == x * weight((p - q) * d % 3)
+                            wrong += direct[p][k] != x * weight(-(p - q) * d % 3)
+    # 57 memo keys at each of 3 labels; each key's relation at two budgets
+    assert (len(ctx._dressed_memo), len(seen), nonzero) == (171, 114, 106) and wrong > 800
 
 
 def test_flag_budget_slack_changes_no_dressed_vertex():
