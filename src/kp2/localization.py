@@ -2,35 +2,31 @@
 
 A fixed locus is a stable graph: vertices carry a genus and a fixed-point
 label, edges two positive flag values, legs an insertion tag and a flag
-value.  The total is the sum over labelled graphs of (1 / |Aut|) times the
-sum over flag assignments of the product of vertex, edge and leg factors
-in the differential ring.  Undecorated graphs come from kp2.graphs.
+value.  The total sums over labelled graphs 1/|Aut| times the flag sum of
+the product of vertex, edge and leg factors.  Graphs come from kp2.graphs.
 
-Weight degree.  With w_p = zeta^p a factor has a degree d mod 3 (leg H_k
-at flag a: k + 1 - a, psiH: 3 - a; vertex with flags a_f: sum(a_f - 2);
-edge (b1, b2): 1 - b1 - b2): p -> p + s multiplies it by zeta^(s d), and
-p -> -p conjugates it (the rows are rational).  So a vertex with its legs
-and loops (_dressed_vertex) at label p is zeta^(p (|k| + d_v)) times its
-label-0 value, k its flags on the links, d_v = len(k) + weight_degree(its
-legs), and E^(i,j)(b1, b2) = zeta^(i (1 - b1 - b2)) E^(0,j-i)(b1, b2).
-A term of labelling p is then zeta^(sum_v p_v a_v) times the label-0
-vertices times, per link (u, v), zeta^(t b2) E^(0,t)(b1, b2),
-t = p_v - p_u, a_v = d_v + #links leaving v.
-Parallel links share t: in B bundles, a Fourier sum over t gives the sum
-over all 3^V labellings as 3^(V - B) sum_phi W(phi).  phi runs over the
-3^(B - V + 1) solutions of sum_(into v) phi - sum_(out of v) phi = a_v
-mod 3 (_phases), and W(phi) is one flag sum over label-0 vertices with a
-factor sum_t zeta^(psi t) prod E^(0,t)(b1, b2), psi = phi + sum b2, per
-bundle (_bundle_term).  Solutions exist iff sum_v a_v = delta =
-sum_j (k_j - 1) = 0 mod 3 over the insertions; otherwise the total is
-zero, and correlator returns it unassembled.  A decorated
-graph_contribution is the direct route at its labels, for fg --per-graph
-and the tests.
+Labellings.  With w_p = zeta^p a factor has a degree d mod 3 (leg H_k at
+flag a: k + 1 - a, psiH: 3 - a; vertex with flags a_f: sum(a_f - 2);
+edge (b1, b2): 1 - b1 - b2), and p -> p + s multiplies it by zeta^(s d):
+a vertex with its legs and loops (_dressed_vertex) at label p is
+zeta^(p (|k| + d_v)) times its label-0 value, k its link flags,
+d_v = len(k) + weight_degree(its legs), and E^(i,j) =
+zeta^(i (1 - b1 - b2)) E^(0,j-i), E^(0,t) = sum_k zeta^(t k) Q_k with
+rational Q_k (_edge_modes).  A Fourier sum over the t = p_v - p_u of B
+bundles of parallel links gives the sum over all 3^V labellings as
+3^V sum_phi W(phi), phi over the 3^(B - V + 1) solutions of
+sum_(into v) phi - sum_(out of v) phi = d_v + #links leaving v mod 3
+(_phases; none unless delta = sum_j (k_j - 1) = 0 mod 3, and then
+correlator returns zero unassembled).  W(phi) is a flag sum over label-0
+vertices (a loop is Q_0 + Q_1 + Q_2) times, per bundle, its links' modes
+convolved, at -psi, psi = phi + sum b2 (_bundle_term): it has no zeta.
+A decorated graph_contribution is the direct route, each factor at its
+labels through edge_contribution, sharing no memo entry with these sums.
 
-Contracted flag sum.  graph_contribution sums each vertex with its legs
-and loops over its flag compositions, keyed by its flags on the links,
-then walks the vertices depth-first, sharing prefix products; a link or
-bundle factor enters once its last vertex is assigned.
+Contracted flag sum.  Each vertex with its legs and loops is summed over
+its flag compositions, keyed by its link flags; vertices are walked
+depth-first sharing prefix products, and a link or bundle factor enters
+once its last vertex is assigned.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from .graphs import (StableGraph, _check_request, decoration_orbits, enumerate_g
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
-from .scalars import ConsistencyError, CycScalar, euler_at, weight, weight_pow
+from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
 
 __all__ = [
     "StableGraph", "Contribution", "Context", "build_context",
@@ -57,26 +53,20 @@ __all__ = [
     "weight_degree",
 ]
 
-class Contribution(namedtuple("Contribution", ("graph", "value"))):
-    """The assembled value of one undecorated graph, for delta = 0."""
-
-    __slots__ = ()
+Contribution = namedtuple("Contribution", ("graph", "value"))  # one undecorated graph
 
 
 class Context:
-    """The asymptotic rows R_{m,k}, k <= kmax, and memo tables of the
-    factors that read them: vertex_contribution by (h, i, sorted flag
-    values), edge_contribution by (i, j, b1, b2), leg_contribution by
-    (i, tag, a), _dressed_vertex by (h, i, sorted leg tags, loops, ends)
-    and _bundle_term by (psi, sorted flag pairs).  Rows only grow, so no
-    memoized value goes stale; kp2.mgn caches the vertex classes.
-    """
+    """The rows R_{m,k}, k <= kmax (they only grow), and the memos of
+    vertex_contribution, edge_contribution, _edge_modes, leg_contribution,
+    _dressed_vertex (label None undecorated) and _bundle_term."""
 
     def __init__(self):
         self.kmax = 0
         self.rows = extract_R_rows(0)
         self._vertex_memo: dict = {}
         self._edge_memo: dict = {}
+        self._mode_memo: dict = {}
         self._leg_memo: dict = {}
         self._dressed_memo: dict = {}
         self._bundle_memo: dict = {}
@@ -144,24 +134,27 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
 
 def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> RingElem:
     """Coefficient of x^a y^b in the two-point kernel between fixed points."""
-    rows = ctx.rows
-    wi2wj = weight_pow(i, 2) * weight_pow(j, 1)
-    wiwj2 = weight_pow(i, 1) * weight_pow(j, 2)
-    inner = (
-        rows[0][a] * rows[0][b]
-        + rows[1][a] * rows[2][b] * RingElem.const(wiwj2)
-        + rows[2][a] * rows[1][b] * RingElem.const(wi2wj)
-    )
-    out = inner * RingElem.const(CycScalar(-3) * weight_pow(i, -a) * weight_pow(j, -b))
+    r = ctx.rows
+    inner = (r[0][a] * r[0][b] + r[1][a] * r[2][b] * (weight_pow(i, 1) * weight_pow(j, 2))
+             + r[2][a] * r[1][b] * (weight_pow(i, 2) * weight_pow(j, 1)))
+    out = inner * (CycScalar(-3) * weight_pow(i, -a) * weight_pow(j, -b))
     if i == j and a == 0 and b == 0:
         out = out - RingElem.const(euler_at(i))
     return out
 
 
+def _check_degrees(value: RingElem, where: str) -> RingElem:
+    if not value.c_degrees() <= {0}:
+        raise ConsistencyError(f"edge {where} has nonzero c-degree")
+    if value.x_degree() > 1:
+        raise ConsistencyError(f"edge {where} has X-degree > 1")
+    return value
+
+
 def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
-    """The edge factor for flag values (b1, b2) at fixed points (i, j): an
-    alternating sum of kernel coefficients along the anti-diagonal of total
-    degree b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted."""
+    """The edge factor for flags (b1, b2) at fixed points (i, j), the direct
+    worker: an alternating kernel sum along the anti-diagonal of degree
+    b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted."""
     if b1 < 1 or b2 < 1:
         raise ValueError("flag values are positive")
     if b1 + b2 - 1 > ctx.kmax:
@@ -171,12 +164,24 @@ def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingEle
     if total is None:
         terms = [_p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s) for s in range(b2)]
         total = RingElem.sum([x if (b1 + b2 + s) % 2 == 0 else -x for s, x in enumerate(terms)])
-        if not total.c_degrees() <= {0}:
-            raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has nonzero c-degree")
-        if total.x_degree() > 1:
-            raise ConsistencyError(f"edge ({i},{j},{b1},{b2}) has X-degree > 1")
-        ctx._edge_memo[key] = total
+        ctx._edge_memo[key] = _check_degrees(total, f"({i},{j},{b1},{b2})")
     return total
+
+
+def _edge_modes(ctx: Context, b1: int, b2: int) -> tuple:
+    """Q_k, E^(0,t)(b1, b2) = sum_k zeta^(t k) Q_k: the kernel at (0, t) is
+    -3 zeta^(-t b) (R0[a] R0[b] + zeta^(2t) R1[a] R2[b] + zeta^t R2[a] R1[b])."""
+    modes = ctx._mode_memo.get((b1, b2))
+    if modes is None:
+        rows, parts = ctx.rows, ([], [], [])
+        for s in range(b2):
+            a, b = b1 + s, b2 - 1 - s
+            for m, n, k in ((0, 0, -b), (1, 2, 2 - b), (2, 1, 1 - b)):
+                x = rows[m][a] * rows[n][b]
+                parts[k % 3].append(x if (b1 + b2 + s) % 2 else -x)
+        modes = ctx._mode_memo[b1, b2] = tuple(
+            _check_degrees(RingElem.sum(p) * 3, f"mode Q_{k}({b1},{b2})") for k, p in enumerate(parts))
+    return modes
 
 
 _PREFAC = {"H0": (0, 0), "H1": (1, 1), "H2": (2, -1), "psiH": (1, 1)}  # w_i power, L and c power
@@ -225,18 +230,20 @@ def _located(exc: ConsistencyError, graph: StableGraph, flags=()) -> Consistency
 
 
 def _edge_term(ctx: Context, graph: StableGraph, e: int, b1: int, b2: int) -> RingElem:
+    """Edge e at its labels; undecorated, a label-0 loop, sum Q_k."""
     u, v = graph.edges[e]
     try:
+        if graph.decorations is None:
+            return RingElem.sum(_edge_modes(ctx, b1, b2))
         return edge_contribution(ctx, graph.decorations[u], graph.decorations[v], b1, b2)
     except ConsistencyError as exc:
         raise _located(exc, graph, ((f"e{e}.0", b1), (f"e{e}.1", b2))) from exc
 
 
 def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
-    """Vertex v's factor at its label with its leg and loop flags summed
-    out, keyed by its flags on the other edges in the order of ends (pairs
-    (edge, side)), over the compositions within budget."""
-    h, i = graph.genera[v], graph.decorations[v]
+    """Vertex v's factor at its label (0 undecorated), leg and loop flags
+    summed out within budget, keyed by its flags on the ends, (edge, side)."""
+    h, i = graph.genera[v], 0 if graph.decorations is None else graph.decorations[v]
     legs = [m for m, w in enumerate(graph.legs) if w == v]
     loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
     names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
@@ -270,9 +277,8 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> 
 
 def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, ends) -> dict:
     """_dressed_at within v's dimension bound 3h - 3 + legs + 2 loops + ends
-    (wider bounds add only vanishing terms), memoized on the fields that fix
-    it and v's label; callers must not modify it."""
-    h, i = graph.genera[v], graph.decorations[v]
+    (wider ones add only zeros), memoized; do not modify it."""
+    h, i = graph.genera[v], None if graph.decorations is None else graph.decorations[v]
     tags = tuple(sorted(t for t, w in zip(graph.tags, graph.legs) if w == v))
     loops = sum(a == b == v for a, b in graph.edges)
     key = (h, i, tags, loops, len(ends))
@@ -283,23 +289,26 @@ def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, ends) -> dict:
     return dressed
 
 
+def _convolve(p, q) -> list:
+    """Cyclic convolution: index m sums p_k q_(m-k)."""
+    return [RingElem.sum([p[k] * q[(m - k) % 3] for k in range(3)]) for m in range(3)]
+
+
 def _bundle_term(ctx: Context, graph: StableGraph, edges, phi: int, flag) -> RingElem:
-    """sum_t zeta^(psi t) prod E^(0,t)(b1, b2) over a bundle's links, psi =
-    phi + sum b2; memoized by (psi, sorted flag pairs), all psi at once."""
+    """A bundle's factor in W(phi), memoized by (psi, sorted flag pairs),
+    all psi at once."""
     pairs = [(flag[e, 0], flag[e, 1]) for e in edges]
     key = tuple(sorted(pairs))
     memo = ctx._bundle_memo
     psi = (phi + sum(b for _, b in key)) % 3
     if (psi, key) not in memo:
         try:
-            prods = [reduce(mul, [edge_contribution(ctx, 0, t, *ab) for ab in key])
-                     for t in range(3)]
+            modes = reduce(_convolve, [_edge_modes(ctx, *ab) for ab in key])
         except ConsistencyError as exc:
             raise _located(exc, graph, [(f"e{e}.{s}", ab[s]) for e, ab in zip(edges, pairs)
                                         for s in (0, 1)]) from exc
         for s in range(3):
-            memo[s, key] = RingElem.sum([x * weight(s * t % 3) if s * t % 3 else x
-                                         for t, x in enumerate(prods)])
+            memo[s, key] = modes[-s % 3]
     return memo[psi, key]
 
 
@@ -378,12 +387,11 @@ def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
     for e, u, v in links:
         bundles.setdefault((u, v), []).append(e)
     pairs, edges = list(bundles), list(bundles.values())
-    at0 = graph._replace(decorations=(0,) * nv)
-    dressed = [_dressed_vertex(ctx, at0, w, ends[w]) for w in range(nv)]
+    dressed = [_dressed_vertex(ctx, graph, w, ends[w]) for w in range(nv)]
     closing = [[b for b, (_, v) in enumerate(pairs) if v == w] for w in range(nv)]
     walks = [_flag_walk(dressed, ends, closing, lambda b, flag: _bundle_term(
         ctx, graph, edges[b], phi[b], flag)) for phi in _phases(graph, pairs)]
-    return RingElem.sum(walks) * (Fraction(3) ** (nv - len(pairs)) / graph.aut_order)
+    return RingElem.sum(walks) * (Fraction(3) ** nv / graph.aut_order)
 
 
 _TAG_DEGREE = {"H0": -1, "H1": 0, "H2": 1, "psiH": 1}

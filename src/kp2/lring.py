@@ -13,33 +13,58 @@ A2 = (3X + 1 - L^3/2)/L^3 is reached by a ring automorphism: to_a2_form
 substitutes X = (L^3 A2 + L^3/2 - 1)/3 and fixes L and c, and its result
 is a RingElem that holds A2 in the X slot; substitute_x with the image
 (3X + 1 - L^3/2)/L^3 undoes it.
+
+Keys pack l + 256, x, e + 256 into 10-bit fields (9 bits under a guard
+bit): -256 <= l, e < 256 and 0 <= x < 512, else ValueError, never an
+aliased key.  A product adds keys (less the key of 1); a field leaving
+the box sets a guard bit or the sign, checked on each moved result.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .scalars import ONE, ZERO, CycScalar, _make, to_cyc
 
 __all__ = ["RingElem"]
 
+_ONE_KEY = (256 << 20) | 256
+_INVALID = ~((1 << 29) - 1) | (1 << 19) | (1 << 9)  # guard bits and all above
+_L3, _X1 = 3 << 20, 1 << 10
+
+
+def _pack(l: int, x: int, e: int) -> int:
+    if not (-256 <= l < 256 and 0 <= x < 512 and -256 <= e < 256):
+        raise ValueError(f"exponents (L^{l}, X^{x}, c^{e}) outside the ring's key range")
+    return ((l + 256) << 20) + (x << 10) + e + 256
+
+
+def _unpack(key: int) -> tuple[int, int, int]:
+    return (key >> 20) - 256, (key >> 10) & 511, (key & 511) - 256
+
+
+def _checked(acc: dict) -> dict:
+    if acc and reduce(or_, acc) & _INVALID:
+        raise ValueError("an exponent left the ring's key range")
+    return acc
+
 
 class RingElem:
     """A Laurent polynomial in L and c, polynomial in X, over Q(zeta).
 
-    Stored over one denominator: den is a positive integer and nums maps each
-    exponent triple to a nonzero integer pair (n0, n1), the coefficient
-    (n0 + n1*zeta)/den.  The form is canonical, gcd(den, every n0, every n1)
-    == 1 and zero is den == 1 with no terms, so equality compares den and
-    nums.  Products multiply the pairs over the product of the denominators,
-    sums lift them over the lcm, and each result is reduced once, by one gcd
-    over the whole element.  terms is a read-only view of the coefficients as
-    CycScalars.  Immutable by convention.
+    den > 0 and dicts from key to nonzero int, the rational part n0 and
+    the zeta part n1: key k has coefficient (n0[k] + n1[k]*zeta)/den.
+    Canonical (gcd(den, all numerators) == 1, zero is den 1 with no terms),
+    so equality compares den, n0 and n1.  A zeta-free product costs one
+    integer multiply-add per term pair.  terms views the CycScalars.
+    Immutable.
     """
 
-    __slots__ = ("den", "nums")
+    __slots__ = ("den", "n0", "n1")
 
     def __init__(self, terms: dict | None = None):
         lifted = {}
@@ -50,20 +75,22 @@ class RingElem:
                     continue
                 if x < 0:
                     raise ValueError("negative powers of X are not part of the ring")
-                lifted[(l, x, e)] = coeff
-        # Over the lcm of reduced denominators no prime divides den and every
-        # numerator, so the form is already canonical.
+                lifted[_pack(l, x, e)] = coeff
+        # the lcm of reduced denominators leaves the form canonical
         den = lcm(*(c.d for c in lifted.values()))
         self.den = den
-        self.nums = {key: (c.n0 * (den // c.d), c.n1 * (den // c.d))
-                     for key, c in lifted.items()}
+        self.n0 = {k: c.n0 * (den // c.d) for k, c in lifted.items() if c.n0}
+        self.n1 = {k: c.n1 * (den // c.d) for k, c in lifted.items() if c.n1}
 
     @property
     def terms(self) -> "Terms":
         """The coefficients, as a read-only mapping from (l, x, e) to CycScalar."""
-        return Terms(self.nums, self.den)
+        return Terms(self)
 
-    # -- constructors ------------------------------------------------------
+    def _keys(self):
+        return self.n0.keys() | self.n1.keys() if self.n1 else self.n0.keys()
+
+    # -- constructors
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -96,64 +123,56 @@ class RingElem:
     @staticmethod
     def sum(items) -> "RingElem":
         """The sum of the ring elements in items, accumulated over one denominator."""
-        items = [item for item in items if item.nums]
+        items = [item for item in items if item.n0 or item.n1]
         if len(items) == 1:
             return items[0]
         den = lcm(*(item.den for item in items))
-        acc: dict = {}
+        acc0, acc1 = {}, {}
         for item in items:
             m = den // item.den
-            for key, (n0, n1) in item.nums.items():
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = [n0 * m, n1 * m]
-                else:
-                    prev[0] += n0 * m
-                    prev[1] += n1 * m
-        return _reduced(acc, den)
+            for acc, part in ((acc0, item.n0), (acc1, item.n1)):
+                get = acc.get
+                for k, v in part.items():
+                    acc[k] = get(k, 0) + v * m
+        return _reduced(acc0, acc1, den)
 
-    # -- structure ---------------------------------------------------------
+    # -- structure
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.n0 and not self.n1
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            other = RingElem.const(other)
+        other = _lift(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.den == other.den and self.nums == other.nums
+        return self.den == other.den and self.n0 == other.n0 and self.n1 == other.n1
 
     __hash__ = None
 
     def __bool__(self):
-        return bool(self.nums)
+        return bool(self.n0 or self.n1)
 
     def x_degree(self) -> int:
         """Largest X-exponent present (-1 for the zero element)."""
-        return max((x for (_, x, _) in self.nums), default=-1)
+        return max(((k >> 10) & 511 for k in self._keys()), default=-1)
 
     def c_degrees(self) -> set[int]:
-        return {e for (_, _, e) in self.nums}
+        return {(k & 511) - 256 for k in self._keys()}
 
     def l_range(self) -> tuple[int, int]:
         """(min, max) L-exponent present; (0, 0) for the zero element."""
-        ls = [l for (l, _, _) in self.nums]
-        if not ls:
-            return (0, 0)
-        return (min(ls), max(ls))
+        keys = self._keys()
+        return ((min(keys) >> 20) - 256, (max(keys) >> 20) - 256) if keys else (0, 0)
 
     def x_coefficient(self, x: int) -> "RingElem":
         """The coefficient of X^x, as an element with the X-power stripped."""
-        return _reduced(
-            {(l, 0, e): pair for (l, xx, e), pair in self.nums.items() if xx == x}, self.den
-        )
+        return _reduced(*({k - (x << 10): v for k, v in part.items() if (k >> 10) & 511 == x}
+                          for part in (self.n0, self.n1)), self.den)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            other = RingElem.const(other)
+        other = _lift(other)
         if not isinstance(other, RingElem):
             return NotImplemented
         return RingElem.sum((self, other))
@@ -161,37 +180,27 @@ class RingElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            other = RingElem.const(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _ring({key: (-n0, -n1) for key, (n0, n1) in self.nums.items()}, self.den)
+        return _ring(self.den, *({k: -v for k, v in part.items()} for part in (self.n0, self.n1)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return _scaled(self.nums, self.den, to_cyc(other))
+        other = _lift(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        right = other.nums.items()
-        acc: dict = {}
-        for (l1, x1, e1), (a0, a1) in self.nums.items():
-            for (l2, x2, e2), (b0, b1) in right:
-                # (a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z
-                key = (l1 + l2, x1 + x2, e1 + e2)
-                bb = a1 * b1
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = [a0 * b0 - bb, a0 * b1 + a1 * b0 - bb]
-                else:
-                    prev[0] += a0 * b0 - bb
-                    prev[1] += a0 * b1 + a1 * b0 - bb
-        return _reduced(acc, self.den * other.den)
+        a0, a1, b0, b1 = self.n0, self.n1, other.n0, other.n1
+        # (a0 + a1 z)(b0 + b1 z) = a0 b0 - a1 b1 + (a0 b1 + a1 b0 - a1 b1) z
+        acc0, acc1 = _product(a0, b0, {}), {}
+        if a1 or b1:
+            _product(a1, b0, _product(a0, b1, acc1))
+            for k, v in _product(a1, b1, {}).items():
+                acc0[k] = acc0.get(k, 0) - v
+                acc1[k] = acc1.get(k, 0) - v
+        return _reduced(_checked(acc0), _checked(acc1), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -199,13 +208,12 @@ class RingElem:
         if isinstance(other, (int, Fraction, CycScalar)):
             return self * to_cyc(other).inverse()
         if isinstance(other, RingElem):
-            if len(other.nums) != 1:
+            if len(other.terms) != 1:
                 raise ValueError("ring division only by monomials")
             ((l, x, e), c), = other.terms.items()
             if x != 0:
                 raise ValueError("X is not invertible in the ring")
-            shifted = {(l1 - l, x1, e1 - e): pair for (l1, x1, e1), pair in self.nums.items()}
-            return _scaled(shifted, self.den, c.inverse())
+            return self * RingElem.monomial(c.inverse(), -l, 0, -e)
         return NotImplemented
 
     def scale(self, s) -> "RingElem":
@@ -213,31 +221,28 @@ class RingElem:
 
     def conjugate(self) -> "RingElem":
         """zeta -> zeta^2 on every coefficient; L, X and c are fixed."""
-        # (n0 + n1 z) -> (n0 - n1) - n1 z keeps the gcd of the numerators.
-        return _ring({key: (n0 - n1, -n1) for key, (n0, n1) in self.nums.items()}, self.den)
+        if not self.n1:
+            return self
+        n0 = dict(self.n0)  # (n0 + n1 z) -> (n0 - n1) - n1 z
+        for k, v in self.n1.items():
+            n0[k] = n0.get(k, 0) - v
+        return _reduced(n0, {k: -v for k, v in self.n1.items()}, self.den)
 
-    # -- calculus -----------------------------------------------------------
+    # -- calculus
 
     def derive(self) -> "RingElem":
         """The derivation D, term by term via the Leibniz rule, over 9 * den."""
-        acc: dict = {}
-        for (l, x, e), (n0, n1) in self.nums.items():
-            moves = []
-            if l:
-                moves += [((l + 3, x, e), 3 * l), ((l, x, e), -3 * l)]
-            if x:
-                moves += [((l, x + 1, e), -9 * x), ((l + 3, x, e), 9 * x), ((l, x, e), -9 * x),
-                          ((l + 3, x - 1, e), 2 * x), ((l, x - 1, e), -2 * x)]
-            if e:
-                moves.append(((l, x + 1, e), -9 * e))
-            for key, k in moves:
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = [k * n0, k * n1]
-                else:
-                    prev[0] += k * n0
-                    prev[1] += k * n1
-        return _reduced(acc, 9 * self.den)
+        out = []
+        for part in (self.n0, self.n1):
+            acc: dict = {}
+            for k, n in part.items():
+                l, x, e = _unpack(k)
+                for key, m in ((k + _L3, 3 * l + 9 * x), (k, -3 * l - 9 * x),
+                               (k + _X1, -9 * (x + e)), (k + _L3 - _X1, 2 * x), (k - _X1, -2 * x)):
+                    if m:
+                        acc[key] = acc.get(key, 0) + m * n
+            out.append(_checked(acc))
+        return _reduced(*out, 9 * self.den)
 
     def d_dT(self) -> "RingElem":
         """c * D, the derivative with respect to the flat coordinate."""
@@ -245,21 +250,18 @@ class RingElem:
 
     def d_da2(self) -> "RingElem":
         """(L^3/3) d/dX, the partial derivative along A2 at fixed L."""
-        return _reduced({(l + 3, x - 1, e): (x * n0, x * n1)
-                         for (l, x, e), (n0, n1) in self.nums.items() if x}, 3 * self.den)
+        return _reduced(*(_checked({k + _L3 - _X1: ((k >> 10) & 511) * v
+                                    for k, v in part.items() if (k >> 10) & 511})
+                          for part in (self.n0, self.n1)), 3 * self.den)
 
-    # -- evaluation ----------------------------------------------------------
+    # -- evaluation
 
     def eval_at(self, l_value, x_value, c_value=1) -> CycScalar:
         """Numeric evaluation at given values of L, X and c."""
         lv, xv, cv = to_cyc(l_value), to_cyc(x_value), to_cyc(c_value)
-        total = ZERO
-        for (l, x, e), coeff in self.terms.items():
-            term = coeff * lv**l * xv**x * cv**e
-            total = total + term
-        return total
+        return sum((c * lv**l * xv**x * cv**e for (l, x, e), c in self.terms.items()), ZERO)
 
-    # -- substitution ----------------------------------------------------------
+    # -- substitution
 
     def substitute_x(self, image: "RingElem") -> "RingElem":
         """The ring map that sends X to image and fixes L and c, by Horner's rule."""
@@ -274,11 +276,9 @@ class RingElem:
                                            (0, 0, 0): Fraction(-1, 3)}))
 
     def __str__(self):
-        if not self.nums:
-            return "0"
         terms = self.terms
         parts = []
-        for (l, x, e) in sorted(self.nums):
+        for (l, x, e) in sorted(terms):
             factors = [f"({terms[(l, x, e)]})"]
             if l:
                 factors.append(f"L^{l}" if l != 1 else "L")
@@ -287,7 +287,7 @@ class RingElem:
             if e:
                 factors.append(f"c^{e}" if e != 1 else "c")
             parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -296,72 +296,72 @@ class RingElem:
         an element from to_a2_form)."""
         terms = self.terms
         return [{"L": l, x_name: x, "c": e, "coeff": terms[(l, x, e)].to_json()}
-                for (l, x, e) in sorted(self.nums)]
+                for (l, x, e) in sorted(terms)]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "RingElem":
-        terms = {}
-        for item in data:
-            coeff = CycScalar(
-                Fraction(item["coeff"]["a"]), Fraction(item["coeff"]["b"])
-            )
-            terms[(item["L"], item["X"], item["c"])] = coeff
-        return cls(terms)
+        return cls({(t["L"], t["X"], t["c"]): CycScalar(Fraction(t["coeff"]["a"]),
+                                                         Fraction(t["coeff"]["b"])) for t in data})
 
 
 class Terms(Mapping):
     """Read-only view of a RingElem's coefficients: (l, x, e) -> CycScalar.
+    Each read reduces one coefficient; equal to any mapping with equal items."""
 
-    Each read reduces one coefficient; len and iteration only touch the
-    keys.  Compares equal to any mapping with equal items.
-    """
+    __slots__ = ("_elem",)
 
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: dict, den: int):
-        self._nums = nums
-        self._den = den
+    def __init__(self, elem: RingElem):
+        self._elem = elem
 
     def __getitem__(self, key) -> CycScalar:
-        n0, n1 = self._nums[key]
-        return _make(n0, n1, self._den)
+        e = self._elem
+        try:
+            k = _pack(*key)
+        except (TypeError, ValueError):
+            k = None
+        if k not in e.n0 and k not in e.n1:
+            raise KeyError(key)
+        return _make(e.n0.get(k, 0), e.n1.get(k, 0), e.den)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return len(self._elem._keys())
 
     def __iter__(self):
-        return iter(self._nums)
+        return map(_unpack, self._elem._keys())
 
 
-def _ring(nums: dict, den: int) -> RingElem:
-    """A RingElem from nonzero integer pairs over den, already in canonical form."""
+def _lift(x):
+    return RingElem.const(x) if isinstance(x, (int, Fraction, CycScalar)) else x
+
+
+def _ring(den: int, n0: dict, n1: dict) -> RingElem:
+    """A RingElem from nonzero integer parts over den, already in canonical form."""
     out = object.__new__(RingElem)
-    out.den = den
-    out.nums = nums
+    out.den, out.n0, out.n1 = den, n0, n1
     return out
 
 
-def _scaled(nums: dict, den: int, s: CycScalar) -> RingElem:
-    """The element with pairs nums over den, times the scalar s."""
-    b0, b1 = s.n0, s.n1
-    return _reduced({key: (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 - a1 * b1)
-                     for key, (a0, a1) in nums.items()}, den * s.d)
+def _product(p: dict, q: dict, acc: dict) -> dict:
+    """acc plus the product of the integer polynomials p and q; keys unchecked."""
+    get = acc.get
+    for k1, a in p.items():
+        k1 -= _ONE_KEY
+        for k2, b in q.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + a * b
+    return acc
 
 
-def _reduced(acc: dict, den: int) -> RingElem:
-    """The element with pairs acc over den, zero pairs dropped, in canonical form.
-
-    One running gcd over den and every numerator, no longer updated once it
-    reaches 1, divides the whole element once.
-    """
-    nums = {}
-    g = den
-    for key, (n0, n1) in acc.items():
-        if n0 or n1:
-            nums[key] = (n0, n1)
-            if g != 1:
-                g = gcd(g, n0, n1)
-    if g != 1:  # also when nums is empty: zero has den == 1
-        nums = {key: (n0 // g, n1 // g) for key, (n0, n1) in nums.items()}
+def _reduced(n0: dict, n1: dict, den: int) -> RingElem:
+    """n0 + n1 zeta over den, zeros dropped, divided by one gcd over den and
+    every numerator (zero: den 1)."""
+    if 0 in n0.values():
+        n0 = {k: v for k, v in n0.items() if v}
+    if n1 and 0 in n1.values():
+        n1 = {k: v for k, v in n1.items() if v}
+    g = gcd(den, *n0.values(), *n1.values())
+    if g != 1:
+        n0 = {k: v // g for k, v in n0.items()}
+        n1 = {k: v // g for k, v in n1.items()}
         den //= g
-    return _ring(nums, den)
+    return _ring(den, n0, n1)

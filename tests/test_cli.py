@@ -402,22 +402,25 @@ def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
 
 
 def test_fg_names_a_graph_value_that_is_not_rational(capsys, monkeypatch):
-    # zeta L added to E^(0,1) alone breaks the swap p -> -p, which conjugates
-    # every term, so graph values with a link get a zeta part.  On the two
-    # graphs of two genus-0 vertices the added terms happen to stay rational;
-    # the next graph is named.
-    real = localization.edge_contribution
-
-    def skewed(ctx, i, j, b1, b2):
-        value = real(ctx, i, j, b1, b2)
-        return value + RingElem.monomial(ZETA, l=1) if (i, j) == (0, 1) else value
-
-    monkeypatch.setattr(localization, "edge_contribution", skewed)
+    # The graph sums read every edge factor through its rational modes Q_k,
+    # E^(0,t) = sum_k zeta^(t k) Q_k.  zeta L added to Q_1 alone breaks the
+    # swap p -> -p, which conjugates every term, so graph values get a zeta
+    # part; the first graph, one genus-0 vertex with two loops (each loop
+    # Q_0 + Q_1 + Q_2), is named.  Unperturbed, the run passes.
     code, out, err = run(["fg", "--genus", "2"], capsys)
-    assert code == cli.EXIT_INTERNAL
+    assert (code, err) == (0, "") and out
+    real = localization._edge_modes
+
+    def skewed(ctx, b1, b2):
+        q0, q1, q2 = real(ctx, b1, b2)
+        return q0, q1 + RingElem.monomial(ZETA, l=1), q2
+
+    monkeypatch.setattr(localization, "_edge_modes", skewed)
+    code, out, err = run(["fg", "--genus", "2"], capsys)
+    assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == ("internal consistency failure: a graph value is not rational "
-                   "[graph h=[0,1] p=[] e=[0-0;0-1] legs=[]]\n")
+                   "[graph h=[0] p=[] e=[0-0;0-0] legs=[]]\n")
 
 
 # Runs main in a fresh interpreter, then lists on stderr the kp2 modules and

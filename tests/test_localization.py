@@ -1,9 +1,11 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +338,16 @@ def test_genus_three_series(ctx2):
     assert len(contributions) == 42
     assert RingElem.sum(item.value for item in contributions) == total
     assert correlator(ctx2, 3, ("H0",)).is_zero()  # delta != 0: exact zero
+
+
+def test_genus_three_series_equals_the_frozen_one(ctx2):
+    # total and total_a2 of fg --genus 3, frozen from the graph sums before
+    # the edge factors were split into rational modes; fg prints to_json
+    frozen = json.loads((Path(__file__).parent / "frozen_series.json").read_text())["fg-g3"]
+    total = correlator(ctx2, 3, ())
+    assert (len(frozen["total"]), len(frozen["total_a2"])) == (28, 19)
+    assert total.to_json() == frozen["total"]
+    assert total.to_a2_form().to_json("A2") == frozen["total_a2"]
 
 
 def test_genus_three_series_is_a_polynomial_in_a2(ctx2):

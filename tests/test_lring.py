@@ -6,7 +6,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kp2.lring import RingElem
+from kp2.lring import RingElem, _pack, _unpack
 from kp2.scalars import ZERO, ConsistencyError, CycScalar
 
 coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -263,11 +263,12 @@ class PerTermElem:
 
 
 def assert_canonical(f):
-    """den > 0, no zero pair, gcd(den, all numerators) == 1; zero is den 1."""
+    """den > 0, no stored zero in either part, gcd(den, all numerators) == 1;
+    zero is den 1 with no terms."""
     assert isinstance(f.den, int) and f.den > 0
-    assert all(n0 or n1 for n0, n1 in f.nums.values())
-    assert gcd(f.den, *(n for pair in f.nums.values() for n in pair)) == 1
-    if not f.nums:
+    assert all(f.n0.values()) and all(f.n1.values())
+    assert gcd(f.den, *f.n0.values(), *f.n1.values()) == 1
+    if not f.n0 and not f.n1:
         assert f.den == 1
 
 
@@ -329,8 +330,58 @@ def test_routes_with_different_denominators_compare_equal():
     # the same value built from scaled numerators
     half = RingElem({(2, 0, 0): CycScalar(Fraction(1, 2), Fraction(1, 2))})
     twice = RingElem({(2, 0, 0): CycScalar(Fraction(3, 2), Fraction(3, 2))}) * Fraction(1, 3)
-    assert half == twice and (half.den, half.nums) == (2, {(2, 0, 0): (1, 1)})
+    assert half == twice and half.den == 2
+    assert (half.n0, half.n1) == ({_pack(2, 0, 0): 1}, {_pack(2, 0, 0): 1})
     assert f - f == RingElem.zero() and (f - f).den == 1
+
+
+def test_parts_are_stored_apart():
+    # A rational element has no zeta part, and products of rational
+    # elements stay so; a zeta part that cancels leaves no stored zero, and
+    # equality compares den and both parts.
+    f = RingElem({(1, 0, 0): Fraction(1, 2), (0, 1, -1): 3})
+    z = RingElem({(1, 0, 0): CycScalar(0, Fraction(1, 2))})
+    assert f.n1 == {} and (f * f).n1 == {} and f.conjugate() == f
+    assert (f + z).n0 == f.n0 and set((f + z).n1) == {_pack(1, 0, 0)}
+    assert (f + z - z).n1 == {} and f + z - z == f
+    assert_canonical(f + z - z)
+    assert f + z != f and (f + z).den == f.den and (f + z).n0 == f.n0
+    assert (z * z.conjugate()).n1 == {}  # the norm is rational
+    assert_canonical(z * z.conjugate())
+    assert RingElem.zero().den == 1 and not RingElem.zero().n0 and not RingElem.zero().n1
+
+
+def test_keys_are_injective_on_the_exponent_box():
+    box = [(l, x, e) for l in (-256, -1, 0, 1, 255) for x in (0, 1, 511) for e in (-256, -1, 0, 255)]
+    keys = [_pack(*t) for t in box]
+    assert len(set(keys)) == len(box)
+    assert [_unpack(k) for k in keys] == box
+    assert sorted(keys) == [_pack(*t) for t in sorted(box)]  # keys sort as exponents
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RingElem.L(256), lambda: RingElem.L(-257), lambda: RingElem.c(256),
+    lambda: RingElem.c(-257), lambda: RingElem.monomial(1, x=512),
+    lambda: RingElem.L(200) * RingElem.L(100), lambda: RingElem.L(-200) * RingElem.L(-100),
+    lambda: RingElem.c(255) * RingElem.c(1), lambda: RingElem.c(-256) * RingElem.c(-1),
+    lambda: RingElem.monomial(1, x=300) * RingElem.monomial(1, x=300),
+    lambda: RingElem.monomial(CycScalar(0, 1), l=255) * RingElem.L(1),
+    lambda: RingElem.L(254).derive(), lambda: RingElem.c(-256) / RingElem.c(1),
+    lambda: RingElem.monomial(1, l=254, x=1).d_da2(),
+], ids=["L256", "L-257", "c256", "c-257", "X512", "L300", "L-300", "c256-mul", "c-257-mul",
+        "X600", "zeta-L256", "derive", "divide", "d_da2"])
+def test_out_of_range_exponent_raises(make):
+    # an exponent outside the key box would alias another monomial's key
+    with pytest.raises(ValueError, match="range"):
+        make()
+
+
+def test_exponents_at_the_edge_of_the_box():
+    assert RingElem.L(255) * RingElem.L(-256) == RingElem.L(-1)
+    assert RingElem.c(255) * RingElem.c(-256) == RingElem.c(-1)
+    top = RingElem.monomial(1, l=255, x=511, e=255)
+    assert top.terms == {(255, 511, 255): CycScalar(1)}
+    assert top * RingElem.monomial(1, l=-256, e=-256) == RingElem.monomial(1, x=511, e=-1, l=-1)
 
 
 def test_terms_is_a_read_only_view():

@@ -32,7 +32,7 @@ from kp2.localization import (
 )
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
-from kp2.scalars import ConsistencyError, weight, weight_pow
+from kp2.scalars import ConsistencyError, CycScalar, weight, weight_pow
 
 # g <= 1 with up to three legs, and genus 2 unpointed
 SMALL_CASES = [
@@ -434,9 +434,10 @@ def test_edge_consistency_error_names_its_term():
     assert "c-degree" in message
     assert graph.signature() in message
     assert "flags e0.0=1 e0.1=1" in message
-    # on the correlator path a loop fails in its vertex, dressed at label 0,
-    # and a link in its bundle factor; both name the graph and flags
-    for g, tags, where in ((1, ("H1",), "h=[0] p=[0] e=[0-0] legs=[0:H1], labels [0]"),
+    # on the correlator path the rational modes fail: for a loop in its
+    # vertex, dressed at label 0, and for a link in its bundle factor; both
+    # name the undecorated graph and the flags
+    for g, tags, where in ((1, ("H1",), "h=[0] p=[] e=[0-0] legs=[0:H1]"),
                            (0, ("H1",) * 4, "h=[0,0] p=[] e=[0-1] legs=[0:H1;0:H1;1:H1;1:H1]")):
         with pytest.raises(ConsistencyError) as info:
             correlator(ctx, g, tags)
@@ -470,6 +471,68 @@ def test_edge_twists_match_the_direct_worker(ctx1):
             assert base * weight((i * (1 - b1 - b2)) % 3) == direct, (i, j, b1, b2)
             wrong += base * weight((i * (b1 + b2 - 1)) % 3) != direct
     assert wrong > 100
+
+
+def test_edge_modes_match_the_direct_worker(ctx1):
+    # E(i, j, b1, b2) = zeta^(i (1 - b1 - b2)) sum_k zeta^((j - i) k) Q_k(b1, b2)
+    # with rational Q_k, which the graph sums rest on, for every pair of
+    # labels and every flag pair the rows reach; with the sign of k flipped
+    # it fails in most cases (never at j = i, nor where Q_1 = Q_2)
+    wrong = cases = 0
+    for b1, b2 in product(range(1, ctx1.kmax + 1), repeat=2):
+        if b1 + b2 - 1 > ctx1.kmax:
+            continue
+        modes = localization._edge_modes(ctx1, b1, b2)
+        assert all(c.is_rational() for q in modes for c in q.terms.values()), (b1, b2)
+        for i, j in product(range(3), repeat=2):
+            direct = edge_contribution(ctx1, i, j, b1, b2)
+
+            def assembled(sign):
+                return RingElem.sum([q * weight((i * (1 - b1 - b2) + sign * (j - i) * k) % 3)
+                                     for k, q in enumerate(modes)])
+
+            assert assembled(1) == direct, (i, j, b1, b2)
+            wrong += assembled(-1) != direct
+            cases += 1
+    assert cases == 9 * 28 and wrong > cases / 2
+
+
+def _has_zeta(x) -> bool:
+    if isinstance(x, RingElem):
+        return x != x.conjugate()
+    return isinstance(x, CycScalar) and not x.is_rational()
+
+
+@pytest.mark.parametrize("g, tags", [(2, ("H1", "H1")), (2, ()), (1, ("H2", "H2", "psiH"))],
+                         ids=["2-H1x2", "2-0", "1-H2H2psiH"])
+def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch):
+    # The sum over all labellings reads edges only through their rational
+    # modes: with the direct edge worker gone it still gives the labelled
+    # reference, and no ring product in it has a zeta part.  The decorated
+    # route still reaches the worker.
+    reference = labelled_reference(g, tags)
+
+    def refuse(*args):
+        raise AssertionError("direct edge worker called")
+
+    monkeypatch.setattr(localization, "edge_contribution", refuse)
+    monkeypatch.setattr(localization, "_p_coefficient", refuse)
+    real = RingElem.__mul__
+    products = []
+
+    def counted(self, other):
+        products.append(_has_zeta(self) or _has_zeta(other))
+        return real(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    monkeypatch.setattr(RingElem, "__rmul__", counted)
+    assert correlator(build_context(), g, tags) == reference
+    assert len(products) > 100 and not any(products)
+    ctx = build_context()
+    ctx.extend_rows(3 * g - 3 + len(tags))
+    graph = next(gr for gr in graphs_of(g, tags) if gr.edges)
+    with pytest.raises(AssertionError, match="direct edge worker"):
+        graph_contribution(ctx, labeled(graph, [0] * len(graph.genera), graph.aut_order))
 
 
 # Graphs whose vertices carry every leg tag and loop pattern at genus <= 2,
