@@ -41,70 +41,12 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
     return tuple(items)
 
 
-# Each subcommand: (help, its arguments as (flag, add_argument keywords)).
-# Every one but verify also takes --format.
-_SUBCOMMANDS = {
-    "fg": ("unpointed total at a genus", [
-        ("--genus", dict(type=int, required=True)),
-        # Rows are sized per correlator, so --kmax has no effect; it is still
-        # accepted because perfbench/selfcheck.py passes it.
-        ("--kmax", dict(type=int, help=argparse.SUPPRESS)),
-        ("--per-graph", dict(action="store_true", dest="per_graph")),
-    ]),
-    "correlator": ("pointed localization total", [
-        ("--genus", dict(type=int, required=True)),
-        ("--legs", dict(type=str, default=None, help="comma-separated tags, e.g. H1,H2,psiH")),
-        ("--a", dict(type=int, default=None, help="count of 1-insertions")),
-        ("--b", dict(type=int, default=None, help="count of H-insertions")),
-        ("--c", dict(type=int, default=None, help="count of H^2-insertions")),
-        ("--delta", dict(type=int, default=None, help="count of descendent insertions")),
-    ]),
-    "graphs": ("census of stable graphs", [
-        ("--genus", dict(type=int, required=True)),
-        ("--legs", dict(type=int, default=0)),
-    ]),
-    "rseries": ("asymptotic row entries as ring elements", [
-        ("--row", dict(type=int, choices=(0, 1, 2), required=True)),
-        ("--kmax", dict(type=int, default=3)),
-    ]),
-    "mirror": ("normalizations and mirror-map series", [
-        ("--qmax", dict(type=int, default=12)),
-    ]),
-    "mgn": ("cotangent/Hodge intersection number", [
-        ("--g", dict(type=int, required=True)),
-        ("--psi", dict(type=str, default="", help="comma-separated cotangent exponents")),
-        ("--lambda", dict(type=str, default="", dest="lam",
-                          help="comma-separated Hodge indices")),
-    ]),
-    "verify": ("run a verification suite", None),
-}
-_SUITES = {
-    "pf": ("differential-operator residual on the restricted series", [
-        ("--qmax", dict(type=int, default=12)),
-        ("--zmax", dict(type=int, default=8)),
-    ]),
-    "hae": ("unpointed anomaly identity", [("--genus", dict(type=int, default=2))]),
-    "lift": ("pointed lifts of the T-derivatives", [("--genus", dict(type=int, default=2))]),
-    "ss56": ("pointed anomaly identity with descendent term", [
-        ("--genus", dict(type=int, required=True)),
-        ("--a", dict(type=int, default=0)),
-        ("--b", dict(type=int, default=0)),
-        ("--c", dict(type=int, default=0)),
-    ]),
-    "lemmaR": ("ring rows against their recursions and z-expansions", [
-        ("--kmax", dict(type=int, default=5)),
-        ("--qmax", dict(type=int, default=None,
-                        help="q-order of the expansions (default: max(12, 2*kmax + 2))")),
-    ]),
-}
-
-
 def _add_subparsers(parser, dest: str, table: dict, chosen: str) -> argparse.Action:
     """One subparser per table entry.  Only the chosen one gets its
     arguments: the others are never parsed, and help lists them by name and
     help alone."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (help_text, arguments) in table.items():
+    for name, (help_text, arguments, _) in table.items():
         child = sub.add_parser(name, help=help_text)
         if arguments is not None and name == chosen:
             child.add_argument("--format", choices=("json", "text"), default="json")
@@ -385,21 +327,63 @@ def _cmd_verify_lemma_r(args):
     return (EXIT_OK if ok else EXIT_VERIFY), payload, text
 
 
-_VERIFIERS = {
-    "pf": _cmd_verify_pf,
-    "hae": _cmd_verify_hae,
-    "lift": _cmd_verify_lift,
-    "ss56": _cmd_verify_ss56,
-    "lemmaR": _cmd_verify_lemma_r,
+# Each subcommand: (help, arguments as (flag, add_argument keywords), handler).
+# Every one but verify also takes --format; verify runs the suite it names.
+_SUBCOMMANDS = {
+    "fg": ("unpointed total at a genus", [
+        ("--genus", dict(type=int, required=True)),
+        # Rows are sized per correlator, so --kmax has no effect; it is still
+        # accepted because perfbench/selfcheck.py passes it.
+        ("--kmax", dict(type=int, help=argparse.SUPPRESS)),
+        ("--per-graph", dict(action="store_true", dest="per_graph")),
+    ], _cmd_fg),
+    "correlator": ("pointed localization total", [
+        ("--genus", dict(type=int, required=True)),
+        ("--legs", dict(type=str, default=None, help="comma-separated tags, e.g. H1,H2,psiH")),
+        ("--a", dict(type=int, default=None, help="count of 1-insertions")),
+        ("--b", dict(type=int, default=None, help="count of H-insertions")),
+        ("--c", dict(type=int, default=None, help="count of H^2-insertions")),
+        ("--delta", dict(type=int, default=None, help="count of descendent insertions")),
+    ], _cmd_correlator),
+    "graphs": ("census of stable graphs", [
+        ("--genus", dict(type=int, required=True)),
+        ("--legs", dict(type=int, default=0)),
+    ], _cmd_graphs),
+    "rseries": ("asymptotic row entries as ring elements", [
+        ("--row", dict(type=int, choices=(0, 1, 2), required=True)),
+        ("--kmax", dict(type=int, default=3)),
+    ], _cmd_rseries),
+    "mirror": ("normalizations and mirror-map series", [
+        ("--qmax", dict(type=int, default=12)),
+    ], _cmd_mirror),
+    "mgn": ("cotangent/Hodge intersection number", [
+        ("--g", dict(type=int, required=True)),
+        ("--psi", dict(type=str, default="", help="comma-separated cotangent exponents")),
+        ("--lambda", dict(type=str, default="", dest="lam",
+                          help="comma-separated Hodge indices")),
+    ], _cmd_mgn),
+    "verify": ("run a verification suite", None, lambda args: _SUITES[args.what][2](args)),
 }
-
-_COMMANDS = {
-    "fg": _cmd_fg,
-    "correlator": _cmd_correlator,
-    "graphs": _cmd_graphs,
-    "rseries": _cmd_rseries,
-    "mirror": _cmd_mirror,
-    "mgn": _cmd_mgn,
+_SUITES = {
+    "pf": ("differential-operator residual on the restricted series", [
+        ("--qmax", dict(type=int, default=12)),
+        ("--zmax", dict(type=int, default=8)),
+    ], _cmd_verify_pf),
+    "hae": ("unpointed anomaly identity", [
+        ("--genus", dict(type=int, default=2))], _cmd_verify_hae),
+    "lift": ("pointed lifts of the T-derivatives", [
+        ("--genus", dict(type=int, default=2))], _cmd_verify_lift),
+    "ss56": ("pointed anomaly identity with descendent term", [
+        ("--genus", dict(type=int, required=True)),
+        ("--a", dict(type=int, default=0)),
+        ("--b", dict(type=int, default=0)),
+        ("--c", dict(type=int, default=0)),
+    ], _cmd_verify_ss56),
+    "lemmaR": ("ring rows against their recursions and z-expansions", [
+        ("--kmax", dict(type=int, default=5)),
+        ("--qmax", dict(type=int, default=None,
+                        help="q-order of the expansions (default: max(12, 2*kmax + 2))")),
+    ], _cmd_verify_lemma_r),
 }
 
 
@@ -411,10 +395,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify":
-            code, payload, text = _VERIFIERS[args.what](args)
-        else:
-            code, payload, text = _COMMANDS[args.command](args)
+        code, payload, text = _SUBCOMMANDS[args.command][2](args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -4,7 +4,8 @@ solution, the checks made on them, and the q-series of L, X and c.
 Everything here is derived from one exact object per fixed point: the
 per-q-degree rational function of z built by build_ibar.
 
-* verify_pf applies the degree-3 differential operator to the z -> 0 frame.
+* verify_pf applies the degree-3 differential operator to the z -> 0 frame,
+  a QZSeries on whose row d the operator M = w_i + z D is w_i + d z.
 * birkhoff_normalizations runs the z -> infinity (u = 1/z) frame through
   M = w_i + z D and division by the constant row, reads C1, C2 and C0, and
   checks C0 = C1 and C0 C1 C2 (1 + 27q) = 1.
@@ -67,18 +68,8 @@ def build_ibar(i: int, qmax: int) -> RatFunZ:
 
 
 def apply_m(f: QZSeries, w: CycScalar) -> QZSeries:
-    """M = w + z*(q d/dq) in the z -> 0 frame: (Mf)[d, m] = w f[d, m] + d f[d, m-1]."""
-    out = {key: w * c for key, c in f.entries.items()}
-    for (d, m), c in f.entries.items():
-        if d == 0:
-            continue
-        key = (d, m + 1)
-        if m + 1 + d > f.zcap:
-            continue
-        add = CycScalar(d) * c
-        prev = out.get(key)
-        out[key] = add if prev is None else prev + add
-    return QZSeries(out, f.qmax, f.zcap)
+    """M = w + z*(q d/dq) in the z -> 0 frame: row d times (w + d z)."""
+    return QZSeries(row * QSeries([w, d], f.zcap) for d, row in enumerate(f.rows))
 
 
 def apply_m_u(rows: list[QSeries], w: CycScalar) -> list[QSeries]:
@@ -112,10 +103,10 @@ def verify_pf(i: int, qmax: int, zmax: int) -> QZSeries:
     mf = apply_m(f, w)
     m3f = apply_m(apply_m(mf, w), w)
     z = QZSeries.lift(QSeries.one(qmax), zcap, 1)
-    h1 = mf.scale(3) + (f * z).scale(2)
-    h2 = apply_m(h1, w).scale(3) + h1 * z
+    h1 = mf * 3 + f * z * 2
+    h2 = apply_m(h1, w) * 3 + h1 * z
     h3 = apply_m(h2, w)
-    return m3f - f.scale(w**3) + h3 * QZSeries.lift(QSeries([0, 3], qmax), zcap)
+    return m3f - f * w**3 + h3 * QZSeries.lift(QSeries([0, 3], qmax), zcap)
 
 
 def birkhoff_normalizations(qmax: int, i: int = 0) -> tuple[QSeries, QSeries, QSeries]:
@@ -273,8 +264,8 @@ def expand_rows(mirror: MirrorData, kmax: int, i: int = 0):
     rows_q: dict[tuple[int, int], QSeries] = {}
     for m in range(3):
         hat = expfac * sbar[m]
-        for depth, row in hat.pole_rows():
-            if not row.is_zero():
+        for depth in range(-qmax, 0):
+            if not hat.z_coefficient(depth).is_zero():
                 raise ConsistencyError(
                     f"normalized row {m} keeps a z^{depth} pole at fixed point {i}"
                 )

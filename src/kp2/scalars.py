@@ -44,8 +44,8 @@ class CycScalar:
 
     Stored as integers (n0 + n1*zeta)/d in lowest terms (d > 0 and
     gcd(n0, n1, d) == 1); a = n0/d and b = n1/d are read as Fractions.
-    Immutable by convention.  The rational fast path (n1 == 0) matters: the
-    whole fixed-point-0 pipeline is rational and runs through here.
+    Immutable by convention.  Used by the q-series and the factors that
+    build and read ring elements; kp2.lring products use integers.
 
     >>> z = CycScalar(0, 1)
     >>> z * z == CycScalar(-1, -1)

@@ -1,22 +1,22 @@
 """Truncated power series in q, and per-q-order Laurent data in a second variable.
 
-Three layers, each with one product:
+One truncated product, QSeries.__mul__, serves three layers:
 
 * QSeries: plain truncated series in q with CycScalar coefficients.  Its
-  product and inverse are the one truncated power-series algorithm here;
-  RatFunZ uses them for polynomials in z and in u = 1/z as well.
+  product and inverse are the one truncated power-series algorithm here.
+* QZSeries: a two-variable truncation stored as rows of QSeries in z.  The
+  q-degree-d part may have a pole in z of order at most d; row d holds z^d
+  times it, exact through z^zcap, so an entry (d, m) is trusted iff
+  m + d <= zcap.  That convention makes multiplication lossless: if both
+  factors respect the pole bound and are valid to zcap, so is their product,
+  row d = sum_k a.rows[k] * b.rows[d - k].  A series in q alone, or a
+  monomial such as z or 3q, enters a product through QZSeries.lift.
 * RatFunZ: the exact per-q-degree rational function of z, stored as factor
-  lists of degree-at-most-1 polynomials.  Both expansion frames (around z = 0
-  and around z = infinity) are derived from this single exact object.
-* QZSeries: a two-variable truncation, entries (q-degree d, z-exponent m).
-  The q-degree-d entry may have a pole in z of order at most d.  Validity is
-  tracked on the anti-diagonal: an entry (d, m) is trusted iff m + d <= zcap.
-  That convention makes multiplication lossless: if both factors respect the
-  pole bound and are valid to zcap, so is their product.  A series in q
-  alone, or a monomial such as z or 3q, enters a product through
-  QZSeries.lift.  The 1/z Taylor frame needs no such container: each q-degree
-  is a polynomial in u = 1/z, so expand_at_infinity returns the q-series of
-  its first u-coefficients, each exact to qmax.
+  lists of degree-at-most-1 polynomials.  Both expansion frames, around
+  z = 0 and in u = 1/z around z = infinity, come from this one exact object
+  through one Laurent helper.  The u-frame needs no container: each q-degree
+  is a polynomial in u, so expand_at_infinity returns the q-series of its
+  first u-coefficients, each exact to qmax.
 
 Only this module and kp2.mirror know the zcap arithmetic; the ring and the
 graph sums never see a q-series.
@@ -87,19 +87,17 @@ class QSeries:
         if isinstance(other, (int, Fraction, CycScalar)):
             other = QSeries.constant(other, self.qmax)
         if not isinstance(other, QSeries):
-            return None
+            return NotImplemented
         n = min(self.qmax, other.qmax)
         return QSeries([f(self.coeffs[d], other.coeffs[d]) for d in range(n + 1)], n)
 
     def __add__(self, other):
-        out = self._binop(other, lambda x, y: x + y)
-        return NotImplemented if out is None else out
+        return self._binop(other, lambda x, y: x + y)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        out = self._binop(other, lambda x, y: x - y)
-        return NotImplemented if out is None else out
+        return self._binop(other, lambda x, y: x - y)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -122,7 +120,8 @@ class QSeries:
             for d2, c2 in right:
                 if d1 + d2 > n:
                     break
-                out[d1 + d2] = out[d1 + d2] + c1 * c2
+                prev = out[d1 + d2]
+                out[d1 + d2] = c1 * c2 if prev is ZERO else prev + c1 * c2
         return QSeries(out, n)
 
     __rmul__ = __mul__
@@ -212,108 +211,64 @@ def qs_log(x: QSeries) -> QSeries:
 
 
 class QZSeries:
-    """Entries (q-degree d, z-exponent m) -> CycScalar with poles bounded by m >= -d.
+    """A q-series whose q^d coefficient is a Laurent series in z with pole order at most d.
 
-    An entry (d, m) is stored only when trusted, i.e. m + d <= zcap, and only
-    when nonzero.  qmax bounds the q-direction.
+    rows[d] is the QSeries in z of z^d times the q^d part, exact through
+    z^zcap, so entry (d, m) is rows[d][m + d].  The pole bound m >= -d is the
+    row's start at z^0, and the anti-diagonal cap m + d <= zcap its
+    truncation.  Rows multiply like the coefficients of a series in q.
     """
 
-    __slots__ = ("entries", "qmax", "zcap")
+    __slots__ = ("rows", "qmax", "zcap")
 
-    def __init__(self, entries: dict, qmax: int, zcap: int):
-        self.qmax = qmax
-        self.zcap = zcap
-        clean = {}
-        for (d, m), c in entries.items():
-            c = to_cyc(c)
-            if c.is_zero():
-                continue
-            if d < 0 or d > qmax:
-                continue
-            if m < -d:
-                raise ConsistencyError(
-                    f"pole bound violated: entry at q^{d} z^{m} deeper than z^{-d}"
-                )
-            if m + d > zcap:
-                continue
-            clean[(d, m)] = c
-        self.entries = clean
+    def __init__(self, rows: Iterable[QSeries]):
+        self.rows = tuple(rows)
+        self.qmax = len(self.rows) - 1
+        self.zcap = self.rows[0].qmax
 
     @classmethod
     def lift(cls, s: QSeries, zcap: int, m: int = 0) -> "QZSeries":
         """s * z^m as a two-variable series, so that it multiplies like one."""
-        return cls({(d, m): c for d, c in enumerate(s.coeffs)}, s.qmax, zcap)
+        return cls(_row(d, m, [c], zcap) for d, c in enumerate(s.coeffs))
 
     def get(self, d: int, m: int) -> CycScalar:
-        return self.entries.get((d, m), ZERO)
+        if 0 <= d <= self.qmax and m + d <= self.zcap:
+            return self.rows[d][m + d]
+        return ZERO
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return all(row.is_zero() for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, QZSeries):
             return NotImplemented
-        qmax = min(self.qmax, other.qmax)
-        zcap = min(self.zcap, other.zcap)
-        keys = set(self.entries) | set(other.entries)
-        for (d, m) in keys:
-            if d > qmax or m + d > zcap:
-                continue
-            if self.get(d, m) != other.get(d, m):
-                return False
-        return True
+        return all(a == b for a, b in zip(self.rows, other.rows))
 
     __hash__ = None
-
-    def _binop(self, other, f):
-        qmax = min(self.qmax, other.qmax)
-        zcap = min(self.zcap, other.zcap)
-        out = {}
-        for key in set(self.entries) | set(other.entries):
-            d, m = key
-            out[key] = f(self.get(d, m), other.get(d, m))
-        return QZSeries(out, qmax, zcap)
 
     def __add__(self, other):
         if not isinstance(other, QZSeries):
             return NotImplemented
-        return self._binop(other, lambda x, y: x + y)
+        return QZSeries(a + b for a, b in zip(self.rows, other.rows))
 
     def __sub__(self, other):
         if not isinstance(other, QZSeries):
             return NotImplemented
-        return self._binop(other, lambda x, y: x - y)
+        return QZSeries(a - b for a, b in zip(self.rows, other.rows))
 
     def __neg__(self):
-        return QZSeries({k: -c for k, c in self.entries.items()}, self.qmax, self.zcap)
-
-    def scale(self, s) -> "QZSeries":
-        s = to_cyc(s)
-        return QZSeries({k: c * s for k, c in self.entries.items()}, self.qmax, self.zcap)
+        return QZSeries(-row for row in self.rows)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            return self.scale(other)
+            return QZSeries(row * other for row in self.rows)
         if not isinstance(other, QZSeries):
             return NotImplemented
-        qmax = min(self.qmax, other.qmax)
-        zcap = min(self.zcap, other.zcap)
-        out: dict = {}
-        for (d1, m1), c1 in self.entries.items():
-            if d1 > qmax:
-                continue
-            for (d2, m2), c2 in other.entries.items():
-                d = d1 + d2
-                if d > qmax:
-                    continue
-                m = m1 + m2
-                if m + d > zcap:
-                    continue
-                key = (d, m)
-                prev = out.get(key)
-                prod = c1 * c2
-                out[key] = prod if prev is None else prev + prod
-        return QZSeries(out, qmax, zcap)
+        a, b = self.rows, other.rows
+        return QZSeries(
+            sum((a[k] * b[d - k] for k in range(1, d + 1)), a[0] * b[d])
+            for d in range(min(len(a), len(b)))
+        )
 
     __rmul__ = __mul__
 
@@ -322,12 +277,7 @@ class QZSeries:
         qmax = min(self.qmax, self.zcap - m)
         if qmax < 0:
             raise ValueError(f"z^{m} row not valid at any q-order (zcap={self.zcap})")
-        return QSeries([self.get(d, m) for d in range(qmax + 1)], qmax)
-
-    def pole_rows(self) -> Iterable[tuple[int, QSeries]]:
-        depths = sorted({m for (_, m) in self.entries if m < 0})
-        for m in depths:
-            yield m, self.z_coefficient(m)
+        return QSeries([self.rows[d][m + d] for d in range(qmax + 1)], qmax)
 
     @classmethod
     def exp_pole(cls, exponent_over_z: QSeries, qmax: int, zcap: int) -> "QZSeries":
@@ -337,39 +287,50 @@ class QZSeries:
         """
         if not exponent_over_z.coeffs[0].is_zero():
             raise ValueError("exp_pole requires a zero constant term")
-        out = {(0, 0): ONE}
-        power = QSeries.one(min(qmax, exponent_over_z.qmax))
-        fact = Fraction(1)
+        qmax = min(qmax, exponent_over_z.qmax)
+        terms = [QSeries.one(qmax)]
         for k in range(1, qmax + 1):
-            power = power * exponent_over_z
-            fact *= k
-            inv = Fraction(1) / fact
-            for d in range(k, power.qmax + 1):
-                c = power.coeffs[d]
-                if c.is_zero():
-                    continue
-                if d > qmax or (-k) + d > zcap:
-                    continue
-                out[(d, -k)] = c * inv
-        return cls(out, qmax, zcap)
-
-    def __repr__(self):
-        return f"QZSeries({len(self.entries)} entries, qmax={self.qmax}, zcap={self.zcap})"
+            terms.append(terms[-1] * exponent_over_z / k)
+        # row d holds the q^d coefficient of the k-th term at z^(d - k)
+        return cls(
+            QSeries([terms[d - j][d] for j in range(d + 1)], zcap) for d in range(qmax + 1)
+        )
 
 
-def _product(factors, order: int) -> QSeries:
-    """The product of the linear factors a + b*t, truncated at t^order."""
-    out = QSeries.one(order)
-    for (a, b) in factors:
-        out = out * QSeries([a, b], order)
-    return out
+def _row(d: int, m: int, coeffs, zcap: int) -> QSeries:
+    """The q^d row of a QZSeries whose q^d part is sum_k coeffs[k] z^(m + k)."""
+    start = m + d
+    deep = [m + k for k, c in enumerate(coeffs[: max(-start, 0)]) if not c.is_zero()]
+    if deep:
+        raise ConsistencyError(
+            f"pole bound violated: entry at q^{d} z^{deep[0]} deeper than z^{-d}"
+        )
+    return QSeries([ZERO] * start + list(coeffs[max(-start, 0) :]), zcap)
+
+
+def _laurent(nums, dens, order: int) -> tuple[int, QSeries]:
+    """(shift, s) with prod(nums) / prod(dens) = t^shift * s(t), exact through t^order.
+
+    Factors are pairs (a, b) standing for a + b*t; one with a = 0 is b*t and
+    adds its t to the shift.  s is truncated at t^max(order - shift, 0).
+    """
+    shift = sum(a.is_zero() for a, _ in nums) - sum(a.is_zero() for a, _ in dens)
+    n = max(order - shift, 0)
+    num, den = QSeries.one(n), QSeries.one(n)
+    for a, b in nums:
+        num = num * QSeries([b] if a.is_zero() else [a, b], n)
+    for a, b in dens:
+        den = den * QSeries([b] if a.is_zero() else [a, b], n)
+    return shift, num * den.inverse()
 
 
 class RatFunZ:
     """Per q-degree d, an exact rational function of z given by factor lists.
 
     factors are pairs (a, b) standing for a + b*z.  numerators[d] and
-    denominators[d] hold the degree-d factor multisets.
+    denominators[d] hold the degree-d factor multisets.  Both frames expand
+    through _laurent: around z = infinity each factor is flipped,
+    a + b*z = u^-1 (b + a*u) with u = 1/z.
     """
 
     __slots__ = ("numerators", "denominators", "qmax")
@@ -381,64 +342,26 @@ class RatFunZ:
         if len(self.numerators) != qmax + 1 or len(self.denominators) != qmax + 1:
             raise ValueError("factor lists must cover q-degrees 0..qmax")
 
-    def _split_z_factors(self, d: int):
-        """Separate exact z factors from z-regular factors of the degree-d denominator."""
-        zpow = 0
-        rest = []
-        for (a, b) in self.denominators[d]:
-            if a.is_zero():
-                if b.is_zero():
-                    raise ZeroDivisionError("zero factor in denominator")
-                zpow += 1
-                rest.append((b, ZERO))  # b*z = z * (b)
-            else:
-                rest.append((a, b))
-        return zpow, rest
-
     def expand_at_zero(self, zcap: int) -> QZSeries:
         """Laurent expansion around z = 0; degree-d entry starts at z^{-pole}."""
-        entries: dict = {}
-        for d in range(self.qmax + 1):
-            zpow, den_rest = self._split_z_factors(d)
-            # need num * inv(den_rest) to z-order (zcap - d) + zpow
-            order = zcap - d + zpow
-            if order < 0:
-                continue
-            num = _product(self.numerators[d], order)
-            series = num * _product(den_rest, order).inverse()
-            for k, c in enumerate(series.coeffs):
-                m = k - zpow
-                if not c.is_zero() and m + d <= zcap:
-                    entries[(d, m)] = c
-        return QZSeries(entries, self.qmax, zcap)
-
-    def _reversed_polys(self, d: int, order: int):
-        """Reversed numerator and denominator in u = 1/z, plus the u-power shift.
-
-        Returns (shift, num_rev, den_rev) with f_d(u) = u^shift * num_rev/den_rev,
-        both truncated at u^order, and den_rev(0) != 0.
-        """
-        def rev(factors):
-            # a + b z = (b + a u) / u; a constant factor stays as it is
-            flipped = [(b, a) if not b.is_zero() else (a, b) for (a, b) in factors]
-            degree = sum(not b.is_zero() for (_, b) in factors)
-            return _product(flipped, order), degree
-
-        num_rev, ndeg = rev(self.numerators[d])
-        den_rev, ddeg = rev(self.denominators[d])
-        if den_rev[0].is_zero():
-            raise ZeroDivisionError("denominator has a factor vanishing at z=infinity")
-        return ddeg - ndeg, num_rev, den_rev
+        rows = []
+        for d, (nums, dens) in enumerate(zip(self.numerators, self.denominators)):
+            shift, s = _laurent(nums, dens, zcap - d)
+            rows.append(_row(d, shift, s.coeffs, zcap))
+        return QZSeries(rows)
 
     def expand_at_infinity(self, kmax: int) -> list[QSeries]:
         """Taylor expansion in u = 1/z through u^kmax: the q-series of the u^k
         coefficient for k = 0..kmax, each exact to qmax."""
         rows = [[ZERO] * (self.qmax + 1) for _ in range(kmax + 1)]
-        for d in range(self.qmax + 1):
-            shift, num_rev, den_rev = self._reversed_polys(d, kmax)
+        for d, (nums, dens) in enumerate(zip(self.numerators, self.denominators)):
+            flip = len(dens) - len(nums)
+            shift, s = _laurent(
+                [(b, a) for a, b in nums], [(b, a) for a, b in dens], kmax - flip
+            )
+            shift += flip
             if shift < 0:
                 raise ValueError(f"q^{d} term diverges at z=infinity")
-            series = num_rev * den_rev.inverse()
             for k in range(kmax + 1 - shift):
-                rows[k + shift][d] = series[k]
+                rows[k + shift][d] = s[k]
         return [QSeries(row, self.qmax) for row in rows]

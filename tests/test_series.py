@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kp2.scalars import CycScalar
-from kp2.series import QSeries, QZSeries, qs_exp, qs_log
+from kp2.scalars import ONE, ZERO, ConsistencyError, CycScalar
+from kp2.series import QSeries, QZSeries, RatFunZ, qs_exp, qs_log
 
 QMAX = 6
 
@@ -73,7 +73,66 @@ def test_to_json_rational():
 
 
 def _qz(entries, qmax=4, zcap=4):
-    return QZSeries({k: CycScalar(v) for k, v in entries.items()}, qmax, zcap)
+    """The QZSeries with the given (d, m) -> value entries."""
+    return QZSeries(
+        QSeries([entries.get((d, j - d), 0) for j in range(zcap + 1)], zcap)
+        for d in range(qmax + 1)
+    )
+
+
+def _entries(qz):
+    return {(d, j - d): c for d, row in enumerate(qz.rows)
+            for j, c in enumerate(row.coeffs) if not c.is_zero()}
+
+
+def _entry_product(x, y, qmax, zcap):
+    """Reference product on entry dicts: every pair of entries, kept iff its
+    q-degree is within qmax and it is on or below the anti-diagonal m + d = zcap."""
+    out = {}
+    for (d1, m1), c1 in x.items():
+        for (d2, m2), c2 in y.items():
+            d, m = d1 + d2, m1 + m2
+            assert m >= -d
+            if d <= qmax and m + d <= zcap:
+                out[(d, m)] = out.get((d, m), ZERO) + c1 * c2
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def qz_entries(draw):
+    """Entries of a QZSeries, pole entries included, at a drawn (qmax, zcap)."""
+    qmax, zcap = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    keys = [(d, m) for d in range(qmax + 1) for m in range(-d, zcap - d + 1)]
+    value = st.builds(CycScalar, st.integers(-3, 3), st.integers(-1, 1)).filter(bool)
+    return draw(st.dictionaries(st.sampled_from(keys), value, max_size=8)), qmax, zcap
+
+
+@given(qz_entries(), qz_entries())
+def test_qz_rows_agree_with_the_entrywise_reference(first, second):
+    (x, qa, za), (y, qb, zb) = first, second
+    a, b = _qz(x, qa, za), _qz(y, qb, zb)
+    ab = a * b
+    assert (ab.qmax, ab.zcap) == (min(qa, qb), min(za, zb))
+    assert _entries(ab) == _entry_product(x, y, min(qa, qb), min(za, zb))
+    for m in range(-qa, za + 1):
+        column = a.z_coefficient(m)
+        assert column.coeffs == tuple(x.get((d, m), ZERO) for d in range(min(qa, za - m) + 1))
+        part = {key: c for key, c in x.items() if key[1] == m}
+        assert _entries(QZSeries.lift(column, za, m)) == part
+
+
+@given(qseries, st.integers(0, 4), st.integers(0, 6))
+@settings(max_examples=40)
+def test_qz_exp_pole_agrees_with_the_entrywise_reference(f, qmax, zcap):
+    s = f - QSeries.constant(f[0], QMAX)
+    over_z = {(d, -1): s[d] for d in range(1, min(qmax, zcap + 1) + 1) if not s[d].is_zero()}
+    term = {(0, 0): ONE}
+    total = dict(term)
+    for k in range(1, qmax + 1):
+        term = {key: c / k for key, c in _entry_product(term, over_z, qmax, zcap).items()}
+        total = {key: total.get(key, ZERO) + term.get(key, ZERO) for key in total | term}
+    expected = {key: c for key, c in total.items() if not c.is_zero()}
+    assert _entries(QZSeries.exp_pole(s, qmax, zcap)) == expected
 
 
 def test_qz_product_tracks_pole_and_cap():
@@ -99,11 +158,11 @@ def test_qz_shift_and_coefficient_helpers():
     a = _qz({(0, 0): 1, (1, 2): 7})
     z = QZSeries.lift(QSeries.one(4), 4, 1)
     three_q = QZSeries.lift(QSeries([0, 3], 4), 4)
-    assert (a * three_q).entries == {(1, 0): CycScalar(3), (2, 2): CycScalar(21)}
-    assert (a * z).entries == {(0, 1): CycScalar(1), (1, 3): CycScalar(7)}
-    assert (a * z * z).entries == {(0, 2): CycScalar(1)}  # (1, 4) is past zcap
+    assert _entries(a * three_q) == {(1, 0): CycScalar(3), (2, 2): CycScalar(21)}
+    assert _entries(a * z) == {(0, 1): CycScalar(1), (1, 3): CycScalar(7)}
+    assert _entries(a * z * z) == {(0, 2): CycScalar(1)}  # (1, 4) is past zcap
     s = QSeries([1, 2, 0, 0, 5], 4)
-    assert (a * QZSeries.lift(s, 4)).entries == {
+    assert _entries(a * QZSeries.lift(s, 4)) == {
         (0, 0): CycScalar(1), (1, 0): CycScalar(2), (4, 0): CycScalar(5),
         (1, 2): CycScalar(7), (2, 2): CycScalar(14),
     }
@@ -120,5 +179,26 @@ def test_series_are_unhashable():
 
 
 def test_qz_pole_bound_enforced():
-    with pytest.raises(Exception):
-        _qz({(0, -1): 1})
+    # the q^1 part 1/(2 z^2) has a pole deeper than z^-1
+    f = RatFunZ([[], []], [[], [(0, 1), (0, 2)]], 1)
+    with pytest.raises(ConsistencyError, match="pole bound"):
+        f.expand_at_zero(3)
+
+
+# -- RatFunZ ------------------------------------------------------------------
+
+
+def test_zero_denominator_factor_is_refused_in_both_frames():
+    f = RatFunZ([[]], [[(1, 1), (0, 0)]], 0)
+    with pytest.raises(ZeroDivisionError):
+        f.expand_at_zero(2)
+    with pytest.raises(ZeroDivisionError):
+        f.expand_at_infinity(2)
+
+
+def test_numerator_above_denominator_diverges_at_infinity():
+    # the q^1 part (1 + z)(2 + 3z)/(1 + z) = 2 + 3z expands at z = 0 only
+    f = RatFunZ([[], [(1, 1), (2, 3)]], [[], [(1, 1)]], 1)
+    assert f.expand_at_zero(2).get(1, 1) == CycScalar(3)
+    with pytest.raises(ValueError, match=r"q\^1 term diverges at z=infinity"):
+        f.expand_at_infinity(2)
