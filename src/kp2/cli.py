@@ -71,18 +71,23 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
 
 def _graph_json(contribution, ctx) -> dict:
-    from .localization import decoration_orbits, graph_contribution
+    """A graph's value and its decoration values, each at its labels, whose
+    exact sum must be the value."""
+    from .localization import decoration_orbits, labelled_contribution
+    from .lring import RingElem
 
     graph = contribution.graph
+    orbits = [(labels, aut, labelled_contribution(ctx, graph, labels, aut))
+              for labels, aut in decoration_orbits(graph)]
+    if RingElem.sum(value for *_, value in orbits) != contribution.value:
+        raise ConsistencyError(f"graph {graph.signature()}: the value is not the sum of its "
+                               "decoration values")
     return {
         "signature": graph.signature(),
         "aut_order": graph.aut_order,
         "value": contribution.value.to_json(),
-        "decorations": [
-            {"labels": list(labels), "aut_order": aut, "value": graph_contribution(
-                ctx, graph._replace(decorations=labels, aut_order=aut)).to_json()}
-            for labels, aut in decoration_orbits(graph)
-        ],
+        "decorations": [{"labels": list(labels), "aut_order": aut, "value": value.to_json()}
+                        for labels, aut, value in orbits],
     }
 
 

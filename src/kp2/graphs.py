@@ -1,8 +1,8 @@
 """Stable graphs: enumeration, automorphisms and decoration orbits.
 
-This module lists the undecorated stable graphs up to isomorphism, with
-their automorphism groups, and the orbits of fixed-point labelings under
-them; kp2.localization assembles their values.  It needs no ring
+This module lists the stable graphs up to isomorphism, with their
+automorphism groups, and the orbits of fixed-point labelings under them;
+kp2.localization assembles their values.  It needs no ring
 arithmetic, so the graph census loads nothing else of kp2.
 
 Enumeration.  Legs are coloured by insertion tag; an integer leg count
@@ -16,7 +16,7 @@ stable, connected and canonical (_edge_multisets).  A survivor is canonical
 exactly when no block relabeling gives a smaller key, each colour's image
 sorted, stopping at the first smaller key.  The relabelings that give an
 equal key form the graph's coloured automorphism group G; decoration
-orbits and relabeling classes are orbits under G.
+orbits are orbits under G.
 
 Weight.  A coloured graph stands for N = prod_t m_t! / prod_(t,v) m_(t,v)!
 marking maps (m_t legs of colour t, m_(t,v) of them at vertex v), which
@@ -46,21 +46,17 @@ def normalize_tag(tag) -> str:
     return tag
 
 
-class StableGraph(namedtuple("StableGraph", ("genera", "decorations", "edges", "legs",
-                                               "tags", "aut_order", "automorphisms"))):
-    """A stable graph, optionally decorated with fixed-point labels.
+class StableGraph(namedtuple("StableGraph", ("genera", "edges", "legs", "tags",
+                                               "aut_order", "automorphisms"))):
+    """A stable graph.
 
-    genera[v] is the vertex genus, decorations[v] the fixed-point label (None
-    while undecorated), edges the sorted vertex pairs (u <= v, loops
-    allowed), legs the marking-to-vertex map, tags the insertion per marking.
-    aut_order is |G| F / N (decorated: for the G-stabilizer of the labels)
-    and automorphisms is G (see the module docstring).
+    genera[v] is the vertex genus, edges the sorted vertex pairs (u <= v,
+    loops allowed), legs the marking-to-vertex map, tags the insertion per
+    marking.  aut_order is |G| F / N and automorphisms is G (see the module
+    docstring).  The signature keeps an empty label list, p=[].
     """
 
     __slots__ = ()
-
-    def genus(self) -> int:
-        return sum(self.genera) + len(self.edges) - len(self.genera) + 1
 
     def valences(self) -> list[int]:
         val = [0] * len(self.genera)
@@ -72,11 +68,10 @@ class StableGraph(namedtuple("StableGraph", ("genera", "decorations", "edges", "
         return val
 
     def signature(self) -> str:
-        dec = "" if self.decorations is None else ",".join(map(str, self.decorations))
         e = ";".join(f"{u}-{v}" for (u, v) in self.edges)
         l = ";".join(f"{v}:{t}" for v, t in zip(self.legs, self.tags))
         h = ",".join(map(str, self.genera))
-        return f"h=[{h}] p=[{dec}] e=[{e}] legs=[{l}]"
+        return f"h=[{h}] p=[] e=[{e}] legs=[{l}]"
 
 
 def _flag_factor(edges) -> int:
@@ -201,7 +196,7 @@ def _ratio(num, den):
 
 
 def enumerate_graphs(g: int, tags) -> list[StableGraph]:
-    """All undecorated stable graphs of total genus g with the given legs.
+    """All stable graphs of total genus g with the given legs.
 
     tags is an integer count, for labeled markings, or a sequence of
     insertion tags, whose legs are coloured by tag and placed as one
@@ -261,21 +256,15 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
                         legs = tuple(place[k] for k in slot)
                         full = len(group) * flag * prod(factorial(p.count(v))
                                                         for p in parts for v in set(p))
-                        out.append(StableGraph(genera, None, edges, legs, tags,
-                                               _ratio(full, labelings), tuple(group)))
+                        out.append(StableGraph(genera, edges, legs, tags, _ratio(full, labelings),
+                                               tuple(group)))
     out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
     return out
 
 
 def _aut_images(labels, sigmas) -> list[tuple]:
     """The labelings that the vertex permutations sigmas carry labels to."""
-    images = []
-    for sigma in sigmas:
-        mapped = [0] * len(labels)
-        for v, p in enumerate(labels):
-            mapped[sigma[v]] = p
-        images.append(tuple(mapped))
-    return images
+    return [tuple(labels[sigma.index(w)] for w in range(len(labels))) for sigma in sigmas]
 
 
 def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:

@@ -20,8 +20,8 @@ sum_(into v) phi - sum_(out of v) phi = d_v + #links leaving v mod 3
 correlator returns zero unassembled).  W(phi) is a flag sum over label-0
 vertices (a loop is Q_0 + Q_1 + Q_2) times, per bundle, its links' modes
 convolved, at -psi, psi = phi + sum b2 (_bundle_term): it has no zeta.
-A decorated graph_contribution is the direct route, each factor at its
-labels through edge_contribution, sharing no memo entry with these sums.
+labelled_contribution is the direct route at given labels, each edge
+through edge_contribution, reading no memo entry of these sums.
 
 Contracted flag sum.  Each vertex with its legs and loops is summed over
 its flag compositions, keyed by its link flags; vertices are walked
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from math import factorial, prod
 from operator import mul
@@ -48,18 +48,17 @@ from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
 __all__ = [
     "StableGraph", "Contribution", "Context", "build_context",
     "enumerate_graphs", "decoration_orbits", "vertex_contribution",
-    "edge_contribution", "leg_contribution", "graph_contribution",
-    "per_graph_contributions", "correlator", "checked_total", "normalize_tag",
-    "weight_degree",
+    "edge_contribution", "leg_contribution", "graph_contribution", "labelled_contribution",
+    "per_graph_contributions", "correlator", "checked_total", "normalize_tag", "weight_degree",
 ]
 
-Contribution = namedtuple("Contribution", ("graph", "value"))  # one undecorated graph
+Contribution = namedtuple("Contribution", ("graph", "value"))
 
 
 class Context:
     """The rows R_{m,k}, k <= kmax (they only grow), and the memos of
     vertex_contribution, edge_contribution, _edge_modes, leg_contribution,
-    _dressed_vertex (label None undecorated) and _bundle_term."""
+    _bundle_term and _dressed_vertex (label sums; per label, labelled)."""
 
     def __init__(self):
         self.kmax = 0
@@ -69,6 +68,7 @@ class Context:
         self._mode_memo: dict = {}
         self._leg_memo: dict = {}
         self._dressed_memo: dict = {}
+        self._labelled_memo = ({}, {}, {})
         self._bundle_memo: dict = {}
 
     def extend_rows(self, kmax: int) -> None:
@@ -220,30 +220,26 @@ def _compositions(n: int, budget: int):
             yield (a,) + rest
 
 
-def _located(exc: ConsistencyError, graph: StableGraph, flags=()) -> ConsistencyError:
+def _located(exc: ConsistencyError, graph: StableGraph, flags=(),
+             labels=None) -> ConsistencyError:
     """exc restated with the graph, labels and flag values of its term, if any."""
     named = " ".join(f"{name}={a}" for name, a in flags)
-    where = f"graph {graph.signature()}"
-    if graph.decorations is not None:
-        where += f", labels {list(graph.decorations)}"
+    where = f"graph {graph.signature()}" + (f", labels {list(labels)}" if labels else "")
     return ConsistencyError(f"{exc} [{where}{', flags ' + named if named else ''}]")
 
 
-def _edge_term(ctx: Context, graph: StableGraph, e: int, b1: int, b2: int) -> RingElem:
-    """Edge e at its labels; undecorated, a label-0 loop, sum Q_k."""
-    u, v = graph.edges[e]
-    try:
-        if graph.decorations is None:
-            return RingElem.sum(_edge_modes(ctx, b1, b2))
-        return edge_contribution(ctx, graph.decorations[u], graph.decorations[v], b1, b2)
-    except ConsistencyError as exc:
-        raise _located(exc, graph, ((f"e{e}.0", b1), (f"e{e}.1", b2))) from exc
+def _ends(graph: StableGraph, v: int) -> list:
+    """v's link ends (edge, side), in edge order."""
+    return [(e, 0 if a == v else 1) for e, (a, b) in enumerate(graph.edges)
+            if a != b and v in (a, b)]
 
 
-def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> dict:
-    """Vertex v's factor at its label (0 undecorated), leg and loop flags
-    summed out within budget, keyed by its flags on the ends, (edge, side)."""
-    h, i = graph.genera[v], 0 if graph.decorations is None else graph.decorations[v]
+def _dressed_at(ctx: Context, graph: StableGraph, v: int, i: int, budget: int, loop,
+                labels) -> dict:
+    """Vertex v's factor at label i, leg and loop flags summed out within
+    budget, keyed by its flags on its link ends; loop(b1, b2) is the loop
+    factor, and errors name the labels, if any."""
+    h, ends = graph.genera[v], _ends(graph, v)
     legs = [m for m, w in enumerate(graph.legs) if w == v]
     loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
     names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
@@ -257,8 +253,12 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> 
             dress = dressings[rest]
         else:
             factors = [leg_contribution(ctx, i, graph.tags[m], a) for m, a in zip(legs, rest)]
-            factors += [_edge_term(ctx, graph, e, rest[nl + 2 * t], rest[nl + 2 * t + 1])
-                        for t, e in enumerate(loops)]
+            for j in range(nk + nl, len(values), 2):  # the loops' flag pairs
+                try:
+                    factors.append(loop(*values[j:j + 2]))
+                except ConsistencyError as exc:
+                    flags = zip(names[j:j + 2], values[j:j + 2])
+                    raise _located(exc, graph, flags, labels) from exc
             dress = reduce(mul, factors) if factors else None
             dressings[rest] = dress
         if dress is not None and dress.is_zero():
@@ -266,7 +266,7 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> 
         try:
             term = vertex_contribution(ctx, h, i, values)
         except ConsistencyError as exc:
-            raise _located(exc, graph, zip(names, values)) from exc
+            raise _located(exc, graph, zip(names, values), labels) from exc
         if term.is_zero():
             continue
         if dress is not None:
@@ -275,17 +275,17 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, ends) -> 
     return {k: RingElem.sum(terms) for k, terms in out.items()}
 
 
-def _dressed_vertex(ctx: Context, graph: StableGraph, v: int, ends) -> dict:
-    """_dressed_at within v's dimension bound 3h - 3 + legs + 2 loops + ends
-    (wider ones add only zeros), memoized; do not modify it."""
-    h, i = graph.genera[v], None if graph.decorations is None else graph.decorations[v]
+def _dressed_vertex(ctx: Context, memo: dict, graph: StableGraph, v: int, i: int, loop,
+                    labels) -> dict:
+    """_dressed_at within v's dimension bound 3h - 3 + valence (wider ones
+    add only zeros), memoized in memo by (h, legs, loops, valence); do not
+    modify it."""
+    h, valence = graph.genera[v], graph.valences()[v]
     tags = tuple(sorted(t for t, w in zip(graph.tags, graph.legs) if w == v))
-    loops = sum(a == b == v for a, b in graph.edges)
-    key = (h, i, tags, loops, len(ends))
-    dressed = ctx._dressed_memo.get(key)
+    key = (h, tags, sum(a == b == v for a, b in graph.edges), valence)
+    dressed = memo.get(key)
     if dressed is None:
-        budget = 3 * h - 3 + len(tags) + 2 * loops + len(ends)
-        dressed = ctx._dressed_memo[key] = _dressed_at(ctx, graph, v, budget, ends)
+        dressed = memo[key] = _dressed_at(ctx, graph, v, i, 3 * h - 3 + valence, loop, labels)
     return dressed
 
 
@@ -343,10 +343,12 @@ def _phases(graph: StableGraph, pairs) -> list[tuple]:
     return out
 
 
-def _flag_walk(dressed, ends, closing, factor) -> RingElem:
+def _flag_walk(graph: StableGraph, dressed, pairs, factor) -> RingElem:
     """The flag sum, vertices walked depth-first sharing prefix products;
-    factor(item, flag) enters once w is assigned, for item in closing[w]."""
+    factor(b, flag) enters once w is assigned, for each pairs[b] = (u, w), u != w."""
     nv = len(dressed)
+    ends = [_ends(graph, w) for w in range(nv)]
+    closing = [[b for b, (u, v) in enumerate(pairs) if v == w != u] for w in range(nv)]
     flag: dict = {}  # (edge, side) -> value
 
     def closed(w: int, key, term: RingElem) -> RingElem:
@@ -372,26 +374,39 @@ def _flag_walk(dressed, ends, closing, factor) -> RingElem:
 
 
 def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
-    """Sum over flag assignments of the vertex/edge/leg product, over
-    aut_order, at the graph's labels or, undecorated, over all labellings.
-    A ConsistencyError from a factor names the graph, labels and flags."""
+    """Sum over all labellings and flag assignments of the vertex/edge/leg
+    product, over aut_order.  A ConsistencyError from a factor names the
+    graph and flags."""
     nv = len(graph.genera)
-    links = [(e, u, v) for e, (u, v) in enumerate(graph.edges) if u != v]
-    ends = [[(e, 0 if u == w else 1) for e, u, v in links if w in (u, v)] for w in range(nv)]
-    if graph.decorations is not None:
-        dressed = [_dressed_vertex(ctx, graph, w, ends[w]) for w in range(nv)]
-        closing = [[e for e, _, v in links if v == w] for w in range(nv)]
-        return _flag_walk(dressed, ends, closing, lambda e, flag: _edge_term(
-            ctx, graph, e, flag[e, 0], flag[e, 1])) / Fraction(graph.aut_order)
     bundles: dict = {}
-    for e, u, v in links:
-        bundles.setdefault((u, v), []).append(e)
+    for e, (u, v) in enumerate(graph.edges):
+        if u != v:
+            bundles.setdefault((u, v), []).append(e)
     pairs, edges = list(bundles), list(bundles.values())
-    dressed = [_dressed_vertex(ctx, graph, w, ends[w]) for w in range(nv)]
-    closing = [[b for b, (_, v) in enumerate(pairs) if v == w] for w in range(nv)]
-    walks = [_flag_walk(dressed, ends, closing, lambda b, flag: _bundle_term(
+    dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
+                               RingElem.sum(_edge_modes(ctx, b1, b2)), None) for w in range(nv)]
+    walks = [_flag_walk(graph, dressed, pairs, lambda b, flag: _bundle_term(
         ctx, graph, edges[b], phi[b], flag)) for phi in _phases(graph, pairs)]
     return RingElem.sum(walks) * (Fraction(3) ** nv / graph.aut_order)
+
+
+def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> RingElem:
+    """The flag sum at the fixed-point labels over aut, every edge through
+    edge_contribution; it reads no memo entry of the label sums.  A
+    ConsistencyError names the graph, labels and flags."""
+
+    def link(e, flag):
+        u, v = graph.edges[e]
+        try:
+            return edge_contribution(ctx, labels[u], labels[v], flag[e, 0], flag[e, 1])
+        except ConsistencyError as exc:
+            flags = [(f"e{e}.{s}", flag[e, s]) for s in (0, 1)]
+            raise _located(exc, graph, flags, labels) from exc
+
+    dressed = [_dressed_vertex(ctx, ctx._labelled_memo[i], graph, w, i,
+                               partial(edge_contribution, ctx, i, i), labels)
+               for w, i in enumerate(labels)]
+    return _flag_walk(graph, dressed, graph.edges, link) / Fraction(aut)
 
 
 _TAG_DEGREE = {"H0": -1, "H1": 0, "H2": 1, "psiH": 1}
@@ -403,9 +418,9 @@ def weight_degree(tags) -> int:
 
 
 def per_graph_contributions(ctx: Context, g: int, tags) -> list[Contribution]:
-    """Per undecorated graph its value, which must be rational (p -> -p
-    conjugates each term); delta != 0 raises ValueError.  Rows reach
-    3g - 3 + n, the largest index a budget can request."""
+    """Per graph its value, which must be rational (p -> -p conjugates
+    each term); delta != 0 raises ValueError.  Rows reach 3g - 3 + n, the
+    largest index a budget can request."""
     if weight_degree(tags):
         raise ValueError("per_graph_contributions needs insertions of weight degree 0")
     graphs = enumerate_graphs(g, tags)

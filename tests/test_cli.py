@@ -390,6 +390,45 @@ def test_fg_per_graph_payload(capsys):
     assert total.eval_at(1, 0, 1).as_rational() == F(1, 1920)
 
 
+def test_fg_per_graph_checks_the_decoration_sums(capsys, monkeypatch):
+    # fg --per-graph compares each graph value, summed over all labellings,
+    # with the exact sum of its decoration values at their labels.  The
+    # label sums never read the direct edge worker, so L added to it at the
+    # labels (1, 2) perturbs only the decoration values, and the run names
+    # the first graph with such an edge.  Unperturbed, it passes.
+    code, out, err = run(["fg", "--genus", "2", "--per-graph"], capsys)
+    assert (code, err) == (0, "") and out
+    real = localization.edge_contribution
+
+    def skewed(ctx, i, j, b1, b2):
+        value = real(ctx, i, j, b1, b2)
+        return value + RingElem.L() if (i, j) == (1, 2) else value
+
+    monkeypatch.setattr(localization, "edge_contribution", skewed)
+    code, out, err = run(["fg", "--genus", "2", "--per-graph"], capsys)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == ("internal consistency failure: graph h=[0,0] p=[] e=[0-0;0-1;1-1] legs=[]: "
+                   "the value is not the sum of its decoration values\n")
+
+
+def test_verify_hae_cli(capsys):
+    code, payload = run_json(["verify", "hae"], capsys)
+    assert code == cli.EXIT_OK
+    report = payload["report"]
+    assert report["genus"] == 2
+    assert report["pass"] is True and report["vacuous"] is False
+    code, out, err = run(["verify", "hae", "--format", "text"], capsys)
+    assert (code, out, err) == (cli.EXIT_OK, "hae genus 2: pass\n", "")
+
+
+def test_verify_hae_cli_genus_one_is_a_usage_error(capsys):
+    code, out, err = run(["verify", "hae", "--genus", "1"], capsys)
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err == "error: the unpointed identity starts at genus 2\n"
+
+
 def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
     # a graph value with a c term must fail the c-degree check on the fg path
     monkeypatch.setattr(localization, "graph_contribution",

@@ -25,6 +25,7 @@ from kp2.localization import (
     edge_contribution,
     enumerate_graphs,
     graph_contribution,
+    labelled_contribution,
     leg_contribution,
     per_graph_contributions,
     vertex_contribution,
@@ -112,7 +113,7 @@ def test_genus_two_census():
     assert len(graphs) == 7
     found = {(g.genera, g.edges): g.aut_order for g in graphs}
     assert found == GENUS2_CENSUS
-    assert all(g.genus() == 2 for g in graphs)
+    assert all(sum(g.genera) + len(g.edges) - len(g.genera) + 1 == 2 for g in graphs)
     assert len({g.signature() for g in graphs}) == 7
 
 
@@ -245,7 +246,7 @@ def brute_census(g, n):
                     key = reference_key(genera, edges, legs)
                     if key not in found:
                         found[key] = len(_valid_perms(*key)) * _flag_factor(key[1])
-    return [(graphs.StableGraph(h, None, e, l, ("H0",) * n, aut, ()).signature(), aut)
+    return [(graphs.StableGraph(h, e, l, ("H0",) * n, aut, ()).signature(), aut)
             for (h, e, l), aut in sorted(found.items())]
 
 
@@ -543,10 +544,10 @@ def test_vertex_genus_three(ctx1):
 
 @pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())], ids=["1-1", "2-0"])
 def test_graph_contribution_sums_every_labelling(ctx1, g, tags):
-    # undecorated: the sum over all 3^V labellings of the decorated values,
-    # each over the undecorated aut_order, with no orbits taken
+    # the sum over all 3^V labellings of the labelled values, each over the
+    # graph's aut_order, with no orbits taken
     for graph in enumerate_graphs(g, tags):
-        direct = RingElem.sum(graph_contribution(ctx1, graph._replace(decorations=labels))
+        direct = RingElem.sum(labelled_contribution(ctx1, graph, labels, graph.aut_order)
                               for labels in product(range(3), repeat=len(graph.genera)))
         assert graph_contribution(ctx1, graph) == direct, graph.signature()
 
@@ -605,8 +606,9 @@ def _class_representatives(graph):
     ids=["1-3-mixed", "2-2", "2-0", "1-3-orders"],
 )
 def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
-    # A dressed vertex is shared across graphs, labels and vertices by its
-    # key alone.  The reference is a fresh context per graph with that memo
+    # A dressed vertex is shared across graphs and vertices by its key alone,
+    # in the memo of the label sums and in the labelled route's memo of its
+    # label.  The reference is a fresh context per graph with those memos
     # off; both have the rows a correlator would size.  At (2,2) a vertex
     # with a loop at 0 and one without at 2 differ only in the loop count of
     # the key.  At (1, H2 psiH H2) a vertex holds the legs psiH, H2 in one
@@ -621,15 +623,17 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
         fresh = build_context()
         fresh.extend_rows(kmax)
         fresh._dressed_memo = _NoMemo()
+        fresh._labelled_memo = (_NoMemo(), _NoMemo(), _NoMemo())
         orbits = _class_representatives(graph) if tags == ("H1", "H2") else decoration_orbits(graph)
         for labels, aut in orbits:
-            decorated = graph._replace(decorations=labels, aut_order=aut)
-            assert (graph_contribution(shared, decorated)
-                    == graph_contribution(fresh, decorated)), (graph, labels)
+            assert (labelled_contribution(shared, graph, labels, aut)
+                    == labelled_contribution(fresh, graph, labels, aut)), (graph, labels)
         if not localization.weight_degree(tags):
             assert graph_contribution(shared, graph) == graph_contribution(fresh, graph), graph
-    assert shared._dressed_memo
-    assert all(list(key[2]) == sorted(key[2]) for key in shared._dressed_memo)
+    memos = (shared._dressed_memo, *shared._labelled_memo)
+    assert shared._labelled_memo[0]
+    assert bool(shared._dressed_memo) != bool(localization.weight_degree(tags))
+    assert all(list(key[1]) == sorted(key[1]) for memo in memos for key in memo)
 
 
 def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
@@ -648,12 +652,11 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
     first = next(gr for gr in graphs if gr.genera == (1, 1))
     second = next(gr for gr in graphs if gr.genera == (0, 1))
     for graph, labels, flags in ((first, (2, 2), "e0.0=1"), (second, (0, 2), "e1.1=1")):
-        decorated = graph._replace(decorations=labels)
         with pytest.raises(ConsistencyError) as info:
-            graph_contribution(ctx, decorated)
+            labelled_contribution(ctx, graph, labels, graph.aut_order)
         message = str(info.value)
         assert "injected vertex failure" in message
-        assert decorated.signature() in message
+        assert graph.signature() in message
         assert f"labels {list(labels)}" in message
         assert f"flags {flags}" in message
-    assert not any(key[:2] == (1, 2) for key in ctx._dressed_memo)
+    assert not any(key[0] == 1 for key in ctx._labelled_memo[2])

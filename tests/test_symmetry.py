@@ -6,11 +6,11 @@ weighted by N, sums every labelling of a graph at once from label-0
 vertices and bundled links over the phases of its cycle space, skips
 totals with delta != 0 mod 3, and contracts the flag sum vertex by vertex.
 Each of these is compared here with the unreduced computation it replaces:
-decorated graphs evaluated one by one at their labels.
+labelled_contribution, one decoration orbit at a time at its labels.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -25,6 +25,7 @@ from kp2.localization import (
     edge_contribution,
     enumerate_graphs,
     graph_contribution,
+    labelled_contribution,
     leg_contribution,
     per_graph_contributions,
     vertex_contribution,
@@ -55,15 +56,11 @@ def graphs_of(g, tags):
     return enumerate_graphs(g, tags)
 
 
-def labeled(graph, labels, aut=1):
-    return graph._replace(decorations=tuple(labels), aut_order=aut)
-
-
 def orbit_values(ctx, g, tags):
-    """graph_contribution of every decoration orbit, evaluated one by one."""
+    """labelled_contribution of every decoration orbit, one by one."""
     for graph in graphs_of(g, tags):
         for labels, aut in decoration_orbits(graph):
-            yield graph, labels, aut, graph_contribution(ctx, labeled(graph, labels, aut))
+            yield graph, labels, aut, labelled_contribution(ctx, graph, labels, aut)
 
 
 def values_by_graph(ctx, g, tags):
@@ -74,10 +71,10 @@ def values_by_graph(ctx, g, tags):
     return out
 
 
-def cartesian_contribution(ctx, graph):
-    """The flag sum by filtering the Cartesian product of all flag ranges."""
+def cartesian_contribution(ctx, graph, p, aut):
+    """The flag sum at the labels p, over aut, by filtering the Cartesian
+    product of all flag ranges."""
     nv = len(graph.genera)
-    p = graph.decorations
     slots = []  # (vertex, kind, payload)
     for e, (u, v) in enumerate(graph.edges):
         slots.append((u, "e", (e, 0)))
@@ -107,7 +104,7 @@ def cartesian_contribution(ctx, graph):
         for e, (u, v) in enumerate(graph.edges):
             term = term * edge_contribution(ctx, p[u], p[v], edge_a[(e, 0)], edge_a[(e, 1)])
         total = total + term
-    return total / Fraction(graph.aut_order)
+    return total / Fraction(aut)
 
 
 @cache
@@ -119,7 +116,7 @@ def labelled_reference(g, tags):
     values = []
     for graph in enumerate_graphs(g, len(tags)):
         graph = graph._replace(tags=tags)
-        values += [graph_contribution(ctx, labeled(graph, labels, aut))
+        values += [labelled_contribution(ctx, graph, labels, aut)
                    for labels, aut in decoration_orbits(graph)]
     return RingElem.sum(values)
 
@@ -195,9 +192,9 @@ def test_shift_and_swap_relations(ctx1, data):
     graph = data.draw(st.sampled_from(graphs_of(g, tags)))
     labels = data.draw(st.tuples(*[st.integers(0, 2)] * len(graph.genera)))
     # relabeling keeps the decorated automorphism order, so one order serves all
-    value = graph_contribution(ctx1, labeled(graph, labels))
-    shifted = graph_contribution(ctx1, labeled(graph, [(p + 1) % 3 for p in labels]))
-    swapped = graph_contribution(ctx1, labeled(graph, [-p % 3 for p in labels]))
+    value = labelled_contribution(ctx1, graph, labels, 1)
+    shifted = labelled_contribution(ctx1, graph, [(p + 1) % 3 for p in labels], 1)
+    swapped = labelled_contribution(ctx1, graph, [-p % 3 for p in labels], 1)
     assert shifted == value * weight_pow(1, weight_degree(tags))
     assert swapped == value.conjugate()
 
@@ -206,10 +203,10 @@ def test_relations_are_not_vacuous(ctx1):
     # the single genus-1 vertex with one square: a value that the shift
     # really moves and the swap really conjugates
     graph = next(gr for gr in graphs_of(1, ("H2",)) if gr.genera == (1,))
-    value = graph_contribution(ctx1, labeled(graph, (1,)))
+    value = labelled_contribution(ctx1, graph, (1,), 1)
     assert not value.is_zero()
     assert value.conjugate() != value
-    assert graph_contribution(ctx1, labeled(graph, (2,))) == value * weight_pow(1, 1)
+    assert labelled_contribution(ctx1, graph, (2,), 1) == value * weight_pow(1, 1)
 
 
 @pytest.mark.parametrize(
@@ -386,15 +383,22 @@ def test_zero_shortcut_keeps_input_errors(ctx2):
         correlator(ctx2, 1, ("H2", 3))
 
 
-@pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())])
+# (g, tags) -> decoration orbits and nonzero orbit values; the last two
+# cases have legs whose factors carry zeta at labels 1 and 2
+CARTESIAN_CASES = {(1, ("H1",)): (6, 6), (2, ()): (36, 36),
+                   (1, ("H2", "psiH", "H1")): (375, 60), (1, ("H2", "H2", "psiH")): (258, 51)}
+
+
+@pytest.mark.parametrize("g, tags", CARTESIAN_CASES)
 def test_contracted_matches_cartesian(ctx2, g, tags):
     ctx2.extend_rows(3 * g - 3 + len(tags))
-    count = 0
+    count = nonzero = 0
     for graph, labels, aut, value in orbit_values(ctx2, g, tags):
-        assert value == cartesian_contribution(ctx2, labeled(graph, labels, aut)), (
+        assert value == cartesian_contribution(ctx2, graph, labels, aut), (
             graph.signature(), labels)
         count += 1
-    assert count == {1: 6, 2: 36}[g]
+        nonzero += not value.is_zero()
+    assert (count, nonzero) == CARTESIAN_CASES[g, tags]
 
 
 def test_rows_have_rational_coefficients():
@@ -413,9 +417,9 @@ def test_vertex_consistency_error_names_its_term():
     ctx = build_context()
     ctx.extend_rows(1)
     ctx.rows[0][1] = ctx.rows[0][1] + RingElem.X()  # the genus-1 vertex reads R_{0,1}
-    graph = labeled(_genus_one_graph((1,)), (2,))
+    graph = _genus_one_graph((1,))
     with pytest.raises(ConsistencyError) as info:
-        graph_contribution(ctx, graph)
+        labelled_contribution(ctx, graph, (2,), graph.aut_order)
     message = str(info.value)
     assert "X-dependence" in message
     assert graph.signature() in message
@@ -427,13 +431,19 @@ def test_edge_consistency_error_names_its_term():
     ctx = build_context()
     ctx.extend_rows(1)
     ctx.rows[1][1] = ctx.rows[1][1] + RingElem.c(1)  # the loop kernel reads R_{1,1}
-    graph = labeled(_genus_one_graph((0,)), (1,))
+    graph = _genus_one_graph((0,))
     with pytest.raises(ConsistencyError) as info:
-        graph_contribution(ctx, graph)
+        labelled_contribution(ctx, graph, (1,), graph.aut_order)
     message = str(info.value)
     assert "c-degree" in message
     assert graph.signature() in message
     assert "flags e0.0=1 e0.1=1" in message
+    assert f"[graph {graph.signature()}, labels [1], flags e0.0=1 e0.1=1]" in message
+    # a link on the labelled route fails in the direct worker too
+    link = next(gr for gr in enumerate_graphs(0, ("H1",) * 4) if gr.edges == ((0, 1),))
+    with pytest.raises(ConsistencyError) as info:
+        labelled_contribution(ctx, link, (0, 1), link.aut_order)
+    assert f"[graph {link.signature()}, labels [0, 1], flags e0.0=1 e0.1=1]" in str(info.value)
     # on the correlator path the rational modes fail: for a loop in its
     # vertex, dressed at label 0, and for a link in its bundle factor; both
     # name the undecorated graph and the flags
@@ -508,7 +518,7 @@ def _has_zeta(x) -> bool:
 def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch):
     # The sum over all labellings reads edges only through their rational
     # modes: with the direct edge worker gone it still gives the labelled
-    # reference, and no ring product in it has a zeta part.  The decorated
+    # reference, and no ring product in it has a zeta part.  The labelled
     # route still reaches the worker.
     reference = labelled_reference(g, tags)
 
@@ -532,7 +542,7 @@ def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch
     ctx.extend_rows(3 * g - 3 + len(tags))
     graph = next(gr for gr in graphs_of(g, tags) if gr.edges)
     with pytest.raises(AssertionError, match="direct edge worker"):
-        graph_contribution(ctx, labeled(graph, [0] * len(graph.genera), graph.aut_order))
+        labelled_contribution(ctx, graph, [0] * len(graph.genera), graph.aut_order)
 
 
 # Graphs whose vertices carry every leg tag and loop pattern at genus <= 2,
@@ -543,14 +553,26 @@ TWIST_CASES = [(2, ("H1", "H1")), (2, ()), (1, ("H2", "H2", "H2")), (1, ("H2", "
 _K = {"H0": 0, "H1": 1, "H2": 2, "psiH": 2}
 
 
+def _direct_loop(ctx, i):
+    """The loop factor of the labelled route at label i: the direct edge worker."""
+    return partial(edge_contribution, ctx, i, i)
+
+
+def _mode_loop(ctx):
+    """The loop factor of the label sums: a label-0 loop, Q_0 + Q_1 + Q_2."""
+    return lambda b1, b2: RingElem.sum(localization._edge_modes(ctx, b1, b2))
+
+
 def test_dressed_twists_match_the_direct_worker():
-    # The memo computes a dressed vertex at each label it is asked for, and
-    # the sum over all labellings reads only label 0, assuming
-    # entry(p) = zeta^((p - q) d) entry(q) with d = sum(a - 1) - n_flags +
-    # sum k_t - n_loops (H0, H1, H2, psiH: k_t = 0, 1, 2, 2).  Each memo
-    # entry is checked against _dressed_at at its label, and the relation on
-    # the direct values from every label q to every p, at the flag budget
-    # the memo uses and one above it; it fails with the sign of d flipped.
+    # The sum over all labellings reads only label-0 dressed vertices, with
+    # loops through their modes, assuming entry(p) = zeta^((p - q) d)
+    # entry(q) with d = sum(a - 1) - n_flags + sum k_t - n_loops (H0, H1,
+    # H2, psiH: k_t = 0, 1, 2, 2).  Each entry of its memo is checked
+    # against _dressed_at at label 0 with loops through the direct worker,
+    # each entry of the labelled route's memo against _dressed_at at its
+    # label, and the relation on the direct values from every label q to
+    # every p, at the flag budget the memos use and one above it; it fails
+    # with the sign of d flipped.
     ctx = build_context()
     ctx.extend_rows(7)
     seen = set()
@@ -568,20 +590,28 @@ def test_dressed_twists_match_the_direct_worker():
                 if key in seen:
                     continue
                 seen.add(key)
-                at = [labeled(graph, [p] * nv) for p in range(3)]
-                direct = [localization._dressed_at(ctx, at[p], v, budget, ends) for p in range(3)]
+                direct = [localization._dressed_at(ctx, graph, v, p, budget, _direct_loop(ctx, p),
+                                                   None) for p in range(3)]
                 nonzero += any(direct[0].values())
                 flags = len(ends) + len(legs) + 2 * loops
+                if not extra:
+                    assert localization._dressed_vertex(ctx, ctx._dressed_memo, graph, v, 0,
+                                                        _mode_loop(ctx), None) == direct[0]
                 for p in range(3):
                     if not extra:
-                        assert localization._dressed_vertex(ctx, at[p], v, ends) == direct[p]
+                        assert localization._dressed_vertex(
+                            ctx, ctx._labelled_memo[p], graph, v, p, _direct_loop(ctx, p),
+                            None) == direct[p]
                     for q in range(3):
                         for k, x in direct[q].items():
                             d = sum(a - 1 for a in k) - flags + sum(_K[t] for t in legs) - loops
                             assert direct[p][k] == x * weight((p - q) * d % 3)
                             wrong += direct[p][k] != x * weight(-(p - q) * d % 3)
-    # 57 memo keys at each of 3 labels; each key's relation at two budgets
-    assert (len(ctx._dressed_memo), len(seen), nonzero) == (171, 114, 106) and wrong > 800
+    # 57 memo keys, at label 0 in the label sums and at each of 3 labels in
+    # the labelled route; each key's relation at two budgets
+    labelled = sum(map(len, ctx._labelled_memo))
+    assert (len(ctx._dressed_memo), labelled, len(seen), nonzero) == (57, 171, 114, 106)
+    assert wrong > 800
 
 
 def test_flag_budget_slack_changes_no_dressed_vertex():
@@ -595,14 +625,14 @@ def test_flag_budget_slack_changes_no_dressed_vertex():
     for g, tags in [(2, ()), (1, ("H1",))] + TWIST_CASES:
         for graph in enumerate_graphs(g, tags):
             nv, val = len(graph.genera), graph.valences()
-            graph = labeled(graph, [w % 3 for w in range(nv)])
             links = [(e, u, w) for e, (u, w) in enumerate(graph.edges) if u != w]
             for v in range(nv):
                 ends = [(e, 0 if u == v else 1) for e, u, w in links if v in (u, w)]
                 budget = 3 * graph.genera[v] - 3 + val[v]
-                base = localization._dressed_at(ctx, graph, v, budget, ends)
+                loop = _direct_loop(ctx, v % 3)
+                base = localization._dressed_at(ctx, graph, v, v % 3, budget, loop, None)
                 for extra in (1, 2):
-                    wide = localization._dressed_at(ctx, graph, v, budget + extra, ends)
+                    wide = localization._dressed_at(ctx, graph, v, v % 3, budget + extra, loop, None)
                     assert wide == base, (graph.signature(), v, extra)
                 checked += 1
                 nonzero += any(base.values())
