@@ -108,11 +108,8 @@ def _cmd_fg(args):
     }
     if args.per_graph:
         payload["graphs"] = [_graph_json(item, ctx) for item in contribs]
-    lines = [f"F_{args.genus} = {total}"]
-    if args.per_graph:
-        for item in contribs:
-            lines.append(f"{item.graph.signature()}: {item.value}")
-    return EXIT_OK, payload, "\n".join(lines)
+    return EXIT_OK, payload, lambda: "\n".join([f"F_{args.genus} = {total}"] + [
+        f"{item.graph.signature()}: {item.value}" for item in contribs if args.per_graph])
 
 
 def _parse_insertions(args) -> tuple[str, ...]:
@@ -147,8 +144,7 @@ def _cmd_correlator(args):
         "insertions": list(insertions),
         "total": total.to_json(),
     }
-    text = f"<{', '.join(insertions)}>_{args.genus} = {total}"
-    return EXIT_OK, payload, text
+    return EXIT_OK, payload, lambda: f"<{', '.join(insertions)}>_{args.genus} = {total}"
 
 
 def _cmd_graphs(args):
@@ -170,9 +166,9 @@ def _cmd_graphs(args):
             for g in graphs
         ],
     }
-    lines = [f"{len(graphs)} graphs at genus {args.genus} with {args.legs} legs"]
-    lines += [f"  {g.signature()}  aut={g.aut_order}" for g in graphs]
-    return EXIT_OK, payload, "\n".join(lines)
+    return EXIT_OK, payload, lambda: "\n".join(
+        [f"{len(graphs)} graphs at genus {args.genus} with {args.legs} legs"]
+        + [f"  {g.signature()}  aut={g.aut_order}" for g in graphs])
 
 
 def _cmd_rseries(args):
@@ -186,8 +182,8 @@ def _cmd_rseries(args):
         "kmax": args.kmax,
         "entries": entries,
     }
-    lines = [f"R[{args.row},{k}] = {entry}" for k, entry in enumerate(row)]
-    return EXIT_OK, payload, "\n".join(lines)
+    return EXIT_OK, payload, lambda: "\n".join(
+        f"R[{args.row},{k}] = {entry}" for k, entry in enumerate(row))
 
 
 def _cmd_mirror(args):
@@ -206,8 +202,8 @@ def _cmd_mirror(args):
     }
     payload = {"command": "mirror", "qmax": args.qmax}
     payload.update({name: s.to_json() for name, s in series.items()})
-    lines = [f"{name}: {', '.join(s.to_json())}" for name, s in series.items()]
-    return EXIT_OK, payload, "\n".join(lines)
+    return EXIT_OK, payload, lambda: "\n".join(
+        f"{name}: {', '.join(payload[name])}" for name in series)
 
 
 def _cmd_mgn(args):
@@ -223,7 +219,7 @@ def _cmd_mgn(args):
         "lambda": list(lam),
         "value": str(value),
     }
-    return EXIT_OK, payload, str(value)
+    return EXIT_OK, payload, lambda: payload["value"]
 
 
 def _cmd_verify_pf(args):
@@ -244,8 +240,7 @@ def _cmd_verify_pf(args):
         "residual_zero": residuals,
         "pass": ok,
     }
-    text = "pf: " + ("pass" if ok else "FAIL")
-    return (EXIT_OK if ok else EXIT_VERIFY), payload, text
+    return (EXIT_OK if ok else EXIT_VERIFY), payload, lambda: "pf: " + ("pass" if ok else "FAIL")
 
 
 def _verdict(ok: bool, *reports) -> str:
@@ -263,7 +258,7 @@ def _cmd_verify_hae(args):
     report = verify_ttt(build_context(), args.genus)
     payload = {"command": "verify", "what": "hae", "report": report.to_json()}
     text = f"hae genus {args.genus}: " + _verdict(report.passed, report)
-    return (EXIT_OK if report.passed else EXIT_VERIFY), payload, text
+    return (EXIT_OK if report.passed else EXIT_VERIFY), payload, lambda: text
 
 
 def _cmd_verify_lift(args):
@@ -283,7 +278,7 @@ def _cmd_verify_lift(args):
         "pass": ok,
     }
     text = f"lift genus {args.genus}: " + _verdict(ok, one, two)
-    return (EXIT_OK if ok else EXIT_VERIFY), payload, text
+    return (EXIT_OK if ok else EXIT_VERIFY), payload, lambda: text
 
 
 def _cmd_verify_ss56(args):
@@ -294,7 +289,7 @@ def _cmd_verify_ss56(args):
     payload = {"command": "verify", "what": "ss56", "report": report.to_json()}
     marks = f"(a={args.a}, b={args.b}, c={args.c})"
     text = f"ss56 genus {args.genus} {marks}: " + _verdict(report.passed, report)
-    return (EXIT_OK if report.passed else EXIT_VERIFY), payload, text
+    return (EXIT_OK if report.passed else EXIT_VERIFY), payload, lambda: text
 
 
 def _cmd_verify_lemma_r(args):
@@ -328,8 +323,8 @@ def _cmd_verify_lemma_r(args):
         "series": series,
         "pass": ok,
     }
-    text = "lemmaR: " + ("pass" if ok else "FAIL")
-    return (EXIT_OK if ok else EXIT_VERIFY), payload, text
+    return (EXIT_OK if ok else EXIT_VERIFY), payload, lambda: "lemmaR: " + (
+        "pass" if ok else "FAIL")
 
 
 # Each subcommand: (help, arguments as (flag, add_argument keywords), handler).
@@ -401,6 +396,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         code, payload, text = _SUBCOMMANDS[args.command][2](args)
+        out = json.dumps(payload, sort_keys=True) if args.format == "json" else text()
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -410,7 +406,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # exit 1 is reserved for a failed identity
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+    print(out)
     return code
 
 

@@ -23,17 +23,20 @@ convolved, at -psi, psi = phi + sum b2 (_bundle_term): it has no zeta.
 labelled_contribution is the direct route at given labels, each edge
 through edge_contribution, reading no memo entry of these sums.
 
-Contracted flag sum.  Each vertex with its legs and loops is summed over
-its flag compositions, keyed by its link flags; vertices are walked
-depth-first sharing prefix products, and a link or bundle factor enters
-once its last vertex is assigned.
+Contracted flag sum.  A vertex factor V reads sorted flags, so a vertex
+with legs and loops (_dressed_at) at link flags k is sum_R V(k + R) D(R),
+D(R) its leg and loop factors summed over the arrangements of R.
+Vertices are walked depth-first sharing prefix products; a link or bundle
+factor enters once its last vertex is set.  A bundle factor reads sorted
+flag pairs, so keys permuting its flags where it opens merge, weighted by
+their number; its other end walks them all.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import product
 from math import factorial, prod
 from operator import mul
@@ -121,8 +124,9 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
                 raise ValueError(f"row index {parts[0]} beyond kmax={ctx.kmax}")
             mult = prod(factorial(parts.count(p)) for p in set(parts))
             scale = coeff * integral * (-1) ** sum(p % 2 == 0 for p in parts) / mult
-            terms.append(reduce(mul, (rows0[p] for p in parts),
-                                RingElem.const(scale * weight_pow(i, -rem))))
+            scale *= weight_pow(i, -rem)
+            terms.append(reduce(mul, [rows0[p] for p in parts]) * scale if parts else
+                         RingElem.const(scale))
     total = RingElem.sum(terms)
     if total.x_degree() > 0:
         raise ConsistencyError("vertex contribution acquired an X-dependence")
@@ -236,43 +240,43 @@ def _ends(graph: StableGraph, v: int) -> list:
 
 def _dressed_at(ctx: Context, graph: StableGraph, v: int, i: int, budget: int, loop,
                 labels) -> dict:
-    """Vertex v's factor at label i, leg and loop flags summed out within
-    budget, keyed by its flags on its link ends; loop(b1, b2) is the loop
-    factor, and errors name the labels, if any."""
+    """Vertex v's factor at label i, keyed by its link flags, leg and loop
+    flags summed out by multiset within budget.  loop(b1, b2) is the loop
+    factor; errors name the labels, if any, and one arrangement's flags."""
     h, ends = graph.genera[v], _ends(graph, v)
-    legs = [m for m, w in enumerate(graph.legs) if w == v]
-    loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
-    names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
-             + [f"e{e}.{s}" for e in loops for s in (0, 1)])
-    nk, nl = len(ends), len(legs)
-    dressings: dict = {}  # leg and loop values -> their product (None for 1)
-    out: dict = {}  # values on the other edges -> terms, summed once at the end
-    for values in _compositions(len(names), budget):
-        rest = values[nk:]
-        if rest in dressings:
-            dress = dressings[rest]
-        else:
-            factors = [leg_contribution(ctx, i, graph.tags[m], a) for m, a in zip(legs, rest)]
-            for j in range(nk + nl, len(values), 2):  # the loops' flag pairs
+    slots = [([f"l{m}"], partial(leg_contribution, ctx, i, graph.tags[m]))
+             for m, w in enumerate(graph.legs) if w == v]
+    slots += [([f"e{e}.0", f"e{e}.1"], loop) for e, (a, b) in enumerate(graph.edges) if a == b == v]
+    dress = {(): (None, ())}  # sorted values placed -> (D, None for 1; an arrangement)
+    for names, factor in slots:
+        factor, step = cache(factor), {}
+        for placed, (term, named) in dress.items():
+            for values in _compositions(len(names), budget - sum(placed) + len(placed)):
                 try:
-                    factors.append(loop(*values[j:j + 2]))
+                    f = factor(*values)
                 except ConsistencyError as exc:
-                    flags = zip(names[j:j + 2], values[j:j + 2])
-                    raise _located(exc, graph, flags, labels) from exc
-            dress = reduce(mul, factors) if factors else None
-            dressings[rest] = dress
-        if dress is not None and dress.is_zero():
-            continue
-        try:
-            term = vertex_contribution(ctx, h, i, values)
-        except ConsistencyError as exc:
-            raise _located(exc, graph, zip(names, values), labels) from exc
-        if term.is_zero():
-            continue
-        if dress is not None:
-            term = term * dress
-        out.setdefault(values[:nk], []).append(term)
-    return {k: RingElem.sum(terms) for k, terms in out.items()}
+                    raise _located(exc, graph, zip(names, values), labels) from exc
+                if f:
+                    key = tuple(sorted(placed + values))
+                    step.setdefault(key, ([], named + tuple(zip(names, values))))[0].append(
+                        f if term is None else term * f)
+        dress = {key: (d, named) for key, (t, named) in step.items() if (d := RingElem.sum(t))}
+    out = {}
+    for k in _compositions(len(ends), budget):
+        terms, room = [], budget - sum(k) + len(k)
+        for placed, (term, named) in dress.items():
+            if sum(placed) - len(placed) > room:
+                continue
+            try:
+                x = vertex_contribution(ctx, h, i, k + placed)
+            except ConsistencyError as exc:
+                flags = [*zip((f"e{e}.{s}" for e, s in ends), k), *named]
+                raise _located(exc, graph, flags, labels) from exc
+            if x:
+                terms.append(x if term is None else x * term)
+        if value := RingElem.sum(terms):
+            out[k] = value
+    return out
 
 
 def _dressed_vertex(ctx: Context, memo: dict, graph: StableGraph, v: int, i: int, loop,
@@ -295,20 +299,20 @@ def _convolve(p, q) -> list:
 
 
 def _bundle_term(ctx: Context, graph: StableGraph, edges, phi: int, flag) -> RingElem:
-    """A bundle's factor in W(phi), memoized by (psi, sorted flag pairs),
-    all psi at once."""
+    """A bundle's factor in W(phi), memoized by (psi, sorted flag pairs);
+    the last convolution makes only psi's component."""
     pairs = [(flag[e, 0], flag[e, 1]) for e in edges]
     key = tuple(sorted(pairs))
     memo = ctx._bundle_memo
     psi = (phi + sum(b for _, b in key)) % 3
     if (psi, key) not in memo:
         try:
-            modes = reduce(_convolve, [_edge_modes(ctx, *ab) for ab in key])
+            *head, last = [_edge_modes(ctx, *ab) for ab in key]
         except ConsistencyError as exc:
             raise _located(exc, graph, [(f"e{e}.{s}", ab[s]) for e, ab in zip(edges, pairs)
                                         for s in (0, 1)]) from exc
-        for s in range(3):
-            memo[s, key] = modes[-s % 3]
+        memo[psi, key] = RingElem.sum([p * last[(-psi - k) % 3] for k, p in enumerate(
+            reduce(_convolve, head))]) if head else last[-psi % 3]
     return memo[psi, key]
 
 
@@ -375,8 +379,8 @@ def _flag_walk(graph: StableGraph, dressed, pairs, factor) -> RingElem:
 
 def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
     """Sum over all labellings and flag assignments of the vertex/edge/leg
-    product, over aut_order.  A ConsistencyError from a factor names the
-    graph and flags."""
+    product, over aut_order, bundle orbits merged where they open.  A
+    ConsistencyError names the graph and flags."""
     nv = len(graph.genera)
     bundles: dict = {}
     for e, (u, v) in enumerate(graph.edges):
@@ -385,6 +389,16 @@ def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
     pairs, edges = list(bundles), list(bundles.values())
     dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
                                RingElem.sum(_edge_modes(ctx, b1, b2)), None) for w in range(nv)]
+    for (u, _), bundle in zip(pairs, edges):
+        if len(bundle) > 1:
+            at = [n for n, (e, _) in enumerate(_ends(graph, u)) if e in bundle]
+            merged: dict = {}  # sorted key -> [value, count]
+            for key, term in dressed[u].items():
+                key = list(key)
+                for n, a in zip(at, sorted(key[n] for n in at)):
+                    key[n] = a
+                merged.setdefault(tuple(key), [term, 0])[1] += 1
+            dressed[u] = {key: term * c if c > 1 else term for key, (term, c) in merged.items()}
     walks = [_flag_walk(graph, dressed, pairs, lambda b, flag: _bundle_term(
         ctx, graph, edges[b], phi[b], flag)) for phi in _phases(graph, pairs)]
     return RingElem.sum(walks) * (Fraction(3) ** nv / graph.aut_order)

@@ -189,6 +189,13 @@ class RingElem:
         return _ring(self.den, *({k: -v for k, v in part.items()} for part in (self.n0, self.n1)))
 
     def __mul__(self, other):
+        """The product; a rational scalar p/q scales the numerators by p, den by q."""
+        if isinstance(other, CycScalar) and not other.n1:
+            other = Fraction(other.n0, other.d)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.as_integer_ratio()
+            return _reduced(*({k: v * p for k, v in part.items()} for part in (self.n0, self.n1)),
+                            self.den * q)
         other = _lift(other)
         if not isinstance(other, RingElem):
             return NotImplemented

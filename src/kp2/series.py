@@ -43,9 +43,7 @@ class QSeries:
             qmax = len(coeffs) - 1
         if qmax < 0:
             raise ValueError("qmax must be nonnegative")
-        if len(coeffs) < qmax + 1:
-            coeffs = coeffs + [ZERO] * (qmax + 1 - len(coeffs))
-        self.coeffs = tuple(coeffs[: qmax + 1])
+        self.coeffs = tuple(coeffs[: qmax + 1]) + (ZERO,) * (qmax + 1 - len(coeffs))
         self.qmax = qmax
 
     @classmethod
@@ -89,7 +87,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.qmax, other.qmax)
-        return QSeries([f(self.coeffs[d], other.coeffs[d]) for d in range(n + 1)], n)
+        return _qs([f(self.coeffs[d], other.coeffs[d]) for d in range(n + 1)], n)
 
     def __add__(self, other):
         return self._binop(other, lambda x, y: x + y)
@@ -103,12 +101,12 @@ class QSeries:
         return (-self) + other
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.qmax)
+        return _qs([-c for c in self.coeffs], self.qmax)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
             s = to_cyc(other)
-            return QSeries([c * s for c in self.coeffs], self.qmax)
+            return _qs([c * s for c in self.coeffs], self.qmax)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.qmax, other.qmax)
@@ -122,7 +120,7 @@ class QSeries:
                     break
                 prev = out[d1 + d2]
                 out[d1 + d2] = c1 * c2 if prev is ZERO else prev + c1 * c2
-        return QSeries(out, n)
+        return _qs(out, n)
 
     __rmul__ = __mul__
 
@@ -139,7 +137,7 @@ class QSeries:
                 if not ck.is_zero():
                     acc = acc + ck * out[d - k]
             out.append(-inv0 * acc)
-        return QSeries(out, self.qmax)
+        return _qs(out, self.qmax)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
@@ -164,13 +162,13 @@ class QSeries:
 
     def d_logq(self) -> "QSeries":
         """The derivation q d/dq."""
-        return QSeries([CycScalar(d) * c for d, c in enumerate(self.coeffs)], self.qmax)
+        return _qs([CycScalar(d) * c for d, c in enumerate(self.coeffs)], self.qmax)
 
     def integrate_logq(self) -> "QSeries":
         """Inverse of q d/dq with constant term 0; requires a zero constant term."""
         if not self.coeffs[0].is_zero():
             raise ValueError("cannot integrate a nonzero constant against dq/q")
-        return QSeries(
+        return _qs(
             [ZERO] + [self.coeffs[d] / d for d in range(1, self.qmax + 1)], self.qmax
         )
 
@@ -182,6 +180,15 @@ class QSeries:
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[:4])
         return f"QSeries([{head}, ...], qmax={self.qmax})"
+
+
+def _qs(coeffs, qmax: int) -> QSeries:
+    """A QSeries of CycScalars, padded or cut to qmax, without coercion:
+    the results of this module."""
+    out = object.__new__(QSeries)
+    out.coeffs = tuple(coeffs[: qmax + 1]) + (ZERO,) * (qmax + 1 - len(coeffs))
+    out.qmax = qmax
+    return out
 
 
 def qs_exp(x: QSeries) -> QSeries:
@@ -199,7 +206,7 @@ def qs_exp(x: QSeries) -> QSeries:
             if not xk.is_zero():
                 acc = acc + CycScalar(k) * xk * out[n - k]
         out.append(acc / n)
-    return QSeries(out, x.qmax)
+    return _qs(out, x.qmax)
 
 
 def qs_log(x: QSeries) -> QSeries:
@@ -277,7 +284,7 @@ class QZSeries:
         qmax = min(self.qmax, self.zcap - m)
         if qmax < 0:
             raise ValueError(f"z^{m} row not valid at any q-order (zcap={self.zcap})")
-        return QSeries([self.rows[d][m + d] for d in range(qmax + 1)], qmax)
+        return _qs([self.rows[d][m + d] for d in range(qmax + 1)], qmax)
 
     @classmethod
     def exp_pole(cls, exponent_over_z: QSeries, qmax: int, zcap: int) -> "QZSeries":
@@ -293,7 +300,7 @@ class QZSeries:
             terms.append(terms[-1] * exponent_over_z / k)
         # row d holds the q^d coefficient of the k-th term at z^(d - k)
         return cls(
-            QSeries([terms[d - j][d] for j in range(d + 1)], zcap) for d in range(qmax + 1)
+            _qs([terms[d - j][d] for j in range(d + 1)], zcap) for d in range(qmax + 1)
         )
 
 
@@ -305,7 +312,7 @@ def _row(d: int, m: int, coeffs, zcap: int) -> QSeries:
         raise ConsistencyError(
             f"pole bound violated: entry at q^{d} z^{deep[0]} deeper than z^{-d}"
         )
-    return QSeries([ZERO] * start + list(coeffs[max(-start, 0) :]), zcap)
+    return _qs([ZERO] * start + list(coeffs[max(-start, 0) :]), zcap)
 
 
 def _laurent(nums, dens, order: int) -> tuple[int, QSeries]:
@@ -318,9 +325,9 @@ def _laurent(nums, dens, order: int) -> tuple[int, QSeries]:
     n = max(order - shift, 0)
     num, den = QSeries.one(n), QSeries.one(n)
     for a, b in nums:
-        num = num * QSeries([b] if a.is_zero() else [a, b], n)
+        num = num * _qs([b] if a.is_zero() else [a, b], n)
     for a, b in dens:
-        den = den * QSeries([b] if a.is_zero() else [a, b], n)
+        den = den * _qs([b] if a.is_zero() else [a, b], n)
     return shift, num * den.inverse()
 
 
@@ -364,4 +371,4 @@ class RatFunZ:
                 raise ValueError(f"q^{d} term diverges at z=infinity")
             for k in range(kmax + 1 - shift):
                 rows[k + shift][d] = s[k]
-        return [QSeries(row, self.qmax) for row in rows]
+        return [_qs(row, self.qmax) for row in rows]

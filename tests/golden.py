@@ -10,14 +10,22 @@ dilaton equation, which kp2.mgn applies before each recursion step.
 
 hodge_second_route: a one-step removal through the third Chern character,
 for the few Hodge integrals it covers.
+
+dressed_per_composition and unmerged_graph_contribution: the dressed
+vertex and the graph sum as they were before the flag sums went by
+symmetry class, one ring product per ordered flag composition and a walk
+over every arrangement of every bundle.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import factorial
+from operator import mul
 
+from kp2 import localization
 from kp2.lring import RingElem
 from kp2.mgn import _dfact, _splits
+from kp2.scalars import ConsistencyError
 
 GRAPH_VALUES = {
     "G1": [
@@ -160,3 +168,57 @@ def _plain_dvv(g: int, exps: tuple) -> Fraction:
                 boundary += m * w * plain_psi(g1, left + (a,)) * plain_psi(g - g1, right + (b,))
     total += boundary / 2
     return total / _dfact(2 * k + 3)
+
+
+def dressed_per_composition(ctx, graph, v, i, budget, loop, labels) -> dict:
+    """localization._dressed_at by one product per ordered flag composition
+    (leg and loop values memoized): the same values and errors, but a key
+    whose terms cancel stays, with value zero."""
+    L = localization
+    h, ends = graph.genera[v], L._ends(graph, v)
+    legs = [m for m, w in enumerate(graph.legs) if w == v]
+    loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
+    names = ([f"e{e}.{s}" for e, s in ends] + [f"l{m}" for m in legs]
+             + [f"e{e}.{s}" for e in loops for s in (0, 1)])
+    nk, nl = len(ends), len(legs)
+    dressings: dict = {}  # leg and loop values -> their product (None for 1)
+    out: dict = {}
+    for values in L._compositions(len(names), budget):
+        rest = values[nk:]
+        if rest not in dressings:
+            factors = [L.leg_contribution(ctx, i, graph.tags[m], a) for m, a in zip(legs, rest)]
+            for j in range(nk + nl, len(values), 2):
+                try:
+                    factors.append(loop(*values[j:j + 2]))
+                except ConsistencyError as exc:
+                    flags = zip(names[j:j + 2], values[j:j + 2])
+                    raise L._located(exc, graph, flags, labels) from exc
+            dressings[rest] = reduce(mul, factors) if factors else None
+        dress = dressings[rest]
+        if dress is not None and dress.is_zero():
+            continue
+        try:
+            term = L.vertex_contribution(ctx, h, i, values)
+        except ConsistencyError as exc:
+            raise L._located(exc, graph, zip(names, values), labels) from exc
+        if term.is_zero():
+            continue
+        out.setdefault(values[:nk], []).append(term if dress is None else term * dress)
+    return {k: RingElem.sum(terms) for k, terms in out.items()}
+
+
+def unmerged_graph_contribution(ctx, graph) -> RingElem:
+    """localization.graph_contribution with every dressed vertex walked over
+    all its keys: no bundle orbit is merged."""
+    L = localization
+    bundles: dict = {}
+    for e, (u, v) in enumerate(graph.edges):
+        if u != v:
+            bundles.setdefault((u, v), []).append(e)
+    pairs, edges = list(bundles), list(bundles.values())
+    dressed = [L._dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
+                                 RingElem.sum(L._edge_modes(ctx, b1, b2)), None)
+               for w in range(len(graph.genera))]
+    walks = [L._flag_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(
+        ctx, graph, edges[b], phi[b], flag)) for phi in L._phases(graph, pairs)]
+    return RingElem.sum(walks) * (Fraction(3) ** len(graph.genera) / graph.aut_order)

@@ -552,6 +552,32 @@ def test_graph_contribution_sums_every_labelling(ctx1, g, tags):
         assert graph_contribution(ctx1, graph) == direct, graph.signature()
 
 
+# (ring products, term pairs) of a correlator on a fresh context, rows
+# included; before the flag sums went by symmetry class they were
+# (2446, 49615) and (2633, 91443)
+WORK_BOUNDS = {(2, ("H1", "H1")): (1730, 33697), (3, ()): (2019, 58561)}
+
+
+@pytest.mark.parametrize("g, tags", WORK_BOUNDS, ids=["2-H1x2", "3-0"])
+def test_graph_sums_stay_within_their_work(g, tags, monkeypatch):
+    # Every RingElem product is counted, with its term pairs: the terms of
+    # one factor times those of the other, a scalar counting 1.  A change
+    # that computes a symmetry class more than once exceeds the bounds.
+    real = RingElem.__mul__
+    work = [0, 0]
+
+    def counted(x, y):
+        work[0] += 1
+        work[1] += len(x.terms) * (len(y.terms) if isinstance(y, RingElem) else 1)
+        return real(x, y)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    monkeypatch.setattr(RingElem, "__rmul__", counted)
+    correlator(build_context(), g, tags)
+    products, pairs = work
+    assert 0 < products <= WORK_BOUNDS[g, tags][0] and 0 < pairs <= WORK_BOUNDS[g, tags][1]
+
+
 def test_genus_two_golden_values(ctx2):
     golden = genus2_graph_values()
     contributions = per_graph_contributions(ctx2, 2, ())

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kp2 import series
 from kp2.scalars import ONE, ZERO, ConsistencyError, CycScalar
 from kp2.series import QSeries, QZSeries, RatFunZ, qs_exp, qs_log
 
@@ -62,6 +63,23 @@ def test_truncate_and_index():
     assert QSeries([1, 2, 3], 1).coeffs == QSeries([1, 2], 1).coeffs  # qmax truncates
     with pytest.raises(IndexError):
         f[5]
+
+
+def test_results_are_not_coerced_again(monkeypatch):
+    # the public constructor coerces ints and Fractions; the results of
+    # this module already hold CycScalars and skip it
+    f = QSeries([1, Fraction(1, 2), 3], 4)
+    assert f.coeffs == tuple(map(CycScalar, (1, Fraction(1, 2), 3, 0, 0)))
+    assert all(type(c) is CycScalar for c in f.coeffs)
+    x, calls = f - 1, []
+    real = series.to_cyc
+    monkeypatch.setattr(series, "to_cyc", lambda c: calls.append(c) or real(c))
+    results = [f * f, f + f, -f, f - f, f.inverse(), f.d_logq(), qs_exp(x), qs_log(qs_exp(x)),
+               QZSeries.lift(f, 4) * QZSeries.lift(f, 4, 1)]
+    assert not calls
+    assert f * 2 == results[1] and calls == [2]  # a scalar factor is coerced once
+    assert results[0] == QSeries([1, 1, Fraction(25, 4), 3, 9], 4)
+    assert results[-1].z_coefficient(1) == results[0] and results[-2] == x
 
 
 def test_to_json_rational():

@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 from kp2 import localization
 from kp2.graphs import _flag_factor
 from kp2.localization import (
@@ -637,3 +638,50 @@ def test_flag_budget_slack_changes_no_dressed_vertex():
                 checked += 1
                 nonzero += any(base.values())
     assert (checked, nonzero) == (322, 294)
+
+
+def test_dressed_multisets_match_the_per_composition_sum():
+    # _dressed_at sums the leg and loop flags by multiset and shares one
+    # value among link keys with equal sorted flags.  The reference is the
+    # per-composition dressing of golden, one product per ordered flag
+    # composition, at labels 0, 1, 2, with loops through their modes and
+    # through the direct worker, on every vertex of every graph through
+    # genus 3 unpointed and of two pointed genus-2 sums.  _dressed_at leaves
+    # out a key whose terms cancel, so the reference's zero values are
+    # dropped (each case has some).
+    ctx = build_context()
+    ctx.extend_rows(6)
+    checked = nonzero = cancelled = 0
+    for g, tags in [(2, ()), (3, ()), (2, ("H1", "H1")), (2, ("psiH", "H0", "H2"))]:
+        for graph in enumerate_graphs(g, tags):
+            val = graph.valences()
+            for v, i in product(range(len(graph.genera)), range(3)):
+                budget = 3 * graph.genera[v] - 3 + val[v]
+                for loop in (_mode_loop(ctx), _direct_loop(ctx, i)):
+                    ref = golden.dressed_per_composition(ctx, graph, v, i, budget, loop, None)
+                    kept = {k: x for k, x in ref.items() if x}
+                    assert localization._dressed_at(ctx, graph, v, i, budget, loop, None) == kept, (
+                        graph.signature(), v, i, loop)
+                    checked += 1
+                    nonzero += bool(kept)
+                    cancelled += len(ref) - len(kept)
+    assert (checked, nonzero, cancelled) == (14148, 12090, 438)
+
+
+# graphs with a bundle of at least two parallel links, per case
+BUNDLED = {(2, ()): 1, (3, ()): 21, (2, ("H1", "H1")): 25, (1, ("H2", "H2", "psiH")): 4}
+
+
+@pytest.mark.parametrize("g, tags", BUNDLED, ids=["2-0", "3-0", "2-H1x2", "1-H2H2psiH"])
+def test_bundle_orbits_match_the_unmerged_walk(g, tags):
+    # graph_contribution merges the keys of a bundle's opening vertex by
+    # the permutations of its flags there; golden's walk over every key is
+    # the reference, graph by graph.
+    ctx = build_context()
+    ctx.extend_rows(3 * g - 3 + len(tags))
+    bundled = 0
+    for graph in enumerate_graphs(g, tags):
+        assert graph_contribution(ctx, graph) == golden.unmerged_graph_contribution(ctx, graph), (
+            graph.signature())
+        bundled += any(graph.edges.count(e) > 1 for e in graph.edges if e[0] != e[1])
+    assert bundled == BUNDLED[g, tags]
