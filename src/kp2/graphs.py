@@ -10,13 +10,13 @@ gives each marking its own colour (labeled legs).  A graph is listed
 in canonical form: the vertex relabeling with the smallest key (genera,
 edges, placement), edges the sorted pairs u <= v and the placement each
 colour's leg vertices as a nondecreasing tuple.  Only nondecreasing genera
-are generated, so only relabelings within blocks of equal genus are tried,
-and edges come as sorted multisets, cut wherever no completion can be
-stable, connected and canonical (_edge_multisets).  A survivor is canonical
-exactly when no block relabeling gives a smaller key, each colour's image
-sorted, stopping at the first smaller key.  The relabelings that give an
-equal key form the graph's coloured automorphism group G; decoration
-orbits are orbits under G.
+are generated, so only relabelings within blocks of equal genus count.
+Edges come as sorted multisets, cut wherever no completion can be stable,
+connected and canonical (_edge_multisets); a pruned search drops those a
+relabeling makes smaller and finds those fixing the rest
+(_edge_stabilizer).  A placement is canonical when none of these makes it
+smaller, each colour's image sorted; those keeping it form the graph's
+coloured automorphism group G, whose orbits are the decoration orbits.
 
 Weight.  A coloured graph stands for N = prod_t m_t! / prod_(t,v) m_(t,v)!
 marking maps (m_t legs of colour t, m_(t,v) of them at vertex v), which
@@ -29,8 +29,7 @@ Fraction unless N divides |G| F.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 __all__ = ["TAGS", "normalize_tag", "StableGraph", "enumerate_graphs", "decoration_orbits"]
@@ -96,34 +95,39 @@ def _edge_multisets(genera, ne: int, n: int):
     and u's valence are final once passed.  Each cut drops only candidates
     that enumerate_graphs rejects:
 
-    - stability: a vertex of genus h lacks max(0, 3 - 2h - valence) flags,
-      which only the n legs can supply.  The walk is cut when a vertex is
-      final and more than n flags stay lacking, 2 per left edge counted
-      for the later vertices.
+    - stability: a vertex of genus h needs 3 - 2h flags, and an edge if
+      nv > 1.  Only the n legs supply what the edges, two flags each,
+      leave lacking.  room is n less the lack at final vertices < u, short
+      the lack from u on.  A pair's copies stop once short - 2 left >
+      room, and a row past its loops once u lacks more than room + left.
     - connectivity: later edges join vertices > u, so a final row u whose
       component holds no vertex > u leaves the graph disconnected; smaller
       vertices were checked at their own rows.
-    - column order: col[v][a] counts the pair (a, v).  If genera[v - 1] ==
-      genera[v] and v - 1 > u, swapping v - 1 and v keeps the rows before
-      the first row a where their columns differ and trades their counts
-      there; if column v - 1 is smaller, the edges get smaller, more copies
-      of (u, v) keep it so, and the row stops.
+    - column order: col[v][a] counts the pair (a, v).  For v - 1 > u of
+      the genus of v, if column v - 1 is below column v, swapping them
+      makes the edges smaller, and more copies of (u, v) keep it so: the
+      row stops.
     - row order: if columns u - 1 and u also agree in the rows above u - 1,
       swapping them trades the final rows u - 1 and u, read as (loops,
       pairs beyond u); if row u - 1 is smaller, the edges get smaller.
     """
     nv = len(genera)
-    need = [3 - 2 * h for h in genera]
+    need = [max(3 - 2 * h, nv > 1) for h in genera]
+    short = sum(need)
+    if short > 2 * ne + n:
+        return []
     val = [0] * nv
-    col = [[0] * nv for _ in genera]  # col[v][u]: copies of the pair (u, v)
+    col = [[0] * nv for _ in genera]
     tie = [v > 0 and genera[v - 1] == genera[v] for v in range(nv)]
-    out: list = []
+    out = []
 
-    def place(u, v, left, lacking, comp):
-        if v == nv:  # every pair (u, .) is placed: u is final
-            lacking += max(0, need[u] - val[u])
-            later = sum(max(0, need[w] - val[w]) for w in range(u + 1, nv))
-            if lacking + max(0, later - 2 * left) > n:
+    def place(u, v, left, room, short, comp):
+        if v == nv:  # u is final
+            d = need[u] - val[u]
+            if d > 0:
+                room -= d
+                short -= d
+            if room < 0 or short - 2 * left > room:
                 return
             if u and tie[u] and col[u - 1][:u - 1] == col[u][:u - 1]:
                 rows = [[col[w][a] for w in (a, *range(u + 1, nv))] for a in (u - 1, u)]
@@ -133,66 +137,83 @@ def _edge_multisets(genera, ne: int, n: int):
                 joined = {comp[w] for w in range(u, nv) if col[w][u]} | {comp[u]}
                 comp = [u if c in joined else c for c in comp]
                 if u in comp[u + 1:]:
-                    place(u + 1, u + 1, left, lacking, comp)
+                    place(u + 1, u + 1, left, room, short, comp)
             elif left == 0:
                 out.append(tuple((a, b) for a in range(nv) for b in range(a, nv)
                                  for _ in range(col[b][a])))
             return
-        place(u, v + 1, left, lacking, comp)
+        if v == u + 1 and need[u] - val[u] - left > room:
+            return
+        place(u, v + 1, left, room, short, comp)
         for count in range(1, left + 1):
+            short -= (val[u] < need[u]) + (val[v] + (u == v) < need[v])
             val[u] += 1
             val[v] += 1
             col[v][u] += 1
-            if v > u + 1 and tie[v] and col[v - 1] < col[v]:
+            if short - 2 * (left - count) > room or v > u + 1 and tie[v] and col[v - 1] < col[v]:
                 break
-            place(u, v + 1, left - count, lacking, comp)
+            place(u, v + 1, left - count, room, short, comp)
         count = col[v][u]
         val[u] -= count
         val[v] -= count
         col[v][u] = 0
 
-    place(0, 0, ne, 0, list(range(nv)))
+    place(0, 0, ne, n, short, list(range(nv)))
     return out
 
 
-def _block_perms(genera) -> list[tuple]:
-    """Vertex permutations that preserve the nondecreasing genera."""
-    blocks = []
-    start = 0
-    for v in range(1, len(genera) + 1):
-        if v == len(genera) or genera[v] != genera[start]:
-            blocks.append(range(start, v))
-            start = v
-    return [sum(parts, ()) for parts in product(*(permutations(b) for b in blocks))]
+def _edge_stabilizer(genera, edges):
+    """The block relabelings fixing the edges, sorted, or None if one makes them smaller.
 
-
-def _pair_tables(perms, nv: int) -> list[bytes]:
-    """Per permutation sigma, the code of the sorted image of each pair code.
-
-    A pair (u, v), u <= v, has the code u * nv + v, so codes sort as the
-    pairs do.  Codes fit in a byte up to 16 vertices; a census with 17
-    would first list the 17! perms of its all-genus-0 vertex set.
+    tau (vertex tau[k] at place k) makes the edges smaller iff it makes
+    the pair counts, row by row, larger.  Places fill in order from cells
+    of vertices whose counts to the filled places match; a row whose best
+    (cell counts sorted) is below the one to match is cut, one above it
+    gives None.
     """
-    return [bytes(a * nv + b if a <= b else b * nv + a for a in sigma for b in sigma)
-            for sigma in perms]
+    nv = len(genera)
+    adj = [[0] * nv for _ in genera]
+    for u, v in edges:
+        adj[u][v] += 1
+        adj[v][u] += 1
+    found = []
+    tau = [0] * nv
 
+    def search(k, cells):  # cells: vertex lists for the places k..
+        if len(cells) == nv - k:  # tau is forced
+            tau[k:] = [w for w, in cells]
+            got = [adj[tau[a]][tau[b]] for a in range(k, nv) for b in range(a, nv)]
+            want = [adj[a][b] for a in range(k, nv) for b in range(a, nv)]
+            if got == want:
+                found.append(tuple(tau))
+            return got <= want
+        want = adj[k][k:]
+        for x in cells[0]:
+            row = adj[x]
+            rest = [[y for y in cells[0] if y != x], *cells[1:]]
+            best = [row[x]]
+            for ys in rest:
+                best += sorted([row[y] for y in ys], reverse=True)
+            if best != want:
+                if best > want:
+                    return False
+                continue
+            tau[k] = x
+            if not search(k + 1, [[y for y in ys if row[y] == w]
+                                  for ys in rest for w in sorted({row[y] for y in ys}, reverse=True)]):
+                return False
+        return True
 
-def _edge_stabilizer(codes, perms, tables):
-    """The perms that fix the sorted edge codes, or None if one makes them smaller."""
-    out = []
-    for sigma, table in zip(perms, tables):
-        mapped = sorted(map(table.__getitem__, codes))
-        if mapped < codes:
-            return None
-        if mapped == codes:
-            out.append(sigma)
-    return out
+    cells = [[v for v, h in enumerate(genera) if h == c] for c in dict.fromkeys(genera)]
+    return sorted(found) if search(0, cells) else None
 
 
 def _ratio(num, den):
     """num / den exactly, as an int when den divides num."""
-    q = Fraction(num, den)
-    return q.numerator if q.denominator == 1 else q
+    if num % den == 0:
+        return num // den
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 def enumerate_graphs(g: int, tags) -> list[StableGraph]:
@@ -221,13 +242,8 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
             ne = g - sum(genera) + nv - 1
             if ne < 0:
                 continue
-            multisets = _edge_multisets(genera, ne, n)
-            if not multisets:
-                continue
-            perms = _block_perms(genera)
-            tables = _pair_tables(perms, nv)
-            for edges in multisets:
-                stabilizer = _edge_stabilizer([u * nv + v for u, v in edges], perms, tables)
+            for edges in _edge_multisets(genera, ne, n):
+                stabilizer = _edge_stabilizer(genera, edges)
                 if stabilizer is None:
                     continue
                 flag = _flag_factor(edges)

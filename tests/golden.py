@@ -15,14 +15,21 @@ dressed_per_composition and unmerged_graph_contribution: the dressed
 vertex and the graph sum as they were before the flag sums went by
 symmetry class, one ring product per ordered flag composition and a walk
 over every arrangement of every bundle.
+
+reference_enumerate_graphs: the stable-graph census as it was before its
+walk cut rows ahead of building them and its canonical test stopped
+sweeping every block permutation: the edge walk with its stability cut on
+finished rows only, and a sorted image of the edge codes per permutation.
 """
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 from operator import mul
 
 from kp2 import localization
+from kp2.graphs import StableGraph, _check_request, _flag_factor, normalize_tag
 from kp2.lring import RingElem
 from kp2.mgn import _dfact, _splits
 from kp2.scalars import ConsistencyError
@@ -222,3 +229,135 @@ def unmerged_graph_contribution(ctx, graph) -> RingElem:
     walks = [L._flag_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(
         ctx, graph, edges[b], phi[b], flag)) for phi in L._phases(graph, pairs)]
     return RingElem.sum(walks) * (Fraction(3) ** len(graph.genera) / graph.aut_order)
+
+
+def reference_edge_multisets(genera, ne: int, n: int):
+    """kp2.graphs._edge_multisets with its cuts on finished rows only."""
+    nv = len(genera)
+    need = [3 - 2 * h for h in genera]
+    val = [0] * nv
+    col = [[0] * nv for _ in genera]  # col[v][u]: copies of the pair (u, v)
+    tie = [v > 0 and genera[v - 1] == genera[v] for v in range(nv)]
+    out: list = []
+
+    def place(u, v, left, lacking, comp):
+        if v == nv:  # every pair (u, .) is placed: u is final
+            lacking += max(0, need[u] - val[u])
+            later = sum(max(0, need[w] - val[w]) for w in range(u + 1, nv))
+            if lacking + max(0, later - 2 * left) > n:
+                return
+            if u and tie[u] and col[u - 1][:u - 1] == col[u][:u - 1]:
+                rows = [[col[w][a] for w in (a, *range(u + 1, nv))] for a in (u - 1, u)]
+                if rows[0] < rows[1]:
+                    return
+            if u + 1 < nv:
+                joined = {comp[w] for w in range(u, nv) if col[w][u]} | {comp[u]}
+                comp = [u if c in joined else c for c in comp]
+                if u in comp[u + 1:]:
+                    place(u + 1, u + 1, left, lacking, comp)
+            elif left == 0:
+                out.append(tuple((a, b) for a in range(nv) for b in range(a, nv)
+                                 for _ in range(col[b][a])))
+            return
+        place(u, v + 1, left, lacking, comp)
+        for count in range(1, left + 1):
+            val[u] += 1
+            val[v] += 1
+            col[v][u] += 1
+            if v > u + 1 and tie[v] and col[v - 1] < col[v]:
+                break
+            place(u, v + 1, left - count, lacking, comp)
+        count = col[v][u]
+        val[u] -= count
+        val[v] -= count
+        col[v][u] = 0
+
+    place(0, 0, ne, 0, list(range(nv)))
+    return out
+
+
+def reference_block_perms(genera) -> list[tuple]:
+    """Vertex permutations that preserve the nondecreasing genera, in lexicographic order."""
+    blocks = []
+    start = 0
+    for v in range(1, len(genera) + 1):
+        if v == len(genera) or genera[v] != genera[start]:
+            blocks.append(range(start, v))
+            start = v
+    return [sum(parts, ()) for parts in product(*(permutations(b) for b in blocks))]
+
+
+def reference_pair_tables(perms, nv: int) -> list[bytes]:
+    """Per permutation sigma, the code of the sorted image of each pair code u * nv + v."""
+    return [bytes(a * nv + b if a <= b else b * nv + a for a in sigma for b in sigma)
+            for sigma in perms]
+
+
+def reference_edge_stabilizer(codes, perms, tables):
+    """The perms that fix the sorted edge codes, or None if one makes them
+    smaller: one sorted image per permutation."""
+    out = []
+    for sigma, table in zip(perms, tables):
+        mapped = sorted(map(table.__getitem__, codes))
+        if mapped < codes:
+            return None
+        if mapped == codes:
+            out.append(sigma)
+    return out
+
+
+def reference_enumerate_graphs(g: int, tags) -> list:
+    """kp2.graphs.enumerate_graphs through the reference walk and sweep."""
+    if isinstance(tags, int):
+        tags, colours = ("H0",) * tags, [[m] for m in range(tags)]
+    else:
+        tags = tuple(normalize_tag(t) for t in tags)
+        colours = [[m for m, t in enumerate(tags) if t == c] for c in dict.fromkeys(tags)]
+    n = len(tags)
+    _check_request(g, n)
+    slot = sorted(range(n), key=sum(colours, []).__getitem__)
+    runs = [(slot[c[0]], slot[c[0]] + len(c)) for c in colours if len(c) > 1]
+    labelings = prod(factorial(len(c)) for c in colours)
+    out = []
+    for nv in range(1, 2 * g - 1 + n):
+        for genera in combinations_with_replacement(range(g + 1), nv):
+            ne = g - sum(genera) + nv - 1
+            if ne < 0:
+                continue
+            perms = reference_block_perms(genera)
+            tables = reference_pair_tables(perms, nv)
+            for edges in reference_edge_multisets(genera, ne, n):
+                stabilizer = reference_edge_stabilizer([u * nv + v for u, v in edges], perms, tables)
+                if stabilizer is None:
+                    continue
+                flag = _flag_factor(edges)
+                base = [2 * h - 2 for h in genera]
+                for (u, v) in edges:
+                    base[u] += 1
+                    base[v] += 1
+                for parts in product(*(combinations_with_replacement(range(nv), len(c))
+                                       for c in colours)):
+                    place = [v for p in parts for v in p]
+                    val = base[:]
+                    for v in place:
+                        val[v] += 1
+                    if min(val) <= 0:
+                        continue
+                    group = []
+                    for sigma in stabilizer:
+                        mapped = [sigma[v] for v in place]
+                        for a, b in runs:
+                            mapped[a:b] = sorted(mapped[a:b])
+                        if mapped < place:
+                            break
+                        if mapped == place:
+                            group.append(sigma)
+                    else:
+                        legs = tuple(place[k] for k in slot)
+                        full = len(group) * flag * prod(factorial(p.count(v))
+                                                        for p in parts for v in set(p))
+                        q = Fraction(full, labelings)
+                        aut = q.numerator if q.denominator == 1 else q
+                        out.append(StableGraph(genera, edges, legs, tags, aut, tuple(group)))
+    out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
+    return out

@@ -462,14 +462,15 @@ def test_fg_names_a_graph_value_that_is_not_rational(capsys, monkeypatch):
                    "[graph h=[0] p=[] e=[0-0;0-0] legs=[]]\n")
 
 
-# Runs main in a fresh interpreter, then lists on stderr the kp2 modules and
-# the standard modules that only the q-series commands may load.
+# Runs main in a fresh interpreter, then lists on stderr the kp2 modules,
+# the standard modules that only the q-series commands may load, and the
+# exact-arithmetic modules that the census and --help do without.
 _IMPORT_PROBE = (
     "import sys\n"
     "from kp2 import cli\n"
     "cli.main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules\n"
-    "                      if m.split('.')[0] in ('kp2', 'dataclasses', 'inspect'))),\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+    "                      ('kp2', 'dataclasses', 'inspect', 'fractions', 'decimal'))),\n"
     "      file=sys.stderr)\n"
 )
 
@@ -491,8 +492,9 @@ def loaded_modules(argv) -> set:
 ], ids=["fg", "correlator", "graphs", "ss56"])
 def test_commands_load_only_their_layers(argv):
     # Each handler imports what it runs: the census needs no ring at all,
-    # the graph-sum commands never load the q-series layers or dataclasses,
-    # and only the anomaly command loads kp2.anomaly.
+    # and with integral weights not even fractions, the graph-sum commands
+    # never load the q-series layers or dataclasses, and only the anomaly
+    # command loads kp2.anomaly.
     modules = loaded_modules(argv)
     if argv[0] == "graphs":
         assert modules == {"kp2", "kp2.cli", "kp2.graphs"}

@@ -1,6 +1,7 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -10,13 +11,7 @@ from pathlib import Path
 import pytest
 
 from kp2 import graphs, localization
-from kp2.graphs import (
-    _block_perms,
-    _edge_multisets,
-    _edge_stabilizer,
-    _flag_factor,
-    _pair_tables,
-)
+from kp2.graphs import _edge_multisets, _edge_stabilizer, _flag_factor, _ratio
 from kp2.localization import (
     _p_coefficient,
     build_context,
@@ -34,7 +29,13 @@ from kp2.lring import RingElem
 from kp2.mirror import mirror_data
 from kp2.scalars import ConsistencyError, CycScalar, euler_at, weight_pow
 
-from golden import GOLDEN_NAMES, genus2_graph_values, genus2_total
+from golden import (
+    GOLDEN_NAMES,
+    genus2_graph_values,
+    genus2_total,
+    reference_block_perms,
+    reference_enumerate_graphs,
+)
 
 F = Fraction
 
@@ -142,7 +143,7 @@ def test_tag_normalization():
 
 def _mapped_edges(sigma, edges) -> tuple:
     """The sorted edge multiset that the vertex permutation sigma carries
-    edges to: the direct route that _pair_tables is held to."""
+    edges to: the direct route that _edge_stabilizer is held to."""
     return tuple(sorted((a, b) if a <= b else (b, a)
                         for a, b in ((sigma[u], sigma[v]) for (u, v) in edges)))
 
@@ -172,24 +173,51 @@ def test_automorphism_groups_match_brute_force(g, n):
         assert gr.aut_order == len(group) * _flag_factor(gr.edges)
 
 
+def _swept_stabilizer(genera, edges):
+    """The block perms, in lexicographic order, that fix edges, or None if
+    one makes them smaller: every perm mapped pair by pair."""
+    perms = reference_block_perms(genera)
+    mapped = [_mapped_edges(sigma, edges) for sigma in perms]
+    if min(mapped) < edges:
+        return None
+    return [sigma for sigma, m in zip(perms, mapped) if m == edges]
+
+
 @pytest.mark.parametrize("nv", [2, 3, 4])
 def test_edge_stabilizer_matches_mapped_edges(nv):
-    # The table sweep against mapping each edge multiset pair by pair: the
-    # same kept perms in the same order, and None for a non-canonical one.
+    # The pruned search against mapping each edge multiset pair by pair
+    # under every block perm: the same kept perms in the same order, and
+    # None for a non-canonical one.
     pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
     outcomes = set()
     for genera in combinations_with_replacement(range(2), nv):
-        perms = _block_perms(genera)
-        tables = _pair_tables(perms, nv)
         for ne in range(4):
             for edges in combinations_with_replacement(pairs, ne):
-                mapped = [_mapped_edges(sigma, edges) for sigma in perms]
-                want = (None if min(mapped) < edges
-                        else [sigma for sigma, m in zip(perms, mapped) if m == edges])
-                codes = [u * nv + v for u, v in edges]
-                assert _edge_stabilizer(codes, perms, tables) == want, (genera, edges)
+                want = _swept_stabilizer(genera, edges)
+                assert _edge_stabilizer(genera, edges) == want, (genera, edges)
                 outcomes.add(want is None)
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("genera", [(0,) * 5, (0,) * 6, (0,) * 5 + (1,), (0,) + (1,) * 5],
+                         ids=["0x5", "0x6", "0x5-1", "0-1x5"])
+def test_edge_stabilizer_on_blocks_of_five_and_six(genera):
+    # Blocks of 5 and 6 equal-genus vertices, where the search prunes whole
+    # branches: a fixed sample of multisets, each with its smallest image
+    # under the block perms, which is canonical, so both outcomes occur.
+    rng = random.Random(1012)
+    nv = len(genera)
+    pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+    perms = reference_block_perms(genera)
+    kept = nones = 0
+    for _ in range(25):
+        edges = tuple(sorted(rng.choice(pairs) for _ in range(rng.randrange(3, 10))))
+        for sample in (edges, min(_mapped_edges(sigma, edges) for sigma in perms)):
+            want = _swept_stabilizer(genera, sample)
+            assert _edge_stabilizer(genera, sample) == want, (genera, sample)
+            kept += want is not None and len(want) > 1
+            nones += want is None
+    assert kept and nones
 
 
 def _connected(nv, edges) -> bool:
@@ -318,6 +346,31 @@ def test_edge_walk_keeps_every_canonical_candidate(g, n):
                 if all(tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for (u, v) in edges))
                        >= edges for sigma in perms):
                     assert edges in walked, (genera, edges)
+
+
+@pytest.mark.parametrize("g, tags", [
+    (0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2),
+    (2, 3), (3, 0), (3, 1), (3, 2), (4, 0), (2, ("H1", "H1")), (2, ("H1",) * 3),
+    (1, ("H2", "H2", "psiH")), (0, ("H1",) * 4)])
+def test_census_equals_reference(g, tags):
+    # The pruned walk and search list exactly what the reference census,
+    # cut on finished rows and swept over every block perm, lists: every
+    # field, the automorphism tuples and the type of aut_order included.
+    got = enumerate_graphs(g, tags)
+    want = reference_enumerate_graphs(g, tags)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_ratio_is_an_int_unless_fractional():
+    # an integral weight is an int, which JSON prints as 48, not as a fraction
+    assert json.dumps(_ratio(96, 2)) == "48"
+    assert type(_ratio(F(6), 3)) is int and _ratio(F(3, 2), 3) == F(1, 2)
+    for g, tags, fractional in ((0, ("H1",) * 4, F(1, 3)), (2, ("H1", "H1"), F(1, 2)), (3, 1, None)):
+        weights = [gr.aut_order for gr in enumerate_graphs(g, tags)]
+        assert fractional is None or fractional in weights
+        for w in weights:
+            assert type(w) is (int if w.denominator == 1 else F), (g, tags, w)
 
 
 @pytest.mark.parametrize("g, n, count", [
