@@ -70,27 +70,6 @@ def build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
-def _graph_json(contribution, ctx) -> dict:
-    """A graph's value and its decoration values, each at its labels, whose
-    exact sum must be the value."""
-    from .localization import decoration_orbits, labelled_contribution
-    from .lring import RingElem
-
-    graph = contribution.graph
-    orbits = [(labels, aut, labelled_contribution(ctx, graph, labels, aut))
-              for labels, aut in decoration_orbits(graph)]
-    if RingElem.sum(value for *_, value in orbits) != contribution.value:
-        raise ConsistencyError(f"graph {graph.signature()}: the value is not the sum of its "
-                               "decoration values")
-    return {
-        "signature": graph.signature(),
-        "aut_order": graph.aut_order,
-        "value": contribution.value.to_json(),
-        "decorations": [{"labels": list(labels), "aut_order": aut, "value": value.to_json()}
-                        for labels, aut, value in orbits],
-    }
-
-
 def _cmd_fg(args):
     from .localization import build_context, checked_total, per_graph_contributions
 
@@ -107,7 +86,9 @@ def _cmd_fg(args):
         "total_a2": total.to_a2_form().to_json("A2"),
     }
     if args.per_graph:
-        payload["graphs"] = [_graph_json(item, ctx) for item in contribs]
+        from .labelled import graph_json
+
+        payload["graphs"] = [graph_json(item, ctx) for item in contribs]
     return EXIT_OK, payload, lambda: "\n".join([f"F_{args.genus} = {total}"] + [
         f"{item.graph.signature()}: {item.value}" for item in contribs if args.per_graph])
 

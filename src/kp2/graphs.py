@@ -1,9 +1,8 @@
-"""Stable graphs: enumeration, automorphisms and decoration orbits.
+"""Stable graphs: enumeration and automorphisms.
 
 This module lists the stable graphs up to isomorphism, with their
-automorphism groups, and the orbits of fixed-point labelings under them;
-kp2.localization assembles their values.  It needs no ring
-arithmetic, so the graph census loads nothing else of kp2.
+automorphism groups; kp2.localization assembles their values.  It needs
+no ring arithmetic, so the graph census loads nothing else of kp2.
 
 Enumeration.  Legs are coloured by insertion tag; an integer leg count
 gives each marking its own colour (labeled legs).  A graph is listed
@@ -16,7 +15,7 @@ connected and canonical (_edge_multisets); a pruned search drops those a
 relabeling makes smaller and finds those fixing the rest
 (_edge_stabilizer).  A placement is canonical when none of these makes it
 smaller, each colour's image sorted; those keeping it form the graph's
-coloured automorphism group G, whose orbits are the decoration orbits.
+coloured automorphism group G.
 
 Weight.  A coloured graph stands for N = prod_t m_t! / prod_(t,v) m_(t,v)!
 marking maps (m_t legs of colour t, m_(t,v) of them at vertex v), which
@@ -32,7 +31,7 @@ from collections import namedtuple
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
-__all__ = ["TAGS", "normalize_tag", "StableGraph", "enumerate_graphs", "decoration_orbits"]
+__all__ = ["TAGS", "normalize_tag", "StableGraph", "enumerate_graphs"]
 
 TAGS = ("H0", "H1", "H2", "psiH")
 
@@ -277,22 +276,3 @@ def enumerate_graphs(g: int, tags) -> list[StableGraph]:
     out.sort(key=lambda gr: (gr.genera, gr.edges, gr.legs))
     return out
 
-
-def _aut_images(labels, sigmas) -> list[tuple]:
-    """The labelings that the vertex permutations sigmas carry labels to."""
-    return [tuple(labels[sigma.index(w)] for w in range(len(labels))) for sigma in sigmas]
-
-
-def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
-    """Orbit representatives of fixed-point labelings under the graph's
-    group G, each with aut_order times its stabilizer's share of G: summed
-    over 1/aut_dec, they give all 3^V labelings over 1/aut_order.
-    """
-    nv = len(graph.genera)
-    reps: dict = {}
-    for p in product(range(3), repeat=nv):
-        images = _aut_images(p, graph.automorphisms)
-        key = min(images)
-        if key not in reps:
-            reps[key] = _ratio(images.count(key) * graph.aut_order, len(images))
-    return sorted(reps.items())

@@ -177,7 +177,7 @@ def _plain_dvv(g: int, exps: tuple) -> Fraction:
     return total / _dfact(2 * k + 3)
 
 
-def dressed_per_composition(ctx, graph, v, i, budget, loop, labels) -> dict:
+def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
     """localization._dressed_at by one product per ordered flag composition
     (leg and loop values memoized): the same values and errors, but a key
     whose terms cancel stays, with value zero."""
@@ -199,7 +199,7 @@ def dressed_per_composition(ctx, graph, v, i, budget, loop, labels) -> dict:
                     factors.append(loop(*values[j:j + 2]))
                 except ConsistencyError as exc:
                     flags = zip(names[j:j + 2], values[j:j + 2])
-                    raise L._located(exc, graph, flags, labels) from exc
+                    raise L._located(exc, graph, flags) from exc
             dressings[rest] = reduce(mul, factors) if factors else None
         dress = dressings[rest]
         if dress is not None and dress.is_zero():
@@ -207,7 +207,7 @@ def dressed_per_composition(ctx, graph, v, i, budget, loop, labels) -> dict:
         try:
             term = L.vertex_contribution(ctx, h, i, values)
         except ConsistencyError as exc:
-            raise L._located(exc, graph, zip(names, values), labels) from exc
+            raise L._located(exc, graph, zip(names, values)) from exc
         if term.is_zero():
             continue
         out.setdefault(values[:nk], []).append(term if dress is None else term * dress)
@@ -224,7 +224,7 @@ def unmerged_graph_contribution(ctx, graph) -> RingElem:
             bundles.setdefault((u, v), []).append(e)
     pairs, edges = list(bundles), list(bundles.values())
     dressed = [L._dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
-                                 RingElem.sum(L._edge_modes(ctx, b1, b2)), None)
+                                 RingElem.sum(L._edge_modes(ctx, b1, b2)))
                for w in range(len(graph.genera))]
     walks = [L._flag_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(
         ctx, graph, edges[b], phi[b], flag)) for phi in L._phases(graph, pairs)]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kp2 import cli, graphs, localization, mirror, rseries
+from kp2 import cli, graphs, labelled, localization, mirror, rseries
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ZETA, ConsistencyError
@@ -398,13 +398,13 @@ def test_fg_per_graph_checks_the_decoration_sums(capsys, monkeypatch):
     # the first graph with such an edge.  Unperturbed, it passes.
     code, out, err = run(["fg", "--genus", "2", "--per-graph"], capsys)
     assert (code, err) == (0, "") and out
-    real = localization.edge_contribution
+    real = labelled.edge_contribution
 
     def skewed(ctx, i, j, b1, b2):
         value = real(ctx, i, j, b1, b2)
         return value + RingElem.L() if (i, j) == (1, 2) else value
 
-    monkeypatch.setattr(localization, "edge_contribution", skewed)
+    monkeypatch.setattr(labelled, "edge_contribution", skewed)
     code, out, err = run(["fg", "--genus", "2", "--per-graph"], capsys)
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
@@ -489,12 +489,14 @@ def loaded_modules(argv) -> set:
     ["correlator", "--genus", "1", "--legs", "H1,H1"],
     ["graphs", "--genus", "2", "--legs", "1"],
     ["verify", "ss56", "--genus", "1", "--c", "3"],
-], ids=["fg", "correlator", "graphs", "ss56"])
+    ["fg", "--genus", "2", "--per-graph"],
+], ids=["fg", "correlator", "graphs", "ss56", "fg-per-graph"])
 def test_commands_load_only_their_layers(argv):
     # Each handler imports what it runs: the census needs no ring at all,
     # and with integral weights not even fractions, the graph-sum commands
-    # never load the q-series layers or dataclasses, and only the anomaly
-    # command loads kp2.anomaly.
+    # never load the q-series layers or dataclasses, only the anomaly
+    # command loads kp2.anomaly, and only fg --per-graph loads the labelled
+    # reference route.
     modules = loaded_modules(argv)
     if argv[0] == "graphs":
         assert modules == {"kp2", "kp2.cli", "kp2.graphs"}
@@ -502,6 +504,7 @@ def test_commands_load_only_their_layers(argv):
     assert "kp2.localization" in modules
     assert not modules & {"kp2.mirror", "kp2.series", "dataclasses", "inspect"}
     assert ("kp2.anomaly" in modules) == (argv[0] == "verify")
+    assert ("kp2.labelled" in modules) == ("--per-graph" in argv)
 
 
 def test_help_loads_no_layer():
@@ -515,5 +518,12 @@ def test_layers_share_one_object_per_name():
     from kp2 import scalars
 
     assert kp2.ConsistencyError is scalars.ConsistencyError is ConsistencyError
-    for name in ("StableGraph", "enumerate_graphs", "decoration_orbits", "normalize_tag"):
+    for name in ("StableGraph", "enumerate_graphs", "normalize_tag"):
         assert getattr(localization, name) is getattr(graphs, name), name
+    # the two labelled-route names that perfbench/tracer.py reaches through
+    # the assembly resolve to the labelled module's objects, and no other
+    assert localization.edge_contribution is labelled.edge_contribution
+    assert localization.decoration_orbits is labelled.decoration_orbits
+    for name in ("labelled_contribution", "_p_coefficient", "graph_json", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(localization, name)

@@ -10,17 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from kp2 import graphs, localization
+from kp2 import graphs, labelled, localization
 from kp2.graphs import _edge_multisets, _edge_stabilizer, _flag_factor, _ratio
+from kp2.labelled import _p_coefficient, decoration_orbits, edge_contribution, labelled_contribution
 from kp2.localization import (
-    _p_coefficient,
     build_context,
     correlator,
-    decoration_orbits,
-    edge_contribution,
     enumerate_graphs,
     graph_contribution,
-    labelled_contribution,
     leg_contribution,
     per_graph_contributions,
     vertex_contribution,
@@ -675,7 +672,7 @@ def _class_representatives(graph):
     seen = set()
     for labels, aut in decoration_orbits(graph):
         if labels not in seen:
-            seen.update(min(graphs._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
+            seen.update(min(labelled._aut_images([(eps * p + s) % 3 for p in labels], sigmas))
                         for s in range(3) for eps in (1, -1))
             yield labels, aut
 
@@ -702,15 +699,15 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
         fresh = build_context()
         fresh.extend_rows(kmax)
         fresh._dressed_memo = _NoMemo()
-        fresh._labelled_memo = (_NoMemo(), _NoMemo(), _NoMemo())
+        labelled._DRESSED[fresh] = (_NoMemo(), _NoMemo(), _NoMemo())
         orbits = _class_representatives(graph) if tags == ("H1", "H2") else decoration_orbits(graph)
         for labels, aut in orbits:
             assert (labelled_contribution(shared, graph, labels, aut)
                     == labelled_contribution(fresh, graph, labels, aut)), (graph, labels)
         if not localization.weight_degree(tags):
             assert graph_contribution(shared, graph) == graph_contribution(fresh, graph), graph
-    memos = (shared._dressed_memo, *shared._labelled_memo)
-    assert shared._labelled_memo[0]
+    memos = (shared._dressed_memo, *labelled._DRESSED[shared])
+    assert labelled._DRESSED[shared][0]
     assert bool(shared._dressed_memo) != bool(localization.weight_degree(tags))
     assert all(list(key[1]) == sorted(key[1]) for memo in memos for key in memo)
 
@@ -738,4 +735,6 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
         assert graph.signature() in message
         assert f"labels {list(labels)}" in message
         assert f"flags {flags}" in message
-    assert not any(key[0] == 1 for key in ctx._labelled_memo[2])
+        assert message == (f"injected vertex failure [graph {graph.signature()}, flags {flags}]"
+                           f" at labels {list(labels)}")
+    assert not any(key[0] == 1 for key in labelled._DRESSED[ctx][2])

@@ -17,16 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from kp2 import localization
+from kp2 import labelled, localization
 from kp2.graphs import _flag_factor
+from kp2.labelled import decoration_orbits, edge_contribution, labelled_contribution
 from kp2.localization import (
     build_context,
     correlator,
-    decoration_orbits,
-    edge_contribution,
     enumerate_graphs,
     graph_contribution,
-    labelled_contribution,
     leg_contribution,
     per_graph_contributions,
     vertex_contribution,
@@ -439,12 +437,12 @@ def test_edge_consistency_error_names_its_term():
     assert "c-degree" in message
     assert graph.signature() in message
     assert "flags e0.0=1 e0.1=1" in message
-    assert f"[graph {graph.signature()}, labels [1], flags e0.0=1 e0.1=1]" in message
+    assert f"[graph {graph.signature()}, flags e0.0=1 e0.1=1] at labels [1]" in message
     # a link on the labelled route fails in the direct worker too
     link = next(gr for gr in enumerate_graphs(0, ("H1",) * 4) if gr.edges == ((0, 1),))
     with pytest.raises(ConsistencyError) as info:
         labelled_contribution(ctx, link, (0, 1), link.aut_order)
-    assert f"[graph {link.signature()}, labels [0, 1], flags e0.0=1 e0.1=1]" in str(info.value)
+    assert f"[graph {link.signature()}, flags e0.0=1 e0.1=1] at labels [0, 1]" in str(info.value)
     # on the correlator path the rational modes fail: for a loop in its
     # vertex, dressed at label 0, and for a link in its bundle factor; both
     # name the undecorated graph and the flags
@@ -526,8 +524,8 @@ def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch
     def refuse(*args):
         raise AssertionError("direct edge worker called")
 
-    monkeypatch.setattr(localization, "edge_contribution", refuse)
-    monkeypatch.setattr(localization, "_p_coefficient", refuse)
+    monkeypatch.setattr(labelled, "edge_contribution", refuse)
+    monkeypatch.setattr(labelled, "_p_coefficient", refuse)
     real = RingElem.__mul__
     products = []
 
@@ -576,6 +574,7 @@ def test_dressed_twists_match_the_direct_worker():
     # with the sign of d flipped.
     ctx = build_context()
     ctx.extend_rows(7)
+    memos = labelled._DRESSED.setdefault(ctx, ({}, {}, {}))  # the labelled route's, per label
     seen = set()
     wrong = nonzero = 0
     for g, tags in TWIST_CASES:
@@ -591,18 +590,17 @@ def test_dressed_twists_match_the_direct_worker():
                 if key in seen:
                     continue
                 seen.add(key)
-                direct = [localization._dressed_at(ctx, graph, v, p, budget, _direct_loop(ctx, p),
-                                                   None) for p in range(3)]
+                direct = [localization._dressed_at(ctx, graph, v, p, budget, _direct_loop(ctx, p))
+                          for p in range(3)]
                 nonzero += any(direct[0].values())
                 flags = len(ends) + len(legs) + 2 * loops
                 if not extra:
                     assert localization._dressed_vertex(ctx, ctx._dressed_memo, graph, v, 0,
-                                                        _mode_loop(ctx), None) == direct[0]
+                                                        _mode_loop(ctx)) == direct[0]
                 for p in range(3):
                     if not extra:
                         assert localization._dressed_vertex(
-                            ctx, ctx._labelled_memo[p], graph, v, p, _direct_loop(ctx, p),
-                            None) == direct[p]
+                            ctx, memos[p], graph, v, p, _direct_loop(ctx, p)) == direct[p]
                     for q in range(3):
                         for k, x in direct[q].items():
                             d = sum(a - 1 for a in k) - flags + sum(_K[t] for t in legs) - loops
@@ -610,8 +608,8 @@ def test_dressed_twists_match_the_direct_worker():
                             wrong += direct[p][k] != x * weight(-(p - q) * d % 3)
     # 57 memo keys, at label 0 in the label sums and at each of 3 labels in
     # the labelled route; each key's relation at two budgets
-    labelled = sum(map(len, ctx._labelled_memo))
-    assert (len(ctx._dressed_memo), labelled, len(seen), nonzero) == (57, 171, 114, 106)
+    labelled_keys = sum(map(len, memos))
+    assert (len(ctx._dressed_memo), labelled_keys, len(seen), nonzero) == (57, 171, 114, 106)
     assert wrong > 800
 
 
@@ -631,9 +629,9 @@ def test_flag_budget_slack_changes_no_dressed_vertex():
                 ends = [(e, 0 if u == v else 1) for e, u, w in links if v in (u, w)]
                 budget = 3 * graph.genera[v] - 3 + val[v]
                 loop = _direct_loop(ctx, v % 3)
-                base = localization._dressed_at(ctx, graph, v, v % 3, budget, loop, None)
+                base = localization._dressed_at(ctx, graph, v, v % 3, budget, loop)
                 for extra in (1, 2):
-                    wide = localization._dressed_at(ctx, graph, v, v % 3, budget + extra, loop, None)
+                    wide = localization._dressed_at(ctx, graph, v, v % 3, budget + extra, loop)
                     assert wide == base, (graph.signature(), v, extra)
                 checked += 1
                 nonzero += any(base.values())
@@ -658,9 +656,9 @@ def test_dressed_multisets_match_the_per_composition_sum():
             for v, i in product(range(len(graph.genera)), range(3)):
                 budget = 3 * graph.genera[v] - 3 + val[v]
                 for loop in (_mode_loop(ctx), _direct_loop(ctx, i)):
-                    ref = golden.dressed_per_composition(ctx, graph, v, i, budget, loop, None)
+                    ref = golden.dressed_per_composition(ctx, graph, v, i, budget, loop)
                     kept = {k: x for k, x in ref.items() if x}
-                    assert localization._dressed_at(ctx, graph, v, i, budget, loop, None) == kept, (
+                    assert localization._dressed_at(ctx, graph, v, i, budget, loop) == kept, (
                         graph.signature(), v, i, loop)
                     checked += 1
                     nonzero += bool(kept)
