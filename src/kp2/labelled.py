@@ -62,8 +62,10 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> Ring
     edge_contribution; it reads no memo entry of the label sums.  A
     ConsistencyError names the graph and flags, then the labels."""
 
-    def link(e, flag):
-        u, v = graph.edges[e]
+    links = [((u, v), (e,)) for e, (u, v) in enumerate(graph.edges) if u != v]
+
+    def link(b, flag):
+        (u, v), (e,) = links[b]
         try:
             return edge_contribution(ctx, labels[u], labels[v], flag[e, 0], flag[e, 1])
         except ConsistencyError as exc:
@@ -74,7 +76,7 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> Ring
         dressed = [_dressed_vertex(ctx, memos[i], graph, w, i,
                                    partial(edge_contribution, ctx, i, i))
                    for w, i in enumerate(labels)]
-        return _flag_walk(graph, dressed, graph.edges, link) / Fraction(aut)
+        return _flag_walk(graph, dressed, links, link) / Fraction(aut)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{exc} at labels {list(labels)}") from exc
 

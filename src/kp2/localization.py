@@ -25,10 +25,12 @@ kp2.labelled checks these sums one labelling at a time.
 Contracted flag sum.  A vertex factor V reads sorted flags, so a vertex
 with legs and loops (_dressed_at) at link flags k is sum_R V(k + R) D(R),
 D(R) its leg and loop factors summed over the arrangements of R.
-Vertices are walked depth-first sharing prefix products; a link or bundle
-factor enters once its last vertex is set.  A bundle factor reads sorted
-flag pairs, so keys permuting its flags where it opens merge, weighted by
-their number; its other end walks them all.
+Vertices are eliminated in order: the sum over those from w on is made
+once per state, the lower flags of the bundles open across w; a key at w
+takes the factors of the bundles closing there, and keys with one next
+state are summed before one product with it.  A bundle factor reads
+sorted flag pairs and its upper end walks every arrangement, so its lower
+flags enter the state sorted: keys permuting them share one state.
 """
 
 from __future__ import annotations
@@ -322,60 +324,50 @@ def _phases(graph: StableGraph, pairs) -> list[tuple]:
     return out
 
 
-def _flag_walk(graph: StableGraph, dressed, pairs, factor) -> RingElem:
-    """The flag sum, vertices walked depth-first sharing prefix products;
-    factor(b, flag) enters once w is assigned, for each pairs[b] = (u, w), u != w."""
+def _flag_walk(graph: StableGraph, dressed, bundles, factor) -> RingElem:
+    """The flag sum by elimination in vertex order (module docstring);
+    bundles[b] = ((u, v), edges), u < v, and factor(b, flag) enters at v."""
     nv = len(dressed)
     ends = [_ends(graph, w) for w in range(nv)]
-    closing = [[b for b, (u, v) in enumerate(pairs) if v == w != u] for w in range(nv)]
+    # live[w]: the bundles open across w, whose lower flags make the state at w
+    live = [[b for b, ((u, v), _) in enumerate(bundles) if u < w <= v] for w in range(nv + 1)]
+    closing = [[b for b in live[w] if bundles[b][0][1] == w] for w in range(nv)]
     flag: dict = {}  # (edge, side) -> value
+    memo: dict = {}  # (w, state) -> the sum over the vertices from w on
 
-    def closed(w: int, key, term: RingElem) -> RingElem:
-        for end, a in zip(ends[w], key):
-            flag[end] = a
-        for item in closing[w]:
-            term = term * factor(item, flag)
-        return term
+    def rest(w: int, state: tuple) -> RingElem:
+        if (w, state) not in memo:
+            for b, lower in zip(live[w], state):
+                flag.update(zip([(e, 0) for e in bundles[b][1]], lower))
+            groups: dict = {}  # next state -> terms; factors are read before any recursion
+            for key, term in dressed[w].items():
+                flag.update(zip(ends[w], key))
+                for b in closing[w]:
+                    term = term * factor(b, flag)
+                after = tuple(tuple(sorted(flag[e, 0] for e in bundles[b][1])) for b in live[w + 1])
+                groups.setdefault(after, []).append(term)
+            parts = [RingElem.sum(terms) for terms in groups.values()]
+            if w + 1 < nv:
+                parts = [x * rest(w + 1, after) for x, after in zip(parts, groups)]
+            memo[w, state] = RingElem.sum(parts)
+        return memo[w, state]
 
-    def walk(w: int, prefix: RingElem | None) -> RingElem:
-        # prefix: the product over vertices before w (None at vertex 0); the
-        # last vertex's terms are summed first.
-        if w == nv - 1:
-            inner = RingElem.sum([closed(w, key, term) for key, term in dressed[w].items()])
-            return inner if prefix is None else prefix * inner
-        terms = []
-        for key, term in dressed[w].items():
-            term = closed(w, key, term)
-            terms.append(walk(w + 1, term if prefix is None else prefix * term))
-        return RingElem.sum(terms)
-
-    return walk(0, None)
+    return rest(0, ())
 
 
 def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
     """Sum over all labellings and flag assignments of the vertex/edge/leg
-    product, over aut_order, bundle orbits merged where they open.  A
-    ConsistencyError names the graph and flags."""
+    product, over aut_order.  A ConsistencyError names the graph and flags."""
     nv = len(graph.genera)
-    bundles: dict = {}
+    links: dict = {}
     for e, (u, v) in enumerate(graph.edges):
         if u != v:
-            bundles.setdefault((u, v), []).append(e)
-    pairs, edges = list(bundles), list(bundles.values())
+            links.setdefault((u, v), []).append(e)
+    bundles = list(links.items())
     dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
                                RingElem.sum(_edge_modes(ctx, b1, b2))) for w in range(nv)]
-    for (u, _), bundle in zip(pairs, edges):
-        if len(bundle) > 1:
-            at = [n for n, (e, _) in enumerate(_ends(graph, u)) if e in bundle]
-            merged: dict = {}  # sorted key -> [value, count]
-            for key, term in dressed[u].items():
-                key = list(key)
-                for n, a in zip(at, sorted(key[n] for n in at)):
-                    key[n] = a
-                merged.setdefault(tuple(key), [term, 0])[1] += 1
-            dressed[u] = {key: term * c if c > 1 else term for key, (term, c) in merged.items()}
-    walks = [_flag_walk(graph, dressed, pairs, lambda b, flag: _bundle_term(
-        ctx, graph, edges[b], phi[b], flag)) for phi in _phases(graph, pairs)]
+    walks = [_flag_walk(graph, dressed, bundles, lambda b, flag: _bundle_term(
+        ctx, graph, bundles[b][1], phi[b], flag)) for phi in _phases(graph, list(links))]
     return RingElem.sum(walks) * (Fraction(3) ** nv / graph.aut_order)
 
 

@@ -13,8 +13,8 @@ for the few Hodge integrals it covers.
 
 dressed_per_composition and unmerged_graph_contribution: the dressed
 vertex and the graph sum as they were before the flag sums went by
-symmetry class, one ring product per ordered flag composition and a walk
-over every arrangement of every bundle.
+symmetry class, one ring product per ordered flag composition and, by
+prefix_walk, a depth-first walk over every arrangement of every bundle.
 
 reference_enumerate_graphs: the stable-graph census as it was before its
 walk cut rows ahead of building them and its canonical test stopped
@@ -214,9 +214,40 @@ def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
     return {k: RingElem.sum(terms) for k, terms in out.items()}
 
 
+def prefix_walk(graph, dressed, pairs, factor) -> RingElem:
+    """localization._flag_walk as a depth-first walk over every key of every
+    vertex, each prefix product kept and every suffix recomputed per prefix:
+    factor(b, flag) enters once w is assigned, for each pairs[b] = (u, w), u != w."""
+    nv = len(dressed)
+    ends = [localization._ends(graph, w) for w in range(nv)]
+    closing = [[b for b, (u, v) in enumerate(pairs) if v == w != u] for w in range(nv)]
+    flag: dict = {}  # (edge, side) -> value
+
+    def closed(w, key, term):
+        for end, a in zip(ends[w], key):
+            flag[end] = a
+        for item in closing[w]:
+            term = term * factor(item, flag)
+        return term
+
+    def walk(w, prefix):
+        # prefix: the product over vertices before w (None at vertex 0); the
+        # last vertex's terms are summed first.
+        if w == nv - 1:
+            inner = RingElem.sum([closed(w, key, term) for key, term in dressed[w].items()])
+            return inner if prefix is None else prefix * inner
+        terms = []
+        for key, term in dressed[w].items():
+            term = closed(w, key, term)
+            terms.append(walk(w + 1, term if prefix is None else prefix * term))
+        return RingElem.sum(terms)
+
+    return walk(0, None)
+
+
 def unmerged_graph_contribution(ctx, graph) -> RingElem:
-    """localization.graph_contribution with every dressed vertex walked over
-    all its keys: no bundle orbit is merged."""
+    """localization.graph_contribution by prefix_walk: every arrangement of
+    every bundle's flags is walked at both of its ends."""
     L = localization
     bundles: dict = {}
     for e, (u, v) in enumerate(graph.edges):
@@ -226,7 +257,7 @@ def unmerged_graph_contribution(ctx, graph) -> RingElem:
     dressed = [L._dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
                                  RingElem.sum(L._edge_modes(ctx, b1, b2)))
                for w in range(len(graph.genera))]
-    walks = [L._flag_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(
+    walks = [prefix_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(
         ctx, graph, edges[b], phi[b], flag)) for phi in L._phases(graph, pairs)]
     return RingElem.sum(walks) * (Fraction(3) ** len(graph.genera) / graph.aut_order)
 

@@ -401,6 +401,23 @@ def test_genus_three_series_equals_the_frozen_one(ctx2):
     assert total.to_a2_form().to_json("A2") == frozen["total_a2"]
 
 
+def test_frozen_genus_five_entry():
+    # fg --genus 5 takes minutes, so the suite checks its frozen entry
+    # alone: rational, free of c, the constant-map term
+    # F_5(1,0) = -1/851558400 and an A2 form of degree 3g - 3 = 12
+    frozen = json.loads((Path(__file__).parent / "frozen_series.json").read_text())["fg-g5"]
+    assert frozen["genus"] == 5
+    total = RingElem.from_json(frozen["total"])
+    assert total.to_json() == frozen["total"]
+    assert all(c.is_rational() for c in total.terms.values())
+    assert total.c_degrees() == {0}
+    assert total.eval_at(1, 0) == F(-1, 851558400)
+    assert (len(frozen["total"]), total.l_range(), total.x_degree()) == (91, (-12, 24), 12)
+    a2 = total.to_a2_form()
+    assert a2.to_json("A2") == frozen["total_a2"]
+    assert a2.x_degree() == 12
+
+
 def test_genus_three_series_is_a_polynomial_in_a2(ctx2):
     # F_3 lies in Q[L^-1, L][A2] with A2-degree 3g - 3 = 6 (Lho-Pandharipande)
     total = correlator(ctx2, 3, ())

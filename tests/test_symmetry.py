@@ -672,9 +672,9 @@ BUNDLED = {(2, ()): 1, (3, ()): 21, (2, ("H1", "H1")): 25, (1, ("H2", "H2", "psi
 
 @pytest.mark.parametrize("g, tags", BUNDLED, ids=["2-0", "3-0", "2-H1x2", "1-H2H2psiH"])
 def test_bundle_orbits_match_the_unmerged_walk(g, tags):
-    # graph_contribution merges the keys of a bundle's opening vertex by
-    # the permutations of its flags there; golden's walk over every key is
-    # the reference, graph by graph.
+    # graph_contribution eliminates the vertices in order, a bundle's flags
+    # sorted into the state where it opens; golden's prefix walk over every
+    # key of every vertex is the reference, graph by graph.
     ctx = build_context()
     ctx.extend_rows(3 * g - 3 + len(tags))
     bundled = 0
