@@ -1,14 +1,14 @@
 """The labelled reference route: graph values one fixed-point labelling at a time.
 
-kp2.localization sums all 3^V labellings of a graph at once from label-0
-vertices and rational edge modes.  This module is the independent route
-it is checked against: labelled_contribution evaluates one labelling,
-every edge through the direct two-point kernel at its labels
-(edge_contribution), decoration_orbits lists the orbits of labellings
-under a graph's automorphisms, and graph_json builds the fg --per-graph
-entry of a graph, whose decoration values must sum exactly to its value.
-Only fg --per-graph and the tests import it.  Its memos, the direct edge
-values and the dressed vertices per label, are kept per context.
+fg --per-graph and the tests check kp2.localization with it:
+labelled_contribution takes each link through the direct kernel at its
+labels (edge_contribution), decoration_orbits lists labelling orbits, and
+graph_json builds a graph's fg --per-graph entry.
+
+Values are CycElems a + b zeta.  By kp2.localization's twist, dressed
+vertices are built at label 0, a link at labels (p, q) and flags (b1, b2)
+is zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q, and the
+value zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.
 """
 
 from __future__ import annotations
@@ -16,31 +16,114 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import lcm
+from operator import mul
 from weakref import WeakKeyDictionary
 
 from .graphs import StableGraph, _ratio
-from .localization import Context, _check_degrees, _dressed_vertex, _flag_walk, _located
-from .lring import RingElem
-from .scalars import ConsistencyError, CycScalar, euler_at, weight_pow
+from .localization import Context, _check_degrees, _degrees, _dressed_vertex, _flag_walk, _located
+from .lring import RingElem, _checked, _product, _reduced
+from .scalars import ZERO, ZETA, ConsistencyError, CycScalar, euler_at, to_cyc
 
-__all__ = ["edge_contribution", "labelled_contribution", "decoration_orbits", "graph_json"]
+__all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_orbits",
+           "graph_json"]
 
-_EDGES: WeakKeyDictionary = WeakKeyDictionary()  # context -> {(i, j, b1, b2): edge}
-_DRESSED: WeakKeyDictionary = WeakKeyDictionary()  # context -> per label, dressed vertices
+_DRESSED = WeakKeyDictionary()  # context -> label-0 dressed vertices
+_TWISTED = WeakKeyDictionary()  # context -> twisted edges
 
 
-def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> RingElem:
+class CycElem:
+    """a + b zeta, a and b canonical RingElems, zeta^2 = -1 - zeta."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=RingElem.zero()):
+        self.a, self.b = a, b
+
+    @staticmethod
+    def sum(items) -> "CycElem":
+        items = list(items)
+        if len(items) == 1:
+            return items[0]
+        return CycElem(RingElem.sum([x.a for x in items]), RingElem.sum([x.b for x in items]))
+
+    @property
+    def terms(self) -> dict:  # (l, x, e) -> CycScalar
+        a, b = self.a.terms, self.b.terms
+        return {k: a.get(k, ZERO) + b.get(k, ZERO) * ZETA for k in a.keys() | b.keys()}
+
+    to_json = RingElem.to_json
+
+    __bool__ = lambda self: bool(self.a or self.b)
+    is_zero = lambda self: not self
+
+    def __eq__(self, other):
+        other = _lift(other)
+        return NotImplemented if other is None else self.a == other.a and self.b == other.b
+
+    def conjugate(self) -> "CycElem":
+        return CycElem(self.a - self.b, -self.b)
+
+    def twist(self, k: int) -> "CycElem":
+        """zeta^k times this value: zeta (a + b zeta) = -b + (a - b) zeta."""
+        a, b = self.a, self.b
+        for _ in range(k % 3):
+            a, b = -b, a - b
+        return CycElem(a, b)
+
+    def __add__(self, other):
+        other = _lift(other)
+        return NotImplemented if other is None else CycElem(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+    __neg__ = lambda self: CycElem(-self.a, -self.b)
+    __sub__ = lambda self, other: self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, (RingElem, int, Fraction)):
+            return CycElem(self.a * other, self.b and self.b * other)
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        a0, a1, b0, b1 = self.a, self.b, other.a, other.b
+        if not (a1 and b1):
+            return CycElem(a0 * b0, _dot((a0, b1), (a1, b0)))
+        q = a1 * b1  # (a0 + a1 z)(b0 + b1 z) = a0 b0 - q + (a0 b1 + a1 b0 - q) z
+        return CycElem(_dot((a0, b0), (q, _NEG)), _dot((a0, b1), (a1, b0), (q, _NEG)))
+
+    __rmul__ = __mul__
+
+
+_NEG = RingElem.const(-1)
+
+
+def _dot(*pairs) -> RingElem:
+    """sum(x * y for x, y in pairs) over one denominator."""
+    den = lcm(*(x.den * y.den for x, y in pairs))
+    acc = {}
+    for x, y in pairs:
+        _product(x.num, y.num, acc, den // (x.den * y.den))
+    return _reduced(_checked(acc), den)
+
+
+def _lift(x):
+    if isinstance(x, (CycElem, RingElem)):
+        return x if isinstance(x, CycElem) else CycElem(x)
+    if isinstance(x, (int, Fraction, CycScalar)):
+        x = to_cyc(x)
+        return CycElem(RingElem.const(x.a), RingElem.const(x.b))
+
+
+def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> CycElem:
     """Coefficient of x^a y^b in the two-point kernel between fixed points."""
     r = ctx.rows
-    inner = (r[0][a] * r[0][b] + r[1][a] * r[2][b] * (weight_pow(i, 1) * weight_pow(j, 2))
-             + r[2][a] * r[1][b] * (weight_pow(i, 2) * weight_pow(j, 1)))
-    out = inner * (CycScalar(-3) * weight_pow(i, -a) * weight_pow(j, -b))
-    if i == j and a == 0 and b == 0:
-        out = out - RingElem.const(euler_at(i))
-    return out
+    inner = (CycElem(r[0][a] * r[0][b]) + CycElem(r[1][a] * r[2][b]).twist(i + 2 * j)
+             + CycElem(r[2][a] * r[1][b]).twist(2 * i + j))
+    out = inner.twist(-i * a - j * b) * -3
+    return out - euler_at(i) if i == j and a == b == 0 else out
 
 
-def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingElem:
+def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> CycElem:
     """The edge factor for flags (b1, b2) at fixed points (i, j), the direct
     worker: an alternating kernel sum along the anti-diagonal of degree
     b1 + b2 - 1; c-degree 0 and X-degree <= 1 are asserted."""
@@ -48,35 +131,40 @@ def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> RingEle
         raise ValueError("flag values are positive")
     if b1 + b2 - 1 > ctx.kmax:
         raise ValueError(f"edge needs rows up to {b1 + b2 - 1}, kmax={ctx.kmax}")
-    memo, key = _EDGES.setdefault(ctx, {}), (i, j, b1, b2)
-    total = memo.get(key)
-    if total is None:
-        terms = [_p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s) for s in range(b2)]
-        total = RingElem.sum([x if (b1 + b2 + s) % 2 == 0 else -x for s, x in enumerate(terms)])
-        memo[key] = _check_degrees(total, f"({i},{j},{b1},{b2})")
+    terms = [_p_coefficient(ctx, i, j, b1 + s, b2 - 1 - s) for s in range(b2)]
+    total = CycElem.sum([x if (b1 + b2 + s) % 2 == 0 else -x for s, x in enumerate(terms)])
+    for part in (total.a, total.b):
+        _check_degrees(part, f"({i},{j},{b1},{b2})")
     return total
 
 
-def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> RingElem:
-    """The flag sum at the fixed-point labels over aut, every edge through
-    edge_contribution; it reads no memo entry of the label sums.  A
+def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> CycElem:
+    """The flag sum at the labels over aut, every edge through
+    edge_contribution and no memo entry of the label sums; a
     ConsistencyError names the graph and flags, then the labels."""
 
     links = [((u, v), (e,)) for e, (u, v) in enumerate(graph.edges) if u != v]
+    memo, twisted = _DRESSED.setdefault(ctx, {}), _TWISTED.setdefault(ctx, {})
+
+    def factor(*key):  # the edge (i, j, b1, b2), twisted
+        if key not in twisted:
+            i, j, b1, b2 = key
+            value = edge_contribution(ctx, *key).twist(i * (b1 - 1) + j * b2)
+            twisted[key] = value.a if i == j else value  # rational at equal labels
+        return twisted[key]
 
     def link(b, flag):
         (u, v), (e,) = links[b]
         try:
-            return edge_contribution(ctx, labels[u], labels[v], flag[e, 0], flag[e, 1])
+            return factor(labels[u], labels[v], flag[e, 0], flag[e, 1])
         except ConsistencyError as exc:
             raise _located(exc, graph, [(f"e{e}.{s}", flag[e, s]) for s in (0, 1)]) from exc
 
-    memos = _DRESSED.setdefault(ctx, ({}, {}, {}))
     try:
-        dressed = [_dressed_vertex(ctx, memos[i], graph, w, i,
-                                   partial(edge_contribution, ctx, i, i))
-                   for w, i in enumerate(labels)]
-        return _flag_walk(graph, dressed, links, link) / Fraction(aut)
+        dressed = [_dressed_vertex(ctx, memo, graph, w, partial(factor, 0, 0))
+                   for w in range(len(labels))]
+        value = _lift(_flag_walk(graph, dressed, links, link))
+        return value.twist(sum(map(mul, labels, _degrees(graph)))) * (1 / Fraction(aut))
     except ConsistencyError as exc:
         raise ConsistencyError(f"{exc} at labels {list(labels)}") from exc
 
@@ -106,7 +194,7 @@ def graph_json(contribution, ctx: Context) -> dict:
     graph = contribution.graph
     orbits = [(labels, aut, labelled_contribution(ctx, graph, labels, aut))
               for labels, aut in decoration_orbits(graph)]
-    if RingElem.sum(value for *_, value in orbits) != contribution.value:
+    if CycElem.sum(value for *_, value in orbits) != contribution.value:
         raise ConsistencyError(f"graph {graph.signature()}: the value is not the sum of its "
                                "decoration values")
     return {

@@ -19,7 +19,7 @@ sum_(into v) phi - sum_(out of v) phi = d_v + #links leaving v mod 3
 (_phases; none unless delta = sum_j (k_j - 1) = 0 mod 3, and then
 correlator returns zero unassembled).  W(phi) is a flag sum over label-0
 vertices (a loop is Q_0 + Q_1 + Q_2) times, per bundle, its links' modes
-convolved, at -psi, psi = phi + sum b2 (_bundle_term): it has no zeta.
+convolved, at -psi, psi = phi + sum b2 (_bundle_term): it is rational.
 kp2.labelled checks these sums one labelling at a time.
 
 Contracted flag sum.  A vertex factor V reads sorted flags, so a vertex
@@ -46,7 +46,7 @@ from .graphs import StableGraph, _check_request, enumerate_graphs, normalize_tag
 from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
-from .scalars import ConsistencyError, CycScalar, weight_pow
+from .scalars import ConsistencyError, weight_pow
 
 __all__ = [
     "StableGraph", "Contribution", "Context", "build_context",
@@ -56,9 +56,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    # perfbench/tracer.py wraps these two names here.  The change to the
-    # benchmark (ROADMAP item 1) deletes this alias, with the tracer metrics
-    # that read 0 on every workload.
+    # perfbench/tracer.py wraps these two names here (ROADMAP item 1)
     if name in ("edge_contribution", "decoration_orbits"):
         from . import labelled
         return getattr(labelled, name)
@@ -107,8 +105,7 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
     """The localized vertex series coefficient for flag values a_values: a
     sum over extra insertions j >= 2 filling the vertex dimension, each
     weighted by t_j = (-1)^j R_{0,j-1} w_i^{1-j}, and over the
-    lambda-monomials of the vertex class.
-    """
+    lambda-monomials of the vertex class.  Graph sums pass i = 0."""
     a_values = tuple(sorted(a_values))
     key = (h, i, a_values)
     hit = ctx._vertex_memo.get(key)
@@ -168,16 +165,13 @@ def _edge_modes(ctx: Context, b1: int, b2: int) -> tuple:
     return modes
 
 
-_PREFAC = {"H0": (0, 0), "H1": (1, 1), "H2": (2, -1), "psiH": (1, 1)}  # w_i power, L and c power
-
-
-def leg_contribution(ctx: Context, i: int, tag: str, a: int) -> RingElem:
-    """Leg factor: the z^{a-1} coefficient of the normalized row (z^{a-2} for
-    the descendent insertion, which therefore vanishes at a = 1)."""
+def leg_contribution(ctx: Context, tag: str, a: int) -> RingElem:
+    """Leg factor at label 0: the z^{a-1} coefficient of the normalized row
+    (z^{a-2} for the descendent insertion, which so vanishes at a = 1)."""
     tag = normalize_tag(tag)
     if a < 1:
         raise ValueError("flag values are positive")
-    key = (i, tag, a)
+    key = (tag, a)
     hit = ctx._leg_memo.get(key)
     if hit is not None:
         return hit
@@ -187,9 +181,8 @@ def leg_contribution(ctx: Context, i: int, tag: str, a: int) -> RingElem:
     else:
         if shift > ctx.kmax:
             raise ValueError(f"leg needs row order {shift}, kmax={ctx.kmax}")
-        k, l = _PREFAC[tag]
-        out = ctx.rows[row][shift] * RingElem.monomial(
-            CycScalar(-1 if (a - 1) % 2 else 1) * weight_pow(i, k - shift), l=l, e=l)
+        l = (0, 1, -1)[row]  # the prefactor's L and c power
+        out = ctx.rows[row][shift] * RingElem.monomial(-1 if (a - 1) % 2 else 1, l=l, e=l)
     ctx._leg_memo[key] = out
     return out
 
@@ -217,12 +210,12 @@ def _ends(graph: StableGraph, v: int) -> list:
             if a != b and v in (a, b)]
 
 
-def _dressed_at(ctx: Context, graph: StableGraph, v: int, i: int, budget: int, loop) -> dict:
-    """Vertex v's factor at label i, keyed by its link flags, leg and loop
+def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, loop) -> dict:
+    """Vertex v's factor at label 0, keyed by its link flags, leg and loop
     flags summed out by multiset within budget.  loop(b1, b2) is the loop
     factor; errors name one arrangement's flags."""
     h, ends = graph.genera[v], _ends(graph, v)
-    slots = [([f"l{m}"], partial(leg_contribution, ctx, i, graph.tags[m]))
+    slots = [([f"l{m}"], partial(leg_contribution, ctx, graph.tags[m]))
              for m, w in enumerate(graph.legs) if w == v]
     slots += [([f"e{e}.0", f"e{e}.1"], loop) for e, (a, b) in enumerate(graph.edges) if a == b == v]
     dress = {(): (None, ())}  # sorted values placed -> (D, None for 1; an arrangement)
@@ -246,7 +239,7 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, i: int, budget: int, l
             if sum(placed) - len(placed) > room:
                 continue
             try:
-                x = vertex_contribution(ctx, h, i, k + placed)
+                x = vertex_contribution(ctx, h, 0, k + placed)
             except ConsistencyError as exc:
                 flags = [*zip((f"e{e}.{s}" for e, s in ends), k), *named]
                 raise _located(exc, graph, flags) from exc
@@ -257,7 +250,7 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, i: int, budget: int, l
     return out
 
 
-def _dressed_vertex(ctx: Context, memo: dict, graph: StableGraph, v: int, i: int, loop) -> dict:
+def _dressed_vertex(ctx: Context, memo: dict, graph: StableGraph, v: int, loop) -> dict:
     """_dressed_at within v's dimension bound 3h - 3 + valence (wider ones
     add only zeros), memoized in memo by (h, legs, loops, valence); do not
     modify it."""
@@ -266,7 +259,7 @@ def _dressed_vertex(ctx: Context, memo: dict, graph: StableGraph, v: int, i: int
     key = (h, tags, sum(a == b == v for a, b in graph.edges), valence)
     dressed = memo.get(key)
     if dressed is None:
-        dressed = memo[key] = _dressed_at(ctx, graph, v, i, 3 * h - 3 + valence, loop)
+        dressed = memo[key] = _dressed_at(ctx, graph, v, 3 * h - 3 + valence, loop)
     return dressed
 
 
@@ -293,15 +286,21 @@ def _bundle_term(ctx: Context, graph: StableGraph, edges, phi: int, flag) -> Rin
     return memo[psi, key]
 
 
-def _phases(graph: StableGraph, pairs) -> list[tuple]:
-    """The phi on the bundles (u, v), u < v, that solve the system of the
-    module docstring: one per element of the cycle space."""
-    nv = len(graph.genera)
-    a = [weight_degree(t for t, w in zip(graph.tags, graph.legs) if w == v) for v in range(nv)]
+def _degrees(graph: StableGraph) -> list:
+    """The right sides of the vertex equations (module docstring)."""
+    a = [weight_degree(t for t, w in zip(graph.tags, graph.legs) if w == v)
+         for v in range(len(graph.genera))]
     for u, v in graph.edges:
         if u != v:
             a[u] += 2
             a[v] += 1
+    return a
+
+
+def _phases(graph: StableGraph, pairs) -> list[tuple]:
+    """The phi on the bundles (u, v), u < v, that solve the system of the
+    module docstring: one per element of the cycle space."""
+    a = _degrees(graph)
     if sum(a) % 3:
         raise _located(ConsistencyError("no labelling sum at nonzero weight degree"), graph)
     up, order = {}, [0]  # spanning tree: vertex -> bundle towards root 0
@@ -326,7 +325,8 @@ def _phases(graph: StableGraph, pairs) -> list[tuple]:
 
 def _flag_walk(graph: StableGraph, dressed, bundles, factor) -> RingElem:
     """The flag sum by elimination in vertex order (module docstring);
-    bundles[b] = ((u, v), edges), u < v, and factor(b, flag) enters at v."""
+    bundles[b] = ((u, v), edges), u < v, and factor(b, flag) enters at v;
+    sums keep their terms' type (kp2.labelled's are pairs)."""
     nv = len(dressed)
     ends = [_ends(graph, w) for w in range(nv)]
     # live[w]: the bundles open across w, whose lower flags make the state at w
@@ -346,10 +346,10 @@ def _flag_walk(graph: StableGraph, dressed, bundles, factor) -> RingElem:
                     term = term * factor(b, flag)
                 after = tuple(tuple(sorted(flag[e, 0] for e in bundles[b][1])) for b in live[w + 1])
                 groups.setdefault(after, []).append(term)
-            parts = [RingElem.sum(terms) for terms in groups.values()]
+            parts = [type(terms[0]).sum(terms) for terms in groups.values()]
             if w + 1 < nv:
                 parts = [x * rest(w + 1, after) for x, after in zip(parts, groups)]
-            memo[w, state] = RingElem.sum(parts)
+            memo[w, state] = type(parts[0]).sum(parts) if parts else RingElem.zero()
         return memo[w, state]
 
     return rest(0, ())
@@ -364,7 +364,7 @@ def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
         if u != v:
             links.setdefault((u, v), []).append(e)
     bundles = list(links.items())
-    dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
+    dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, lambda b1, b2:
                                RingElem.sum(_edge_modes(ctx, b1, b2))) for w in range(nv)]
     walks = [_flag_walk(graph, dressed, bundles, lambda b, flag: _bundle_term(
         ctx, graph, bundles[b][1], phi[b], flag)) for phi in _phases(graph, list(links))]
@@ -380,20 +380,13 @@ def weight_degree(tags) -> int:
 
 
 def per_graph_contributions(ctx: Context, g: int, tags) -> list[Contribution]:
-    """Per graph its value, which must be rational (p -> -p conjugates
-    each term); delta != 0 raises ValueError.  Rows reach 3g - 3 + n, the
-    largest index a budget can request."""
+    """Per graph its value; delta != 0 raises ValueError.  Rows reach
+    3g - 3 + n, the largest index a budget can request."""
     if weight_degree(tags):
         raise ValueError("per_graph_contributions needs insertions of weight degree 0")
     graphs = enumerate_graphs(g, tags)
     ctx.extend_rows(3 * g - 3 + len(tags))
-    out = []
-    for graph in graphs:
-        value = graph_contribution(ctx, graph)
-        if value != value.conjugate():
-            raise _located(ConsistencyError("a graph value is not rational"), graph)
-        out.append(Contribution(graph, value))
-    return out
+    return [Contribution(graph, graph_contribution(ctx, graph)) for graph in graphs]
 
 
 def correlator(ctx: Context, g: int, insertions) -> RingElem:
@@ -410,7 +403,7 @@ def correlator(ctx: Context, g: int, insertions) -> RingElem:
 
 def checked_total(contributions, tags) -> RingElem:
     """The sum of the per-graph values, which must be free of c when there
-    are no insertions; rationality is checked per graph."""
+    are no insertions."""
     total = RingElem.sum(item.value for item in contributions)
     if not tags and not total.c_degrees() <= {0}:
         raise ConsistencyError("series without insertions must have c-degree 0")

@@ -13,7 +13,7 @@ obey
     r0[p+1] = r2[p+1] + D r2[p] / L - B r2[p]
 
 and these recursions determine the rows in the ring: extract_R_rows derives
-them, solving one linear equation D f = g on Q(zeta)[L, 1/L] per order.
+them, solving one linear equation D f = g on Q[L, 1/L] per order.
 
 The exact z-expansion of the restricted series at each fixed point is the
 independent check of these rows.  It lives in kp2.mirror (expand_rows and
@@ -44,7 +44,7 @@ def _b_term() -> RingElem:
 def solve_linear(rhs: RingElem) -> RingElem:
     """The solution f of the linear equation D f = rhs with f(L=1) = 0.
 
-    Both sides live in Q(zeta)[L, 1/L].  Since D L^e = (e/3)(L^{e+3} - L^e),
+    Both sides live in Q[L, 1/L].  Since D L^e = (e/3)(L^{e+3} - L^e),
     the lowest term of rhs fixes the lowest term of f and the solve is
     triangular.  Raises ConsistencyError when rhs has an X or c term, needs
     log L (an L^0 term left at the bottom), or is outside the image of D

@@ -1,8 +1,8 @@
 """Exact coefficient arithmetic over Q and over Q(zeta), zeta a primitive cube root of 1.
 
-After the torus weights are specialized to the cube roots of unity every
-quantity in the engine lives in Q(zeta) = Q[z]/(z^2+z+1), and the totals of
-interest collapse to plain rationals.  No floating point appears anywhere.
+With the torus weights specialized to the cube roots of unity, equivariant
+factors live in Q(zeta) = Q[z]/(z^2+z+1), and the series assembled from
+them are rational (kp2.lring).  No floating point appears anywhere.
 
 An element is stored as (n0 + n1*zeta)/d with Python integers n0, n1, d in
 lowest terms: d > 0 and gcd(n0, n1, d) == 1, so zero is (0, 0, 1).  The form
@@ -44,8 +44,8 @@ class CycScalar:
 
     Stored as integers (n0 + n1*zeta)/d in lowest terms (d > 0 and
     gcd(n0, n1, d) == 1); a = n0/d and b = n1/d are read as Fractions.
-    Immutable by convention.  Used by the q-series and the factors that
-    build and read ring elements; kp2.lring products use integers.
+    Immutable by convention.  The q-series and weights use it; a RingElem
+    takes only rational ones.
 
     >>> z = CycScalar(0, 1)
     >>> z * z == CycScalar(-1, -1)

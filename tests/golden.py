@@ -11,6 +11,10 @@ dilaton equation, which kp2.mgn applies before each recursion step.
 hodge_second_route: a one-step removal through the third Chern character,
 for the few Hodge integrals it covers.
 
+vertex_at and leg_at: the vertex and leg factors at any label p, as the
+pairs of kp2.labelled, from the vertex class and the weights at p rather
+than by twisting their label-0 values.
+
 dressed_per_composition and unmerged_graph_contribution: the dressed
 vertex and the graph sum as they were before the flag sums went by
 symmetry class, one ring product per ordered flag composition and, by
@@ -27,12 +31,14 @@ from functools import cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 from operator import mul
+from weakref import WeakKeyDictionary
 
 from kp2 import localization
 from kp2.graphs import StableGraph, _check_request, _flag_factor, normalize_tag
+from kp2.labelled import CycElem
 from kp2.lring import RingElem
-from kp2.mgn import _dfact, _splits
-from kp2.scalars import ConsistencyError
+from kp2.mgn import _dfact, _splits, expand_vertex_class, hodge_psi_integral
+from kp2.scalars import ConsistencyError, weight_pow
 
 GRAPH_VALUES = {
     "G1": [
@@ -177,10 +183,50 @@ def _plain_dvv(g: int, exps: tuple) -> Fraction:
     return total / _dfact(2 * k + 3)
 
 
+_VERTICES: WeakKeyDictionary = WeakKeyDictionary()  # context -> {(h, i, flags): vertex_at}
+
+
+def vertex_at(ctx, h, i, a_values) -> CycElem:
+    """localization.vertex_contribution at label i as a CycElem: its sum
+    over lambda-monomials and extra insertions with the label-i vertex class
+    and weight powers, memoized per context."""
+    a_values = tuple(sorted(a_values))
+    memo = _VERTICES.setdefault(ctx, {})
+    if (h, i, a_values) not in memo:
+        exps = tuple(a - 1 for a in a_values)
+        budget = 3 * h - 3 + len(a_values) - sum(exps)
+        terms = []
+        for lam, coeff in expand_vertex_class(i, h).items():
+            rem = budget - sum(lam)
+            for parts in localization._partitions(rem, rem) if rem >= 0 else ():
+                integral = hodge_psi_integral(h, exps + tuple(p + 1 for p in parts), lam)
+                if integral:
+                    sign = (-1) ** sum(p % 2 == 0 for p in parts)
+                    mult = prod(factorial(parts.count(p)) for p in set(parts))
+                    scale = coeff * integral * sign / mult * weight_pow(i, -rem)
+                    terms.append(CycElem(reduce(mul, [ctx.rows[0][p] for p in parts],
+                                                RingElem.one())) * scale)
+        value = CycElem.sum(terms)
+        for part in (value.a, value.b):
+            if part.x_degree() > 0 or not part.c_degrees() <= {0}:
+                raise ConsistencyError("vertex contribution acquired an X- or c-dependence")
+        memo[h, i, a_values] = value
+    return memo[h, i, a_values]
+
+
+def leg_at(ctx, i, tag, a) -> CycElem:
+    """localization.leg_contribution at label i: the label-0 row entry times
+    w_i^(k - shift), k = 0, 1, 2, 1 for H0, H1, H2, psiH and shift = a - 1
+    (a - 2 for psiH), from z/w_i in the rows and the prefactor w_i^k."""
+    k, shift = {"H0": (0, a - 1), "H1": (1, a - 1), "H2": (2, a - 1), "psiH": (1, a - 2)}[
+        normalize_tag(tag)]
+    return CycElem(localization.leg_contribution(ctx, tag, a)) * weight_pow(i, k - shift)
+
+
 def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
-    """localization._dressed_at by one product per ordered flag composition
-    (leg and loop values memoized): the same values and errors, but a key
-    whose terms cancel stays, with value zero."""
+    """localization._dressed_at at label i, by one product per ordered flag
+    composition of vertex_at and leg_at (leg and loop values memoized): the
+    same values and errors, but a key whose terms cancel stays, with value zero."""
     L = localization
     h, ends = graph.genera[v], L._ends(graph, v)
     legs = [m for m, w in enumerate(graph.legs) if w == v]
@@ -193,7 +239,7 @@ def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
     for values in L._compositions(len(names), budget):
         rest = values[nk:]
         if rest not in dressings:
-            factors = [L.leg_contribution(ctx, i, graph.tags[m], a) for m, a in zip(legs, rest)]
+            factors = [leg_at(ctx, i, graph.tags[m], a) for m, a in zip(legs, rest)]
             for j in range(nk + nl, len(values), 2):
                 try:
                     factors.append(loop(*values[j:j + 2]))
@@ -205,13 +251,13 @@ def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
         if dress is not None and dress.is_zero():
             continue
         try:
-            term = L.vertex_contribution(ctx, h, i, values)
+            term = vertex_at(ctx, h, i, values)
         except ConsistencyError as exc:
             raise L._located(exc, graph, zip(names, values)) from exc
         if term.is_zero():
             continue
         out.setdefault(values[:nk], []).append(term if dress is None else term * dress)
-    return {k: RingElem.sum(terms) for k, terms in out.items()}
+    return {k: CycElem.sum(terms) for k, terms in out.items()}
 
 
 def prefix_walk(graph, dressed, pairs, factor) -> RingElem:
@@ -254,7 +300,7 @@ def unmerged_graph_contribution(ctx, graph) -> RingElem:
         if u != v:
             bundles.setdefault((u, v), []).append(e)
     pairs, edges = list(bundles), list(bundles.values())
-    dressed = [L._dressed_vertex(ctx, ctx._dressed_memo, graph, w, 0, lambda b1, b2:
+    dressed = [L._dressed_vertex(ctx, ctx._dressed_memo, graph, w, lambda b1, b2:
                                  RingElem.sum(L._edge_modes(ctx, b1, b2)))
                for w in range(len(graph.genera))]
     walks = [prefix_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from kp2 import cli, graphs, labelled, localization, mirror, rseries
+from kp2.labelled import CycElem
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
 from kp2.scalars import ZETA, ConsistencyError
@@ -367,6 +368,12 @@ def test_internal_failure_exit(capsys, monkeypatch):
     assert "internal consistency failure" in err
 
 
+def pair_from_json(data) -> CycElem:
+    """A JSON ring element whose coefficients may have a zeta part."""
+    return CycElem(*(RingElem({(t["L"], t["X"], t["c"]): F(t["coeff"][part]) for t in data})
+                     for part in "ab"))
+
+
 def test_fg_per_graph_payload(capsys):
     code, payload = run_json(["fg", "--genus", "2", "--per-graph"], capsys)
     assert code == cli.EXIT_OK
@@ -383,7 +390,7 @@ def test_fg_per_graph_payload(capsys):
         for dec in entry["decorations"]:
             assert set(dec) == {"labels", "aut_order", "value"}
             assert all(lab in (0, 1, 2) for lab in dec["labels"])
-            decorations = decorations + RingElem.from_json(dec["value"])
+            decorations = decorations + pair_from_json(dec["value"])
         # the sum over all labellings against the decorations evaluated one by one
         assert decorations == value, entry["signature"]
     assert addends == total
@@ -442,10 +449,11 @@ def test_fg_total_meets_the_correlator_checks(capsys, monkeypatch):
 
 def test_fg_names_a_graph_value_that_is_not_rational(capsys, monkeypatch):
     # The graph sums read every edge factor through its rational modes Q_k,
-    # E^(0,t) = sum_k zeta^(t k) Q_k.  zeta L added to Q_1 alone breaks the
-    # swap p -> -p, which conjugates every term, so graph values get a zeta
-    # part; the first graph, one genus-0 vertex with two loops (each loop
-    # Q_0 + Q_1 + Q_2), is named.  Unperturbed, the run passes.
+    # E^(0,t) = sum_k zeta^(t k) Q_k, and the ring holds no zeta part.  A
+    # mode with zeta L added to Q_1 is refused where it is built, an
+    # internal fault (exit 3), not a usage error: the first graph, one
+    # genus-0 vertex with two loops (each loop Q_0 + Q_1 + Q_2), is named
+    # with the flags of its first loop.  Unperturbed, the run passes.
     code, out, err = run(["fg", "--genus", "2"], capsys)
     assert (code, err) == (0, "") and out
     real = localization._edge_modes
@@ -458,8 +466,8 @@ def test_fg_names_a_graph_value_that_is_not_rational(capsys, monkeypatch):
     code, out, err = run(["fg", "--genus", "2"], capsys)
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
-    assert err == ("internal consistency failure: a graph value is not rational "
-                   "[graph h=[0] p=[] e=[0-0;0-0] legs=[]]\n")
+    assert err == ("internal consistency failure: value CycScalar(0, 1) is not rational "
+                   "[graph h=[0] p=[] e=[0-0;0-0] legs=[], flags e0.0=1 e0.1=1]\n")
 
 
 # Runs main in a fresh interpreter, then lists on stderr the kp2 modules,

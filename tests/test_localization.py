@@ -12,7 +12,8 @@ import pytest
 
 from kp2 import graphs, labelled, localization
 from kp2.graphs import _edge_multisets, _edge_stabilizer, _flag_factor, _ratio
-from kp2.labelled import _p_coefficient, decoration_orbits, edge_contribution, labelled_contribution
+from kp2.labelled import (CycElem, _p_coefficient, decoration_orbits, edge_contribution,
+                          labelled_contribution)
 from kp2.localization import (
     build_context,
     correlator,
@@ -30,8 +31,10 @@ from golden import (
     GOLDEN_NAMES,
     genus2_graph_values,
     genus2_total,
+    leg_at,
     reference_block_perms,
     reference_enumerate_graphs,
+    vertex_at,
 )
 
 F = Fraction
@@ -536,8 +539,9 @@ def test_edge_symmetry_and_degrees(ctx1):
         for (b1, b2) in ((1, 1), (1, 2), (2, 2), (3, 2)):
             e = edge_contribution(ctx1, i, j, b1, b2)
             assert e == edge_contribution(ctx1, j, i, b2, b1)
-            assert e.c_degrees() <= {0}
-            assert e.x_degree() <= 1
+            for part in (e.a, e.b):
+                assert part.c_degrees() <= {0}
+                assert part.x_degree() <= 1
 
 
 def test_edge_linear_part_closed_form(ctx1):
@@ -546,15 +550,12 @@ def test_edge_linear_part_closed_form(ctx1):
     rows = ctx1.rows
     for (i, j) in ((0, 0), (0, 1), (2, 1)):
         for (b1, b2) in ((1, 1), (1, 2), (2, 2), (3, 2)):
-            linear = edge_contribution(ctx1, i, j, b1, b2).x_coefficient(1)
+            e = edge_contribution(ctx1, i, j, b1, b2)
+            linear = CycElem(e.a.x_coefficient(1), e.b.x_coefficient(1))
             sign = 1 if (b1 + b2) % 2 == 0 else -1
             expected = (
-                rows[1][b1 - 1]
-                * rows[1][b2 - 1]
-                * RingElem.monomial(
-                    CycScalar(3 * sign) * weight_pow(i, 2 - b1) * weight_pow(j, 2 - b2),
-                    l=-1,
-                )
+                CycElem(rows[1][b1 - 1] * rows[1][b2 - 1] * RingElem.monomial(3 * sign, l=-1))
+                * (weight_pow(i, 2 - b1) * weight_pow(j, 2 - b2))
             )
             assert linear == expected, (i, j, b1, b2)
 
@@ -567,21 +568,26 @@ def test_edge_rejects_bad_flags(ctx1):
 
 
 def test_leg_values(ctx1):
+    # the label-0 legs of the graph sums, and golden's legs at every label,
+    # which the labelled route's references read
+    assert leg_contribution(ctx1, "H0", 1) == RingElem.one()
+    assert leg_contribution(ctx1, "H1", 1) == RingElem.monomial(1, l=1, e=1)
+    assert leg_contribution(ctx1, "H2", 1) == RingElem.monomial(1, l=-1, e=-1)
+    assert leg_contribution(ctx1, "psiH", 1).is_zero()
+    assert leg_contribution(ctx1, "psiH", 2) == -RingElem.monomial(1, l=1, e=1)
     for i in range(3):
         w = weight_pow(i, 1)
-        assert leg_contribution(ctx1, i, "H0", 1) == RingElem.one()
-        assert leg_contribution(ctx1, i, "H1", 1) == RingElem.monomial(w, l=1, e=1)
-        assert leg_contribution(ctx1, i, "H2", 1) == RingElem.monomial(
-            weight_pow(i, 2), l=-1, e=-1
-        )
-        assert leg_contribution(ctx1, i, "psiH", 1).is_zero()
-        assert leg_contribution(ctx1, i, "psiH", 2) == -RingElem.monomial(w, l=1, e=1)
+        assert leg_at(ctx1, i, "H0", 1) == RingElem.one()
+        assert leg_at(ctx1, i, "H1", 1) == CycElem(RingElem.monomial(1, l=1, e=1)) * w
+        assert leg_at(ctx1, i, "H2", 1) == CycElem(RingElem.monomial(1, l=-1, e=-1)) * (w * w)
+        assert leg_at(ctx1, i, "psiH", 1).is_zero()
+        assert leg_at(ctx1, i, "psiH", 2) == -CycElem(RingElem.monomial(1, l=1, e=1)) * w
 
 
 def test_leg_c_degrees(ctx1):
     expected = {"H0": {0}, "H1": {1}, "H2": {-1}, "psiH": {1}}
     for tag, degrees in expected.items():
-        got = leg_contribution(ctx1, 0, tag, 2 if tag == "psiH" else 1)
+        got = leg_contribution(ctx1, tag, 2 if tag == "psiH" else 1)
         assert got.c_degrees() == degrees
 
 
@@ -593,20 +599,25 @@ def test_vertex_rank_zero(ctx1):
 
 def test_vertex_genus_one_closed_form(ctx1):
     # the two lambda-monomials that survive the dimension bound: the empty
-    # one with one extra insertion, and lambda_1
+    # one with one extra insertion, and lambda_1.  At labels 1 and 2 the
+    # value has a zeta part, so the ring refuses it and golden's pair holds it.
+    full = vertex_contribution(ctx1, 1, 0, (1,))
+    assert full == ctx1.rows[0][1] * F(1, 24) + RingElem.const(F(-1, 36))
     for i in range(3):
-        full = vertex_contribution(ctx1, 1, i, (1,))
-        assert full == ctx1.rows[0][1] * RingElem.const(
-            CycScalar(F(1, 24)) * weight_pow(i, -1)
-        ) + RingElem.const(CycScalar(F(-1, 36)) * weight_pow(i, 2))
+        assert vertex_at(ctx1, 1, i, (1,)) == CycElem(ctx1.rows[0][1]) * (
+            CycScalar(F(1, 24)) * weight_pow(i, -1)) + CycScalar(F(-1, 36)) * weight_pow(i, 2)
+    for i in (1, 2):
+        with pytest.raises(ConsistencyError, match="not rational"):
+            vertex_contribution(ctx1, 1, i, (1,))
 
 
 def test_vertex_genus_three(ctx1):
     # one flag at a genus-3 vertex fills its 7 dimensions with rows up to k = 7
+    value = vertex_contribution(ctx1, 3, 0, (1,))
+    assert not value.is_zero()
+    assert value.x_degree() == 0 and value.c_degrees() == {0}
     for i in range(3):
-        value = vertex_contribution(ctx1, 3, i, (1,))
-        assert not value.is_zero()
-        assert value.x_degree() == 0 and value.c_degrees() == {0}
+        assert vertex_at(ctx1, 3, i, (1,)) == CycElem(value) * weight_pow(i, -1)
 
 
 @pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())], ids=["1-1", "2-0"])
@@ -614,8 +625,8 @@ def test_graph_contribution_sums_every_labelling(ctx1, g, tags):
     # the sum over all 3^V labellings of the labelled values, each over the
     # graph's aut_order, with no orbits taken
     for graph in enumerate_graphs(g, tags):
-        direct = RingElem.sum(labelled_contribution(ctx1, graph, labels, graph.aut_order)
-                              for labels in product(range(3), repeat=len(graph.genera)))
+        direct = CycElem.sum(labelled_contribution(ctx1, graph, labels, graph.aut_order)
+                             for labels in product(range(3), repeat=len(graph.genera)))
         assert graph_contribution(ctx1, graph) == direct, graph.signature()
 
 
@@ -700,8 +711,8 @@ def _class_representatives(graph):
 )
 def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
     # A dressed vertex is shared across graphs and vertices by its key alone,
-    # in the memo of the label sums and in the labelled route's memo of its
-    # label.  The reference is a fresh context per graph with those memos
+    # in the memo of the label sums and in the labelled route's memo, both at
+    # label 0.  The reference is a fresh context per graph with those memos
     # off; both have the rows a correlator would size.  At (2,2) a vertex
     # with a loop at 0 and one without at 2 differ only in the loop count of
     # the key.  At (1, H2 psiH H2) a vertex holds the legs psiH, H2 in one
@@ -716,15 +727,15 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
         fresh = build_context()
         fresh.extend_rows(kmax)
         fresh._dressed_memo = _NoMemo()
-        labelled._DRESSED[fresh] = (_NoMemo(), _NoMemo(), _NoMemo())
+        labelled._DRESSED[fresh] = _NoMemo()
         orbits = _class_representatives(graph) if tags == ("H1", "H2") else decoration_orbits(graph)
         for labels, aut in orbits:
             assert (labelled_contribution(shared, graph, labels, aut)
                     == labelled_contribution(fresh, graph, labels, aut)), (graph, labels)
         if not localization.weight_degree(tags):
             assert graph_contribution(shared, graph) == graph_contribution(fresh, graph), graph
-    memos = (shared._dressed_memo, *labelled._DRESSED[shared])
-    assert labelled._DRESSED[shared][0]
+    memos = (shared._dressed_memo, labelled._DRESSED[shared])
+    assert labelled._DRESSED[shared]
     assert bool(shared._dressed_memo) != bool(localization.weight_degree(tags))
     assert all(list(key[1]) == sorted(key[1]) for memo in memos for key in memo)
 
@@ -733,7 +744,7 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
     real = localization.vertex_contribution
 
     def broken(ctx, h, i, a_values):
-        if h == 1 and i == 2:
+        if h == 1 and i == 0:
             raise ConsistencyError("injected vertex failure")
         return real(ctx, h, i, a_values)
 
@@ -741,7 +752,8 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
     ctx = build_context()
     ctx.extend_rows(3)
     graphs = enumerate_graphs(2, ())
-    # The genus-1 vertex with one edge end has the same memo key in both.
+    # The genus-1 vertex with one edge end has the same memo key in both; it
+    # fails at label 0, where the labelled route dresses every vertex.
     first = next(gr for gr in graphs if gr.genera == (1, 1))
     second = next(gr for gr in graphs if gr.genera == (0, 1))
     for graph, labels, flags in ((first, (2, 2), "e0.0=1"), (second, (0, 2), "e1.1=1")):
@@ -754,4 +766,4 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
         assert f"flags {flags}" in message
         assert message == (f"injected vertex failure [graph {graph.signature()}, flags {flags}]"
                            f" at labels {list(labels)}")
-    assert not any(key[0] == 1 for key in labelled._DRESSED[ctx][2])
+    assert not any(key[0] == 1 for key in labelled._DRESSED[ctx])

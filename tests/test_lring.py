@@ -6,8 +6,9 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kp2.labelled import CycElem
 from kp2.lring import RingElem, _pack, _unpack
-from kp2.scalars import ZERO, ConsistencyError, CycScalar
+from kp2.scalars import ZERO, ZETA, ConsistencyError, CycScalar
 
 coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 term_key = st.tuples(
@@ -93,7 +94,7 @@ def test_a2_form_shape():
 
 
 def test_json_roundtrip():
-    f = RingElem.monomial(CycScalar(1, -2), l=-3, x=2, e=1) + RingElem.one()
+    f = RingElem.monomial(CycScalar(Fraction(-2, 3)), l=-3, x=2, e=1) + RingElem.one()
     assert RingElem.from_json(f.to_json()) == f
     data = f.to_json()
     assert all(set(item) == {"L", "X", "c", "coeff"} for item in data)
@@ -116,14 +117,15 @@ def test_degree_helpers():
     assert RingElem.zero().x_degree() == -1
 
 
-# Coefficients in Q(zeta) on few exponent triples, so that products collide
-# and sums cancel.
+# Rational coefficients on few exponent triples, so that products collide
+# and sums cancel; the Q(zeta) ones are for the CycElem pairs of kp2.labelled.
+rat_coeff = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]))
 cyc_coeff = st.builds(
     lambda n0, n1, d: CycScalar(Fraction(n0, d), Fraction(n1, d)),
     st.integers(-12, 12), st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]),
 )
 small_key = st.tuples(st.integers(-1, 1), st.integers(0, 1), st.integers(0, 1))
-cyc_elems = st.dictionaries(small_key, cyc_coeff, max_size=5).map(RingElem)
+cyc_elems = st.dictionaries(small_key, rat_coeff, max_size=5).map(RingElem)
 
 
 def reference_product(f, g):
@@ -143,9 +145,13 @@ def test_product_matches_term_by_term_reference(f, g):
 
 
 def test_product_drops_cancelled_terms():
-    f = RingElem.one() + RingElem.L(1) * CycScalar(0, Fraction(1, 2))
-    g = RingElem.one() - RingElem.L(1) * CycScalar(0, Fraction(1, 2))
-    # (1 + z L/2)(1 - z L/2) = 1 - z^2 L^2 / 4, the L terms cancel
+    f = RingElem.one() + RingElem.L(1) * Fraction(1, 2)
+    g = RingElem.one() - RingElem.L(1) * Fraction(1, 2)
+    # (1 + L/2)(1 - L/2) = 1 - L^2 / 4, the L terms cancel
+    assert (f * g).terms == {(0, 0, 0): CycScalar(1), (2, 0, 0): CycScalar(Fraction(-1, 4))}
+    # and with zeta on the pairs: (1 + z L/2)(1 - z L/2) = 1 - z^2 L^2 / 4
+    f = CycElem(RingElem.one(), RingElem.L(1) * Fraction(1, 2))
+    g = CycElem(RingElem.one(), RingElem.L(1) * Fraction(-1, 2))
     quarter = Fraction(1, 4)
     assert (f * g).terms == {(0, 0, 0): CycScalar(1), (2, 0, 0): CycScalar(quarter, quarter)}
 
@@ -188,8 +194,9 @@ def test_substitute_x_is_a_ring_map(image, f, g):
 
 class PerTermElem:
     """The per-term representation RingElem used to have: every coefficient a
-    reduced CycScalar, every operation done term by term in CycScalar
-    arithmetic.  Kept as the reference for the one-denominator form."""
+    reduced CycScalar in Q(zeta), every operation done term by term in
+    CycScalar arithmetic.  Kept as the reference for the one-denominator
+    form of RingElem on rational terms and for the CycElem pairs."""
 
     def __init__(self, terms):
         self.terms = {key: CycScalar(c) if not isinstance(c, CycScalar) else c
@@ -263,23 +270,35 @@ class PerTermElem:
 
 
 def assert_canonical(f):
-    """den > 0, no stored zero in either part, gcd(den, all numerators) == 1;
-    zero is den 1 with no terms."""
+    """den > 0, no stored zero, gcd(den, all numerators) == 1; zero is den 1
+    with no terms."""
     assert isinstance(f.den, int) and f.den > 0
-    assert all(f.n0.values()) and all(f.n1.values())
-    assert gcd(f.den, *f.n0.values(), *f.n1.values()) == 1
-    if not f.n0 and not f.n1:
+    assert all(f.num.values())
+    assert gcd(f.den, *f.num.values()) == 1
+    if not f.num:
         assert f.den == 1
 
 
-cyc_terms = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1)),
-    cyc_coeff, max_size=5,
-)
+def assert_pair_canonical(f):
+    """Both parts of a CycElem are canonical rational RingElems."""
+    assert isinstance(f, CycElem)
+    assert_canonical(f.a)
+    assert_canonical(f.b)
+
+
+terms_key = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1))
+rat_terms = st.dictionaries(terms_key, rat_coeff, max_size=5)
+cyc_terms = st.dictionaries(terms_key, cyc_coeff, max_size=5)
 eval_points = st.sampled_from([CycScalar(2), CycScalar(0, 1), CycScalar(Fraction(-1, 3), 2)])
 
 
-@given(cyc_terms, cyc_terms, cyc_coeff, st.lists(cyc_terms, max_size=4))
+def pair(terms) -> CycElem:
+    """The CycElem with the given Q(zeta) coefficients."""
+    return CycElem(RingElem({k: c.a for k, c in terms.items()}),
+                   RingElem({k: c.b for k, c in terms.items()}))
+
+
+@given(rat_terms, rat_terms, rat_coeff, st.lists(rat_terms, max_size=4))
 def test_matches_per_term_reference(a, b, s, more):
     f, g, rf, rg = RingElem(a), RingElem(b), PerTermElem(a), PerTermElem(b)
     items = [RingElem(t) for t in more] + [f, -g, g]
@@ -287,14 +306,12 @@ def test_matches_per_term_reference(a, b, s, more):
     cases = [
         (f, rf),
         (f * g, rf * rg),
-        (f * f.conjugate(), rf * rf.conjugate()),
         (f + g, rf + rg),
         (f - g, rf - rg),
         (f - f, rf - rf),
         (-f, -rf),
-        (f * s, rf * s),
-        (f * Fraction(3, 4), rf * CycScalar(Fraction(3, 4))),
-        (f.conjugate(), rf.conjugate()),
+        (f * s, rf * CycScalar(s)),
+        (f * CycScalar(s), rf * CycScalar(s)),
         (f.derive(), rf.derive()),
         (RingElem.sum(items), PerTermElem.sum(ref_items)),
     ]
@@ -304,23 +321,73 @@ def test_matches_per_term_reference(a, b, s, more):
     assert f.to_a2_form().terms == rf.to_a2_form()
 
 
-@given(cyc_terms, eval_points, eval_points, eval_points)
+@given(cyc_terms, cyc_terms, cyc_coeff, st.lists(cyc_terms, max_size=4), rat_terms)
+def test_pairs_match_per_term_reference(a, b, s, more, r):
+    # CycElem, a + b zeta over rational RingElems, against Q(zeta)
+    # arithmetic term by term: products (with pairs, RingElems and scalars),
+    # sums, conjugates and twists, every result canonical in both parts
+    f, g, rf, rg = pair(a), pair(b), PerTermElem(a), PerTermElem(b)
+    h, rh = RingElem(r), PerTermElem(r)
+    items = [pair(t) for t in more] + [f, -g, g, CycElem(h)]
+    ref_items = [PerTermElem(t) for t in more] + [rf, -rg, rg, rh]
+    cases = [
+        (f, rf),
+        (f * g, rf * rg),
+        (f * f.conjugate(), rf * rf.conjugate()),
+        (f * h, rf * rh),
+        (h * f, rh * rf),
+        (f + g, rf + rg),
+        (f + h, rf + rh),
+        (h + f, rh + rf),
+        (f - g, rf - rg),
+        (f - f, rf - rf),
+        (-f, -rf),
+        (f * s, rf * s),
+        (f * Fraction(3, 4), rf * CycScalar(Fraction(3, 4))),
+        (f.conjugate(), rf.conjugate()),
+        (f.twist(1), rf * ZETA),
+        (f.twist(-4), rf * (ZETA * ZETA)),
+        (CycElem.sum(items), PerTermElem.sum(ref_items)),
+    ]
+    for new, ref in cases:
+        assert_pair_canonical(new)
+        assert new.terms == ref.terms
+    assert (f == g) == (rf.terms == rg.terms)
+    assert (f == h) == (rf.terms == rh.terms)
+    assert (f * f.conjugate()).b.is_zero()  # the norm is rational
+    rational = pair({k: CycScalar(c) for k, c in r.items()})
+    assert rational == h and h == rational
+
+
+def test_pairs_compare_with_rings_and_print_their_terms():
+    z = CycElem(RingElem.zero(), RingElem.L(1) * Fraction(1, 2))
+    f = RingElem({(1, 0, 0): Fraction(1, 2), (0, 1, -1): 3})
+    assert f + z != f and f + z - z == f and f == f + z - z
+    assert (f + z).a == f and (f + z).b == RingElem.L(1) * Fraction(1, 2)
+    assert not CycElem(RingElem.zero()) and CycElem.sum([]).is_zero() and z
+    assert (f + z).to_json() == [
+        {"L": 0, "X": 1, "c": -1, "coeff": {"a": "3/1", "b": "0/1"}},
+        {"L": 1, "X": 0, "c": 0, "coeff": {"a": "1/2", "b": "1/2"}},
+    ]
+
+
+@given(rat_terms, eval_points, eval_points, eval_points)
 def test_eval_at_matches_per_term_reference(a, lv, xv, cv):
     assert RingElem(a).eval_at(lv, xv, cv) == PerTermElem(a).eval_at(lv, xv, cv)
 
 
-@given(cyc_terms)
+@given(rat_terms)
 def test_other_results_are_canonical(a):
     f = RingElem(a)
-    for result in (f.d_da2(), f.x_coefficient(1), f / RingElem.monomial(CycScalar(2, 1), l=1),
-                   f / CycScalar(0, 3), RingElem.from_json(f.to_json()), f * f):
+    for result in (f.d_da2(), f.x_coefficient(1), f / RingElem.monomial(CycScalar(2), l=1),
+                   f / CycScalar(Fraction(-3, 4)), RingElem.from_json(f.to_json()), f * f):
         assert_canonical(result)
 
 
 def test_routes_with_different_denominators_compare_equal():
-    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 0, 0): CycScalar(0, Fraction(1, 4))})
+    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 0, 0): Fraction(1, 4)})
     g = RingElem({(0, 1, 0): Fraction(3, 10), (1, 0, 0): 5})
-    h = RingElem({(0, 0, 1): CycScalar(Fraction(2, 9), Fraction(1, 9)), (-1, 0, 0): 7})
+    h = RingElem({(0, 0, 1): Fraction(2, 9), (-1, 0, 0): 7})
     left, right = f * g, g * h
     assert left.den != right.den
     assert (f * g) * h == f * (g * h)
@@ -328,27 +395,28 @@ def test_routes_with_different_denominators_compare_equal():
     # sums reduced over different lcms
     assert RingElem.sum([f, g, h]) == (h + g) + f == f + (g + h)
     # the same value built from scaled numerators
-    half = RingElem({(2, 0, 0): CycScalar(Fraction(1, 2), Fraction(1, 2))})
-    twice = RingElem({(2, 0, 0): CycScalar(Fraction(3, 2), Fraction(3, 2))}) * Fraction(1, 3)
+    half = RingElem({(2, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(-1, 2)})
+    twice = RingElem({(2, 0, 0): Fraction(3, 2), (0, 0, 0): Fraction(-3, 2)}) * Fraction(1, 3)
     assert half == twice and half.den == 2
-    assert (half.n0, half.n1) == ({_pack(2, 0, 0): 1}, {_pack(2, 0, 0): 1})
+    assert half.num == {_pack(2, 0, 0): 1, _pack(0, 0, 0): -1}
     assert f - f == RingElem.zero() and (f - f).den == 1
 
 
-def test_parts_are_stored_apart():
-    # A rational element has no zeta part, and products of rational
-    # elements stay so; a zeta part that cancels leaves no stored zero, and
-    # equality compares den and both parts.
-    f = RingElem({(1, 0, 0): Fraction(1, 2), (0, 1, -1): 3})
-    z = RingElem({(1, 0, 0): CycScalar(0, Fraction(1, 2))})
-    assert f.n1 == {} and (f * f).n1 == {} and f.conjugate() == f
-    assert (f + z).n0 == f.n0 and set((f + z).n1) == {_pack(1, 0, 0)}
-    assert (f + z - z).n1 == {} and f + z - z == f
-    assert_canonical(f + z - z)
-    assert f + z != f and (f + z).den == f.den and (f + z).n0 == f.n0
-    assert (z * z.conjugate()).n1 == {}  # the norm is rational
-    assert_canonical(z * z.conjugate())
-    assert RingElem.zero().den == 1 and not RingElem.zero().n0 and not RingElem.zero().n1
+def test_zeta_parts_never_reach_the_ring():
+    # the ring is rational: a coefficient or scalar with a zeta part is an
+    # internal fault (ConsistencyError, exit 3), not a usage error
+    # (ValueError, exit 2); rational CycScalars pass
+    f = RingElem.L(1) + RingElem.one()
+    for make in (lambda: RingElem({(1, 0, 0): ZETA}), lambda: RingElem.monomial(ZETA, l=1),
+                 lambda: RingElem.const(CycScalar(1, 1)), lambda: f * ZETA, lambda: ZETA * f,
+                 lambda: f / ZETA, lambda: f + ZETA, lambda: f.eval_at(1, 0) * f * ZETA,
+                 lambda: RingElem.from_json([{"L": 0, "X": 0, "c": 0,
+                                              "coeff": {"a": "0/1", "b": "1/3"}}])):
+        with pytest.raises(ConsistencyError, match="not rational") as info:
+            make()
+        assert not isinstance(info.value, ValueError)
+    assert f * CycScalar(Fraction(1, 2)) == f * Fraction(1, 2) == RingElem.const(CycScalar(3)) * f / 6
+    assert RingElem.zero().den == 1 and not RingElem.zero().num
 
 
 def test_keys_are_injective_on_the_exponent_box():
@@ -365,7 +433,7 @@ def test_keys_are_injective_on_the_exponent_box():
     lambda: RingElem.L(200) * RingElem.L(100), lambda: RingElem.L(-200) * RingElem.L(-100),
     lambda: RingElem.c(255) * RingElem.c(1), lambda: RingElem.c(-256) * RingElem.c(-1),
     lambda: RingElem.monomial(1, x=300) * RingElem.monomial(1, x=300),
-    lambda: RingElem.monomial(CycScalar(0, 1), l=255) * RingElem.L(1),
+    lambda: CycElem(RingElem.zero(), RingElem.L(255)) * RingElem.L(1),
     lambda: RingElem.L(254).derive(), lambda: RingElem.c(-256) / RingElem.c(1),
     lambda: RingElem.monomial(1, l=254, x=1).d_da2(),
 ], ids=["L256", "L-257", "c256", "c-257", "X512", "L300", "L-300", "c256-mul", "c-257-mul",
@@ -385,13 +453,13 @@ def test_exponents_at_the_edge_of_the_box():
 
 
 def test_terms_is_a_read_only_view():
-    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 2, -1): CycScalar(Fraction(-1, 4), 1)})
+    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 2, -1): CycScalar(Fraction(-1, 4))})
     terms = f.terms
-    plain = {(0, 0, 0): CycScalar(Fraction(1, 6)), (1, 2, -1): CycScalar(Fraction(-1, 4), 1)}
+    plain = {(0, 0, 0): CycScalar(Fraction(1, 6)), (1, 2, -1): CycScalar(Fraction(-1, 4))}
     assert len(terms) == 2
     assert terms == plain and plain == terms
     assert terms != {(0, 0, 0): CycScalar(Fraction(1, 6))}
-    assert terms[(1, 2, -1)] == CycScalar(Fraction(-1, 4), 1)
+    assert terms[(1, 2, -1)] == CycScalar(Fraction(-1, 4))
     assert (1, 2, -1) in terms and (0, 0, 1) not in terms
     assert set(terms) == set(plain)
     assert dict(terms.items()) == plain

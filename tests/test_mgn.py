@@ -5,8 +5,9 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kp2 import mgn
 from kp2.mgn import expand_vertex_class, hodge_psi_integral
-from kp2.scalars import CycScalar, euler_at, weight, weight_pow
+from kp2.scalars import ZERO, CycScalar, euler_at, weight, weight_pow
 
 from golden import hodge_second_route, plain_psi
 
@@ -351,6 +352,44 @@ def test_vertex_class_genus_two():
     assert expansion[()] == euler_at(0)
     assert (1, 1) not in expansion  # the -3w factor kills e_1(u)
     assert all(sum(key) <= 3 for key in expansion)
+
+
+def _twist_mismatches(h_max: int) -> list:
+    """The (i, h, lambda) at which the label-i vertex class is not
+    w_i^(-|lambda|) times the label-0 one, h <= h_max and i = 1, 2."""
+    out = []
+    for h in range(h_max + 1):
+        base = mgn.expand_vertex_class(0, h)
+        for i in (1, 2):
+            twisted = mgn.expand_vertex_class(i, h)
+            for lam in base.keys() | twisted.keys():
+                if twisted.get(lam, ZERO) != weight_pow(i, -sum(lam)) * base.get(lam, ZERO):
+                    out.append((i, h, lam))
+    return out
+
+
+def test_vertex_class_twists_from_label_zero():
+    # The labelled route (kp2.labelled) builds every vertex at label 0 and
+    # twists it: with the class so related, each term of vertex_contribution
+    # at label i is zeta^(i sum(a - 2)) times its label-0 term, as its
+    # weight w_i^(-rem) fills the vertex dimension.
+    assert _twist_mismatches(4) == []
+    assert len(mgn.expand_vertex_class(0, 4)) > 20
+
+
+def test_vertex_class_twist_check_fails_on_a_perturbed_coefficient(monkeypatch):
+    # control: one label-1 coefficient changed at genus 3 is found
+    real = mgn.expand_vertex_class
+
+    def perturbed(i, h):
+        out = real(i, h)
+        if (i, h) == (1, 3):
+            out = dict(out)
+            out[(1,)] = out[(1,)] + 1
+        return out
+
+    monkeypatch.setattr(mgn, "expand_vertex_class", perturbed)
+    assert _twist_mismatches(4) == [(1, 3, (1,))]
 
 
 def test_vertex_class_genus_three():

@@ -6,7 +6,8 @@ weighted by N, sums every labelling of a graph at once from label-0
 vertices and bundled links over the phases of its cycle space, skips
 totals with delta != 0 mod 3, and contracts the flag sum vertex by vertex.
 Each of these is compared here with the unreduced computation it replaces:
-labelled_contribution, one decoration orbit at a time at its labels.
+labelled_contribution, one decoration orbit at a time at its labels, whose
+values are CycElem pairs a + b zeta.
 """
 
 from fractions import Fraction
@@ -19,20 +20,18 @@ from hypothesis import given, settings, strategies as st
 import golden
 from kp2 import labelled, localization
 from kp2.graphs import _flag_factor
-from kp2.labelled import decoration_orbits, edge_contribution, labelled_contribution
+from kp2.labelled import CycElem, decoration_orbits, edge_contribution, labelled_contribution
 from kp2.localization import (
     build_context,
     correlator,
     enumerate_graphs,
     graph_contribution,
-    leg_contribution,
     per_graph_contributions,
-    vertex_contribution,
     weight_degree,
 )
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
-from kp2.scalars import ConsistencyError, CycScalar, weight, weight_pow
+from kp2.scalars import ConsistencyError, weight, weight_pow
 
 # g <= 1 with up to three legs, and genus 2 unpointed
 SMALL_CASES = [
@@ -72,7 +71,7 @@ def values_by_graph(ctx, g, tags):
 
 def cartesian_contribution(ctx, graph, p, aut):
     """The flag sum at the labels p, over aut, by filtering the Cartesian
-    product of all flag ranges."""
+    product of all flag ranges, each factor evaluated at its labels."""
     nv = len(graph.genera)
     slots = []  # (vertex, kind, payload)
     for e, (u, v) in enumerate(graph.edges):
@@ -82,14 +81,14 @@ def cartesian_contribution(ctx, graph, p, aut):
         slots.append((v, "l", m))
     val = graph.valences()
     budgets = [3 * graph.genera[v] - 3 + val[v] for v in range(nv)]
-    total = RingElem.zero()
+    total = CycElem(RingElem.zero())
     for assignment in product(*[range(1, budgets[v] + 2) for v, _, _ in slots]):
         used = [0] * nv
         for (v, _, _), a in zip(slots, assignment):
             used[v] += a - 1
         if any(used[v] > budgets[v] for v in range(nv)):
             continue
-        term = RingElem.one()
+        term = CycElem(RingElem.one())
         by_vertex = [[] for _ in range(nv)]
         edge_a = {}
         for (v, kind, payload), a in zip(slots, assignment):
@@ -97,13 +96,13 @@ def cartesian_contribution(ctx, graph, p, aut):
             if kind == "e":
                 edge_a[payload] = a
             else:
-                term = term * leg_contribution(ctx, p[v], graph.tags[payload], a)
+                term = term * golden.leg_at(ctx, p[v], graph.tags[payload], a)
         for v in range(nv):
-            term = term * vertex_contribution(ctx, graph.genera[v], p[v], by_vertex[v])
+            term = term * golden.vertex_at(ctx, graph.genera[v], p[v], by_vertex[v])
         for e, (u, v) in enumerate(graph.edges):
             term = term * edge_contribution(ctx, p[u], p[v], edge_a[(e, 0)], edge_a[(e, 1)])
         total = total + term
-    return total / Fraction(aut)
+    return total * (1 / Fraction(aut))
 
 
 @cache
@@ -117,7 +116,7 @@ def labelled_reference(g, tags):
         graph = graph._replace(tags=tags)
         values += [labelled_contribution(ctx, graph, labels, aut)
                    for labels, aut in decoration_orbits(graph)]
-    return RingElem.sum(values)
+    return CycElem.sum(values)
 
 
 COLOURED_CASES = {
@@ -139,7 +138,7 @@ def test_coloured_sums_match_the_labelled_reference(ctx2, g, tags):
     reference = labelled_reference(g, tags)
     ctx2.extend_rows(3 * g - 3 + len(tags))
     values = [value for *_, value in orbit_values(ctx2, g, tags)]
-    assert RingElem.sum(values) == reference
+    assert CycElem.sum(values) == reference
     assert correlator(ctx2, g, tags) == reference
     assert reference.is_zero() == bool(weight_degree(tags))
     assert any(not v.is_zero() for v in values)
@@ -190,7 +189,8 @@ def test_shift_and_swap_relations(ctx1, data):
     g, tags = data.draw(st.sampled_from(SMALL_CASES))
     graph = data.draw(st.sampled_from(graphs_of(g, tags)))
     labels = data.draw(st.tuples(*[st.integers(0, 2)] * len(graph.genera)))
-    # relabeling keeps the decorated automorphism order, so one order serves all
+    # relabeling keeps the decorated automorphism order, so one order serves
+    # all; the values are pairs a + b zeta, and the swap conjugates them
     value = labelled_contribution(ctx1, graph, labels, 1)
     shifted = labelled_contribution(ctx1, graph, [(p + 1) % 3 for p in labels], 1)
     swapped = labelled_contribution(ctx1, graph, [-p % 3 for p in labels], 1)
@@ -231,7 +231,7 @@ def assert_graphs_cancel(ctx, g, tags):
     assert weight_degree(tags) != 0
     ctx.extend_rows(3 * g - 3 + len(tags))
     for graph, values in values_by_graph(ctx, g, tags).items():
-        assert RingElem.sum(values).is_zero(), graph.signature()
+        assert CycElem.sum(values).is_zero(), graph.signature()
         assert any(not v.is_zero() for v in values), graph.signature()
 
 
@@ -263,7 +263,7 @@ def test_graph_values_sum_their_decorations(g, tags):
     by_graph = values_by_graph(ctx, g, tags)
     assert [item.graph for item in contributions] == list(by_graph)
     for item in contributions:
-        assert item.value == RingElem.sum(by_graph[item.graph]), item.graph.signature()
+        assert item.value == CycElem.sum(by_graph[item.graph]), item.graph.signature()
         assert graph_contribution(ctx, item.graph) == item.value
     assert any(not v.is_zero() for values in by_graph.values() for v in values)
     assert any(not item.value.is_zero() for item in contributions)
@@ -318,7 +318,7 @@ def test_reduced_matches_per_orbit(ctx2, g, tags):
     by_graph = values_by_graph(fresh, g, tags)
     assert [item.graph for item in reduced] == list(by_graph)
     for item in reduced:
-        assert item.value == RingElem.sum(by_graph[item.graph]), item.graph.signature()
+        assert item.value == CycElem.sum(by_graph[item.graph]), item.graph.signature()
 
 
 @pytest.mark.parametrize("g, tags", [(1, ("H2",))], ids=["1-1"])
@@ -497,8 +497,8 @@ def test_edge_modes_match_the_direct_worker(ctx1):
             direct = edge_contribution(ctx1, i, j, b1, b2)
 
             def assembled(sign):
-                return RingElem.sum([q * weight((i * (1 - b1 - b2) + sign * (j - i) * k) % 3)
-                                     for k, q in enumerate(modes)])
+                return CycElem.sum([CycElem(q).twist(i * (1 - b1 - b2) + sign * (j - i) * k)
+                                    for k, q in enumerate(modes)])
 
             assert assembled(1) == direct, (i, j, b1, b2)
             wrong += assembled(-1) != direct
@@ -506,19 +506,13 @@ def test_edge_modes_match_the_direct_worker(ctx1):
     assert cases == 9 * 28 and wrong > cases / 2
 
 
-def _has_zeta(x) -> bool:
-    if isinstance(x, RingElem):
-        return x != x.conjugate()
-    return isinstance(x, CycScalar) and not x.is_rational()
-
-
 @pytest.mark.parametrize("g, tags", [(2, ("H1", "H1")), (2, ()), (1, ("H2", "H2", "psiH"))],
                          ids=["2-H1x2", "2-0", "1-H2H2psiH"])
 def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch):
     # The sum over all labellings reads edges only through their rational
     # modes: with the direct edge worker gone it still gives the labelled
-    # reference, and no ring product in it has a zeta part.  The labelled
-    # route still reaches the worker.
+    # reference, and no ring product in it meets a CycElem pair.  The
+    # labelled route still reaches the worker.
     reference = labelled_reference(g, tags)
 
     def refuse(*args):
@@ -530,7 +524,7 @@ def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch
     products = []
 
     def counted(self, other):
-        products.append(_has_zeta(self) or _has_zeta(other))
+        products.append(isinstance(other, CycElem))
         return real(self, other)
 
     monkeypatch.setattr(RingElem, "__mul__", counted)
@@ -549,12 +543,11 @@ def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch
 # (genus 1 with H2 and psiH legs)
 TWIST_CASES = [(2, ("H1", "H1")), (2, ()), (1, ("H2", "H2", "H2")), (1, ("H2", "H2", "psiH")),
                (1, ("H0", "psiH", "H1")), (0, ("H0", "H1", "H2", "psiH"))]
-_K = {"H0": 0, "H1": 1, "H2": 2, "psiH": 2}
 
 
-def _direct_loop(ctx, i):
-    """The loop factor of the labelled route at label i: the direct edge worker."""
-    return partial(edge_contribution, ctx, i, i)
+def _direct_loop(ctx):
+    """The loop factor of the labelled route: the direct edge worker at (0, 0)."""
+    return lambda b1, b2: edge_contribution(ctx, 0, 0, b1, b2).a
 
 
 def _mode_loop(ctx):
@@ -563,26 +556,25 @@ def _mode_loop(ctx):
 
 
 def test_dressed_twists_match_the_direct_worker():
-    # The sum over all labellings reads only label-0 dressed vertices, with
-    # loops through their modes, assuming entry(p) = zeta^((p - q) d)
-    # entry(q) with d = sum(a - 1) - n_flags + sum k_t - n_loops (H0, H1,
-    # H2, psiH: k_t = 0, 1, 2, 2).  Each entry of its memo is checked
-    # against _dressed_at at label 0 with loops through the direct worker,
-    # each entry of the labelled route's memo against _dressed_at at its
-    # label, and the relation on the direct values from every label q to
-    # every p, at the flag budget the memos use and one above it; it fails
-    # with the sign of d flipped.
+    # kp2.labelled builds each dressed vertex once, at label 0 with loops
+    # through the direct worker at (0, 0), and takes its entry at link flags
+    # k and label p as zeta^(p d) times it, d = sum(k) + len(k) + the weight
+    # degree of its legs.  The reference at each label p is golden's
+    # per-composition dressing with vertex, legs and loops evaluated at p,
+    # at the flag budget the memos use and one above it; the twist with d's
+    # sign flipped fails.  Each entry of the two label-0 memos, the label
+    # sums' (loops through their modes) and the labelled route's, equals
+    # _dressed_at with loops through the direct worker.
     ctx = build_context()
     ctx.extend_rows(7)
-    memos = labelled._DRESSED.setdefault(ctx, ({}, {}, {}))  # the labelled route's, per label
+    memo = labelled._DRESSED.setdefault(ctx, {})
     seen = set()
     wrong = nonzero = 0
     for g, tags in TWIST_CASES:
         for graph in enumerate_graphs(g, tags):
-            nv, val = len(graph.genera), graph.valences()
-            links = [(e, u, w) for e, (u, w) in enumerate(graph.edges) if u != w]
-            for v, extra in product(range(nv), (0, 1)):
-                ends = [(e, 0 if u == v else 1) for e, u, w in links if v in (u, w)]
+            val = graph.valences()
+            for v, extra in product(range(len(graph.genera)), (0, 1)):
+                ends = localization._ends(graph, v)
                 legs = sorted(t for t, w in zip(graph.tags, graph.legs) if w == v)
                 loops = sum(a == b == v for a, b in graph.edges)
                 budget = 3 * graph.genera[v] - 3 + val[v] + extra
@@ -590,48 +582,43 @@ def test_dressed_twists_match_the_direct_worker():
                 if key in seen:
                     continue
                 seen.add(key)
-                direct = [localization._dressed_at(ctx, graph, v, p, budget, _direct_loop(ctx, p))
-                          for p in range(3)]
-                nonzero += any(direct[0].values())
-                flags = len(ends) + len(legs) + 2 * loops
+                base = localization._dressed_at(ctx, graph, v, budget, _direct_loop(ctx))
+                nonzero += any(base.values())
                 if not extra:
-                    assert localization._dressed_vertex(ctx, ctx._dressed_memo, graph, v, 0,
-                                                        _mode_loop(ctx)) == direct[0]
+                    assert localization._dressed_vertex(ctx, ctx._dressed_memo, graph, v,
+                                                        _mode_loop(ctx)) == base
+                    assert localization._dressed_vertex(ctx, memo, graph, v,
+                                                        _direct_loop(ctx)) == base
                 for p in range(3):
-                    if not extra:
-                        assert localization._dressed_vertex(
-                            ctx, memos[p], graph, v, p, _direct_loop(ctx, p)) == direct[p]
-                    for q in range(3):
-                        for k, x in direct[q].items():
-                            d = sum(a - 1 for a in k) - flags + sum(_K[t] for t in legs) - loops
-                            assert direct[p][k] == x * weight((p - q) * d % 3)
-                            wrong += direct[p][k] != x * weight(-(p - q) * d % 3)
-    # 57 memo keys, at label 0 in the label sums and at each of 3 labels in
-    # the labelled route; each key's relation at two budgets
-    labelled_keys = sum(map(len, memos))
-    assert (len(ctx._dressed_memo), labelled_keys, len(seen), nonzero) == (57, 171, 114, 106)
-    assert wrong > 800
+                    ref = golden.dressed_per_composition(ctx, graph, v, p, budget,
+                                                         partial(edge_contribution, ctx, p, p))
+                    assert {k for k, x in ref.items() if x} == set(base)
+                    for k, x in base.items():
+                        d = sum(k) + len(k) + weight_degree(legs)
+                        assert ref[k] == CycElem(x).twist(p * d), (graph.signature(), v, p, k)
+                        wrong += ref[k] != CycElem(x).twist(-p * d)
+    # 57 memo keys, each in both label-0 memos; each key's relation at two budgets
+    assert (len(ctx._dressed_memo), len(memo), len(seen), nonzero) == (57, 57, 114, 106)
+    assert wrong > 250
 
 
 def test_flag_budget_slack_changes_no_dressed_vertex():
     # A flag composition past a vertex's dimension bound only adds terms
     # that vanish, so the bound the graph sums use loses nothing.  Checked
     # on every vertex of every graph at (2, ()), (1, H1) and TWIST_CASES,
-    # with the labels 0, 1, 2 spread over the vertices.
+    # with loops through the modes and through the direct worker in turn.
     ctx = build_context()
     ctx.extend_rows(7)
     checked = nonzero = 0
     for g, tags in [(2, ()), (1, ("H1",))] + TWIST_CASES:
         for graph in enumerate_graphs(g, tags):
-            nv, val = len(graph.genera), graph.valences()
-            links = [(e, u, w) for e, (u, w) in enumerate(graph.edges) if u != w]
-            for v in range(nv):
-                ends = [(e, 0 if u == v else 1) for e, u, w in links if v in (u, w)]
+            val = graph.valences()
+            for v in range(len(graph.genera)):
                 budget = 3 * graph.genera[v] - 3 + val[v]
-                loop = _direct_loop(ctx, v % 3)
-                base = localization._dressed_at(ctx, graph, v, v % 3, budget, loop)
+                loop = (_mode_loop(ctx), _direct_loop(ctx))[v % 2]
+                base = localization._dressed_at(ctx, graph, v, budget, loop)
                 for extra in (1, 2):
-                    wide = localization._dressed_at(ctx, graph, v, v % 3, budget + extra, loop)
+                    wide = localization._dressed_at(ctx, graph, v, budget + extra, loop)
                     assert wide == base, (graph.signature(), v, extra)
                 checked += 1
                 nonzero += any(base.values())
@@ -641,29 +628,29 @@ def test_flag_budget_slack_changes_no_dressed_vertex():
 def test_dressed_multisets_match_the_per_composition_sum():
     # _dressed_at sums the leg and loop flags by multiset and shares one
     # value among link keys with equal sorted flags.  The reference is the
-    # per-composition dressing of golden, one product per ordered flag
-    # composition, at labels 0, 1, 2, with loops through their modes and
-    # through the direct worker, on every vertex of every graph through
-    # genus 3 unpointed and of two pointed genus-2 sums.  _dressed_at leaves
-    # out a key whose terms cancel, so the reference's zero values are
-    # dropped (each case has some).
+    # per-composition dressing of golden at label 0, one product per
+    # ordered flag composition, with loops through their modes and through
+    # the direct worker, on every vertex of every graph through genus 3
+    # unpointed and of two pointed genus-2 sums.  _dressed_at leaves out a
+    # key whose terms cancel, so the reference's zero values are dropped
+    # (each case has some).
     ctx = build_context()
     ctx.extend_rows(6)
     checked = nonzero = cancelled = 0
     for g, tags in [(2, ()), (3, ()), (2, ("H1", "H1")), (2, ("psiH", "H0", "H2"))]:
         for graph in enumerate_graphs(g, tags):
             val = graph.valences()
-            for v, i in product(range(len(graph.genera)), range(3)):
+            for v in range(len(graph.genera)):
                 budget = 3 * graph.genera[v] - 3 + val[v]
-                for loop in (_mode_loop(ctx), _direct_loop(ctx, i)):
-                    ref = golden.dressed_per_composition(ctx, graph, v, i, budget, loop)
+                for loop in (_mode_loop(ctx), _direct_loop(ctx)):
+                    ref = golden.dressed_per_composition(ctx, graph, v, 0, budget, loop)
                     kept = {k: x for k, x in ref.items() if x}
-                    assert localization._dressed_at(ctx, graph, v, i, budget, loop) == kept, (
-                        graph.signature(), v, i, loop)
+                    assert localization._dressed_at(ctx, graph, v, budget, loop) == kept, (
+                        graph.signature(), v, loop)
                     checked += 1
                     nonzero += bool(kept)
                     cancelled += len(ref) - len(kept)
-    assert (checked, nonzero, cancelled) == (14148, 12090, 438)
+    assert (checked, nonzero, cancelled) == (4716, 4030, 146)
 
 
 # graphs with a bundle of at least two parallel links, per case
