@@ -153,8 +153,8 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> CycE
             twisted[key] = value.a if i == j else value  # rational at equal labels
         return twisted[key]
 
-    def link(b, flag):
-        (u, v), (e,) = links[b]
+    def link(bundle, flag, _):
+        (u, v), (e,) = bundle
         try:
             return factor(labels[u], labels[v], flag[e, 0], flag[e, 1])
         except ConsistencyError as exc:

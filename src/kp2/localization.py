@@ -16,21 +16,22 @@ rational Q_k (_edge_modes).  A Fourier sum over the t = p_v - p_u of B
 bundles of parallel links gives the sum over all 3^V labellings as
 3^V sum_phi W(phi), phi over the 3^(B - V + 1) solutions of
 sum_(into v) phi - sum_(out of v) phi = d_v + #links leaving v mod 3
-(_phases; none unless delta = sum_j (k_j - 1) = 0 mod 3, and then
-correlator returns zero unassembled).  W(phi) is a flag sum over label-0
-vertices (a loop is Q_0 + Q_1 + Q_2) times, per bundle, its links' modes
-convolved, at -psi, psi = phi + sum b2 (_bundle_term): it is rational.
-kp2.labelled checks these sums one labelling at a time.
+(none unless delta = sum_j (k_j - 1) = 0 mod 3, and then correlator
+returns zero unassembled).  W(phi) is a flag sum over label-0 vertices (a
+loop is Q_0 + Q_1 + Q_2) times, per bundle, its links' modes convolved,
+at -psi, psi = phi + sum b2 (_bundle_term): it is rational.  kp2.labelled
+checks these sums one labelling at a time.
 
 Contracted flag sum.  A vertex factor V reads sorted flags, so a vertex
 with legs and loops (_dressed_at) at link flags k is sum_R V(k + R) D(R),
 D(R) its leg and loop factors summed over the arrangements of R.
 Vertices are eliminated in order: the sum over those from w on is made
-once per state, the lower flags of the bundles open across w; a key at w
-takes the factors of the bundles closing there, and keys with one next
-state are summed before one product with it.  A bundle factor reads
-sorted flag pairs and its upper end walks every arrangement, so its lower
-flags enter the state sorted: keys permuting them share one state.
+once per state, the lower flags and phases of the bundles open across w;
+a key at w takes the factors of the bundles closing there, and keys
+sharing next flags are summed before one product with their next states'
+sum.  A bundle factor reads sorted flag pairs and its upper end walks
+every arrangement, so its lower flags enter the state sorted: keys
+permuting them share one state.
 """
 
 from __future__ import annotations
@@ -268,10 +269,10 @@ def _convolve(p, q) -> list:
     return [RingElem.sum([p[k] * q[(m - k) % 3] for k in range(3)]) for m in range(3)]
 
 
-def _bundle_term(ctx: Context, graph: StableGraph, edges, phi: int, flag) -> RingElem:
+def _bundle_term(ctx: Context, graph: StableGraph, bundle, flag, phi: int) -> RingElem:
     """A bundle's factor in W(phi), memoized by (psi, sorted flag pairs);
     the last convolution makes only psi's component."""
-    pairs = [(flag[e, 0], flag[e, 1]) for e in edges]
+    pairs = [(flag[e, 0], flag[e, 1]) for e in bundle[1]]
     key = tuple(sorted(pairs))
     memo = ctx._bundle_memo
     psi = (phi + sum(b for _, b in key)) % 3
@@ -279,7 +280,7 @@ def _bundle_term(ctx: Context, graph: StableGraph, edges, phi: int, flag) -> Rin
         try:
             *head, last = [_edge_modes(ctx, *ab) for ab in key]
         except ConsistencyError as exc:
-            raise _located(exc, graph, [(f"e{e}.{s}", ab[s]) for e, ab in zip(edges, pairs)
+            raise _located(exc, graph, [(f"e{e}.{s}", ab[s]) for e, ab in zip(bundle[1], pairs)
                                         for s in (0, 1)]) from exc
         memo[psi, key] = RingElem.sum([p * last[(-psi - k) % 3] for k, p in enumerate(
             reduce(_convolve, head))]) if head else last[-psi % 3]
@@ -297,78 +298,76 @@ def _degrees(graph: StableGraph) -> list:
     return a
 
 
-def _phases(graph: StableGraph, pairs) -> list[tuple]:
-    """The phi on the bundles (u, v), u < v, that solve the system of the
-    module docstring: one per element of the cycle space."""
-    a = _degrees(graph)
-    if sum(a) % 3:
-        raise _located(ConsistencyError("no labelling sum at nonzero weight degree"), graph)
-    up, order = {}, [0]  # spanning tree: vertex -> bundle towards root 0
-    for w in order:
-        for b, (u, v) in enumerate(pairs):
-            x = u + v - w if w in (u, v) else 0
-            if x and x not in up:
-                up[x] = b
-                order.append(x)
-    free = [b for b in range(len(pairs)) if b not in up.values()]
-    out = []
-    for values in product(range(3), repeat=len(free)):
-        phi = dict(zip(free, values))
-        for x in order[:0:-1]:  # leaves first: every other bundle at x is set
-            b = up[x]
-            rest = a[x] - sum(phi[c] if v == x else -phi[c]
-                              for c, (u, v) in enumerate(pairs) if x in (u, v) and c != b)
-            phi[b] = rest if pairs[b][1] == x else -rest
-        out.append(tuple(phi[b] % 3 for b in range(len(pairs))))
-    return out
+@cache
+def _solutions(phases: tuple, n: int, checks: tuple, values: range) -> list:
+    """The t in values^n with sum(c * (phases + t)) = r mod 3 per check (r, c)."""
+    return [t for t in product(values, repeat=n)
+            if all(sum(map(mul, c, phases + t)) % 3 == r for r, c in checks)]
 
 
-def _flag_walk(graph: StableGraph, dressed, bundles, factor) -> RingElem:
+def _sum(items):
+    return type(items[0]).sum(items) if items else RingElem.zero()
+
+
+def _flag_walk(graph: StableGraph, dressed, bundles, factor, a=None) -> RingElem:
     """The flag sum by elimination in vertex order (module docstring);
-    bundles[b] = ((u, v), edges), u < v, and factor(b, flag) enters at v;
-    sums keep their terms' type (kp2.labelled's are pairs)."""
+    bundles[b] = ((u, v), edges), u < v, factor(bundles[b], flag, phase)
+    enters at v; without a every phase is 0.  Sums keep their terms' type."""
     nv = len(dressed)
     ends = [_ends(graph, w) for w in range(nv)]
-    # live[w]: the bundles open across w, whose lower flags make the state at w
-    live = [[b for b, ((u, v), _) in enumerate(bundles) if u < w <= v] for w in range(nv + 1)]
-    closing = [[b for b in live[w] if bundles[b][0][1] == w] for w in range(nv)]
+    new = [[b for b, ((u, _), _) in enumerate(bundles) if u == w] for w in range(nv)]
+    live = [[]]  # live[w]: the bundles open across w, new[w - 1] last
+    for w in range(nv):
+        live.append([b for b in live[w] if bundles[b][0][1] > w] + new[w])
+    checks = [()] * nv  # (a_x, signs on live[w] + new[w]) where x's last bundle opens
+    for x in range(nv if a and bundles else 0):
+        sign = [(v == x) - (u == x) for (u, v), _ in bundles]
+        w = max(u for (u, v), _ in bundles if x in (u, v))
+        checks[w] += ((a[x] % 3, tuple(sign[b] for b in live[w] + new[w])),)
+    values = range(3 if a else 1)
     flag: dict = {}  # (edge, side) -> value
     memo: dict = {}  # (w, state) -> the sum over the vertices from w on
 
     def rest(w: int, state: tuple) -> RingElem:
         if (w, state) not in memo:
-            for b, lower in zip(live[w], state):
+            lowers, phases = state
+            for b, lower in zip(live[w], lowers):
                 flag.update(zip([(e, 0) for e in bundles[b][1]], lower))
-            groups: dict = {}  # next state -> terms; factors are read before any recursion
-            for key, term in dressed[w].items():
+            kept = tuple(p for b, p in zip(live[w], phases) if bundles[b][0][1] > w)
+            nexts = [kept + t for t in _solutions(phases, len(new[w]), checks[w], values)]
+            groups: dict = {}  # next flags -> terms; factors are read before any recursion
+            for key, term in dressed[w].items() if nexts else ():
                 flag.update(zip(ends[w], key))
-                for b in closing[w]:
-                    term = term * factor(b, flag)
-                after = tuple(tuple(sorted(flag[e, 0] for e in bundles[b][1])) for b in live[w + 1])
+                for b, p in zip(live[w], phases):
+                    if bundles[b][0][1] == w:
+                        term = term * factor(bundles[b], flag, p)
+                after = tuple(tuple(sorted(flag[e, 0] for e in bundles[b][1]))
+                              for b in live[w + 1]) if w + 1 < nv else ()
                 groups.setdefault(after, []).append(term)
-            parts = [type(terms[0]).sum(terms) for terms in groups.values()]
+            parts = [_sum(terms) for terms in groups.values()]
             if w + 1 < nv:
-                parts = [x * rest(w + 1, after) for x, after in zip(parts, groups)]
-            memo[w, state] = type(parts[0]).sum(parts) if parts else RingElem.zero()
+                parts = [x * _sum([rest(w + 1, (after, p)) for p in nexts])
+                         for x, after in zip(parts, groups)]
+            memo[w, state] = _sum(parts)
         return memo[w, state]
 
-    return rest(0, ())
+    return rest(0, ((), ()))
 
 
 def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
     """Sum over all labellings and flag assignments of the vertex/edge/leg
     product, over aut_order.  A ConsistencyError names the graph and flags."""
-    nv = len(graph.genera)
+    a = _degrees(graph)
+    if sum(a) % 3:
+        raise _located(ConsistencyError("no labelling sum at nonzero weight degree"), graph)
     links: dict = {}
     for e, (u, v) in enumerate(graph.edges):
         if u != v:
             links.setdefault((u, v), []).append(e)
-    bundles = list(links.items())
     dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, lambda b1, b2:
-                               RingElem.sum(_edge_modes(ctx, b1, b2))) for w in range(nv)]
-    walks = [_flag_walk(graph, dressed, bundles, lambda b, flag: _bundle_term(
-        ctx, graph, bundles[b][1], phi[b], flag)) for phi in _phases(graph, list(links))]
-    return RingElem.sum(walks) * (Fraction(3) ** nv / graph.aut_order)
+                               RingElem.sum(_edge_modes(ctx, b1, b2))) for w in range(len(a))]
+    walk = _flag_walk(graph, dressed, list(links.items()), partial(_bundle_term, ctx, graph), a)
+    return walk * (Fraction(3) ** len(a) / graph.aut_order)
 
 
 _TAG_DEGREE = {"H0": -1, "H1": 0, "H2": 1, "psiH": 1}

@@ -18,7 +18,8 @@ than by twisting their label-0 values.
 dressed_per_composition and unmerged_graph_contribution: the dressed
 vertex and the graph sum as they were before the flag sums went by
 symmetry class, one ring product per ordered flag composition and, by
-prefix_walk, a depth-first walk over every arrangement of every bundle.
+prefix_walk, a depth-first walk over every arrangement of every bundle,
+once per phase solution that phases lists by a spanning tree.
 
 reference_enumerate_graphs: the stable-graph census as it was before its
 walk cut rows ahead of building them and its canonical test stopped
@@ -291,6 +292,33 @@ def prefix_walk(graph, dressed, pairs, factor) -> RingElem:
     return walk(0, None)
 
 
+def phases(graph, pairs) -> list[tuple]:
+    """The phi on the bundles (u, v), u < v, that solve the vertex system of
+    the kp2.localization docstring, one per element of the cycle space, by
+    a spanning tree; none at nonzero weight degree."""
+    a = localization._degrees(graph)
+    if sum(a) % 3:
+        return []
+    up, order = {}, [0]  # spanning tree: vertex -> bundle towards root 0
+    for w in order:
+        for b, (u, v) in enumerate(pairs):
+            x = u + v - w if w in (u, v) else 0
+            if x and x not in up:
+                up[x] = b
+                order.append(x)
+    free = [b for b in range(len(pairs)) if b not in up.values()]
+    out = []
+    for values in product(range(3), repeat=len(free)):
+        phi = dict(zip(free, values))
+        for x in order[:0:-1]:  # leaves first: every other bundle at x is set
+            b = up[x]
+            rest = a[x] - sum(phi[c] if v == x else -phi[c]
+                              for c, (u, v) in enumerate(pairs) if x in (u, v) and c != b)
+            phi[b] = rest if pairs[b][1] == x else -rest
+        out.append(tuple(phi[b] % 3 for b in range(len(pairs))))
+    return out
+
+
 def unmerged_graph_contribution(ctx, graph) -> RingElem:
     """localization.graph_contribution by prefix_walk: every arrangement of
     every bundle's flags is walked at both of its ends."""
@@ -304,7 +332,7 @@ def unmerged_graph_contribution(ctx, graph) -> RingElem:
                                  RingElem.sum(L._edge_modes(ctx, b1, b2)))
                for w in range(len(graph.genera))]
     walks = [prefix_walk(graph, dressed, pairs, lambda b, flag: L._bundle_term(
-        ctx, graph, edges[b], phi[b], flag)) for phi in L._phases(graph, pairs)]
+        ctx, graph, (pairs[b], edges[b]), flag, phi[b])) for phi in phases(graph, pairs)]
     return RingElem.sum(walks) * (Fraction(3) ** len(graph.genera) / graph.aut_order)
 
 

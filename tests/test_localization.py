@@ -384,7 +384,6 @@ def test_frozen_census_counts(g, n, count):
 
 def test_genus_three_series(ctx2):
     total = correlator(ctx2, 3, ())
-    assert all(c.is_rational() for c in total.terms.values())
     assert total.c_degrees() == {0}
     # the constant-map term (-1)^g chi |B_2g B_2g-2| / (4g (2g-2) (2g-2)!), chi = 3
     assert total.eval_at(1, 0) == F(-1, 483840)
@@ -406,13 +405,12 @@ def test_genus_three_series_equals_the_frozen_one(ctx2):
 
 def test_frozen_genus_five_entry():
     # fg --genus 5 takes minutes, so the suite checks its frozen entry
-    # alone: rational, free of c, the constant-map term
+    # alone: read into the rational ring, free of c, the constant-map term
     # F_5(1,0) = -1/851558400 and an A2 form of degree 3g - 3 = 12
     frozen = json.loads((Path(__file__).parent / "frozen_series.json").read_text())["fg-g5"]
     assert frozen["genus"] == 5
     total = RingElem.from_json(frozen["total"])
     assert total.to_json() == frozen["total"]
-    assert all(c.is_rational() for c in total.terms.values())
     assert total.c_degrees() == {0}
     assert total.eval_at(1, 0) == F(-1, 851558400)
     assert (len(frozen["total"]), total.l_range(), total.x_degree()) == (91, (-12, 24), 12)
@@ -427,7 +425,6 @@ def test_genus_three_series_is_a_polynomial_in_a2(ctx2):
     a2 = total.to_a2_form()
     assert a2.x_degree() == 6
     assert a2.c_degrees() == {0}
-    assert all(c.is_rational() for c in a2.terms.values())
     assert a2.l_range() == (0, 12)
     # X = (L^3 A2 + L^3/2 - 1)/3 inverts to A2 = 3 L^-3 X + L^-3 - 1/2
     assert a2.substitute_x(RingElem({(-3, 1, 0): 3, (-3, 0, 0): 1, (0, 0, 0): F(-1, 2)})) == total
@@ -632,8 +629,9 @@ def test_graph_contribution_sums_every_labelling(ctx1, g, tags):
 
 # (ring products, term pairs) of a correlator on a fresh context, rows
 # included; before the flag sums went by symmetry class they were
-# (2446, 49615) and (2633, 91443)
-WORK_BOUNDS = {(2, ("H1", "H1")): (1730, 33697), (3, ()): (2019, 58561)}
+# (2446, 49615) and (2633, 91443), and with one flag walk per phase
+# solution (1638, 32590) and (1882, 54671)
+WORK_BOUNDS = {(2, ("H1", "H1")): (1586, 31808), (3, ()): (1738, 51463)}
 
 
 @pytest.mark.parametrize("g, tags", WORK_BOUNDS, ids=["2-H1x2", "3-0"])
