@@ -79,7 +79,6 @@ def _cmd_fg(args):
     contribs = per_graph_contributions(ctx, args.genus, ())
     total = checked_total(contribs, ())
     payload = {
-        "command": "fg",
         "genus": args.genus,
         "kmax": ctx.kmax,
         "total": total.to_json(),
@@ -89,7 +88,7 @@ def _cmd_fg(args):
         from .labelled import graph_json
 
         payload["graphs"] = [graph_json(item, ctx) for item in contribs]
-    return EXIT_OK, payload, lambda: "\n".join([f"F_{args.genus} = {total}"] + [
+    return None, payload, lambda: "\n".join([f"F_{args.genus} = {total}"] + [
         f"{item.graph.signature()}: {item.value}" for item in contribs if args.per_graph])
 
 
@@ -120,12 +119,11 @@ def _cmd_correlator(args):
     insertions = _parse_insertions(args)
     total = correlator(build_context(), args.genus, insertions)
     payload = {
-        "command": "correlator",
         "genus": args.genus,
         "insertions": list(insertions),
         "total": total.to_json(),
     }
-    return EXIT_OK, payload, lambda: f"<{', '.join(insertions)}>_{args.genus} = {total}"
+    return None, payload, lambda: f"<{', '.join(insertions)}>_{args.genus} = {total}"
 
 
 def _cmd_graphs(args):
@@ -133,7 +131,6 @@ def _cmd_graphs(args):
 
     graphs = enumerate_graphs(args.genus, args.legs)
     payload = {
-        "command": "graphs",
         "genus": args.genus,
         "legs": args.legs,
         "count": len(graphs),
@@ -147,7 +144,7 @@ def _cmd_graphs(args):
             for g in graphs
         ],
     }
-    return EXIT_OK, payload, lambda: "\n".join(
+    return None, payload, lambda: "\n".join(
         [f"{len(graphs)} graphs at genus {args.genus} with {args.legs} legs"]
         + [f"  {g.signature()}  aut={g.aut_order}" for g in graphs])
 
@@ -158,12 +155,11 @@ def _cmd_rseries(args):
     row = extract_R_rows(args.kmax)[args.row]
     entries = [{"k": k, "value": entry.to_json()} for k, entry in enumerate(row)]
     payload = {
-        "command": "rseries",
         "row": args.row,
         "kmax": args.kmax,
         "entries": entries,
     }
-    return EXIT_OK, payload, lambda: "\n".join(
+    return None, payload, lambda: "\n".join(
         f"R[{args.row},{k}] = {entry}" for k, entry in enumerate(row))
 
 
@@ -181,9 +177,9 @@ def _cmd_mirror(args):
         "X": data.X,
         "c": data.c,
     }
-    payload = {"command": "mirror", "qmax": args.qmax}
+    payload = {"qmax": args.qmax}
     payload.update({name: s.to_json() for name, s in series.items()})
-    return EXIT_OK, payload, lambda: "\n".join(
+    return None, payload, lambda: "\n".join(
         f"{name}: {', '.join(payload[name])}" for name in series)
 
 
@@ -194,34 +190,26 @@ def _cmd_mgn(args):
     lam = _int_list(args.lam, "--lambda")
     value = hodge_psi_integral(args.g, exps, lam)
     payload = {
-        "command": "mgn",
         "g": args.g,
         "psi": list(exps),
         "lambda": list(lam),
         "value": str(value),
     }
-    return EXIT_OK, payload, lambda: payload["value"]
+    return None, payload, lambda: payload["value"]
 
 
 def _cmd_verify_pf(args):
     from .mirror import verify_pf
 
-    residuals = {}
-    ok = True
-    for i in range(3):
-        res = verify_pf(i, args.qmax, args.zmax)
-        zero = res.is_zero()
-        residuals[str(i)] = zero
-        ok = ok and zero
+    residuals = {str(i): verify_pf(i, args.qmax, args.zmax).is_zero() for i in range(3)}
+    ok = all(residuals.values())
     payload = {
-        "command": "verify",
-        "what": "pf",
         "qmax": args.qmax,
         "zmax": args.zmax,
         "residual_zero": residuals,
         "pass": ok,
     }
-    return (EXIT_OK if ok else EXIT_VERIFY), payload, lambda: "pf: " + ("pass" if ok else "FAIL")
+    return ok, payload, lambda: "pf: " + _verdict(ok)
 
 
 def _verdict(ok: bool, *reports) -> str:
@@ -237,9 +225,8 @@ def _cmd_verify_hae(args):
     from .localization import build_context
 
     report = verify_ttt(build_context(), args.genus)
-    payload = {"command": "verify", "what": "hae", "report": report.to_json()}
     text = f"hae genus {args.genus}: " + _verdict(report.passed, report)
-    return (EXIT_OK if report.passed else EXIT_VERIFY), payload, lambda: text
+    return report.passed, {"report": report.to_json()}, lambda: text
 
 
 def _cmd_verify_lift(args):
@@ -252,14 +239,12 @@ def _cmd_verify_lift(args):
     two = verify_lift(ctx, args.genus, two_point=True) if args.genus >= 2 else None
     ok = one.passed and (two is None or two.passed)
     payload = {
-        "command": "verify",
-        "what": "lift",
         "one_point": one.to_json(),
         "two_point": None if two is None else two.to_json(),
         "pass": ok,
     }
     text = f"lift genus {args.genus}: " + _verdict(ok, one, two)
-    return (EXIT_OK if ok else EXIT_VERIFY), payload, lambda: text
+    return ok, payload, lambda: text
 
 
 def _cmd_verify_ss56(args):
@@ -267,10 +252,9 @@ def _cmd_verify_ss56(args):
     from .localization import build_context
 
     report = verify_ss56(build_context(), args.genus, args.a, args.b, args.c)
-    payload = {"command": "verify", "what": "ss56", "report": report.to_json()}
     marks = f"(a={args.a}, b={args.b}, c={args.c})"
     text = f"ss56 genus {args.genus} {marks}: " + _verdict(report.passed, report)
-    return (EXIT_OK if report.passed else EXIT_VERIFY), payload, lambda: text
+    return report.passed, {"report": report.to_json()}, lambda: text
 
 
 def _cmd_verify_lemma_r(args):
@@ -295,8 +279,6 @@ def _cmd_verify_lemma_r(args):
     ]
     ok = all(item["zero"] for item in relations) and all(item["match"] for item in series)
     payload = {
-        "command": "verify",
-        "what": "lemmaR",
         "kmax": kmax,
         "qmax": qmax,
         "drule": "ok",
@@ -304,12 +286,12 @@ def _cmd_verify_lemma_r(args):
         "series": series,
         "pass": ok,
     }
-    return (EXIT_OK if ok else EXIT_VERIFY), payload, lambda: "lemmaR: " + (
-        "pass" if ok else "FAIL")
+    return ok, payload, lambda: "lemmaR: " + _verdict(ok)
 
 
 # Each subcommand: (help, arguments as (flag, add_argument keywords), handler).
-# Every one but verify also takes --format; verify runs the suite it names.
+# Every one but verify also takes --format; main runs the suite verify names.
+# A handler returns (passed, payload, text).
 _SUBCOMMANDS = {
     "fg": ("unpointed total at a genus", [
         ("--genus", dict(type=int, required=True)),
@@ -343,7 +325,7 @@ _SUBCOMMANDS = {
         ("--lambda", dict(type=str, default="", dest="lam",
                           help="comma-separated Hodge indices")),
     ], _cmd_mgn),
-    "verify": ("run a verification suite", None, lambda args: _SUITES[args.what][2](args)),
+    "verify": ("run a verification suite", None, None),
 }
 _SUITES = {
     "pf": ("differential-operator residual on the restricted series", [
@@ -375,8 +357,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    what = vars(args).get("what")
     try:
-        code, payload, text = _SUBCOMMANDS[args.command][2](args)
+        passed, payload, text = (_SUITES[what] if what else _SUBCOMMANDS[args.command])[2](args)
+        payload["command"] = args.command
+        if what:
+            payload["what"] = what
         out = json.dumps(payload, sort_keys=True) if args.format == "json" else text()
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
@@ -388,7 +374,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(out)
-    return code
+    return EXIT_VERIFY if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -64,12 +64,8 @@ def _splits(items: tuple[int, ...]) -> list:
     return groups
 
 
-@cache
 def _dvv(g: int, exps: tuple[int, ...]) -> Fraction:
-    """_ch without ch classes, exps sorted: recursion on the largest exponent."""
-    reduced = _forget(g, exps)
-    if reduced is not None:
-        return reduced
+    """_step without ch classes: recursion on the largest exponent."""
     if g == 0:  # exps == (0, 0, 0)
         return Fraction(1)
     if g == 1 and exps == (1,):
@@ -124,21 +120,22 @@ def _ch(g: int, exps: tuple[int, ...], ks: tuple[int, ...] = ()) -> Fraction:
     n = len(exps)
     if g < 0 or 2 * g - 2 + n <= 0 or sum(exps) + sum(ks) != 3 * g - 3 + n:
         return Fraction(0)
-    if not ks:
-        return _dvv(g, tuple(sorted(exps)))
-    if ks[-1] > 2 * g - 1 or sum(ks) > max(3 * g - 3, 1):
+    if ks and (ks[-1] > 2 * g - 1 or sum(ks) > max(3 * g - 3, 1)):
         return Fraction(0)
-    return _mumford(g, tuple(sorted(exps)), ks)
+    return _step(g, tuple(sorted(exps)), ks)
 
 
 @cache
-def _mumford(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
-    """_ch where no vanishing applies, exps sorted: the largest ch_k is
-    removed by Mumford's formula; the other factors restrict to each
+def _step(g: int, exps: tuple[int, ...], ks: tuple[int, ...]) -> Fraction:
+    """_ch where no vanishing applies, exps sorted: the string or dilaton
+    step if one applies, else DVV without ch classes, else the largest ch_k
+    is removed by Mumford's formula; the other factors restrict to each
     boundary divisor."""
     reduced = _forget(g, exps, ks)
     if reduced is not None:
         return reduced
+    if not ks:
+        return _dvv(g, exps)
     k, rest = ks[-1], ks[:-1]
     # kappa_k term, then the cotangent terms
     total = _ch(g, exps + (k + 1,), rest)

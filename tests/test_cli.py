@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kp2 import cli, graphs, labelled, localization, mirror, rseries
+from kp2 import anomaly, cli, graphs, labelled, localization, mirror, rseries
 from kp2.labelled import CycElem
 from kp2.lring import RingElem
 from kp2.rseries import extract_R_rows
@@ -356,6 +356,51 @@ def test_verify_failure_exit(capsys, monkeypatch):
     code, payload = run_json(["verify", "pf"], capsys)
     assert code == cli.EXIT_VERIFY
     assert payload["pass"] is False
+
+
+# One quick command line per subcommand and per verify suite.
+_EVERY_COMMAND = {
+    "fg": ["fg", "--genus", "2"],
+    "correlator": ["correlator", "--genus", "0", "--c", "3"],
+    "graphs": ["graphs", "--genus", "2"],
+    "rseries": ["rseries", "--row", "1", "--kmax", "2"],
+    "mirror": ["mirror", "--qmax", "4"],
+    "mgn": ["mgn", "--g", "1", "--psi", "1"],
+    "pf": ["verify", "pf", "--qmax", "8", "--zmax", "5"],
+    "hae": ["verify", "hae"],
+    "lift": ["verify", "lift", "--genus", "1"],
+    "ss56": ["verify", "ss56", "--genus", "1", "--c", "1"],
+    "lemmaR": ["verify", "lemmaR", "--kmax", "2"],
+}
+
+
+def test_every_command_has_a_command_line():
+    assert set(_EVERY_COMMAND) == (set(cli._SUBCOMMANDS) - {"verify"}) | set(cli._SUITES)
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND.values(), ids=_EVERY_COMMAND)
+def test_main_names_the_command_in_the_payload(argv, capsys):
+    # main, not the handler, adds the argv words: command, and what for a suite
+    code, payload = run_json(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert payload["command"] == argv[0]
+    assert payload.get("what") == (argv[1] if argv[0] == "verify" else None)
+
+
+@pytest.mark.parametrize("routine, argv", [
+    ("verify_ttt", _EVERY_COMMAND["hae"]),
+    ("verify_ss56", ["verify", "ss56", "--genus", "1", "--c", "3"]),
+    ("verify_lift", ["verify", "lift"]),
+], ids=["hae", "ss56", "lift"])
+def test_a_failed_anomaly_identity_exits_1(routine, argv, capsys, monkeypatch):
+    failed = anomaly.HAEReport(2, RingElem.one(), RingElem.zero(), RingElem.one(), False)
+    monkeypatch.setattr(anomaly, routine, lambda *args, **kwargs: failed)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (cli.EXIT_VERIFY, "")
+    assert '"pass": false' in out
+    code, out, err = run(argv + ["--format", "text"], capsys)
+    assert (code, err) == (cli.EXIT_VERIFY, "")
+    assert out.endswith(": FAIL\n")
 
 
 def test_internal_failure_exit(capsys, monkeypatch):
