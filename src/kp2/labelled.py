@@ -5,7 +5,8 @@ labelled_contribution takes each link through the direct kernel at its
 labels (edge_contribution), decoration_orbits lists labelling orbits, and
 graph_json builds a graph's fg --per-graph entry.
 
-Values are CycElems a + b zeta.  By kp2.localization's twist, dressed
+Values are CycElems a + b zeta; CycElem.dot makes their sums of products,
+each part by one RingElem.dot.  By kp2.localization's twist, dressed
 vertices are built at label 0, a link at labels (p, q) and flags (b1, b2)
 is zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q, and the
 value zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.
@@ -16,13 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import lcm
 from operator import mul
 from weakref import WeakKeyDictionary
 
 from .graphs import StableGraph, _ratio
 from .localization import Context, _check_degrees, _degrees, _dressed_vertex, _flag_walk, _located
-from .lring import RingElem, _checked, _product, _reduced
+from .lring import RingElem
 from .scalars import ZERO, ZETA, ConsistencyError, CycScalar, euler_at, to_cyc
 
 __all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_orbits",
@@ -42,10 +42,20 @@ class CycElem:
 
     @staticmethod
     def sum(items) -> "CycElem":
-        items = list(items)
-        if len(items) == 1:
-            return items[0]
-        return CycElem(RingElem.sum([x.a for x in items]), RingElem.sum([x.b for x in items]))
+        return CycElem.dot((x, RingElem.one()) for x in items)
+
+    @staticmethod
+    def dot(pairs) -> "CycElem":
+        """sum(x * y for x, y in pairs) of CycElems, RingElems or scalars, each
+        part by RingElem.dot: (a0 + a1 z)(b0 + b1 z) = a0 b0 - q + (a0 b1 + a1 b0 - q) z,
+        q = a1 b1."""
+        a, b, one = [], [], RingElem.one()
+        for x, y in pairs:
+            x, y = _lift(x), _lift(y)
+            q = x.b and y.b and -(x.b * y.b)
+            a += [(x.a, y.a), (q, one)]
+            b += [(x.a, y.b), (x.b, y.a), (q, one)]
+        return CycElem(RingElem.dot(a), RingElem.dot(b))
 
     @property
     def terms(self) -> dict:  # (l, x, e) -> CycScalar
@@ -80,30 +90,10 @@ class CycElem:
     __sub__ = lambda self, other: self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (RingElem, int, Fraction)):
-            return CycElem(self.a * other, self.b and self.b * other)
         other = _lift(other)
-        if other is None:
-            return NotImplemented
-        a0, a1, b0, b1 = self.a, self.b, other.a, other.b
-        if not (a1 and b1):
-            return CycElem(a0 * b0, _dot((a0, b1), (a1, b0)))
-        q = a1 * b1  # (a0 + a1 z)(b0 + b1 z) = a0 b0 - q + (a0 b1 + a1 b0 - q) z
-        return CycElem(_dot((a0, b0), (q, _NEG)), _dot((a0, b1), (a1, b0), (q, _NEG)))
+        return NotImplemented if other is None else CycElem.dot([(self, other)])
 
     __rmul__ = __mul__
-
-
-_NEG = RingElem.const(-1)
-
-
-def _dot(*pairs) -> RingElem:
-    """sum(x * y for x, y in pairs) over one denominator."""
-    den = lcm(*(x.den * y.den for x, y in pairs))
-    acc = {}
-    for x, y in pairs:
-        _product(x.num, y.num, acc, den // (x.den * y.den))
-    return _reduced(_checked(acc), den)
 
 
 def _lift(x):
@@ -163,7 +153,7 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> CycE
     try:
         dressed = [_dressed_vertex(ctx, memo, graph, w, partial(factor, 0, 0))
                    for w in range(len(labels))]
-        value = _lift(_flag_walk(graph, dressed, links, link))
+        value = _flag_walk(graph, dressed, links, link, CycElem.dot)
         return value.twist(sum(map(mul, labels, _degrees(graph)))) * (1 / Fraction(aut))
     except ConsistencyError as exc:
         raise ConsistencyError(f"{exc} at labels {list(labels)}") from exc

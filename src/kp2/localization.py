@@ -31,7 +31,7 @@ a key at w takes the factors of the bundles closing there, and keys
 sharing next flags are summed before one product with their next states'
 sum.  A bundle factor reads sorted flag pairs and its upper end walks
 every arrangement, so its lower flags enter the state sorted: keys
-permuting them share one state.
+permuting them share one state.  Each sum of products is one RingElem.dot.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from .lring import RingElem
 from .mgn import expand_vertex_class, hodge_psi_integral
 from .rseries import extract_R_rows
 from .scalars import ConsistencyError, weight_pow
+
+_ONE = RingElem.one()
 
 __all__ = [
     "StableGraph", "Contribution", "Context", "build_context",
@@ -115,8 +117,7 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
     n = len(a_values)
     exps = tuple(a - 1 for a in a_values)
     budget = 3 * h - 3 + n - sum(exps)
-    terms = []
-    rows0 = ctx.rows[0]
+    scales: dict = {}  # parts -> their rows' rational coefficient
     for lam, coeff in expand_vertex_class(i, h).items():
         rem = budget - sum(lam)
         if rem < 0:
@@ -130,10 +131,10 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
                 raise ValueError(f"row index {parts[0]} beyond kmax={ctx.kmax}")
             mult = prod(factorial(parts.count(p)) for p in set(parts))
             scale = coeff * integral * (-1) ** sum(p % 2 == 0 for p in parts) / mult
-            scale *= weight_pow(i, -rem)
-            terms.append(reduce(mul, [rows0[p] for p in parts]) * scale if parts else
-                         RingElem.const(scale))
-    total = RingElem.sum(terms)
+            scales[parts] = scales.get(parts, 0) + (scale * weight_pow(i, -rem)).as_rational()
+    rows0 = ctx.rows[0]
+    total = RingElem.dot([(reduce(mul, [rows0[p] for p in parts[:-1]], RingElem.const(s)),
+                           rows0[parts[-1]] if parts else _ONE) for parts, s in scales.items()])
     if total.x_degree() > 0:
         raise ConsistencyError("vertex contribution acquired an X-dependence")
     if not total.c_degrees() <= {0}:
@@ -159,10 +160,10 @@ def _edge_modes(ctx: Context, b1: int, b2: int) -> tuple:
         for s in range(b2):
             a, b = b1 + s, b2 - 1 - s
             for m, n, k in ((0, 0, -b), (1, 2, 2 - b), (2, 1, 1 - b)):
-                x = rows[m][a] * rows[n][b]
-                parts[k % 3].append(x if (b1 + b2 + s) % 2 else -x)
+                x = rows[m][a]
+                parts[k % 3].append((x if (b1 + b2 + s) % 2 else -x, rows[n][b]))
         modes = ctx._mode_memo[b1, b2] = tuple(
-            _check_degrees(RingElem.sum(p) * 3, f"mode Q_{k}({b1},{b2})") for k, p in enumerate(parts))
+            _check_degrees(RingElem.dot(p) * 3, f"mode Q_{k}({b1},{b2})") for k, p in enumerate(parts))
     return modes
 
 
@@ -219,7 +220,7 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, loop) -> 
     slots = [([f"l{m}"], partial(leg_contribution, ctx, graph.tags[m]))
              for m, w in enumerate(graph.legs) if w == v]
     slots += [([f"e{e}.0", f"e{e}.1"], loop) for e, (a, b) in enumerate(graph.edges) if a == b == v]
-    dress = {(): (None, ())}  # sorted values placed -> (D, None for 1; an arrangement)
+    dress = {(): (_ONE, ())}  # sorted values placed -> (D, an arrangement)
     for names, factor in slots:
         factor, step = cache(factor), {}
         for placed, (term, named) in dress.items():
@@ -231,11 +232,11 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, loop) -> 
                 if f:
                     key = tuple(sorted(placed + values))
                     step.setdefault(key, ([], named + tuple(zip(names, values))))[0].append(
-                        f if term is None else term * f)
-        dress = {key: (d, named) for key, (t, named) in step.items() if (d := RingElem.sum(t))}
+                        (f, term))
+        dress = {key: (d, named) for key, (t, named) in step.items() if (d := RingElem.dot(t))}
     out = {}
     for k in _compositions(len(ends), budget):
-        terms, room = [], budget - sum(k) + len(k)
+        pairs, room = [], budget - sum(k) + len(k)
         for placed, (term, named) in dress.items():
             if sum(placed) - len(placed) > room:
                 continue
@@ -244,9 +245,8 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, loop) -> 
             except ConsistencyError as exc:
                 flags = [*zip((f"e{e}.{s}" for e, s in ends), k), *named]
                 raise _located(exc, graph, flags) from exc
-            if x:
-                terms.append(x if term is None else x * term)
-        if value := RingElem.sum(terms):
+            pairs.append((x, term))
+        if value := RingElem.dot(pairs):
             out[k] = value
     return out
 
@@ -266,7 +266,7 @@ def _dressed_vertex(ctx: Context, memo: dict, graph: StableGraph, v: int, loop) 
 
 def _convolve(p, q) -> list:
     """Cyclic convolution: index m sums p_k q_(m-k)."""
-    return [RingElem.sum([p[k] * q[(m - k) % 3] for k in range(3)]) for m in range(3)]
+    return [RingElem.dot([(p[k], q[(m - k) % 3]) for k in range(3)]) for m in range(3)]
 
 
 def _bundle_term(ctx: Context, graph: StableGraph, bundle, flag, phi: int) -> RingElem:
@@ -282,7 +282,7 @@ def _bundle_term(ctx: Context, graph: StableGraph, bundle, flag, phi: int) -> Ri
         except ConsistencyError as exc:
             raise _located(exc, graph, [(f"e{e}.{s}", ab[s]) for e, ab in zip(bundle[1], pairs)
                                         for s in (0, 1)]) from exc
-        memo[psi, key] = RingElem.sum([p * last[(-psi - k) % 3] for k, p in enumerate(
+        memo[psi, key] = RingElem.dot([(p, last[(-psi - k) % 3]) for k, p in enumerate(
             reduce(_convolve, head))]) if head else last[-psi % 3]
     return memo[psi, key]
 
@@ -305,14 +305,11 @@ def _solutions(phases: tuple, n: int, checks: tuple, values: range) -> list:
             if all(sum(map(mul, c, phases + t)) % 3 == r for r, c in checks)]
 
 
-def _sum(items):
-    return type(items[0]).sum(items) if items else RingElem.zero()
-
-
-def _flag_walk(graph: StableGraph, dressed, bundles, factor, a=None) -> RingElem:
+def _flag_walk(graph: StableGraph, dressed, bundles, factor, dot, a=None):
     """The flag sum by elimination in vertex order (module docstring);
     bundles[b] = ((u, v), edges), u < v, factor(bundles[b], flag, phase)
-    enters at v; without a every phase is 0.  Sums keep their terms' type."""
+    enters at v; without a every phase is 0.  dot sums products
+    (CycElem.dot for kp2.labelled's pairs)."""
     nv = len(dressed)
     ends = [_ends(graph, w) for w in range(nv)]
     new = [[b for b, ((u, _), _) in enumerate(bundles) if u == w] for w in range(nv)]
@@ -326,7 +323,7 @@ def _flag_walk(graph: StableGraph, dressed, bundles, factor, a=None) -> RingElem
         checks[w] += ((a[x] % 3, tuple(sign[b] for b in live[w] + new[w])),)
     values = range(3 if a else 1)
     flag: dict = {}  # (edge, side) -> value
-    memo: dict = {}  # (w, state) -> the sum over the vertices from w on
+    memo: dict = {(nv, ((), ())): _ONE}  # (w, state) -> the sum over the vertices from w on
 
     def rest(w: int, state: tuple) -> RingElem:
         if (w, state) not in memo:
@@ -335,20 +332,15 @@ def _flag_walk(graph: StableGraph, dressed, bundles, factor, a=None) -> RingElem
                 flag.update(zip([(e, 0) for e in bundles[b][1]], lower))
             kept = tuple(p for b, p in zip(live[w], phases) if bundles[b][0][1] > w)
             nexts = [kept + t for t in _solutions(phases, len(new[w]), checks[w], values)]
-            groups: dict = {}  # next flags -> terms; factors are read before any recursion
+            groups: dict = {}  # next flags -> pairs; factors are read before any recursion
             for key, term in dressed[w].items() if nexts else ():
                 flag.update(zip(ends[w], key))
-                for b, p in zip(live[w], phases):
-                    if bundles[b][0][1] == w:
-                        term = term * factor(bundles[b], flag, p)
-                after = tuple(tuple(sorted(flag[e, 0] for e in bundles[b][1]))
-                              for b in live[w + 1]) if w + 1 < nv else ()
-                groups.setdefault(after, []).append(term)
-            parts = [_sum(terms) for terms in groups.values()]
-            if w + 1 < nv:
-                parts = [x * _sum([rest(w + 1, (after, p)) for p in nexts])
-                         for x, after in zip(parts, groups)]
-            memo[w, state] = _sum(parts)
+                closing = [factor(bundles[b], flag, p) for b, p in zip(live[w], phases)
+                           if bundles[b][0][1] == w] or [_ONE]
+                after = tuple(tuple(sorted(flag[e, 0] for e in bundles[b][1])) for b in live[w + 1])
+                groups.setdefault(after, []).append((reduce(mul, closing[:-1], term), closing[-1]))
+            memo[w, state] = dot([(dot(terms), dot([(rest(w + 1, (after, p)), _ONE) for p in nexts]))
+                                  for after, terms in groups.items()])
         return memo[w, state]
 
     return rest(0, ((), ()))
@@ -366,7 +358,8 @@ def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:
             links.setdefault((u, v), []).append(e)
     dressed = [_dressed_vertex(ctx, ctx._dressed_memo, graph, w, lambda b1, b2:
                                RingElem.sum(_edge_modes(ctx, b1, b2))) for w in range(len(a))]
-    walk = _flag_walk(graph, dressed, list(links.items()), partial(_bundle_term, ctx, graph), a)
+    walk = _flag_walk(graph, dressed, list(links.items()), partial(_bundle_term, ctx, graph),
+                      RingElem.dot, a)
     return walk * (Fraction(3) ** len(a) / graph.aut_order)
 
 

@@ -21,6 +21,8 @@ Keys pack l + 256, x, e + 256 into 10-bit fields (9 bits under a guard
 bit): -256 <= l, e < 256 and 0 <= x < 512, else ValueError, never an
 aliased key.  A product adds keys (less the key of 1); a field leaving
 the box sets a guard bit or the sign, checked on each moved result.
+
+One accumulation loop, RingElem.dot, makes every sum and product.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class RingElem:
 
     @classmethod
     def one(cls) -> "RingElem":
-        return cls({(0, 0, 0): 1})
+        return _UNIT
 
     @classmethod
     def const(cls, value) -> "RingElem":
@@ -108,17 +110,28 @@ class RingElem:
     @staticmethod
     def sum(items) -> "RingElem":
         """The sum of the elements in items, over one denominator."""
-        items = [item for item in items if item.num]
-        if len(items) == 1:
-            return items[0]
-        den = lcm(*(item.den for item in items))
+        return RingElem.dot([(item, _UNIT) for item in items])
+
+    @staticmethod
+    def dot(pairs) -> "RingElem":
+        """sum(x * y for x, y in pairs) over the lcm of the x.den * y.den,
+        reduced once; a y that is one() adds x, and a lone such pair is x."""
+        pairs = [(x, y) for x, y in pairs if x.num and y.num]
+        if len(pairs) == 1 and pairs[0][1] is _UNIT:
+            return pairs[0][0]
+        den = lcm(*[x.den * y.den for x, y in pairs])
         acc: dict = {}
         get = acc.get
-        for item in items:
-            m = den // item.den
-            for k, v in item.num.items():
-                acc[k] = get(k, 0) + v * m
-        return _reduced(acc, den)
+        for x, y in pairs:
+            m = den // (x.den * y.den)
+            if len(x.num) > len(y.num):  # the shorter outside
+                x, y = y, x
+            for k1, a in x.num.items():
+                k1, a = k1 - _ONE_KEY, a * m
+                for k2, b in y.num.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + a * b
+        return _reduced(_checked(acc), den)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -167,15 +180,9 @@ class RingElem:
         return _ring(self.den, {k: -v for k, v in self.num.items()})
 
     def __mul__(self, other):
-        """The product; a rational scalar p/q scales the numerators by p, den by q."""
-        if not isinstance(other, RingElem):
-            if isinstance(other, CycScalar):
-                other = other.as_rational()
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            p, q = other.as_integer_ratio()
-            return _reduced({k: v * p for k, v in self.num.items()}, self.den * q)
-        return _reduced(_checked(_product(self.num, other.num, {})), self.den * other.den)
+        """The product; a rational scalar enters as a constant."""
+        other = _lift(other)
+        return RingElem.dot([(self, other)]) if isinstance(other, RingElem) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -275,7 +282,10 @@ class Terms(Mapping):
 
 
 def _lift(x):
-    return RingElem.const(x) if isinstance(x, (int, Fraction, CycScalar)) else x
+    if isinstance(x, (int, Fraction, CycScalar)):
+        p, q = to_cyc(x).as_rational().as_integer_ratio()
+        return _ring(q, {_ONE_KEY: p} if p else {})
+    return x
 
 
 def _ring(den: int, num: dict) -> RingElem:
@@ -283,19 +293,6 @@ def _ring(den: int, num: dict) -> RingElem:
     out = object.__new__(RingElem)
     out.den, out.num = den, num
     return out
-
-
-def _product(p: dict, q: dict, acc: dict, m: int = 1) -> dict:
-    """acc plus m p q for integer polynomials p, q (the shorter outside); keys unchecked."""
-    if len(p) > len(q):
-        p, q = q, p
-    get = acc.get
-    for k1, a in p.items():
-        k1, a = k1 - _ONE_KEY, a * m
-        for k2, b in q.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + a * b
-    return acc
 
 
 def _reduced(num: dict, den: int) -> RingElem:
@@ -308,3 +305,6 @@ def _reduced(num: dict, den: int) -> RingElem:
         num = {k: v // g for k, v in num.items()}
         den //= g
     return _ring(den, num)
+
+
+_UNIT = RingElem({(0, 0, 0): 1})

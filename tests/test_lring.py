@@ -384,6 +384,37 @@ def test_other_results_are_canonical(a):
         assert_canonical(result)
 
 
+@given(st.lists(st.tuples(rat_terms, st.none() | rat_terms), max_size=5),
+       st.lists(st.integers(0, 4), max_size=3))
+def test_dot_is_the_sum_of_its_products(raw, negated):
+    # pairs over mixed denominators, y None for the unit one(), some pairs
+    # cancelled by their negation; an empty list is zero over den 1
+    pairs = [(RingElem(a), RingElem.one() if b is None else RingElem(b)) for a, b in raw]
+    pairs += [(-pairs[k][0], pairs[k][1]) for k in negated if k < len(pairs)]
+    total = RingElem.dot(pairs)
+    assert_canonical(total)
+    assert total == RingElem.sum([x * y for x, y in pairs]) == RingElem.dot(iter(pairs))
+    assert total.terms == PerTermElem.sum([PerTermElem(dict(x.terms)) * PerTermElem(dict(y.terms))
+                                           for x, y in pairs]).terms
+    cancelled = RingElem.dot(pairs + [(-x, y) for x, y in pairs])
+    assert cancelled.is_zero() and cancelled.den == 1
+
+
+def test_dot_refuses_what_the_ring_cannot_hold():
+    f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 1, 0): Fraction(-3, 4)})
+    # an exponent leaving the key box raises, also when its term cancels
+    for pairs in ([(f, f), (RingElem.L(200), RingElem.L(100))],
+                  [(RingElem.c(255), RingElem.c(1)), (RingElem.c(-255), RingElem.c(1))],
+                  [(RingElem.L(255), RingElem.one()), (RingElem.L(1), RingElem.L(255))]):
+        with pytest.raises(ValueError, match="range"):
+            RingElem.dot(pairs)
+    # a scalar with a zeta part is not a ring element: a product with it is refused
+    for make in (lambda: RingElem.dot([(f, f), (f * ZETA, f)]),
+                 lambda: RingElem.dot([(f, RingElem.const(CycScalar(1, 1)))])):
+        with pytest.raises(ConsistencyError, match="not rational"):
+            make()
+
+
 def test_routes_with_different_denominators_compare_equal():
     f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 0, 0): Fraction(1, 4)})
     g = RingElem({(0, 1, 0): Fraction(3, 10), (1, 0, 0): 5})

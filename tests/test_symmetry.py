@@ -505,8 +505,9 @@ def test_edge_modes_match_the_direct_worker(ctx1):
 def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch):
     # The sum over all labellings reads edges only through their rational
     # modes: with the direct edge worker gone it still gives the labelled
-    # reference, and no ring product in it meets a CycElem pair.  The
-    # labelled route still reaches the worker.
+    # reference, and no ring product in it, by RingElem.__mul__ or inside
+    # RingElem.dot, meets a CycElem pair.  The labelled route still reaches
+    # the worker.
     reference = labelled_reference(g, tags)
 
     def refuse(*args):
@@ -514,15 +515,21 @@ def test_graph_sums_stay_rational_without_the_direct_worker(g, tags, monkeypatch
 
     monkeypatch.setattr(labelled, "edge_contribution", refuse)
     monkeypatch.setattr(labelled, "_p_coefficient", refuse)
-    real = RingElem.__mul__
+    real, real_dot = RingElem.__mul__, RingElem.dot
     products = []
 
     def counted(self, other):
         products.append(isinstance(other, CycElem))
         return real(self, other)
 
+    def counted_dot(pairs):
+        pairs = list(pairs)
+        products.extend(isinstance(z, CycElem) for pair in pairs for z in pair)
+        return real_dot(pairs)
+
     monkeypatch.setattr(RingElem, "__mul__", counted)
     monkeypatch.setattr(RingElem, "__rmul__", counted)
+    monkeypatch.setattr(RingElem, "dot", staticmethod(counted_dot))
     assert correlator(build_context(), g, tags) == reference
     assert len(products) > 100 and not any(products)
     ctx = build_context()
