@@ -5,11 +5,11 @@ labelled_contribution takes each link through the direct kernel at its
 labels (edge_contribution), decoration_orbits lists labelling orbits, and
 graph_json builds a graph's fg --per-graph entry.
 
-Values are CycElems a + b zeta; CycElem.dot makes their sums of products,
-each part by one RingElem.dot.  By kp2.localization's twist, dressed
-vertices are built at label 0, a link at labels (p, q) and flags (b1, b2)
-is zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q, and the
-value zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.
+Values are CycElems a + b zeta, RingElems in the walk while rational.  By
+kp2.localization's twist, dressed vertices are built at label 0, a link
+at labels (p, q) and flags (b1, b2) is zeta^(p (b1 - 1) + q b2) times its
+edge, rational at p = q, and the value zeta^(sum_v p_v a_v) times the
+flag sum, a_v from _degrees.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_
 
 _DRESSED = WeakKeyDictionary()  # context -> label-0 dressed vertices
 _TWISTED = WeakKeyDictionary()  # context -> twisted edges
+_ONE, _ZERO = RingElem.one(), RingElem.zero()
 
 
 class CycElem:
@@ -37,24 +38,27 @@ class CycElem:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b=RingElem.zero()):
+    def __init__(self, a, b=_ZERO):
         self.a, self.b = a, b
 
     @staticmethod
     def sum(items) -> "CycElem":
-        return CycElem.dot((x, RingElem.one()) for x in items)
+        items = list(items)
+        return CycElem(RingElem.sum([x.a for x in items]), RingElem.sum([x.b for x in items]))
 
     @staticmethod
-    def dot(pairs) -> "CycElem":
-        """sum(x * y for x, y in pairs) of CycElems, RingElems or scalars, each
-        part by RingElem.dot: (a0 + a1 z)(b0 + b1 z) = a0 b0 - q + (a0 b1 + a1 b0 - q) z,
-        q = a1 b1."""
-        a, b, one = [], [], RingElem.one()
+    def dot(pairs):
+        """sum(x * y for x, y in pairs), a RingElem if no factor is a CycElem,
+        else a0 b0 - q + (a0 b1 + a1 b0 - q) zeta, q = a1 b1."""
+        pairs = list(pairs)
+        if not any(isinstance(x, CycElem) for p in pairs for x in p):
+            return RingElem.dot(pairs)
+        a, b = [], []
         for x, y in pairs:
-            x, y = _lift(x), _lift(y)
-            q = x.b and y.b and -(x.b * y.b)
-            a += [(x.a, y.a), (q, one)]
-            b += [(x.a, y.b), (x.b, y.a), (q, one)]
+            (x0, x1), (y0, y1) = _parts(x), _parts(y)
+            q = x1 and y1 and -x1 * y1
+            a += [(x0, y0), (q, _ONE)]
+            b += [(x0, y1), (x1, y0), (q, _ONE)]
         return CycElem(RingElem.dot(a), RingElem.dot(b))
 
     @property
@@ -68,8 +72,8 @@ class CycElem:
     is_zero = lambda self: not self
 
     def __eq__(self, other):
-        other = _lift(other)
-        return NotImplemented if other is None else self.a == other.a and self.b == other.b
+        other = _parts(other)
+        return NotImplemented if other is None else (self.a, self.b) == other
 
     def conjugate(self) -> "CycElem":
         return CycElem(self.a - self.b, -self.b)
@@ -82,26 +86,28 @@ class CycElem:
         return CycElem(a, b)
 
     def __add__(self, other):
-        other = _lift(other)
-        return NotImplemented if other is None else CycElem(self.a + other.a, self.b + other.b)
+        other = _parts(other)
+        return NotImplemented if other is None else CycElem(self.a + other[0], self.b + other[1])
 
     __radd__ = __add__
     __neg__ = lambda self: CycElem(-self.a, -self.b)
     __sub__ = lambda self, other: self + -other
 
     def __mul__(self, other):
-        other = _lift(other)
-        return NotImplemented if other is None else CycElem.dot([(self, other)])
+        if isinstance(other, (RingElem, int, Fraction)):
+            return CycElem(self.a * other, self.b and self.b * other)
+        return NotImplemented if _parts(other) is None else CycElem.dot([(self, other)])
 
     __rmul__ = __mul__
 
 
-def _lift(x):
+def _parts(x):
+    """(a, b) for x = a + b zeta, a CycElem, RingElem or scalar, else None."""
     if isinstance(x, (CycElem, RingElem)):
-        return x if isinstance(x, CycElem) else CycElem(x)
+        return (x.a, x.b) if isinstance(x, CycElem) else (x, _ZERO)
     if isinstance(x, (int, Fraction, CycScalar)):
         x = to_cyc(x)
-        return CycElem(RingElem.const(x.a), RingElem.const(x.b))
+        return RingElem.const(x.a), RingElem.const(x.b)
 
 
 def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> CycElem:
@@ -153,8 +159,8 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> CycE
     try:
         dressed = [_dressed_vertex(ctx, memo, graph, w, partial(factor, 0, 0))
                    for w in range(len(labels))]
-        value = _flag_walk(graph, dressed, links, link, CycElem.dot)
-        return value.twist(sum(map(mul, labels, _degrees(graph)))) * (1 / Fraction(aut))
+        value = CycElem(*_parts(_flag_walk(graph, dressed, links, link, CycElem.dot)))
+        return value.twist(sum(map(mul, labels, _degrees(graph)))) * Fraction(1, aut)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{exc} at labels {list(labels)}") from exc
 
@@ -167,8 +173,7 @@ def _aut_images(labels, sigmas) -> list[tuple]:
 def decoration_orbits(graph: StableGraph) -> list[tuple[tuple, int]]:
     """Orbit representatives of fixed-point labelings under the graph's
     group G, each with aut_order times its stabilizer's share of G: summed
-    over 1/aut_dec, they give all 3^V labelings over 1/aut_order.
-    """
+    over 1/aut_dec, they give all 3^V labelings over 1/aut_order."""
     reps: dict = {}
     for p in product(range(3), repeat=len(graph.genera)):
         images = _aut_images(p, graph.automorphisms)

@@ -109,20 +109,23 @@ class RingElem:
 
     @staticmethod
     def sum(items) -> "RingElem":
-        """The sum of the elements in items, over one denominator."""
+        """The sum of items: dot with one()."""
         return RingElem.dot([(item, _UNIT) for item in items])
 
     @staticmethod
     def dot(pairs) -> "RingElem":
         """sum(x * y for x, y in pairs) over the lcm of the x.den * y.den,
-        reduced once; a y that is one() adds x, and a lone such pair is x."""
-        pairs = [(x, y) for x, y in pairs if x.num and y.num]
-        if len(pairs) == 1 and pairs[0][1] is _UNIT:
-            return pairs[0][0]
-        den = lcm(*[x.den * y.den for x, y in pairs])
+        reduced once; a lone pair (x, one()) is x."""
+        kept, den = [], 1
+        for x, y in pairs:
+            if x.num and y.num:
+                kept.append((x, y))
+                den = lcm(den, x.den * y.den)
+        if len(kept) == 1 and kept[0][1] is _UNIT:
+            return kept[0][0]
         acc: dict = {}
         get = acc.get
-        for x, y in pairs:
+        for x, y in kept:
             m = den // (x.den * y.den)
             if len(x.num) > len(y.num):  # the shorter outside
                 x, y = y, x
@@ -164,9 +167,7 @@ class RingElem:
 
     def __add__(self, other):
         other = _lift(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return RingElem.sum((self, other))
+        return RingElem.sum((self, other)) if isinstance(other, RingElem) else NotImplemented
 
     __radd__ = __add__
 

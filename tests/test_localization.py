@@ -641,7 +641,8 @@ def test_graph_sums_stay_within_their_work(g, tags, monkeypatch):
     # its term pairs: a pair of nonzero elements, the second not one(), is
     # one product of the terms of one times those of the other, a scalar
     # being a one-term constant.  A change that computes a symmetry class
-    # more than once exceeds the bounds.
+    # more than once exceeds the bounds; one that makes products the counter
+    # cannot see reads below 90% of them.
     real, one = RingElem.dot, RingElem.one()
     work = [0, 0]
 
@@ -655,8 +656,8 @@ def test_graph_sums_stay_within_their_work(g, tags, monkeypatch):
 
     monkeypatch.setattr(RingElem, "dot", staticmethod(counted))
     correlator(build_context(), g, tags)
-    products, pairs = work
-    assert 0 < products <= WORK_BOUNDS[g, tags][0] and 0 < pairs <= WORK_BOUNDS[g, tags][1]
+    for count, bound in zip(work, WORK_BOUNDS[g, tags]):
+        assert 0.9 * bound <= count <= bound
 
 
 def test_genus_two_golden_values(ctx2):
