@@ -5,11 +5,11 @@ labelled_contribution takes each link through the direct kernel at its
 labels (edge_contribution), decoration_orbits lists labelling orbits, and
 graph_json builds a graph's fg --per-graph entry.
 
-Values are CycElems a + b zeta, RingElems in the walk while rational.  By
-kp2.localization's twist, dressed vertices are built at label 0, a link
-at labels (p, q) and flags (b1, b2) is zeta^(p (b1 - 1) + q b2) times its
-edge, rational at p = q, and the value zeta^(sum_v p_v a_v) times the
-flag sum, a_v from _degrees.
+Values are CycElems a + b zeta (the only JSON with a zeta part),
+RingElems in the walk while rational.  By kp2.localization's twist,
+dressed vertices are built at label 0, a link at labels (p, q) and flags
+(b1, b2) is zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q,
+and the value zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from weakref import WeakKeyDictionary
 from .graphs import StableGraph, _ratio
 from .localization import Context, _check_degrees, _degrees, _dressed_vertex, _flag_walk, _located
 from .lring import RingElem
-from .scalars import ZERO, ZETA, ConsistencyError, CycScalar, euler_at, to_cyc
+from .scalars import ZETA, ConsistencyError, CycScalar, euler_at, to_cyc
 
 __all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_orbits",
            "graph_json"]
@@ -64,9 +64,11 @@ class CycElem:
     @property
     def terms(self) -> dict:  # (l, x, e) -> CycScalar
         a, b = self.a.terms, self.b.terms
-        return {k: a.get(k, ZERO) + b.get(k, ZERO) * ZETA for k in a.keys() | b.keys()}
+        return {k: ZETA * b.get(k, 0) + a.get(k, 0) for k in a.keys() | b.keys()}
 
-    to_json = RingElem.to_json
+    def to_json(self) -> list[dict]:  # RingElem.to_json with zeta parts
+        return [{"L": l, "X": x, "c": e, "coeff": c.to_json()}
+                for (l, x, e), c in sorted(self.terms.items())]
 
     __bool__ = lambda self: bool(self.a or self.b)
     is_zero = lambda self: not self

@@ -1,7 +1,7 @@
 """The differential ring Q[L, 1/L][X][c, 1/c] that invariants live in.
 
-A zeta part raises ConsistencyError; kp2.labelled pairs two elements for
-a + b zeta.
+Coefficients are Fractions; a zeta part raises ConsistencyError, and
+kp2.labelled pairs two elements for a + b zeta.
 
 Monomials are keyed by integer exponent triples (l, x, e) for L^l X^x c^e
 with x >= 0.  The derivation D acts by
@@ -27,13 +27,12 @@ One accumulation loop, RingElem.dot, makes every sum and product.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
 
-from .scalars import ZERO, CycScalar, _make, to_cyc
+from . import ConsistencyError
 
 __all__ = ["RingElem"]
 
@@ -62,22 +61,21 @@ class RingElem:
     """A Laurent polynomial in L and c, polynomial in X, over Q: key k has
     coefficient num[k]/den, num a dict of nonzero ints, den > 0, canonical
     (gcd(den, all numerators) == 1; zero is den 1 with no terms), so
-    equality compares den and num.  terms views rational CycScalars.
+    equality compares den and num.  terms copies them out as Fractions.
     Immutable."""
 
     __slots__ = ("den", "num")
 
     def __init__(self, terms: dict | None = None):
-        lifted = {_pack(*k): r for k, c in (terms or {}).items() if (r := to_cyc(c).as_rational())}
+        lifted = {_pack(*k): r for k, c in (terms or {}).items() if (r := _rational(c))}
         # the lcm of reduced denominators leaves the form canonical
-        den = lcm(*(c.denominator for c in lifted.values()))
-        self.den = den
+        self.den = den = lcm(*(c.denominator for c in lifted.values()))
         self.num = {k: c.numerator * (den // c.denominator) for k, c in lifted.items()}
 
     @property
-    def terms(self) -> "Terms":
-        """The coefficients, as a read-only mapping from (l, x, e) to CycScalar."""
-        return Terms(self)
+    def terms(self) -> dict:
+        """The coefficients, a new dict (l, x, e) -> Fraction."""
+        return {_unpack(k): Fraction(n, self.den) for k, n in self.num.items()}
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -188,16 +186,14 @@ class RingElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self * to_cyc(other).inverse()
-        if isinstance(other, RingElem):
-            if len(other.terms) != 1:
-                raise ValueError("ring division only by monomials")
-            ((l, x, e), c), = other.terms.items()
-            if x != 0:
-                raise ValueError("X is not invertible in the ring")
-            return self * RingElem.monomial(c.inverse(), -l, 0, -e)
-        return NotImplemented
+        if not isinstance(other, RingElem):
+            return self * (1 / _rational(other))
+        if len(other.num) != 1:
+            raise ValueError("ring division only by monomials")
+        ((l, x, e), c), = other.terms.items()
+        if x != 0:
+            raise ValueError("X is not invertible in the ring")
+        return self * RingElem.monomial(1 / c, -l, 0, -e)
 
     def scale(self, s) -> "RingElem":
         return self * s
@@ -222,10 +218,10 @@ class RingElem:
         return _reduced(_checked({k + _L3 - _X1: ((k >> 10) & 511) * v
                                   for k, v in self.num.items() if (k >> 10) & 511}), 3 * self.den)
 
-    def eval_at(self, l_value, x_value, c_value=1) -> CycScalar:
-        """The value at the given L, X and c."""
-        lv, xv, cv = to_cyc(l_value), to_cyc(x_value), to_cyc(c_value)
-        return sum((c * lv**l * xv**x * cv**e for (l, x, e), c in self.terms.items()), ZERO)
+    def eval_at(self, l_value, x_value, c_value=1):
+        """The value at L, X, c; an int is made a Fraction (1 ** -3 is a float)."""
+        lv, xv, cv = (Fraction(v) if isinstance(v, int) else v for v in (l_value, x_value, c_value))
+        return sum((c * lv**l * xv**x * cv**e for (l, x, e), c in self.terms.items()), Fraction())
 
     def substitute_x(self, image: "RingElem") -> "RingElem":
         """The ring map that sends X to image and fixes L and c, by Horner's rule."""
@@ -240,53 +236,44 @@ class RingElem:
                                            (0, 0, 0): Fraction(-1, 3)}))
 
     def __str__(self):
-        terms = self.terms
-        return " + ".join("*".join([f"({terms[k]})"] + [f"{v}^{p}" if p != 1 else v
-                                                       for v, p in zip("LXc", k) if p])
-                          for k in sorted(terms)) or "0"
+        return " + ".join("*".join([f"({c})"] + [f"{v}^{p}" if p != 1 else v
+                                                for v, p in zip("LXc", k) if p])
+                          for k, c in sorted(self.terms.items())) or "0"
 
     __repr__ = __str__
 
     def to_json(self, x_name: str = "X") -> list[dict]:
         """The terms in exponent order; x_name keys the X-exponent ("A2" for
         an element from to_a2_form)."""
-        terms = self.terms
-        return [{"L": l, x_name: x, "c": e, "coeff": terms[(l, x, e)].to_json()}
-                for (l, x, e) in sorted(terms)]
+        return [{"L": l, x_name: x, "c": e,
+                 "coeff": {"a": f"{c.numerator}/{c.denominator}", "b": "0/1"}}
+                for (l, x, e), c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "RingElem":
-        return cls({(t["L"], t["X"], t["c"]): CycScalar(Fraction(t["coeff"]["a"]),
-                                                         Fraction(t["coeff"]["b"])) for t in data})
+        """The element to_json wrote; a zeta part b raises ConsistencyError."""
+        for t in data:
+            if b := Fraction(t["coeff"]["b"]):
+                a = Fraction(t["coeff"]["a"])
+                raise ConsistencyError(f"value CycScalar({a}, {b}) is not rational")
+        return cls({(t["L"], t["X"], t["c"]): Fraction(t["coeff"]["a"]) for t in data})
 
 
-class Terms(Mapping):
-    """A read-only (l, x, e) -> CycScalar view of a RingElem's coefficients."""
-
-    __slots__ = ("_elem",)
-
-    def __init__(self, elem: RingElem):
-        self._elem = elem
-
-    def __getitem__(self, key) -> CycScalar:
-        e = self._elem
-        try:
-            return _make(e.num[_pack(*key)], 0, e.den)
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(key) from None
-
-    def __len__(self) -> int:
-        return len(self._elem.num)
-
-    def __iter__(self):
-        return map(_unpack, self._elem.num)
+def _rational(c):
+    """c, an int, Fraction or rational CycScalar, as a Fraction, else TypeError."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    if not hasattr(c, "as_rational"):
+        raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+    return c.as_rational()
 
 
 def _lift(x):
-    if isinstance(x, (int, Fraction, CycScalar)):
-        p, q = to_cyc(x).as_rational().as_integer_ratio()
-        return _ring(q, {_ONE_KEY: p} if p else {})
-    return x
+    """A scalar x as a constant, anything else as it is."""
+    try:
+        return x if isinstance(x, RingElem) else RingElem.const(x)
+    except TypeError:
+        return x
 
 
 def _ring(den: int, num: dict) -> RingElem:

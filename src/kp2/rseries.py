@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import ConsistencyError
 from .lring import RingElem
-from .scalars import ZERO, ConsistencyError
 
 __all__ = [
     "extract_R_rows",
@@ -61,12 +61,10 @@ def solve_linear(rhs: RingElem) -> RingElem:
             raise ConsistencyError(f"D f = g needs log L: {rhs}")
         if low > top - 3:
             raise ConsistencyError(f"D f = g has no Laurent solution: {rhs}")
-        coeff = rest.pop(low) * Fraction(-3, low)
-        sol[(low, 0, 0)] = coeff
-        up = rest.get(low + 3, ZERO) - coeff * Fraction(low, 3)
-        if up.is_zero():
-            rest.pop(low + 3, None)
-        else:
+        c = rest.pop(low)
+        sol[(low, 0, 0)] = c * Fraction(-3, low)
+        # D of that term is c L^low - c L^(low + 3)
+        if up := rest.pop(low + 3, 0) + c:
             rest[low + 3] = up
     f = RingElem(sol)
     return f - f.eval_at(1, 0)

@@ -439,7 +439,7 @@ def test_fg_per_graph_payload(capsys):
         # the sum over all labellings against the decorations evaluated one by one
         assert decorations == value, entry["signature"]
     assert addends == total
-    assert total.eval_at(1, 0, 1).as_rational() == F(1, 1920)
+    assert total.eval_at(1, 0, 1) == F(1, 1920)
 
 
 def test_fg_per_graph_checks_the_decoration_sums(capsys, monkeypatch):
@@ -462,6 +462,22 @@ def test_fg_per_graph_checks_the_decoration_sums(capsys, monkeypatch):
     assert out == ""
     assert err == ("internal consistency failure: graph h=[0,0] p=[] e=[0-0;0-1;1-1] legs=[]: "
                    "the value is not the sum of its decoration values\n")
+
+
+def test_ring_elements_print_as_frozen_text(capsys):
+    # the text form of a ring element: terms in exponent order, each
+    # coefficient in parentheses as a reduced fraction (an integer bare)
+    code, out, err = run(["fg", "--genus", "2", "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("F_2 = (5/216)*L^-3 + (5/24)*L^-3*X + (5/8)*L^-3*X^2 + (5/8)*L^-3*X^3"
+                   " + (-959/17280) + (-1/3)*X + (-1/2)*X^2 + (49/1080)*L^3 + (13/96)*L^3*X"
+                   " + (-1/80)*L^6\n")
+    code, out, err = run(["rseries", "--row", "2", "--kmax", "2", "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("R[2,0] = (1)\n"
+                   "R[2,1] = (-1/3)*L^-1 + (-1)*L^-1*X + (1/18) + (5/18)*L^2\n"
+                   "R[2,2] = (-1/54)*L^-1 + (-1/18)*L^-1*X + (1/648) + (1/18)*L + (1/18)*L*X"
+                   " + (5/324)*L^2 + (-35/648)*L^4\n")
 
 
 def test_verify_hae_cli(capsys):

@@ -481,21 +481,45 @@ def test_exponents_at_the_edge_of_the_box():
     assert top * RingElem.monomial(1, l=-256, e=-256) == RingElem.monomial(1, x=511, e=-1, l=-1)
 
 
-def test_terms_is_a_read_only_view():
+def test_terms_is_a_fresh_dict_of_fractions():
     f = RingElem({(0, 0, 0): Fraction(1, 6), (1, 2, -1): CycScalar(Fraction(-1, 4))})
     terms = f.terms
-    plain = {(0, 0, 0): CycScalar(Fraction(1, 6)), (1, 2, -1): CycScalar(Fraction(-1, 4))}
-    assert len(terms) == 2
-    assert terms == plain and plain == terms
-    assert terms != {(0, 0, 0): CycScalar(Fraction(1, 6))}
-    assert terms[(1, 2, -1)] == CycScalar(Fraction(-1, 4))
-    assert (1, 2, -1) in terms and (0, 0, 1) not in terms
-    assert set(terms) == set(plain)
-    assert dict(terms.items()) == plain
-    assert sorted(terms.values(), key=repr) == sorted(plain.values(), key=repr)
-    with pytest.raises(TypeError):
-        terms[(0, 0, 0)] = CycScalar(1)
-    with pytest.raises(TypeError):
-        del terms[(0, 0, 0)]
-    assert RingElem(terms) == f
+    assert terms == {(0, 0, 0): Fraction(1, 6), (1, 2, -1): Fraction(-1, 4)}
+    assert all(type(c) is Fraction for c in terms.values())
+    # the dict is the caller's: changing it leaves the element as it was
+    terms[(0, 0, 0)] = Fraction(5)
+    del terms[(1, 2, -1)]
+    terms[(3, 0, 0)] = Fraction(1, 2)
+    assert f == RingElem({(0, 0, 0): Fraction(1, 6), (1, 2, -1): Fraction(-1, 4)})
+    assert f.terms is not f.terms and RingElem(f.terms) == f
     assert RingElem.zero().terms == {}
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2"], ids=["half", "one", "str"])
+def test_floats_never_enter_the_ring(bad):
+    # the ring is exact: a float (or a string) is refused as a coefficient
+    # and as a scalar on either side of *, + and /, never rounded or dropped
+    f = RingElem.L(1) + RingElem.one()
+    for make in (lambda: RingElem({(1, 0, 0): bad}),
+                 lambda: RingElem({(0, 0, 0): 1, (1, 0, 0): bad}), lambda: RingElem.const(bad), lambda: RingElem.monomial(bad, l=1),
+                 lambda: f * bad, lambda: bad * f, lambda: f + bad, lambda: bad + f,
+                 lambda: f - bad, lambda: f / bad, lambda: f.scale(bad)):
+        with pytest.raises(TypeError):
+            make()
+    assert f != bad
+
+
+def test_eval_at_stays_exact():
+    # an int point is made a Fraction first: 1 ** -3 is the float 1.0, and
+    # 1.0 == Fraction(1), so only the type tells them apart
+    f = RingElem.L(-3)
+    assert type(f.eval_at(1, 0)) is Fraction and f.eval_at(1, 0) == 1
+    assert type(f.eval_at(2, 0)) is Fraction and f.eval_at(2, 0) == Fraction(1, 8)
+    assert f.eval_at(Fraction(1, 2), 0) == 8
+    g = RingElem({(-1, 1, -2): Fraction(3, 4), (0, 0, 0): 1})
+    assert g.eval_at(2, 3, 1) == Fraction(17, 8) and type(g.eval_at(2, 3, 1)) is Fraction
+    assert type(RingElem.zero().eval_at(1, 0)) is Fraction
+    # a point in Q(zeta) gives a value in Q(zeta)
+    assert type(RingElem.L(1).eval_at(ZETA, 0)) is CycScalar
+    assert RingElem.L(1).eval_at(ZETA, 0) == ZETA
+    assert RingElem.L(-1).eval_at(ZETA, 0) == ZETA * ZETA
