@@ -20,10 +20,11 @@ from itertools import product
 from operator import mul
 from weakref import WeakKeyDictionary
 
+from . import ConsistencyError
 from .graphs import StableGraph, _ratio
 from .localization import Context, _check_degrees, _degrees, _dressed_vertex, _flag_walk, _located
 from .lring import RingElem
-from .scalars import ZETA, ConsistencyError, CycScalar, euler_at, to_cyc
+from .scalars import CycScalar, rat_str, to_cyc
 
 __all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_orbits",
            "graph_json"]
@@ -61,14 +62,11 @@ class CycElem:
             b += [(x0, y1), (x1, y0), (q, _ONE)]
         return CycElem(RingElem.dot(a), RingElem.dot(b))
 
-    @property
-    def terms(self) -> dict:  # (l, x, e) -> CycScalar
-        a, b = self.a.terms, self.b.terms
-        return {k: ZETA * b.get(k, 0) + a.get(k, 0) for k in a.keys() | b.keys()}
-
     def to_json(self) -> list[dict]:  # RingElem.to_json with zeta parts
-        return [{"L": l, "X": x, "c": e, "coeff": c.to_json()}
-                for (l, x, e), c in sorted(self.terms.items())]
+        a, b = self.a.terms, self.b.terms
+        return [{"L": k[0], "X": k[1], "c": k[2],
+                 "coeff": {"a": rat_str(a.get(k, 0)), "b": rat_str(b.get(k, 0))}}
+                for k in sorted(a.keys() | b.keys())]
 
     __bool__ = lambda self: bool(self.a or self.b)
     is_zero = lambda self: not self
@@ -118,7 +116,7 @@ def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> CycElem:
     inner = (CycElem(r[0][a] * r[0][b]) + CycElem(r[1][a] * r[2][b]).twist(i + 2 * j)
              + CycElem(r[2][a] * r[1][b]).twist(2 * i + j))
     out = inner.twist(-i * a - j * b) * -3
-    return out - euler_at(i) if i == j and a == b == 0 else out
+    return out + 9 if i == j and a == b == 0 else out  # less e_i = -9
 
 
 def edge_contribution(ctx: Context, i: int, j: int, b1: int, b2: int) -> CycElem:

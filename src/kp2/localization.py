@@ -20,7 +20,8 @@ sum_(into v) phi - sum_(out of v) phi = d_v + #links leaving v mod 3
 returns zero unassembled).  W(phi) is a flag sum over label-0 vertices (a
 loop is Q_0 + Q_1 + Q_2) times, per bundle, its links' modes convolved,
 at -psi, psi = phi + sum b2 (_bundle_term): it is rational.  kp2.labelled
-checks these sums one labelling at a time.
+checks these sums one labelling at a time.  At label 0 the vertex class
+is rational too (kp2.mgn: power sums s_m = 3 s_{m-1} - 3 s_{m-2}).
 
 Contracted flag sum.  A vertex factor V reads sorted flags, so a vertex
 with legs and loops (_dressed_at) at link flags k is sum_R V(k + R) D(R),
@@ -43,11 +44,11 @@ from itertools import product
 from math import factorial, prod
 from operator import mul
 
+from . import ConsistencyError
 from .graphs import StableGraph, _check_request, enumerate_graphs, normalize_tag
 from .lring import RingElem
-from .mgn import expand_vertex_class, hodge_psi_integral
+from .mgn import hodge_psi_integral, vertex_class
 from .rseries import extract_R_rows
-from .scalars import ConsistencyError, weight_pow
 
 _ONE = RingElem.one()
 
@@ -108,21 +109,23 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
     """The localized vertex series coefficient for flag values a_values: a
     sum over extra insertions j >= 2 filling the vertex dimension, each
     weighted by t_j = (-1)^j R_{0,j-1} w_i^{1-j}, and over the
-    lambda-monomials of the vertex class.  Graph sums pass i = 0."""
+    lambda-monomials of the vertex class.  Graph sums pass i = 0.  Label i
+    scales each term by w_i^(-budget) = zeta^(i sum(a - 2)); an irrational
+    result raises ConsistencyError.  i stays: perfbench/tracer.py keys on
+    it."""
     a_values = tuple(sorted(a_values))
-    key = (h, i, a_values)
+    if i * (sum(a_values) - 2 * len(a_values)) % 3 and vertex_contribution(ctx, h, 0, a_values):
+        raise ConsistencyError(f"vertex contribution at label {i} is not rational")
+    key = (h, a_values)
     hit = ctx._vertex_memo.get(key)
     if hit is not None:
         return hit
-    n = len(a_values)
     exps = tuple(a - 1 for a in a_values)
-    budget = 3 * h - 3 + n - sum(exps)
-    scales: dict = {}  # parts -> their rows' rational coefficient
-    for lam, coeff in expand_vertex_class(i, h).items():
+    budget = 3 * h - 3 + len(a_values) - sum(exps)
+    scales: dict = {}  # parts -> their rows' coefficient
+    for lam, coeff in vertex_class(h).items():
         rem = budget - sum(lam)
-        if rem < 0:
-            continue
-        for parts in _partitions(rem, rem):
+        for parts in _partitions(rem, rem):  # none if rem < 0
             # parts are the j-1 values; each j >= 2
             integral = hodge_psi_integral(h, exps + tuple(p + 1 for p in parts), lam)
             if integral == 0:
@@ -130,8 +133,8 @@ def vertex_contribution(ctx: Context, h: int, i: int, a_values) -> RingElem:
             if parts and parts[0] > ctx.kmax:
                 raise ValueError(f"row index {parts[0]} beyond kmax={ctx.kmax}")
             mult = prod(factorial(parts.count(p)) for p in set(parts))
-            scale = coeff * integral * (-1) ** sum(p % 2 == 0 for p in parts) / mult
-            scales[parts] = scales.get(parts, 0) + (scale * weight_pow(i, -rem)).as_rational()
+            sign = (-1) ** sum(p % 2 == 0 for p in parts)
+            scales[parts] = scales.get(parts, 0) + coeff * integral * sign / mult
     rows0 = ctx.rows[0]
     total = RingElem.dot([(reduce(mul, [rows0[p] for p in parts[:-1]], RingElem.const(s)),
                            rows0[parts[-1]] if parts else _ONE) for parts, s in scales.items()])
@@ -189,13 +192,14 @@ def leg_contribution(ctx: Context, tag: str, a: int) -> RingElem:
     return out
 
 
-def _compositions(n: int, budget: int):
-    """Tuples of n flag values >= 1 whose excesses a - 1 sum to at most budget."""
+def _compositions(n: int, budget: int, least: int = 0):
+    """Tuples of n flag values >= 1 whose excesses a - 1 sum to at most
+    budget, nondecreasing from least on if least."""
     if n == 0:
         yield ()
         return
-    for a in range(1, budget + 2):
-        for rest in _compositions(n - 1, budget - a + 1):
+    for a in range(least or 1, budget + 2):
+        for rest in _compositions(n - 1, budget - a + 1, least and a):
             yield (a,) + rest
 
 
@@ -212,19 +216,30 @@ def _ends(graph: StableGraph, v: int) -> list:
             if a != b and v in (a, b)]
 
 
+def _same_legs(leg, *values) -> RingElem:
+    """Legs of one tag at sorted values: one product, times its arrangements."""
+    count = factorial(len(values)) // prod(factorial(values.count(a)) for a in set(values))
+    return RingElem.sum([reduce(mul, map(leg, values))] * count)
+
+
 def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, loop) -> dict:
     """Vertex v's factor at label 0, keyed by its link flags, leg and loop
-    flags summed out by multiset within budget.  loop(b1, b2) is the loop
-    factor; errors name one arrangement's flags."""
+    flags summed out by multiset within budget (one per tag's legs).
+    loop(b1, b2) is the loop factor; errors name one arrangement's flags."""
     h, ends = graph.genera[v], _ends(graph, v)
-    slots = [([f"l{m}"], partial(leg_contribution, ctx, graph.tags[m]))
-             for m, w in enumerate(graph.legs) if w == v]
-    slots += [([f"e{e}.0", f"e{e}.1"], loop) for e, (a, b) in enumerate(graph.edges) if a == b == v]
+    legs: dict = {}  # tag -> names of v's legs
+    for m, w in enumerate(graph.legs):
+        if w == v:
+            legs.setdefault(graph.tags[m], []).append(f"l{m}")
+    slots = [(names, partial(_same_legs, cache(partial(leg_contribution, ctx, t))), 1)
+             for t, names in legs.items()]
+    slots += [([f"e{e}.0", f"e{e}.1"], loop, 0) for e, (a, b) in enumerate(graph.edges)
+              if a == b == v]
     dress = {(): (_ONE, ())}  # sorted values placed -> (D, an arrangement)
-    for names, factor in slots:
+    for names, factor, least in slots:
         factor, step = cache(factor), {}
         for placed, (term, named) in dress.items():
-            for values in _compositions(len(names), budget - sum(placed) + len(placed)):
+            for values in _compositions(len(names), budget - sum(placed) + len(placed), least):
                 try:
                     f = factor(*values)
                 except ConsistencyError as exc:

@@ -19,20 +19,20 @@ Before either recursion step, the string equation removes a psi^0
 marking and the dilaton equation a psi^1 marking (a factor 2g - 3 + n)
 whenever (g, n - 1) is stable.  Both hold with ch classes, as E is pulled
 back along forgetful maps, so the recursions see only exponents >= 2.
+
+The graph sums need the vertex class only at label 0, where the weights
+1 - zeta, 1 - zeta^2 have sum and product 3: it is rational, from their
+power sums s_m = 3 s_{m-1} - 3 s_{m-2}, s_0 = 2, s_1 = 3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, factorial
 
-from .scalars import CycScalar, euler_at, weight
-
-__all__ = [
-    "hodge_psi_integral",
-    "expand_vertex_class",
-]
+__all__ = ["hodge_psi_integral", "vertex_class"]
 
 _bernoulli = [Fraction(1)]  # B_0, B_1, ... with B_1 = -1/2
 
@@ -206,35 +206,20 @@ def hodge_psi_integral(g: int, exps, lam) -> Fraction:
 
 
 @cache
-def expand_vertex_class(i: int, h: int) -> dict:
-    """Product of the three truncated dual Chern polynomials over e_i.
-
-    Each factor is sum_k (-1)^k lambda_k u^{h-k} for a tangent weight u:
-    w_i - w_j at the other fixed points and -3 w_i, whose product is e_i.
-    From genus 2 on, the lambda-degree is capped at 3h - 3, the dimension
-    the lambda classes are pulled back from.  Maps sorted lambda-index
-    tuples (() for the constant term e_i^{h-1}) to CycScalars; cached, so
-    callers must not modify it.
-    """
-    w = weight(i)
-    others = [j for j in range(3) if j != i]
-    us = [w - weight(others[0]), w - weight(others[1]), CycScalar(-3) * w]
+def vertex_class(h: int) -> dict:
+    """Product over u = 1 - zeta, 1 - zeta^2, -3 of sum_k (-1)^k lambda_k
+    u^{h-k}, over e_0 = -9, lambda-degree <= 3h - 3 from genus 2 on: sorted
+    lambda indices -> Fraction (cached, do not modify); u^m u'^n + u^n u'^m
+    = 3^n s_{m-n} for m >= n, half of it per order."""
     cap = 3 * h - 3 if h >= 2 else 3 * h
-    # polynomial in lambda_1..lambda_h keyed by sorted index tuples
-    poly = {(): CycScalar(1)}
-    for u in us:
-        factor = {(): u**h}
-        for k in range(1, h + 1):
-            factor[(k,)] = CycScalar(-1) ** k * u ** (h - k)
-        new: dict = {}
-        for lam1, c1 in poly.items():
-            for lam2, c2 in factor.items():
-                if sum(lam1) + sum(lam2) > cap:
-                    continue
-                key = tuple(sorted(lam1 + lam2))
-                prod = c1 * c2
-                prev = new.get(key)
-                new[key] = prod if prev is None else prev + prod
-        poly = new
-    inv_e = euler_at(i).inverse()
-    return {lam: c * inv_e for lam, c in poly.items() if not c.is_zero()}
+    s = [2, 3]
+    while len(s) <= h:
+        s.append(3 * s[-1] - 3 * s[-2])
+    poly: dict = {}
+    for ks in product(range(h + 1), repeat=3):
+        if sum(ks) <= cap:
+            k1, k2, k3 = ks
+            key = tuple(sorted(k for k in ks if k))
+            c = (-1) ** sum(ks) * 3 ** (h - max(k1, k2)) * s[abs(k1 - k2)] * (-3) ** (h - k3)
+            poly[key] = poly.get(key, 0) + c
+    return {lam: Fraction(c, -18) for lam, c in poly.items() if c}

@@ -25,7 +25,6 @@ __all__ = [
     "ZETA",
     "weight",
     "weight_pow",
-    "euler_at",
     "rat_str",
     "to_cyc",
 ]
@@ -193,9 +192,6 @@ class CycScalar:
             return f"CycScalar({self.a})"
         return f"CycScalar({self.a}, {self.b})"
 
-    def to_json(self) -> dict:
-        return {"a": rat_str(self.a), "b": rat_str(self.b)}
-
 
 def _make(n0: int, n1: int, d: int) -> CycScalar:
     """(n0 + n1*zeta)/d for integers with d > 0, reduced by one gcd."""
@@ -245,14 +241,6 @@ def weight_pow(i: int, k: int) -> CycScalar:
     if i not in (0, 1, 2):
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {i}")
     return _WEIGHTS[(i * k) % 3]
-
-
-def euler_at(i: int) -> CycScalar:
-    """Euler class of the three fixed-point directions; equals -9 for every i."""
-    w = weight(i)
-    others = [weight(j) for j in (0, 1, 2) if j != i]
-    e = (w - others[0]) * (w - others[1]) * (CycScalar(-3) * w)
-    return e
 
 
 def rat_str(x: Fraction) -> str:

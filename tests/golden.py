@@ -11,6 +11,10 @@ dilaton equation, which kp2.mgn applies before each recursion step.
 hodge_second_route: a one-step removal through the third Chern character,
 for the few Hodge integrals it covers.
 
+euler_at and expand_vertex_class: the Euler class and the vertex class at
+any label i in Q(zeta), from the weights at i; kp2.mgn.vertex_class builds
+only the label-0 class, over Fractions.
+
 vertex_at and leg_at: the vertex and leg factors at any label p, as the
 pairs of kp2.labelled, from the vertex class and the weights at p rather
 than by twisting their label-0 values.
@@ -38,8 +42,8 @@ from kp2 import localization
 from kp2.graphs import StableGraph, _check_request, _flag_factor, normalize_tag
 from kp2.labelled import CycElem
 from kp2.lring import RingElem
-from kp2.mgn import _dfact, _splits, expand_vertex_class, hodge_psi_integral
-from kp2.scalars import ConsistencyError, weight_pow
+from kp2.mgn import _dfact, _splits, hodge_psi_integral
+from kp2.scalars import ConsistencyError, CycScalar, weight, weight_pow
 
 GRAPH_VALUES = {
     "G1": [
@@ -182,6 +186,48 @@ def _plain_dvv(g: int, exps: tuple) -> Fraction:
                 boundary += m * w * plain_psi(g1, left + (a,)) * plain_psi(g - g1, right + (b,))
     total += boundary / 2
     return total / _dfact(2 * k + 3)
+
+
+def euler_at(i: int) -> CycScalar:
+    """Euler class of the three fixed-point directions; equals -9 for every i."""
+    w = weight(i)
+    others = [weight(j) for j in (0, 1, 2) if j != i]
+    return (w - others[0]) * (w - others[1]) * (CycScalar(-3) * w)
+
+
+@cache
+def expand_vertex_class(i: int, h: int) -> dict:
+    """Product of the three truncated dual Chern polynomials over e_i.
+
+    Each factor is sum_k (-1)^k lambda_k u^{h-k} for a tangent weight u:
+    w_i - w_j at the other fixed points and -3 w_i, whose product is e_i.
+    From genus 2 on, the lambda-degree is capped at 3h - 3, the dimension
+    the lambda classes are pulled back from.  Maps sorted lambda-index
+    tuples (() for the constant term e_i^{h-1}) to CycScalars; cached, so
+    callers must not modify it.
+    """
+    w = weight(i)
+    others = [j for j in range(3) if j != i]
+    us = [w - weight(others[0]), w - weight(others[1]), CycScalar(-3) * w]
+    cap = 3 * h - 3 if h >= 2 else 3 * h
+    # polynomial in lambda_1..lambda_h keyed by sorted index tuples
+    poly = {(): CycScalar(1)}
+    for u in us:
+        factor = {(): u**h}
+        for k in range(1, h + 1):
+            factor[(k,)] = CycScalar(-1) ** k * u ** (h - k)
+        new: dict = {}
+        for lam1, c1 in poly.items():
+            for lam2, c2 in factor.items():
+                if sum(lam1) + sum(lam2) > cap:
+                    continue
+                key = tuple(sorted(lam1 + lam2))
+                term = c1 * c2
+                prev = new.get(key)
+                new[key] = term if prev is None else prev + term
+        poly = new
+    inv_e = euler_at(i).inverse()
+    return {lam: c * inv_e for lam, c in poly.items() if not c.is_zero()}
 
 
 _VERTICES: WeakKeyDictionary = WeakKeyDictionary()  # context -> {(h, i, flags): vertex_at}

@@ -565,7 +565,8 @@ def test_commands_load_only_their_layers(argv):
     # and with integral weights not even fractions, the graph-sum commands
     # never load the q-series layers or dataclasses, only the anomaly
     # command loads kp2.anomaly, and only fg --per-graph loads the labelled
-    # reference route.
+    # reference route and with it the Q(zeta) scalars: the graph sums
+    # evaluate vertices at label 0, where every factor is rational.
     modules = loaded_modules(argv)
     if argv[0] == "graphs":
         assert modules == {"kp2", "kp2.cli", "kp2.graphs"}
@@ -574,6 +575,7 @@ def test_commands_load_only_their_layers(argv):
     assert not modules & {"kp2.mirror", "kp2.series", "dataclasses", "inspect"}
     assert ("kp2.anomaly" in modules) == (argv[0] == "verify")
     assert ("kp2.labelled" in modules) == ("--per-graph" in argv)
+    assert ("kp2.scalars" in modules) == ("--per-graph" in argv)
 
 
 def test_help_loads_no_layer():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kp2 import mgn
-from kp2.mgn import expand_vertex_class, hodge_psi_integral
-from kp2.scalars import ZERO, CycScalar, euler_at, weight, weight_pow
+from kp2.mgn import hodge_psi_integral
+from kp2.scalars import ZERO, CycScalar, weight, weight_pow
 
-from golden import hodge_second_route, plain_psi
+import golden
+from golden import euler_at, hodge_second_route, plain_psi
 
 
 def psi_integral(g, exps):
@@ -333,14 +334,15 @@ def test_lambda_g_lambda_g_minus_one(g):
 
 
 def test_vertex_class_rank_zero():
-    expansion = expand_vertex_class(0, 0)
-    assert expansion == {(): euler_at(0).inverse()}
+    assert mgn.vertex_class(0) == {(): F(-1, 9)}
+    assert golden.expand_vertex_class(0, 0) == {(): euler_at(0).inverse()}
     assert euler_at(0) == CycScalar(-9)
 
 
 def test_vertex_class_genus_one():
+    assert mgn.vertex_class(1) == {(): 1, (1,): F(-2, 3), (1, 1, 1): F(1, 9)}
     for i in range(3):
-        expansion = expand_vertex_class(i, 1)
+        expansion = golden.expand_vertex_class(i, 1)
         assert expansion[()] == CycScalar(1)
         expected = CycScalar(F(-2, 3)) * weight_pow(i, 2)
         assert expansion[(1,)] == expected
@@ -348,38 +350,50 @@ def test_vertex_class_genus_one():
 
 
 def test_vertex_class_genus_two():
-    expansion = expand_vertex_class(0, 2)
-    assert expansion[()] == euler_at(0)
+    expansion = mgn.vertex_class(2)
+    assert expansion[()] == -9
     assert (1, 1) not in expansion  # the -3w factor kills e_1(u)
     assert all(sum(key) <= 3 for key in expansion)
 
 
+@pytest.mark.parametrize("h", range(6))
+def test_rational_vertex_class_is_the_label_zero_class(h):
+    # the power-sum recursion over Fractions against the product of the
+    # three factors in Q(zeta)
+    reference = {lam: c.as_rational() for lam, c in golden.expand_vertex_class(0, h).items()}
+    assert mgn.vertex_class(h) == reference
+    assert all(type(c) is F for c in mgn.vertex_class(h).values())
+
+
 def _twist_mismatches(h_max: int) -> list:
-    """The (i, h, lambda) at which the label-i vertex class is not
-    w_i^(-|lambda|) times the label-0 one, h <= h_max and i = 1, 2."""
+    """The (i, h, lambda) at which golden's label-i vertex class is not
+    w_i^(-|lambda|) times kp2.mgn's rational label-0 class, h <= h_max."""
     out = []
     for h in range(h_max + 1):
-        base = mgn.expand_vertex_class(0, h)
-        for i in (1, 2):
-            twisted = mgn.expand_vertex_class(i, h)
+        base = mgn.vertex_class(h)
+        for i in range(3):
+            twisted = golden.expand_vertex_class(i, h)
             for lam in base.keys() | twisted.keys():
-                if twisted.get(lam, ZERO) != weight_pow(i, -sum(lam)) * base.get(lam, ZERO):
+                if twisted.get(lam, ZERO) != weight_pow(i, -sum(lam)) * base.get(lam, 0):
                     out.append((i, h, lam))
     return out
 
 
 def test_vertex_class_twists_from_label_zero():
     # The labelled route (kp2.labelled) builds every vertex at label 0 and
-    # twists it: with the class so related, each term of vertex_contribution
-    # at label i is zeta^(i sum(a - 2)) times its label-0 term, as its
-    # weight w_i^(-rem) fills the vertex dimension.
-    assert _twist_mismatches(4) == []
-    assert len(mgn.expand_vertex_class(0, 4)) > 20
+    # twists it, and kp2.localization.vertex_contribution twists its
+    # label-0 value: with the class so related, each term of the vertex at
+    # label i is zeta^(i sum(a - 2)) times its label-0 term, as its weight
+    # w_i^(-rem) fills the vertex dimension.
+    assert _twist_mismatches(5) == []
+    assert len(mgn.vertex_class(4)) > 20
 
 
 def test_vertex_class_twist_check_fails_on_a_perturbed_coefficient(monkeypatch):
-    # control: one label-1 coefficient changed at genus 3 is found
-    real = mgn.expand_vertex_class
+    # controls: one label-1 coefficient of golden's class changed at genus
+    # 3 is found, and so is one coefficient of the rational class, at every
+    # label
+    real = golden.expand_vertex_class
 
     def perturbed(i, h):
         out = real(i, h)
@@ -388,13 +402,22 @@ def test_vertex_class_twist_check_fails_on_a_perturbed_coefficient(monkeypatch):
             out[(1,)] = out[(1,)] + 1
         return out
 
-    monkeypatch.setattr(mgn, "expand_vertex_class", perturbed)
+    monkeypatch.setattr(golden, "expand_vertex_class", perturbed)
     assert _twist_mismatches(4) == [(1, 3, (1,))]
+    monkeypatch.undo()
+    rational = mgn.vertex_class
+
+    def shifted(h):
+        out = rational(h)
+        return {**out, (2,): out[(2,)] + 1} if h == 3 else out
+
+    monkeypatch.setattr(mgn, "vertex_class", shifted)
+    assert _twist_mismatches(4) == [(i, 3, (2,)) for i in range(3)]
 
 
 def test_vertex_class_genus_three():
     for i in range(3):
-        expansion = expand_vertex_class(i, 3)
+        expansion = golden.expand_vertex_class(i, 3)
         assert expansion[()] == euler_at(i) ** 2
         assert max(sum(key) for key in expansion) == 6
         assert all(max(key, default=0) <= 3 for key in expansion)

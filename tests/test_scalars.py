@@ -10,11 +10,12 @@ from kp2.scalars import (
     ZETA,
     ConsistencyError,
     CycScalar,
-    euler_at,
     rat_str,
     weight,
     weight_pow,
 )
+
+from golden import euler_at
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=999)
 scalars = st.builds(CycScalar, rationals, rationals)
