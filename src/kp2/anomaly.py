@@ -10,15 +10,14 @@ generator taken at fixed normalization.
 The three identities share one right side: verify_ttt is verify_ss56
 with no markings, and verify_lift checks its T-derivative terms against
 hyperplane insertions.  Every T-derivative goes through _dT, which holds
-the genus-0/1 conventions of those terms.  Each identity assembles a
-total once.
+the genus-0/1 conventions of those terms.  The context keeps every
+total, shared by all identities on it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 from .lring import RingElem
@@ -88,23 +87,17 @@ def pointed_total(ctx: Context, g: int, a: int, b: int, c_count: int,
     return correlator(ctx, g, insertions)
 
 
-def _totals(ctx: Context):
-    """pointed_total for one identity: each distinct total is assembled once,
-    however many terms use it, and is dropped with the identity."""
-    return cache(lambda g, a, b, c_count, delta=0: pointed_total(ctx, g, a, b, c_count, delta))
-
-
-def _dT(total, g: int, a: int, b: int, c_count: int, order: int) -> RingElem:
+def _dT(ctx: Context, g: int, a: int, b: int, c_count: int, order: int) -> RingElem:
     """The order-th T-derivative of the genus-g pointed total, with the
     unstable cases replaced by their fixed conventions: in genus 0 with
     fewer than three markings each derivative is one extra hyperplane
     insertion, and unpointed genus 1 uses the closed forms.  A genus-0
     convention that is itself unstable raises ValueError."""
     if g == 0 and a + b + c_count < 3:
-        return total(0, a, b + order, c_count)
+        return pointed_total(ctx, 0, a, b + order, c_count)
     if g == 1 and a + b + c_count == 0:
         return genus_one_inputs()[order - 1]
-    out = total(g, a, b, c_count)
+    out = pointed_total(ctx, g, a, b, c_count)
     for _ in range(order):
         out = out.d_dT()
     return out
@@ -120,12 +113,11 @@ def verify_ss56(ctx: Context, g: int, a: int, b: int, c_count: int) -> HAEReport
     negative count raises ValueError, from pointed_total, before any
     assembly.
     """
-    total = _totals(ctx)
     n = a + b + c_count
-    lhs = RingElem.c(2) * total(g, a, b, c_count).d_da2()
+    lhs = RingElem.c(2) * pointed_total(ctx, g, a, b, c_count).d_da2()
 
     split = RingElem.zero()
-    for g1 in range(0, g + 1):
+    for g1 in range(g + 1):
         g2 = g - g1
         for a1 in range(a + 1):
             for b1 in range(b + 1):
@@ -135,14 +127,14 @@ def verify_ss56(ctx: Context, g: int, a: int, b: int, c_count: int) -> HAEReport
                     if 2 * g1 - 2 + n1 < 0 or 2 * g2 - 2 + n2 < 0:
                         continue
                     weight = comb(a, a1) * comb(b, b1) * comb(c_count, c1)
-                    term = (_dT(total, g1, a1, b1, c1, 1)
-                            * _dT(total, g2, a - a1, b - b1, c_count - c1, 1))
+                    term = (_dT(ctx, g1, a1, b1, c1, 1)
+                            * _dT(ctx, g2, a - a1, b - b1, c_count - c1, 1))
                     split = split + term.scale(weight)
     rhs = split.scale(Fraction(1, 2))
     if g >= 1:
-        rhs = rhs + _dT(total, g - 1, a, b, c_count, 2).scale(Fraction(1, 2))
+        rhs = rhs + _dT(ctx, g - 1, a, b, c_count, 2).scale(Fraction(1, 2))
     if c_count >= 1:
-        desc = total(g, a, b, c_count - 1, delta=1)
+        desc = pointed_total(ctx, g, a, b, c_count - 1, delta=1)
         rhs = rhs - desc.scale(Fraction(c_count, 3))
     return _report(g, lhs, rhs)
 
@@ -162,11 +154,10 @@ def verify_lift(ctx: Context, g: int, two_point: bool = False) -> HAEReport:
     checks two hyperplane insertions at genus g-1 against the second
     T-derivative there, so it needs g >= 2.
     """
-    total = _totals(ctx)
     if two_point:
         if g < 2:
             raise ValueError(f"the two-point lift needs genus at least 2, got {g}")
         h = g - 1
-        return _report(h, total(h, 0, 2, 0), _dT(total, h, 0, 0, 0, 2))
-    return _report(g, total(g, 0, 1, 0), _dT(total, g, 0, 0, 0, 1))
+        return _report(h, pointed_total(ctx, h, 0, 2, 0), _dT(ctx, h, 0, 0, 0, 2))
+    return _report(g, pointed_total(ctx, g, 0, 1, 0), _dT(ctx, g, 0, 0, 0, 1))
 

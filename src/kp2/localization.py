@@ -71,9 +71,10 @@ Contribution = namedtuple("Contribution", ("graph", "value"))
 
 
 class Context:
-    """The rows R_{m,k}, k <= kmax (they only grow), and the memos of
+    """The rows R_{m,k}, k <= kmax (they only grow), the memos of
     vertex_contribution, _edge_modes, leg_contribution, _bundle_term and
-    _dressed_vertex at label 0."""
+    _dressed_vertex at label 0, and correlator's totals by (g, tags), tags
+    in the order given; do not modify them."""
 
     def __init__(self):
         self.kmax = 0
@@ -83,6 +84,7 @@ class Context:
         self._leg_memo: dict = {}
         self._dressed_memo: dict = {}
         self._bundle_memo: dict = {}
+        self._total_memo: dict = {}
 
     def extend_rows(self, kmax: int) -> None:
         """Make the rows reach R_{m,kmax}; rows already present do not change."""
@@ -399,13 +401,15 @@ def per_graph_contributions(ctx: Context, g: int, tags) -> list[Contribution]:
 def correlator(ctx: Context, g: int, insertions) -> RingElem:
     """Total over all labelled stable graphs: the genus-g series, free of
     c, with no insertions; exactly zero for delta != 0.  An unstable or
-    negative-genus request raises ValueError.
+    negative-genus request raises ValueError.  ctx keeps each total.
     """
     tags = tuple(normalize_tag(t) for t in insertions)
     _check_request(g, len(tags))
     if weight_degree(tags):
         return RingElem.zero()
-    return checked_total(per_graph_contributions(ctx, g, tags), tags)
+    if (g, tags) not in ctx._total_memo:
+        ctx._total_memo[g, tags] = checked_total(per_graph_contributions(ctx, g, tags), tags)
+    return ctx._total_memo[g, tags]
 
 
 def checked_total(contributions, tags) -> RingElem:

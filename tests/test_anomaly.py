@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kp2 import anomaly
+from kp2 import ConsistencyError, anomaly, localization
 from kp2.anomaly import (
     genus_one_inputs,
     pointed_total,
@@ -12,6 +12,7 @@ from kp2.anomaly import (
     verify_ss56,
     verify_ttt,
 )
+from kp2.localization import build_context, correlator
 from kp2.lring import RingElem
 
 F = Fraction
@@ -54,33 +55,30 @@ def test_negative_control_breaks_identity(ctx2, monkeypatch):
 
 def test_dT_genus_zero_adds_hyperplanes(ctx1):
     # with fewer than three markings each T-derivative is one more H1
-    total = anomaly._totals(ctx1)
     for (a, b, c_count), order in [((1, 0, 1), 1), ((0, 2, 0), 1), ((0, 1, 0), 2),
                                    ((0, 2, 0), 2), ((1, 0, 0), 2)]:
-        got = anomaly._dT(total, 0, a, b, c_count, order)
+        got = anomaly._dT(ctx1, 0, a, b, c_count, order)
         assert got == pointed_total(ctx1, 0, a, b + order, c_count), (a, b, c_count, order)
         assert got.is_zero() == (a == 1 and order == 2)
 
 
 def test_dT_unpointed_genus_one_is_the_closed_form(ctx1):
-    total = anomaly._totals(ctx1)
     d_f1, d2_f1 = genus_one_inputs()
-    assert anomaly._dT(total, 1, 0, 0, 0, 1) == d_f1
-    assert anomaly._dT(total, 1, 0, 0, 0, 2) == d2_f1
+    assert anomaly._dT(ctx1, 1, 0, 0, 0, 1) == d_f1
+    assert anomaly._dT(ctx1, 1, 0, 0, 0, 2) == d2_f1
 
 
 def test_dT_stable_case_derives(ctx1):
-    total = anomaly._totals(ctx1)
     for g, (a, b, c_count) in [(1, (0, 1, 0)), (0, (0, 0, 3)), (2, (0, 0, 0))]:
         second = pointed_total(ctx1, g, a, b, c_count).d_dT().d_dT()
         assert not second.is_zero(), g
-        assert anomaly._dT(total, g, a, b, c_count, 2) == second, g
-        assert anomaly._dT(total, g, a, b, c_count, 1) == pointed_total(ctx1, g, a, b, c_count).d_dT()
+        assert anomaly._dT(ctx1, g, a, b, c_count, 2) == second, g
+        assert anomaly._dT(ctx1, g, a, b, c_count, 1) == pointed_total(ctx1, g, a, b, c_count).d_dT()
 
 
 def test_dT_unpointed_genus_zero_raises(ctx1):
     with pytest.raises(ValueError):
-        anomaly._dT(anomaly._totals(ctx1), 0, 0, 0, 0, 2)
+        anomaly._dT(ctx1, 0, 0, 0, 0, 2)
 
 
 def test_unpointed_identity_genus_range(ctx2):
@@ -188,21 +186,90 @@ def test_insertion_grading(ctx1):
                 assert shifted.c_degrees() == {expected + 1}
 
 
-@pytest.mark.parametrize("identity, calls", [
-    (lambda ctx: verify_ss56(ctx, 1, 0, 0, 3), 5),
-    (lambda ctx: verify_ttt(ctx, 3), 2),
-    (lambda ctx: verify_lift(ctx, 2), 2),
-], ids=["ss56-g1-c3", "ttt-g3", "lift-g2"])
-def test_one_evaluation_per_total(identity, calls, ctx2, monkeypatch):
-    # the ordered split sum and the second T-derivative share totals; each
-    # distinct (genus, insertions) must be assembled once per identity
+def _count_assemblies(monkeypatch) -> list:
+    """The (genus, tags) of each total assembled from here on."""
     seen = []
+    real = localization.per_graph_contributions
+
+    def counting(ctx, g, tags):
+        seen.append((g, tags))
+        return real(ctx, g, tags)
+
+    monkeypatch.setattr(localization, "per_graph_contributions", counting)
+    return seen
+
+
+@pytest.mark.parametrize("identity, lookups, distinct, assembled", [
+    (lambda ctx: verify_ss56(ctx, 1, 0, 0, 3), 9, 5, 3),
+    (lambda ctx: verify_ttt(ctx, 3), 4, 2, 2),
+    (lambda ctx: verify_lift(ctx, 2), 2, 2, 2),
+], ids=["ss56-g1-c3", "ttt-g3", "lift-g2"])
+def test_one_evaluation_per_total(identity, lookups, distinct, assembled, monkeypatch):
+    # the ordered split sum and the second T-derivative read totals more
+    # than once; the context assembles each distinct (genus, insertions)
+    # once, and none whose weight degree makes it zero
+    looked = []
     real = anomaly.correlator
 
     def counting(ctx, g, insertions):
-        seen.append((g, tuple(insertions)))
+        looked.append((g, tuple(insertions)))
         return real(ctx, g, insertions)
 
     monkeypatch.setattr(anomaly, "correlator", counting)
-    assert identity(ctx2).passed
-    assert len(seen) == len(set(seen)) == calls
+    seen = _count_assemblies(monkeypatch)
+    assert identity(build_context()).passed
+    assert (len(looked), len(set(looked))) == (lookups, distinct)
+    assert len(seen) == len(set(seen)) == assembled
+
+
+def test_identities_share_totals_on_one_context(monkeypatch):
+    # the lift reads F_2 and <H1>_2; the unpointed identity at genus 2 then
+    # reads only F_2 (genus 1 is a closed form), so assembles nothing
+    seen = _count_assemblies(monkeypatch)
+    ctx = build_context()
+    assert verify_lift(ctx, 2).passed
+    assert verify_ttt(ctx, 2).passed
+    assert seen == [(2, ("H1",)), (2, ())]
+
+
+def test_a_kept_total_costs_no_ring_product(monkeypatch):
+    # ring products counted inside RingElem.dot, as WORK_BOUNDS counts them
+    ctx = build_context()
+    first = correlator(ctx, 2, ("H1", "H1"))
+    real, one = RingElem.dot, RingElem.one()
+    products = []
+
+    def counted(pairs):
+        pairs = list(pairs)
+        products.extend(None for x, y in pairs if x and y and y is not one)
+        return real(pairs)
+
+    monkeypatch.setattr(RingElem, "dot", staticmethod(counted))
+    assert correlator(ctx, 2, ("H1", "H1")) == first
+    assert products == []
+    assert not first.is_zero()
+
+
+def test_spellings_of_one_request_share_a_total(monkeypatch):
+    # tags are normalized before the lookup but keep their order, so
+    # permuted insertions are two entries with one value
+    seen = _count_assemblies(monkeypatch)
+    ctx = build_context()
+    values = [correlator(ctx, 1, tags) for tags in (("H1", "H1"), ["H1", "H1"], (1, 1))]
+    assert values[0] == values[1] == values[2] and not values[0].is_zero()
+    assert seen == [(1, ("H1", "H1"))]
+    assert list(ctx._total_memo) == [(1, ("H1", "H1"))]
+    assert correlator(ctx, 1, ("H0", "H2")) == correlator(ctx, 1, ("H2", "H0"))
+    assert seen[1:] == [(1, ("H0", "H2")), (1, ("H2", "H0"))]
+
+
+def test_a_failed_assembly_keeps_no_total(monkeypatch):
+    # a graph value with a c term fails the c-degree check of F_2; the
+    # context keeps nothing, so the next call assembles again
+    ctx = build_context()
+    with monkeypatch.context() as patch:
+        patch.setattr(localization, "graph_contribution", lambda ctx, graph: RingElem.c(1))
+        with pytest.raises(ConsistencyError, match="c-degree 0"):
+            correlator(ctx, 2, ())
+    assert ctx._total_memo == {}
+    assert correlator(ctx, 2, ()).eval_at(1, 0) == F(1, 1920)

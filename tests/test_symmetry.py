@@ -143,8 +143,9 @@ def test_coloured_sums_match_the_labelled_reference(ctx2, g, tags):
     assert any(not v.is_zero() for v in values)
 
 
-def test_unweighted_coloured_sum_differs(ctx2, monkeypatch):
-    # control: the coloured graphs with N forced to 1 miss labeled graphs
+def test_unweighted_coloured_sum_differs(monkeypatch):
+    # control: the coloured graphs with N forced to 1 miss labeled graphs;
+    # on a fresh context, as a shared one keeps the unperturbed total
     real = localization.enumerate_graphs
 
     def unweighted(g, tags):
@@ -152,7 +153,7 @@ def test_unweighted_coloured_sum_differs(ctx2, monkeypatch):
                 for gr in real(g, tags)]
 
     monkeypatch.setattr(localization, "enumerate_graphs", unweighted)
-    assert correlator(ctx2, 2, ("H1", "H1")) != labelled_reference(2, ("H1", "H1"))
+    assert correlator(build_context(), 2, ("H1", "H1")) != labelled_reference(2, ("H1", "H1"))
 
 
 def test_coloured_graph_counts():
