@@ -157,7 +157,10 @@ def _edge_multisets(genera, ne: int, n: int):
         val[v] -= count
         col[v][u] = 0
 
-    place(0, 0, ne, n, short, list(range(nv)))
+    try:
+        place(0, 0, ne, n, short, list(range(nv)))
+    finally:
+        del place  # place refers to itself: free its counts now, not at the next collection
     return out
 
 
@@ -204,7 +207,10 @@ def _edge_stabilizer(genera, edges):
         return True
 
     cells = [[v for v, h in enumerate(genera) if h == c] for c in dict.fromkeys(genera)]
-    return sorted(found) if search(0, cells) else None
+    try:
+        return sorted(found) if search(0, cells) else None
+    finally:
+        del search  # search refers to itself: free its cells now, not at the next collection
 
 
 def _ratio(num, den):

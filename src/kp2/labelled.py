@@ -10,6 +10,8 @@ RingElems in the walk while rational.  By kp2.localization's twist,
 dressed vertices are built at label 0, a link at labels (p, q) and flags
 (b1, b2) is zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q,
 and the value zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.
+The label-0 dressed vertices and the twisted edges are memos of the
+Context (_labelled_memo, _twisted_memo); this module keeps no state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from operator import mul
-from weakref import WeakKeyDictionary
 
 from . import ConsistencyError
 from .graphs import StableGraph, _ratio
@@ -29,8 +30,6 @@ from .scalars import CycScalar, rat_str, to_cyc
 __all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_orbits",
            "graph_json"]
 
-_DRESSED = WeakKeyDictionary()  # context -> label-0 dressed vertices
-_TWISTED = WeakKeyDictionary()  # context -> twisted edges
 _ONE, _ZERO = RingElem.one(), RingElem.zero()
 
 
@@ -140,7 +139,7 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> CycE
     ConsistencyError names the graph and flags, then the labels."""
 
     links = [((u, v), (e,)) for e, (u, v) in enumerate(graph.edges) if u != v]
-    memo, twisted = _DRESSED.setdefault(ctx, {}), _TWISTED.setdefault(ctx, {})
+    twisted = ctx._twisted_memo
 
     def factor(*key):  # the edge (i, j, b1, b2), twisted
         if key not in twisted:
@@ -157,7 +156,7 @@ def labelled_contribution(ctx: Context, graph: StableGraph, labels, aut) -> CycE
             raise _located(exc, graph, [(f"e{e}.{s}", flag[e, s]) for s in (0, 1)]) from exc
 
     try:
-        dressed = [_dressed_vertex(ctx, memo, graph, w, partial(factor, 0, 0))
+        dressed = [_dressed_vertex(ctx, ctx._labelled_memo, graph, w, partial(factor, 0, 0))
                    for w in range(len(labels))]
         value = CycElem(*_parts(_flag_walk(graph, dressed, links, link, CycElem.dot)))
         return value.twist(sum(map(mul, labels, _degrees(graph)))) * Fraction(1, aut)

@@ -71,10 +71,20 @@ Contribution = namedtuple("Contribution", ("graph", "value"))
 
 
 class Context:
-    """The rows R_{m,k}, k <= kmax (they only grow), the memos of
-    vertex_contribution, _edge_modes, leg_contribution, _bundle_term and
-    _dressed_vertex at label 0, and correlator's totals by (g, tags), tags
-    in the order given; do not modify them."""
+    """The rows R_{m,k}, k <= kmax (they only grow), and the eight memos that
+    depends on them: those of vertex_contribution, _edge_modes,
+    leg_contribution, _bundle_term and _dressed_vertex at label 0,
+    correlator's totals by (g, tags), tags in the order given, and
+    kp2.labelled's dressed vertices at label 0 and twisted edges; do not
+    modify them.
+
+    The context owns each memo for its own lifetime, and nothing else
+    keeps one: they go with it.  A recursive walk (_flag_walk, the census
+    searches of kp2.graphs) owns its states only while it runs and frees
+    them when it returns.  The process-level caches of kp2.mgn and
+    _solutions hold only Fractions, ints and tuples of them, never a ring
+    element: they are the same for every context.
+    """
 
     def __init__(self):
         self.kmax = 0
@@ -85,6 +95,8 @@ class Context:
         self._dressed_memo: dict = {}
         self._bundle_memo: dict = {}
         self._total_memo: dict = {}
+        self._labelled_memo: dict = {}  # kp2.labelled's dressed vertices
+        self._twisted_memo: dict = {}  # kp2.labelled's twisted edges
 
     def extend_rows(self, kmax: int) -> None:
         """Make the rows reach R_{m,kmax}; rows already present do not change."""
@@ -233,7 +245,7 @@ def _dressed_at(ctx: Context, graph: StableGraph, v: int, budget: int, loop) -> 
     for m, w in enumerate(graph.legs):
         if w == v:
             legs.setdefault(graph.tags[m], []).append(f"l{m}")
-    slots = [(names, partial(_same_legs, cache(partial(leg_contribution, ctx, t))), 1)
+    slots = [(names, partial(_same_legs, partial(leg_contribution, ctx, t)), 1)
              for t, names in legs.items()]
     slots += [([f"e{e}.0", f"e{e}.1"], loop, 0) for e, (a, b) in enumerate(graph.edges)
               if a == b == v]
@@ -360,7 +372,10 @@ def _flag_walk(graph: StableGraph, dressed, bundles, factor, dot, a=None):
                                   for after, terms in groups.items()])
         return memo[w, state]
 
-    return rest(0, ((), ()))
+    try:
+        return rest(0, ((), ()))
+    finally:
+        del rest  # rest refers to itself: free its states now, not at the next collection
 
 
 def graph_contribution(ctx: Context, graph: StableGraph) -> RingElem:

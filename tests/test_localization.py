@@ -1,5 +1,6 @@
 """Fixed-point graph sums: censuses, automorphisms, kernels, assembled values."""
 
+import gc
 import json
 import random
 from collections import Counter
@@ -662,6 +663,24 @@ def test_graph_sums_stay_within_their_work(g, tags, monkeypatch):
         assert 0.9 * bound <= count <= bound
 
 
+def test_graph_sums_leave_no_cyclic_garbage():
+    # A flag walk's states and the census searches' cells are freed when
+    # the walk returns, and the labelled route's memos live on the context,
+    # so nothing these runs build waits for the collector: a walk whose
+    # recursive closure is left referring to itself leaves its states here.
+    gc.collect()
+    gc.disable()
+    try:
+        correlator(build_context(), 2, ("H1", "H1"))
+        enumerate_graphs(3, 1)
+        ctx = build_context()
+        for contribution in per_graph_contributions(ctx, 2, ()):
+            labelled.graph_json(contribution, ctx)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_genus_two_golden_values(ctx2):
     golden = genus2_graph_values()
     contributions = per_graph_contributions(ctx2, 2, ())
@@ -733,15 +752,15 @@ def test_dressed_vertex_memo_matches_fresh_contexts(g, tags):
         fresh = build_context()
         fresh.extend_rows(kmax)
         fresh._dressed_memo = _NoMemo()
-        labelled._DRESSED[fresh] = _NoMemo()
+        fresh._labelled_memo = _NoMemo()
         orbits = _class_representatives(graph) if tags == ("H1", "H2") else decoration_orbits(graph)
         for labels, aut in orbits:
             assert (labelled_contribution(shared, graph, labels, aut)
                     == labelled_contribution(fresh, graph, labels, aut)), (graph, labels)
         if not localization.weight_degree(tags):
             assert graph_contribution(shared, graph) == graph_contribution(fresh, graph), graph
-    memos = (shared._dressed_memo, labelled._DRESSED[shared])
-    assert labelled._DRESSED[shared]
+    memos = (shared._dressed_memo, shared._labelled_memo)
+    assert shared._labelled_memo
     assert bool(shared._dressed_memo) != bool(localization.weight_degree(tags))
     assert all(list(key[1]) == sorted(key[1]) for memo in memos for key in memo)
 
@@ -772,4 +791,4 @@ def test_dressed_vertex_memo_keeps_error_location(monkeypatch):
         assert f"flags {flags}" in message
         assert message == (f"injected vertex failure [graph {graph.signature()}, flags {flags}]"
                            f" at labels {list(labels)}")
-    assert not any(key[0] == 1 for key in labelled._DRESSED[ctx])
+    assert not any(key[0] == 1 for key in ctx._labelled_memo)

@@ -570,7 +570,7 @@ def test_dressed_twists_match_the_direct_worker():
     # _dressed_at with loops through the direct worker.
     ctx = build_context()
     ctx.extend_rows(7)
-    memo = labelled._DRESSED.setdefault(ctx, {})
+    memo = ctx._labelled_memo
     seen = set()
     wrong = nonzero = 0
     for g, tags in TWIST_CASES:
