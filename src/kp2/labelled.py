@@ -6,12 +6,13 @@ labels (edge_contribution), decoration_orbits lists labelling orbits, and
 graph_json builds a graph's fg --per-graph entry.
 
 Values are CycElems a + b zeta (the only JSON with a zeta part),
-RingElems in the walk while rational.  By kp2.localization's twist,
-dressed vertices are built at label 0, a link at labels (p, q) and flags
-(b1, b2) is zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q,
-and the value zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.
-The label-0 dressed vertices and the twisted edges are memos of the
-Context (_labelled_memo, _twisted_memo); this module keeps no state.
+RingElems in the walk while rational; a CycElem takes no Q(zeta) scalar
+(kp2.scalars).  By kp2.localization's twist, dressed vertices are built
+at label 0, a link at labels (p, q) and flags (b1, b2) is
+zeta^(p (b1 - 1) + q b2) times its edge, rational at p = q, and the value
+zeta^(sum_v p_v a_v) times the flag sum, a_v from _degrees.  The label-0
+dressed vertices and the twisted edges are memos of the Context
+(_labelled_memo, _twisted_memo); this module keeps no state.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from operator import mul
 from . import ConsistencyError
 from .graphs import StableGraph, _ratio
 from .localization import Context, _check_degrees, _degrees, _dressed_vertex, _flag_walk, _located
-from .lring import RingElem
-from .scalars import CycScalar, rat_str, to_cyc
+from .lring import RingElem, _lift
 
 __all__ = ["CycElem", "edge_contribution", "labelled_contribution", "decoration_orbits",
            "graph_json"]
@@ -64,7 +64,8 @@ class CycElem:
     def to_json(self) -> list[dict]:  # RingElem.to_json with zeta parts
         a, b = self.a.terms, self.b.terms
         return [{"L": k[0], "X": k[1], "c": k[2],
-                 "coeff": {"a": rat_str(a.get(k, 0)), "b": rat_str(b.get(k, 0))}}
+                 "coeff": {s: f"{c.numerator}/{c.denominator}"
+                           for s, c in zip("ab", (a.get(k, 0), b.get(k, 0)))}}
                 for k in sorted(a.keys() | b.keys())]
 
     __bool__ = lambda self: bool(self.a or self.b)
@@ -95,18 +96,17 @@ class CycElem:
     def __mul__(self, other):
         if isinstance(other, (RingElem, int, Fraction)):
             return CycElem(self.a * other, self.b and self.b * other)
-        return NotImplemented if _parts(other) is None else CycElem.dot([(self, other)])
+        return CycElem.dot([(self, other)]) if isinstance(other, CycElem) else NotImplemented
 
     __rmul__ = __mul__
 
 
 def _parts(x):
-    """(a, b) for x = a + b zeta, a CycElem, RingElem or scalar, else None."""
-    if isinstance(x, (CycElem, RingElem)):
-        return (x.a, x.b) if isinstance(x, CycElem) else (x, _ZERO)
-    if isinstance(x, (int, Fraction, CycScalar)):
-        x = to_cyc(x)
-        return RingElem.const(x.a), RingElem.const(x.b)
+    """(a, b) for x = a + b zeta, a CycElem, RingElem, int or Fraction, else None."""
+    if isinstance(x, CycElem):
+        return x.a, x.b
+    if isinstance(x, (RingElem, int, Fraction)):
+        return _lift(x), _ZERO
 
 
 def _p_coefficient(ctx: Context, i: int, j: int, a: int, b: int) -> CycElem:

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import ConsistencyError
 from .lring import RingElem
-from .scalars import ONE, ConsistencyError, CycScalar, weight, weight_pow
+from .scalars import ONE, CycScalar, weight, weight_pow
 from .series import QSeries, QZSeries, RatFunZ, qs_exp, qs_log
 
 __all__ = [

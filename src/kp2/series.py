@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, ConsistencyError, CycScalar, to_cyc
+from . import ConsistencyError
+from .scalars import ONE, ZERO, CycScalar, rat_str, to_cyc
 
 __all__ = ["QSeries", "QZSeries", "RatFunZ", "qs_exp", "qs_log"]
 
@@ -173,8 +174,6 @@ class QSeries:
         )
 
     def to_json(self) -> list[str]:
-        from .scalars import rat_str
-
         return [rat_str(c.as_rational()) for c in self.coeffs]
 
     def __repr__(self):

@@ -15,9 +15,10 @@ euler_at and expand_vertex_class: the Euler class and the vertex class at
 any label i in Q(zeta), from the weights at i; kp2.mgn.vertex_class builds
 only the label-0 class, over Fractions.
 
-vertex_at and leg_at: the vertex and leg factors at any label p, as the
+Vertices and leg_at: the vertex and leg factors at any label p, as the
 pairs of kp2.labelled, from the vertex class and the weights at p rather
-than by twisting their label-0 values.
+than by twisting their label-0 values; cyc makes a Q(zeta) constant such
+a pair.  A Vertices object holds one context and its vertex values.
 
 dressed_per_composition and unmerged_graph_contribution: the dressed
 vertex and the graph sum as they were before the flag sums went by
@@ -36,14 +37,13 @@ from functools import cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 from operator import mul
-from weakref import WeakKeyDictionary
 
 from kp2 import localization
 from kp2.graphs import StableGraph, _check_request, _flag_factor, normalize_tag
 from kp2.labelled import CycElem
 from kp2.lring import RingElem
 from kp2.mgn import _dfact, _splits, hodge_psi_integral
-from kp2.scalars import ConsistencyError, CycScalar, weight, weight_pow
+from kp2.scalars import ConsistencyError, CycScalar, to_cyc, weight, weight_pow
 
 GRAPH_VALUES = {
     "G1": [
@@ -230,35 +230,45 @@ def expand_vertex_class(i: int, h: int) -> dict:
     return {lam: c * inv_e for lam, c in poly.items() if not c.is_zero()}
 
 
-_VERTICES: WeakKeyDictionary = WeakKeyDictionary()  # context -> {(h, i, flags): vertex_at}
+def cyc(x) -> CycElem:
+    """The Q(zeta) constant x, a CycScalar, int or Fraction, as a CycElem:
+    a CycElem takes no CycScalar operand."""
+    x = to_cyc(x)
+    return CycElem(RingElem.const(x.a), RingElem.const(x.b))
 
 
-def vertex_at(ctx, h, i, a_values) -> CycElem:
-    """localization.vertex_contribution at label i as a CycElem: its sum
-    over lambda-monomials and extra insertions with the label-i vertex class
-    and weight powers, memoized per context."""
-    a_values = tuple(sorted(a_values))
-    memo = _VERTICES.setdefault(ctx, {})
-    if (h, i, a_values) not in memo:
-        exps = tuple(a - 1 for a in a_values)
-        budget = 3 * h - 3 + len(a_values) - sum(exps)
-        terms = []
-        for lam, coeff in expand_vertex_class(i, h).items():
-            rem = budget - sum(lam)
-            for parts in localization._partitions(rem, rem) if rem >= 0 else ():
-                integral = hodge_psi_integral(h, exps + tuple(p + 1 for p in parts), lam)
-                if integral:
-                    sign = (-1) ** sum(p % 2 == 0 for p in parts)
-                    mult = prod(factorial(parts.count(p)) for p in set(parts))
-                    scale = coeff * integral * sign / mult * weight_pow(i, -rem)
-                    terms.append(CycElem(reduce(mul, [ctx.rows[0][p] for p in parts],
-                                                RingElem.one())) * scale)
-        value = CycElem.sum(terms)
-        for part in (value.a, value.b):
-            if part.x_degree() > 0 or not part.c_degrees() <= {0}:
-                raise ConsistencyError("vertex contribution acquired an X- or c-dependence")
-        memo[h, i, a_values] = value
-    return memo[h, i, a_values]
+class Vertices:
+    """localization.vertex_contribution at any label i on one context, as
+    CycElems: at(h, i, a_values) sums over lambda-monomials and extra
+    insertions with the label-i vertex class and weight powers.  Each value
+    is computed once per object; a test makes one for its context."""
+
+    def __init__(self, ctx):
+        self.ctx, self._memo = ctx, {}  # (h, i, flags) -> value
+
+    def at(self, h, i, a_values) -> CycElem:
+        a_values = tuple(sorted(a_values))
+        memo = self._memo
+        if (h, i, a_values) not in memo:
+            exps = tuple(a - 1 for a in a_values)
+            budget = 3 * h - 3 + len(a_values) - sum(exps)
+            terms = []
+            for lam, coeff in expand_vertex_class(i, h).items():
+                rem = budget - sum(lam)
+                for parts in localization._partitions(rem, rem) if rem >= 0 else ():
+                    integral = hodge_psi_integral(h, exps + tuple(p + 1 for p in parts), lam)
+                    if integral:
+                        sign = (-1) ** sum(p % 2 == 0 for p in parts)
+                        mult = prod(factorial(parts.count(p)) for p in set(parts))
+                        scale = coeff * integral * sign / mult * weight_pow(i, -rem)
+                        terms.append(CycElem(reduce(mul, [self.ctx.rows[0][p] for p in parts],
+                                                    RingElem.one())) * cyc(scale))
+            value = CycElem.sum(terms)
+            for part in (value.a, value.b):
+                if part.x_degree() > 0 or not part.c_degrees() <= {0}:
+                    raise ConsistencyError("vertex contribution acquired an X- or c-dependence")
+            memo[h, i, a_values] = value
+        return memo[h, i, a_values]
 
 
 def leg_at(ctx, i, tag, a) -> CycElem:
@@ -267,14 +277,15 @@ def leg_at(ctx, i, tag, a) -> CycElem:
     (a - 2 for psiH), from z/w_i in the rows and the prefactor w_i^k."""
     k, shift = {"H0": (0, a - 1), "H1": (1, a - 1), "H2": (2, a - 1), "psiH": (1, a - 2)}[
         normalize_tag(tag)]
-    return CycElem(localization.leg_contribution(ctx, tag, a)) * weight_pow(i, k - shift)
+    return CycElem(localization.leg_contribution(ctx, tag, a)) * cyc(weight_pow(i, k - shift))
 
 
-def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
-    """localization._dressed_at at label i, by one product per ordered flag
-    composition of vertex_at and leg_at (leg and loop values memoized): the
-    same values and errors, but a key whose terms cancel stays, with value zero."""
-    L = localization
+def dressed_per_composition(vertices, graph, v, i, budget, loop) -> dict:
+    """localization._dressed_at at label i on vertices.ctx, by one product
+    per ordered flag composition of vertices.at and leg_at (leg and loop
+    values memoized): the same values and errors, but a key whose terms
+    cancel stays, with value zero."""
+    L, ctx = localization, vertices.ctx
     h, ends = graph.genera[v], L._ends(graph, v)
     legs = [m for m, w in enumerate(graph.legs) if w == v]
     loops = [e for e, (a, b) in enumerate(graph.edges) if a == b == v]
@@ -298,7 +309,7 @@ def dressed_per_composition(ctx, graph, v, i, budget, loop) -> dict:
         if dress is not None and dress.is_zero():
             continue
         try:
-            term = vertex_at(ctx, h, i, values)
+            term = vertices.at(h, i, values)
         except ConsistencyError as exc:
             raise L._located(exc, graph, zip(names, values)) from exc
         if term.is_zero():

@@ -559,23 +559,29 @@ def loaded_modules(argv) -> set:
     ["graphs", "--genus", "2", "--legs", "1"],
     ["verify", "ss56", "--genus", "1", "--c", "3"],
     ["fg", "--genus", "2", "--per-graph"],
-], ids=["fg", "correlator", "graphs", "ss56", "fg-per-graph"])
+    ["mirror", "--qmax", "4"],
+], ids=["fg", "correlator", "graphs", "ss56", "fg-per-graph", "mirror"])
 def test_commands_load_only_their_layers(argv):
     # Each handler imports what it runs: the census needs no ring at all,
     # and with integral weights not even fractions, the graph-sum commands
-    # never load the q-series layers or dataclasses, only the anomaly
-    # command loads kp2.anomaly, and only fg --per-graph loads the labelled
-    # reference route and with it the Q(zeta) scalars: the graph sums
-    # evaluate vertices at label 0, where every factor is rational.
+    # never load the q-series layers, the Q(zeta) scalars or dataclasses,
+    # only the anomaly command loads kp2.anomaly, and only fg --per-graph
+    # loads the labelled reference route, whose pairs a + b zeta hold
+    # rational parts: the graph sums evaluate vertices at label 0, where
+    # every factor is rational.  The mirror series, in Q(zeta), load the
+    # scalars, so the probe can see them.
     modules = loaded_modules(argv)
     if argv[0] == "graphs":
         assert modules == {"kp2", "kp2.cli", "kp2.graphs"}
         return
+    if argv[0] == "mirror":
+        assert {"kp2.mirror", "kp2.series", "kp2.scalars"} <= modules
+        assert not modules & {"kp2.localization", "kp2.labelled"}
+        return
     assert "kp2.localization" in modules
-    assert not modules & {"kp2.mirror", "kp2.series", "dataclasses", "inspect"}
+    assert not modules & {"kp2.mirror", "kp2.series", "kp2.scalars", "dataclasses", "inspect"}
     assert ("kp2.anomaly" in modules) == (argv[0] == "verify")
     assert ("kp2.labelled" in modules) == ("--per-graph" in argv)
-    assert ("kp2.scalars" in modules) == ("--per-graph" in argv)
 
 
 def test_help_loads_no_layer():

@@ -30,13 +30,14 @@ from kp2.scalars import ConsistencyError, CycScalar, weight_pow
 
 from golden import (
     GOLDEN_NAMES,
+    Vertices,
+    cyc,
     euler_at,
     genus2_graph_values,
     genus2_total,
     leg_at,
     reference_block_perms,
     reference_enumerate_graphs,
-    vertex_at,
 )
 
 F = Fraction
@@ -554,7 +555,7 @@ def test_edge_linear_part_closed_form(ctx1):
             sign = 1 if (b1 + b2) % 2 == 0 else -1
             expected = (
                 CycElem(rows[1][b1 - 1] * rows[1][b2 - 1] * RingElem.monomial(3 * sign, l=-1))
-                * (weight_pow(i, 2 - b1) * weight_pow(j, 2 - b2))
+                * cyc(weight_pow(i, 2 - b1) * weight_pow(j, 2 - b2))
             )
             assert linear == expected, (i, j, b1, b2)
 
@@ -577,10 +578,10 @@ def test_leg_values(ctx1):
     for i in range(3):
         w = weight_pow(i, 1)
         assert leg_at(ctx1, i, "H0", 1) == RingElem.one()
-        assert leg_at(ctx1, i, "H1", 1) == CycElem(RingElem.monomial(1, l=1, e=1)) * w
-        assert leg_at(ctx1, i, "H2", 1) == CycElem(RingElem.monomial(1, l=-1, e=-1)) * (w * w)
+        assert leg_at(ctx1, i, "H1", 1) == CycElem(RingElem.monomial(1, l=1, e=1)) * cyc(w)
+        assert leg_at(ctx1, i, "H2", 1) == CycElem(RingElem.monomial(1, l=-1, e=-1)) * cyc(w * w)
         assert leg_at(ctx1, i, "psiH", 1).is_zero()
-        assert leg_at(ctx1, i, "psiH", 2) == -CycElem(RingElem.monomial(1, l=1, e=1)) * w
+        assert leg_at(ctx1, i, "psiH", 2) == -CycElem(RingElem.monomial(1, l=1, e=1)) * cyc(w)
 
 
 def test_leg_c_degrees(ctx1):
@@ -602,9 +603,10 @@ def test_vertex_genus_one_closed_form(ctx1):
     # value has a zeta part, so the ring refuses it and golden's pair holds it.
     full = vertex_contribution(ctx1, 1, 0, (1,))
     assert full == ctx1.rows[0][1] * F(1, 24) + RingElem.const(F(-1, 36))
+    vertices = Vertices(ctx1)
     for i in range(3):
-        assert vertex_at(ctx1, 1, i, (1,)) == CycElem(ctx1.rows[0][1]) * (
-            CycScalar(F(1, 24)) * weight_pow(i, -1)) + CycScalar(F(-1, 36)) * weight_pow(i, 2)
+        assert vertices.at(1, i, (1,)) == CycElem(ctx1.rows[0][1]) * cyc(
+            CycScalar(F(1, 24)) * weight_pow(i, -1)) + cyc(CycScalar(F(-1, 36)) * weight_pow(i, 2))
     for i in (1, 2):
         with pytest.raises(ConsistencyError, match="not rational"):
             vertex_contribution(ctx1, 1, i, (1,))
@@ -615,8 +617,9 @@ def test_vertex_genus_three(ctx1):
     value = vertex_contribution(ctx1, 3, 0, (1,))
     assert not value.is_zero()
     assert value.x_degree() == 0 and value.c_degrees() == {0}
+    vertices = Vertices(ctx1)
     for i in range(3):
-        assert vertex_at(ctx1, 3, i, (1,)) == CycElem(value) * weight_pow(i, -1)
+        assert vertices.at(3, i, (1,)) == CycElem(value) * cyc(weight_pow(i, -1))
 
 
 @pytest.mark.parametrize("g, tags", [(1, ("H1",)), (2, ())], ids=["1-1", "2-0"])

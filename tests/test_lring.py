@@ -10,6 +10,8 @@ from kp2.labelled import CycElem
 from kp2.lring import RingElem, _pack, _unpack
 from kp2.scalars import ZERO, ZETA, ConsistencyError, CycScalar
 
+from golden import cyc
+
 coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 term_key = st.tuples(
     st.integers(min_value=-4, max_value=4),
@@ -348,7 +350,7 @@ def test_pairs_match_per_term_reference(a, b, s, more, r):
         (f - g, rf - rg),
         (f - f, rf - rf),
         (-f, -rf),
-        (f * s, rf * s),
+        (f * cyc(s), rf * s),
         (f * Fraction(3, 4), rf * CycScalar(Fraction(3, 4))),
         (f.conjugate(), rf.conjugate()),
         (f.twist(1), rf * ZETA),
@@ -375,6 +377,18 @@ def test_pairs_compare_with_rings_and_print_their_terms():
         {"L": 0, "X": 1, "c": -1, "coeff": {"a": "3/1", "b": "0/1"}},
         {"L": 1, "X": 0, "c": 0, "coeff": {"a": "1/2", "b": "1/2"}},
     ]
+    assert CycElem(f).to_json() == f.to_json()
+
+
+def test_pairs_take_no_cyc_scalar():
+    # A Q(zeta) constant enters pair arithmetic as a pair (golden.cyc), whose
+    # product goes through CycElem.dot; a CycScalar operand is refused either way.
+    one = CycElem(RingElem.one())
+    for op in (lambda: one * ZETA, lambda: one + ZETA, lambda: ZETA * one, lambda: ZETA + one,
+               lambda: one - ZETA, lambda: CycElem.dot([(one, ZETA)])):
+        with pytest.raises(TypeError):
+            op()
+    assert one * cyc(ZETA) == one.twist(1) and one + 1 == CycElem(RingElem.const(2))
 
 
 @given(rat_terms, eval_points, eval_points, eval_points)

@@ -68,9 +68,11 @@ def values_by_graph(ctx, g, tags):
     return out
 
 
-def cartesian_contribution(ctx, graph, p, aut):
-    """The flag sum at the labels p, over aut, by filtering the Cartesian
-    product of all flag ranges, each factor evaluated at its labels."""
+def cartesian_contribution(vertices, graph, p, aut):
+    """The flag sum at the labels p on vertices.ctx, over aut, by filtering
+    the Cartesian product of all flag ranges, each factor evaluated at its
+    labels."""
+    ctx = vertices.ctx
     nv = len(graph.genera)
     slots = []  # (vertex, kind, payload)
     for e, (u, v) in enumerate(graph.edges):
@@ -97,7 +99,7 @@ def cartesian_contribution(ctx, graph, p, aut):
             else:
                 term = term * golden.leg_at(ctx, p[v], graph.tags[payload], a)
         for v in range(nv):
-            term = term * golden.vertex_at(ctx, graph.genera[v], p[v], by_vertex[v])
+            term = term * vertices.at(graph.genera[v], p[v], by_vertex[v])
         for e, (u, v) in enumerate(graph.edges):
             term = term * edge_contribution(ctx, p[u], p[v], edge_a[(e, 0)], edge_a[(e, 1)])
         total = total + term
@@ -194,7 +196,7 @@ def test_shift_and_swap_relations(ctx1, data):
     value = labelled_contribution(ctx1, graph, labels, 1)
     shifted = labelled_contribution(ctx1, graph, [(p + 1) % 3 for p in labels], 1)
     swapped = labelled_contribution(ctx1, graph, [-p % 3 for p in labels], 1)
-    assert shifted == value * weight_pow(1, weight_degree(tags))
+    assert shifted == value * golden.cyc(weight_pow(1, weight_degree(tags)))
     assert swapped == value.conjugate()
 
 
@@ -205,7 +207,7 @@ def test_relations_are_not_vacuous(ctx1):
     value = labelled_contribution(ctx1, graph, (1,), 1)
     assert not value.is_zero()
     assert value.conjugate() != value
-    assert labelled_contribution(ctx1, graph, (2,), 1) == value * weight_pow(1, 1)
+    assert labelled_contribution(ctx1, graph, (2,), 1) == value * golden.cyc(weight_pow(1, 1))
 
 
 @pytest.mark.parametrize(
@@ -395,9 +397,10 @@ CARTESIAN_CASES = {(1, ("H1",)): (6, 6), (2, ()): (36, 36),
 @pytest.mark.parametrize("g, tags", CARTESIAN_CASES)
 def test_contracted_matches_cartesian(ctx2, g, tags):
     ctx2.extend_rows(3 * g - 3 + len(tags))
+    vertices = golden.Vertices(ctx2)
     count = nonzero = 0
     for graph, labels, aut, value in orbit_values(ctx2, g, tags):
-        assert value == cartesian_contribution(ctx2, graph, labels, aut), (
+        assert value == cartesian_contribution(vertices, graph, labels, aut), (
             graph.signature(), labels)
         count += 1
         nonzero += not value.is_zero()
@@ -473,8 +476,8 @@ def test_edge_twists_match_the_direct_worker(ctx1):
         for i, j in product(range(3), repeat=2):
             direct = edge_contribution(ctx1, i, j, b1, b2)
             base = edge_contribution(ctx1, 0, (j - i) % 3, b1, b2)
-            assert base * weight((i * (1 - b1 - b2)) % 3) == direct, (i, j, b1, b2)
-            wrong += base * weight((i * (b1 + b2 - 1)) % 3) != direct
+            assert base * golden.cyc(weight((i * (1 - b1 - b2)) % 3)) == direct, (i, j, b1, b2)
+            wrong += base * golden.cyc(weight((i * (b1 + b2 - 1)) % 3)) != direct
     assert wrong > 100
 
 
@@ -570,7 +573,7 @@ def test_dressed_twists_match_the_direct_worker():
     # _dressed_at with loops through the direct worker.
     ctx = build_context()
     ctx.extend_rows(7)
-    memo = ctx._labelled_memo
+    memo, vertices = ctx._labelled_memo, golden.Vertices(ctx)
     seen = set()
     wrong = nonzero = 0
     for g, tags in TWIST_CASES:
@@ -593,7 +596,7 @@ def test_dressed_twists_match_the_direct_worker():
                     assert localization._dressed_vertex(ctx, memo, graph, v,
                                                         _direct_loop(ctx)) == base
                 for p in range(3):
-                    ref = golden.dressed_per_composition(ctx, graph, v, p, budget,
+                    ref = golden.dressed_per_composition(vertices, graph, v, p, budget,
                                                          partial(edge_contribution, ctx, p, p))
                     assert {k for k, x in ref.items() if x} == set(base)
                     for k, x in base.items():
@@ -639,6 +642,7 @@ def test_dressed_multisets_match_the_per_composition_sum():
     # (each case has some).
     ctx = build_context()
     ctx.extend_rows(6)
+    vertices = golden.Vertices(ctx)
     checked = nonzero = cancelled = 0
     for g, tags in [(2, ()), (3, ()), (2, ("H1", "H1")), (2, ("psiH", "H0", "H2"))]:
         for graph in enumerate_graphs(g, tags):
@@ -646,7 +650,7 @@ def test_dressed_multisets_match_the_per_composition_sum():
             for v in range(len(graph.genera)):
                 budget = 3 * graph.genera[v] - 3 + val[v]
                 for loop in (_mode_loop(ctx), _direct_loop(ctx)):
-                    ref = golden.dressed_per_composition(ctx, graph, v, 0, budget, loop)
+                    ref = golden.dressed_per_composition(vertices, graph, v, 0, budget, loop)
                     kept = {k: x for k, x in ref.items() if x}
                     assert localization._dressed_at(ctx, graph, v, budget, loop) == kept, (
                         graph.signature(), v, loop)
